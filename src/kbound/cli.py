@@ -162,24 +162,6 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # scroll
 
-def _class_row(d: int, a, c: scroll.DivisorClass) -> dict:
-    admissible = scroll.is_admissible(c)
-    return {
-        "d": d,
-        "a": a,
-        "alpha": c.alpha,
-        "beta": c.beta,
-        "degree": c.degree(),
-        "k2": scroll._k2_raw(c),
-        "genus": scroll.sectional_genus(c) if admissible else None,
-        "admissible": admissible,
-        "extremal": (
-            c.degree() % 2 == 0
-            and c == scroll.DivisorClass(c.degree() // 2, -c.degree() // 2)
-        ),
-    }
-
-
 def _rows_text(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return _json_text(rows)
@@ -307,6 +289,8 @@ def _cmd_scroll(args) -> int:
 # verify
 
 def _gather_certificates(case: str, d_from: int, d_to: int, jobs: int):
+    if d_from > d_to:
+        raise ValueError("empty degree range")
     if case == "all":
         return verify.verify_theorem(d_from, d_to, jobs)
     certs = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Rat = Fraction
 
@@ -91,6 +91,37 @@ def euclid_split(dividend: int, modulus: int) -> EuclidSplit:
         raise ValueError("modulus must be >= 1")
     q, r = divmod(dividend, modulus)
     return EuclidSplit(dividend, modulus, q, r)
+
+
+def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list[int]:
+    """``[f(lo), f(lo + 1), ..., f(hi)]`` for an integer polynomial f of at
+    most the given degree, by exact forward differences.
+
+    f is evaluated directly only at ``lo, ..., lo + degree`` (the seed of the
+    difference table) and at ``hi``: every other value costs ``degree``
+    integer additions. The walked value at hi must equal f(hi), otherwise
+    InconsistencyError is raised, so a wrong degree or a broken walk cannot
+    go unnoticed. An empty range (hi < lo) gives an empty list.
+    """
+    from itertools import accumulate, islice, repeat
+
+    if hi < lo:
+        return []
+    column = [f(lo + i) for i in range(degree + 1)]
+    heads = []  # heads[k] is the k-th forward difference of f at lo
+    while column:
+        heads.append(column[0])
+        column = [b - a for a, b in zip(column, column[1:])]
+    walk = repeat(heads.pop())  # the top difference is constant
+    for head in reversed(heads):
+        walk = accumulate(walk, initial=head)
+    values = list(islice(walk, hi - lo + 1))
+    direct = f(hi)
+    if values[-1] != direct:
+        raise InconsistencyError(
+            f"forward-difference walk gives {values[-1]} at {hi}, direct evaluation {direct}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -317,9 +348,20 @@ def sign_certificate(
         raise ValueError(
             f"scan range [{start}, {scan_to}] exceeds max_scan={max_scan}"
         )
+    # Scaling by the positive lcm of the denominators keeps every sign, so
+    # the scan runs Horner on plain ints instead of Fractions.
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    int_coeffs = [c.numerator * (scale // c.denominator) for c in reversed(p.coeffs)]
+
+    def scaled(x: int) -> int:
+        acc = 0
+        for c in int_coeffs:
+            acc = acc * x + c
+        return acc
+
     counterexample: int | None = None
     for x in range(start, scan_to + 1):
-        if not holds(p(x)):
+        if not holds(scaled(x)):
             counterexample = x
             break
     if counterexample is None:
@@ -328,7 +370,11 @@ def sign_certificate(
             # Beyond the root bound the sign is the leading coefficient's,
             # so the first integer past the scan is a genuine violation.
             witness = scan_to + 1
-            assert not holds(p(witness))
+            if holds(scaled(witness)):
+                raise InconsistencyError(
+                    f"{p.text(variable)} keeps the asserted sign at {witness},"
+                    " past its root bound, against its leading coefficient"
+                )
             counterexample = witness
     return SignCertificate(
         polynomial=p,

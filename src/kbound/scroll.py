@@ -33,6 +33,7 @@ from .exact import (
     InconsistencyError,
     OutOfDomainError,
     euclid_split,
+    forward_walk,
 )
 
 # Triple products on T.
@@ -175,17 +176,7 @@ def frame_from_class(c: DivisorClass, expect_d: int) -> ScrollFrame:
     return ScrollFrame.for_degree(d, a)
 
 
-def phi(d: int, a: int) -> int:
-    """K^2 of the degree-d surface class indexed by a, as the exact cubic
-
-        phi(a) = -6a^3 + a^2(-9m + 5 + 3eps) + a(2m(3eps - 4) - 6eps + 10)
-                 + 3m^3 + m^2(3eps - 13) + m(10 - 6eps) + 8.
-
-    Defined for every integer a (the admissible range is not enforced here;
-    endpoint scans evaluate phi just outside it on purpose). Must agree with
-    :func:`k2_intersection` on every admissible class.
-    """
-    m, e = _split3(d)
+def _phi(m: int, e: int, a: int) -> int:
     return (
         -6 * a**3
         + a * a * (-9 * m + 5 + 3 * e)
@@ -197,9 +188,22 @@ def phi(d: int, a: int) -> int:
     )
 
 
-def phi_derivative(d: int, a: int) -> int:
-    """phi'(a) = -18a^2 + 2a(-9m + 5 + 3eps) + 2m(3eps - 4) - 6eps + 10."""
+def phi(d: int, a: int) -> int:
+    """K^2 of the degree-d surface class indexed by a, as the exact cubic
+
+        phi(a) = -6a^3 + a^2(-9m + 5 + 3eps) + a(2m(3eps - 4) - 6eps + 10)
+                 + 3m^3 + m^2(3eps - 13) + m(10 - 6eps) + 8.
+
+    Defined for every integer a (the admissible range is not enforced here;
+    endpoint scans evaluate phi just outside it on purpose). Must agree with
+    :func:`k2_intersection` on every admissible class. Its third forward
+    difference in a is the constant -36.
+    """
     m, e = _split3(d)
+    return _phi(m, e, a)
+
+
+def _phi_derivative(m: int, e: int, a: int) -> int:
     return (
         -18 * a * a
         + 2 * a * (-9 * m + 5 + 3 * e)
@@ -207,6 +211,15 @@ def phi_derivative(d: int, a: int) -> int:
         - 6 * e
         + 10
     )
+
+
+def phi_derivative(d: int, a: int) -> int:
+    """phi'(a) = -18a^2 + 2a(-9m + 5 + 3eps) + 2m(3eps - 4) - 6eps + 10.
+
+    Its second forward difference in a is the constant -36.
+    """
+    m, e = _split3(d)
+    return _phi_derivative(m, e, a)
 
 
 @dataclass(frozen=True)
@@ -274,24 +287,20 @@ def minimize_k2(d: int) -> KsqMinimum:
 
     The range has O(d) points and the arithmetic is exact, which makes this
     the trustworthy oracle against which the closed forms
-    (-d(d-6) for even d, -d^2/4 + d/2 + 35/4 for odd d) are claims.
+    (-d(d-6) for even d, -d^2/4 + d/2 + 35/4 for odd d) are claims. The
+    values come from an exact forward-difference walk of the cubic phi,
+    re-checked against phi at a* (InconsistencyError on a mismatch); a_min
+    is the least minimizing a.
     """
     m, eps = _split3(d)
     a_star = (m + eps - 1) // 2
-    best_a = -m
-    best = phi(d, -m)
-    count = 1
-    for a in range(-m + 1, a_star + 1):
-        v = phi(d, a)
-        if v < best:
-            best, best_a, count = v, a, 1
-        elif v == best:
-            count += 1
+    values = forward_walk(lambda a: _phi(m, eps, a), -m, a_star, 3)
+    best = min(values)
     return KsqMinimum(
         d=d,
-        a_min=best_a,
+        a_min=-m + values.index(best),
         k2_min=best,
-        unique=(count == 1),
+        unique=values.count(best) == 1,
         in_asserted_range=(d >= 18),
     )
 

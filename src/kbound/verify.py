@@ -52,10 +52,19 @@ from .bounds import (
     propagate_profile,
     weighted_defect_closed_form,
 )
-from .exact import Poly, SignCertificate, rat_str, sign_certificate
+from .exact import (
+    InconsistencyError,
+    Poly,
+    SignCertificate,
+    forward_walk,
+    rat_str,
+    sign_certificate,
+)
 from .scroll import (
     DivisorClass,
     _k2_raw,
+    _phi,
+    _phi_derivative,
     _split3,
     critical_interval,
     extremal_class,
@@ -63,7 +72,6 @@ from .scroll import (
     k2_min_closed_form,
     minimize_k2,
     phi,
-    phi_derivative,
 )
 
 CLAIM_ANCHORS = {
@@ -789,11 +797,14 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
 
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
     prof = propagate_profile(seed, d)
-    target = pi2_profile(d)
-    upto = max(len(prof.prefix), len(target.prefix)) + 1
-    for i in range(1, upto + 1):
-        if prof.value_at(i) < target.value_at(i):
-            return f"d={d}: propagated value {prof.value_at(i)} < profile value {target.value_at(i)} at i={i}"
+    have, need = prof.prefix, pi2_profile(d).prefix
+    # Past its prefix a profile equals d; compare up to one index beyond both.
+    upto = max(len(have), len(need)) + 1
+    have += (d,) * (upto - len(have))
+    need += (d,) * (upto - len(need))
+    for i, (h, n) in enumerate(zip(have, need), 1):
+        if h < n:
+            return f"d={d}: propagated value {h} < profile value {n} at i={i}"
     if genus_from_profile(prof) > pi2_bound(d).bound_int:
         return f"d={d}: propagated genus bound exceeds G(4;d,5)"
     return None
@@ -893,41 +904,48 @@ def verify_r5_exclusion(d_from: int, d_to: int, jobs: int = 1) -> list[Certifica
 
 def _appendix_check_one(d: int) -> str | None:
     m, eps = _split3(d)
-    res = minimize_k2(d)
+    a_star = (m + eps - 1) // 2
+    # phi' is quadratic in a: both sign scans walk it by forward differences.
+    rise_lo = -m + 2
+    try:
+        res = minimize_k2(d)
+        rising = forward_walk(lambda a: _phi_derivative(m, eps, a), rise_lo, -1, 2)
+        falling = forward_walk(lambda a: _phi_derivative(m, eps, a), 1, max(a_star, 1) + 1, 2)
+    except InconsistencyError as exc:
+        return f"d={d}: {exc}"
     bound = -d * (d - 6)
     if res.k2_min < bound:
         return f"d={d}: minimum {res.k2_min} below -d(d-6) = {bound}"
     if Fraction(res.k2_min) != k2_min_closed_form(d):
         return f"d={d}: minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
-    a_star = (m + eps - 1) // 2
     if d % 2 == 0:
         if res.k2_min != bound or res.a_min != a_star or not res.unique:
             return f"d={d}: even-degree minimum not uniquely at a* = {a_star}"
     else:
         if res.k2_min <= bound:
             return f"d={d}: odd-degree minimum fails to exceed -d(d-6)"
-    if phi(d, -m) != 8:
+    if _phi(m, eps, -m) != 8:
         return f"d={d}: phi(-m) != 8"
-    if phi(d, -m + 1) != -9 * m + 17 - 3 * eps:
+    if _phi(m, eps, -m + 1) != -9 * m + 17 - 3 * eps:
         return f"d={d}: phi(-m+1) != -9m + 17 - 3e"
-    if phi(d, -m + 2) != 0:
+    if _phi(m, eps, -m + 2) != 0:
         return f"d={d}: phi(-m+2) != 0"
-    if phi(d, 0) != (m - 2) * (3 * m * m - 7 * m + 3 * m * eps - 4):
+    if _phi(m, eps, 0) != (m - 2) * (3 * m * m - 7 * m + 3 * m * eps - 4):
         return f"d={d}: phi(0) factorization fails"
-    if phi(d, 1) != (m - 1) * (3 * m * m - 10 * m + 3 * m * eps + 3 * eps - 17):
+    if _phi(m, eps, 1) != (m - 1) * (3 * m * m - 10 * m + 3 * m * eps + 3 * eps - 17):
         return f"d={d}: phi(1) factorization fails"
-    if phi_derivative(d, 1) != 2 - 26 * m + 6 * m * eps:
+    if _phi_derivative(m, eps, 1) != 2 - 26 * m + 6 * m * eps:
         return f"d={d}: phi'(1) != 2 - 26m + 6me"
-    if phi_derivative(d, -m + 2) != 18 * m + 6 * eps - 42:
+    if _phi_derivative(m, eps, -m + 2) != 18 * m + 6 * eps - 42:
         return f"d={d}: phi'(-m+2) != 18m + 6e - 42"
-    if phi_derivative(d, -1) != 10 * m + 6 * m * eps - 12 * eps - 18:
+    if _phi_derivative(m, eps, -1) != 10 * m + 6 * m * eps - 12 * eps - 18:
         return f"d={d}: phi'(-1) != 10m + 6me - 12e - 18"
-    for a in range(-m + 2, 0):
-        if phi_derivative(d, a) <= 0:
-            return f"d={d}: phi' not positive at a={a} in [-m+2, -1]"
-    for a in range(1, max(a_star, 1) + 2):
-        if phi_derivative(d, a) >= 0:
-            return f"d={d}: phi' not negative at a={a} >= 1"
+    a = next((a for a, v in enumerate(rising, rise_lo) if v <= 0), None)
+    if a is not None:
+        return f"d={d}: phi' not positive at a={a} in [-m+2, -1]"
+    a = next((a for a, v in enumerate(falling, 1) if v >= 0), None)
+    if a is not None:
+        return f"d={d}: phi' not negative at a={a} >= 1"
     ci = critical_interval(d)
     if ci.discriminant <= 0 or not ci.has_real_roots:
         return f"d={d}: phi' lacks two real roots"
@@ -990,7 +1008,6 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
         bad is None,
         failure=bad,
     )
-    b.witness = b.witness or None
     cert = b.done()
     if cert.status == VERIFIED:
         cert.witness = {
@@ -1001,17 +1018,25 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     return cert
 
 
+def _sharpness_scan(d: int) -> tuple[int | None, list[int]]:
+    """Least K^2 over the degree-d classes alpha*H + (d - 3alpha)W with
+    1 <= alpha <= d/2, and the alphas attaining -d(d-6).
+
+    K^2 = (K_T + S)^2.S comes from the intersection ring, not from phi, so
+    the two routes stay independent. It is cubic in alpha, so the scan walks
+    it by forward differences (InconsistencyError if the walk goes wrong).
+    """
+    target = -d * (d - 6)
+    k2s = forward_walk(lambda alpha: _k2_raw(DivisorClass(alpha, d - 3 * alpha)), 1, d // 2, 3)
+    return min(k2s, default=None), [alpha for alpha, k2 in enumerate(k2s, 1) if k2 == target]
+
+
 def _sharpness_check_one(d: int) -> str | None:
     target = -d * (d - 6)
-    best: int | None = None
-    attained: list[int] = []
-    for alpha in range(1, d // 2 + 1):
-        c = DivisorClass(alpha, d - 3 * alpha)
-        k2 = _k2_raw(c)
-        if best is None or k2 < best:
-            best = k2
-        if k2 == target:
-            attained.append(alpha)
+    try:
+        best, attained = _sharpness_scan(d)
+    except InconsistencyError as exc:
+        return f"d={d}: {exc}"
     if d % 2 == 0:
         ext = extremal_class(d)  # re-checks K^2 and genus through both routes
         if best != target:

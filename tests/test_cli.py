@@ -1,8 +1,18 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import kbound
 from kbound.cli import main
+
+#: sha256 of ``verify all --from 36 --to 2000 --format json --no-timestamp``,
+#: the behaviour contract that every speed-up and refactor must keep.
+FINGERPRINT_SHA256 = "739feb0f98c158b2edc4dfaed40f7c5576cdd2927f7c1139796ec3e12f4e6c97"
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +177,30 @@ def test_verify_jobs_env_fallback(capsys, monkeypatch):
     code2, out2, _ = run_cli(capsys, "verify", "sharpness", "--from", "36", "--to", "90", "--format", "json", "--no-timestamp")
     assert code2 == 0
     assert out == out2
+
+
+@pytest.mark.parametrize(
+    "case", ["all", "r2", "r3", "r4", "r5", "r6", "appendix", "sharpness"]
+)
+def test_verify_empty_range_exit_code(capsys, case):
+    code, out, err = run_cli(capsys, "verify", case, "--from", "50", "--to", "40")
+    assert code == 2
+    assert out == ""
+    assert err == "error: empty degree range\n"
+
+
+def test_verify_all_fingerprint():
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("KBOUND_JOBS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kbound", "verify", "all", "--from", "36", "--to", "2000",
+         "--format", "json", "--no-timestamp"],
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == FINGERPRINT_SHA256
 
 
 def test_verify_output_file(tmp_path, capsys):

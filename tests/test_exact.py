@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from kbound.exact import (
     EuclidSplit,
+    InconsistencyError,
     Poly,
     binom,
     euclid_split,
+    forward_walk,
     parse_rat,
     rat_str,
     sign_certificate,
@@ -140,6 +142,27 @@ def test_cauchy_bound_dominates_integer_roots(roots):
     assert p(n + 1) > 0
 
 
+# forward-difference walks ---------------------------------------------------
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4),
+    st.integers(-300, 300),
+    st.integers(-1, 200),
+)
+def test_forward_walk_matches_direct_evaluation(coeffs, lo, span):
+    p = Poly.from_coeffs(coeffs)
+    degree = max(p.degree, 0)
+    walked = forward_walk(lambda x: int(p(x)), lo, lo + span, degree)
+    assert walked == [p(x) for x in range(lo, lo + span + 1)]
+
+
+def test_forward_walk_end_check_catches_a_wrong_degree():
+    # x^4 walked as a cubic agrees on the seed points only
+    with pytest.raises(InconsistencyError):
+        forward_walk(lambda x: x**4, 0, 10, 3)
+    assert forward_walk(lambda x: x**4, 0, 3, 3) == [0, 1, 16, 81]
+
+
 # sign certificates ----------------------------------------------------------
 
 def test_sign_certificate_simple_positive():
@@ -218,6 +241,58 @@ def test_certified_claims_survive_random_sampling(coeffs, start, sign):
     for _ in range(1000):
         x = rng.randint(start, start + 10**6)
         assert holds(p(x))
+
+
+def fraction_scan_counterexample(p: Poly, start: int, sign: str):
+    """Reference verdict: a Fraction Horner scan to the Cauchy bound, then the
+    first integer past it when the leading coefficient has the wrong sign."""
+    holds = {
+        "positive": lambda v: v > 0,
+        "nonnegative": lambda v: v >= 0,
+        "negative": lambda v: v < 0,
+        "nonpositive": lambda v: v <= 0,
+    }[sign]
+    scan_to = max(start, p.cauchy_tail_bound())
+    for x in range(start, scan_to + 1):
+        if not holds(p(x)):
+            return x
+    if not holds(p.leading):
+        return scan_to + 1
+    return None
+
+
+small_rationals = st.fractions(
+    min_value=Fraction(-60), max_value=Fraction(60), max_denominator=12
+)
+
+
+@given(
+    st.lists(small_rationals, min_size=1, max_size=5).filter(lambda cs: cs[-1] != 0),
+    st.integers(-40, 40),
+    st.sampled_from(["positive", "nonnegative", "negative", "nonpositive"]),
+)
+def test_integer_scan_matches_fraction_scan(coeffs, start, sign):
+    p = Poly.from_coeffs(coeffs)
+    cert = sign_certificate(p, start, sign)
+    assert cert.counterexample == fraction_scan_counterexample(p, start, sign)
+
+
+def test_integer_scan_wrong_leading_sign():
+    # 1/3 - x/7 - x^2/5: the leading coefficient refutes "positive"; the
+    # least violation lies inside the scan and both scans find it.
+    p = Poly.of(Fraction(1, 3), Fraction(-1, 7), Fraction(-1, 5))
+    cert = sign_certificate(p, 0, "positive")
+    assert cert.counterexample == fraction_scan_counterexample(p, 0, "positive") == 1
+    assert sign_certificate(p, 1, "negative").ok
+
+
+def test_past_bound_witness_is_checked_explicitly(monkeypatch):
+    # With a root bound that is too small, x^2 - 100 scans clean as
+    # "negative" on [0, 5] but is negative again at the witness 6. The
+    # witness check must raise, also under python -O (no assert).
+    monkeypatch.setattr(Poly, "cauchy_tail_bound", lambda self: 5)
+    with pytest.raises(InconsistencyError):
+        sign_certificate(Poly.of(-100, 0, 1), 0, "negative")
 
 
 def test_sign_certificate_json_shape():

@@ -250,6 +250,17 @@ def test_minimize_matches_closed_form_sampled():
             assert res.k2_min > -d * (d - 6)
 
 
+def test_minimize_matches_naive_scan():
+    for d in range(4, 401):
+        m, e = divmod(d - 1, 3)
+        values = [phi(d, a) for a in range(-m, (m + e - 1) // 2 + 1)]
+        best = min(values)
+        res = minimize_k2(d)
+        assert res.k2_min == best, d
+        assert res.a_min == -m + values.index(best), d
+        assert res.unique == (values.count(best) == 1), d
+
+
 def test_minimize_below_asserted_range_is_flagged():
     res = minimize_k2(12)
     assert not res.in_asserted_range

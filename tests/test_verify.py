@@ -5,6 +5,8 @@ import pytest
 
 from kbound.bounds import castelnuovo_bound, pi2_bound
 from kbound.exact import Poly
+import kbound.verify as verify
+from kbound.scroll import DivisorClass, _k2_raw
 from kbound.verify import (
     CLAIM_ANCHORS,
     CLAIM_OPERATIONS,
@@ -176,6 +178,33 @@ def test_sharpness_certificate():
     assert cert.witness["attainers_sample"][0] == [36, 18, -18]
     cert = verify_sharpness(20, 30)
     assert cert.status == "out-of-asserted-range"
+
+
+def test_sharpness_scan_matches_naive_ring_scan():
+    for d in list(range(4, 120)) + [500, 501, 1998, 1999]:
+        k2s = [_k2_raw(DivisorClass(alpha, d - 3 * alpha)) for alpha in range(1, d // 2 + 1)]
+        best, attained = verify._sharpness_scan(d)
+        assert best == min(k2s, default=None), d
+        assert attained == [
+            alpha for alpha, k2 in enumerate(k2s, 1) if k2 == -d * (d - 6)
+        ], d
+
+
+def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
+    # A K^2 route that is not cubic in alpha derails the walk; the check must
+    # report the disagreement, not pass or crash.
+    monkeypatch.setattr(verify, "_k2_raw", lambda c: c.alpha**4)
+    failure = verify._sharpness_check_one(40)
+    assert failure.startswith("d=40: forward-difference walk")
+    cert = verify_sharpness(36, 40)
+    assert cert.status == "counterexample"
+    assert cert.witness["failure"].startswith("d=36: forward-difference walk")
+
+
+def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
+    monkeypatch.setattr(verify, "_phi_derivative", lambda m, e, a: a**3 - 1000)
+    failure = verify._appendix_check_one(100)
+    assert failure.startswith("d=100: forward-difference walk")
 
 
 # aggregate ----------------------------------------------------------------------
