@@ -16,6 +16,9 @@ Implements, always in exact arithmetic:
   surfaces in P^4, and the Euler characteristic lower bound used for
   surfaces on a quartic hypersurface.
 
+Each closed form is defined once, as a polynomial on a residue class (the
+``*_poly`` functions): the scalar functions evaluate it and the certificates
+in :mod:`kbound.verify` quantify over it; the profile sums stay its oracles.
 Every bound function returns a :class:`GenusBoundResult` carrying the exact
 rational value plus the split data (m/eps, n/v/w, p/q/t) that entered the
 formula.
@@ -25,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .exact import (
     InconsistencyError,
     OutOfDomainError,
+    Poly,
     as_int,
-    binom,
     euclid_split,
     rat_str,
 )
@@ -124,6 +128,13 @@ class GenusBoundResult:
         }
 
 
+@cache
+def castelnuovo_poly(r: int, eps: int) -> Poly:
+    """G(r;d) as a quadratic in d on the residue class (d-1) mod (r-1) = eps."""
+    den = 2 * (r - 1)
+    return Poly.of(Fraction((r - eps) * (1 + eps), den), Fraction(-(r + 1), den), Fraction(1, den))
+
+
 def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
     """Castelnuovo's bound for the genus of an integral nondegenerate
     degree-d curve in P^r:
@@ -139,8 +150,7 @@ def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
         raise OutOfDomainError(f"no nondegenerate degree-{d} curve in P^{r}")
     s = euclid_split(d - 1, r - 1)
     m, eps = s.quotient, s.remainder
-    den = 2 * (r - 1)
-    bound = Fraction(d * d - (r + 1) * d + (r - eps) * (1 + eps), den)
+    bound = castelnuovo_poly(r, eps)(d)
     as_int(bound, f"G({r};{d})")
     return GenusBoundResult(
         formula_id="castelnuovo",
@@ -162,6 +172,13 @@ def castelnuovo_profile(r: int, d: int) -> HilbertProfile:
     return HilbertProfile(label=f"Castelnuovo-minimal r={r}", d=d, prefix=tuple(prefix))
 
 
+@cache
+def halphen_poly(s: int, eps: int) -> Poly:
+    """G(3;d,s) as a quadratic in d on the residue class (d-1) mod s = eps."""
+    const = 1 - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s)
+    return Poly.of(const, Fraction(s - 4, 2), Fraction(1, 2 * s))
+
+
 def halphen_bound(d: int, s: int) -> GenusBoundResult:
     """Halphen's bound for the arithmetic genus of an irreducible, reduced,
     nondegenerate space curve of degree d > s^2 - s on no surface of
@@ -179,12 +196,7 @@ def halphen_bound(d: int, s: int) -> GenusBoundResult:
         raise OutOfDomainError(f"Halphen bound asserted only for d > {s * s - s}")
     sp = euclid_split(d - 1, s)
     m, eps = sp.quotient, sp.remainder
-    bound = (
-        Fraction(d * d, 2 * s)
-        + Fraction(d * (s - 4), 2)
-        + 1
-        - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s)
-    )
+    bound = halphen_poly(s, eps)(d)
     return GenusBoundResult(
         formula_id="halphen",
         d=d,
@@ -193,25 +205,35 @@ def halphen_bound(d: int, s: int) -> GenusBoundResult:
     )
 
 
+def pi2_w(v: int) -> int:
+    """w = max{0, floor(v/2)} for the residue v of d - 1 mod 5."""
+    return max(0, v // 2)
+
+
 def pi2_split(d: int) -> tuple[int, int, int]:
-    """(n, v, w) with d - 1 = 5n + v, 0 <= v <= 4, w = max{0, floor(v/2)}."""
+    """(n, v, w) with d - 1 = 5n + v, 0 <= v <= 4, w = :func:`pi2_w`."""
     sp = euclid_split(d - 1, 5)
     n, v = sp.quotient, sp.remainder
-    return n, v, max(0, v // 2)
+    return n, v, pi2_w(v)
+
+
+@cache
+def pi2_poly(v: int) -> Poly:
+    """G(4;d,5) = d^2/10 - 3d/10 + 1/5 + v/10 - v^2/10 + w on the residue
+    class (d-1) mod 5 = v."""
+    return Poly.of(Fraction(2 + v - v * v, 10) + pi2_w(v), Fraction(-3, 10), Fraction(1, 10))
 
 
 def pi2_bound(d: int) -> GenusBoundResult:
     """G(4;d,5), the maximal genus of a degree-d curve in P^4 whose general
-    hyperplane section lies on no surface of degree < 5 in P^3:
-
-        G(4;d,5) = d^2/10 - 3d/10 + 1/5 + v/10 - v^2/10 + w.
-
-    Computed for every d >= 2; as a genus bound it is asserted for d > 143.
+    hyperplane section lies on no surface of degree < 5 in P^3, from
+    :func:`pi2_poly`. Computed for every d >= 2; as a genus bound it is
+    asserted for d > 143.
     """
     if d < 2:
         raise OutOfDomainError("pi2_bound needs d >= 2")
     n, v, w = pi2_split(d)
-    bound = Fraction(d * d - 3 * d + 2 + v - v * v, 10) + w
+    bound = pi2_poly(v)(d)
     as_int(bound, f"G(4;{d},5)")
     return GenusBoundResult(
         formula_id="pi2",
@@ -232,20 +254,31 @@ def pi2_profile(d: int) -> HilbertProfile:
     return HilbertProfile(label="h for G(4;d,5)", d=d, prefix=tuple(prefix))
 
 
+def pi1_t(q: int) -> int:
+    """t = 1 iff the residue q of d - 1 mod 4 is 3."""
+    return 1 if q == 3 else 0
+
+
 def pi1_split(d: int) -> tuple[int, int, int]:
-    """(p, q, t) with d - 1 = 4p + q, 0 <= q <= 3, t = 1 iff q = 3."""
+    """(p, q, t) with d - 1 = 4p + q, 0 <= q <= 3, t = :func:`pi1_t`."""
     sp = euclid_split(d - 1, 4)
     p, q = sp.quotient, sp.remainder
-    return p, q, 1 if q == 3 else 0
+    return p, q, pi1_t(q)
+
+
+@cache
+def pi1_poly(q: int) -> Poly:
+    """G(4;d,4) = d^2/8 - d/2 + 3/8 + q/4 - q^2/8 + t on the residue class
+    (d-1) mod 4 = q."""
+    return Poly.of(Fraction(3 + 2 * q - q * q, 8) + pi1_t(q), Fraction(-1, 2), Fraction(1, 8))
 
 
 def pi1_bound(d: int) -> GenusBoundResult:
-    """G(4;d,4) = d^2/8 - d/2 + 3/8 + q/4 - q^2/8 + t, with d - 1 = 4p + q
-    and t = 1 iff q = 3."""
+    """G(4;d,4) from :func:`pi1_poly`."""
     if d < 2:
         raise OutOfDomainError("pi1_bound needs d >= 2")
     p, q, t = pi1_split(d)
-    bound = Fraction(d * d - 4 * d + 3 + 2 * q - q * q, 8) + t
+    bound = pi1_poly(q)(d)
     as_int(bound, f"G(4;{d},4)")
     return GenusBoundResult(
         formula_id="pi1",
@@ -260,7 +293,7 @@ def pi1_profile(d: int) -> HilbertProfile:
     q = 3; d otherwise."""
     if d < 2:
         raise OutOfDomainError("pi1_profile needs d >= 2")
-    p, q, t = pi1_split(d)
+    p, _, t = pi1_split(d)
     prefix = list(range(4, 4 * p + 1, 4))
     if t:
         prefix.append(d - 1)
@@ -311,7 +344,7 @@ def weighted_defect_direct(d: int) -> int:
     """Sum_{i=1}^{d-4} (i-1)(d - k(i)) evaluated term by term."""
     if d < 5:
         raise OutOfDomainError("weighted defect sum needs d >= 5")
-    p, q, t = pi1_split(d)
+    p, _, t = pi1_split(d)
     # Terms with i > p + 1 vanish because k(i) = d there; for d in {5, 6}
     # the stated range i <= d - 4 is the binding one.
     top = min(d - 4, p + 1)
@@ -319,7 +352,7 @@ def weighted_defect_direct(d: int) -> int:
     for i in range(1, top + 1):
         if i <= p:
             k = 4 * i
-        elif q == 3:
+        elif t:
             k = d - 1
         else:
             k = d
@@ -327,12 +360,25 @@ def weighted_defect_direct(d: int) -> int:
     return total
 
 
+@cache
+def weighted_defect_poly(q: int) -> Poly:
+    """C(p,2)*d - 8*C(p+1,3) + t*p, the closed form of the weighted sum, as
+    a cubic in p on the residue class d = 4p + q + 1."""
+    p = Poly.variable()
+    d = Poly.of(q + 1, 4)
+    return (
+        Fraction(1, 2) * (p * (p - 1)) * d
+        - Fraction(8, 6) * ((p + 1) * p * (p - 1))
+        + pi1_t(q) * p
+    )
+
+
 def weighted_defect_closed_form(d: int) -> int:
-    """C(p,2)*d - 8*C(p+1,3) + t*p, the closed form of the weighted sum."""
+    """The weighted defect sum from :func:`weighted_defect_poly`."""
     if d < 5:
         raise OutOfDomainError("weighted defect sum needs d >= 5")
-    p, q, t = pi1_split(d)
-    return binom(p, 2) * d - 8 * binom(p + 1, 3) + t * p
+    p, q, _ = pi1_split(d)
+    return as_int(weighted_defect_poly(q)(p), f"weighted defect sum at d={d}")
 
 
 def weighted_defect_sum(d: int) -> int:
@@ -368,10 +414,11 @@ def double_point_k2(d: int, g: int, chi: int) -> int:
     return num // 2
 
 
-def chi_lower_bound_s4(d: int, x) -> Fraction:
+def chi_bound_poly(x) -> Poly:
     """Euler characteristic lower bound for a degree-d surface on an
-    irreducible quartic hypersurface of P^4, in terms of the rational
-    genus-defect parameter 0 <= x <= 9 (g = d^2/8 + d(x-9)/8 + 1):
+    irreducible quartic hypersurface of P^4, as a cubic in d, in terms of
+    the rational genus-defect parameter 0 <= x <= 9
+    (g = d^2/8 + d(x-9)/8 + 1):
 
         chi >= d^3/96 - d^2/16 - 5d/3 - 333/16 - (d-3)d(9-x)/8.
 
@@ -380,29 +427,18 @@ def chi_lower_bound_s4(d: int, x) -> Fraction:
     x = Fraction(x)
     if not 0 <= x <= 9:
         raise ValueError("x must lie in [0, 9]")
+    base = Poly.of(Fraction(-333, 16), Fraction(-5, 3), Fraction(-1, 16), Fraction(1, 96))
+    return base - Fraction(9 - x, 8) * Poly.of(0, -3, 1)
+
+
+def chi_lower_bound_s4(d: int, x) -> Fraction:
+    """:func:`chi_bound_poly` at the degree d."""
     if d < 4:
         raise OutOfDomainError("chi_lower_bound_s4 needs d >= 4")
-    return (
-        Fraction(d**3, 96)
-        - Fraction(d * d, 16)
-        - Fraction(5 * d, 3)
-        - Fraction(333, 16)
-        - Fraction((d - 3) * d, 8) * (9 - x)
-    )
+    return chi_bound_poly(x)(d)
 
 
 def chi_lower_bound_s4_weak(d: int) -> Fraction:
-    """The x-free weakening used when x > 6:
-
-        chi > d^3/96 - 7d^2/16 - 13d/24 - 333/16
-
-    (substitute (9-x)/8 < 3/8 into :func:`chi_lower_bound_s4`).
-    """
-    if d < 4:
-        raise OutOfDomainError("chi_lower_bound_s4_weak needs d >= 4")
-    return (
-        Fraction(d**3, 96)
-        - Fraction(7 * d * d, 16)
-        - Fraction(13 * d, 24)
-        - Fraction(333, 16)
-    )
+    """The x-free weakening chi > d^3/96 - 7d^2/16 - 13d/24 - 333/16 used
+    when x > 6: the bound at x = 6, since (9-x)/8 < 3/8."""
+    return chi_lower_bound_s4(d, 6)

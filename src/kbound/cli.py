@@ -23,7 +23,9 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -44,12 +46,46 @@ SCAN_CSV_HEADER = [
 VERIFY_CSV_HEADER = ["claim_id", "status", "params", "witness"]
 
 
+def _passes_through_dev(path: str) -> bool:
+    """True if path, or a symlink it leads through, lies under /dev or /proc,
+    like /dev/stdout, which may end at a file a shell is appending to."""
+    for _ in range(40):  # the kernel's own limit on a chain of symlinks
+        head = os.path.realpath(os.path.dirname(os.path.abspath(path))) + "/"
+        if head.startswith(("/dev/", "/proc/")):
+            return True
+        if not os.path.islink(path):
+            return False
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+    return False
+
+
 def _emit(text: str, out_path: str | None) -> None:
+    """Write to stdout, or atomically to out_path: the text goes to a temp
+    file beside the target, which then replaces it, so a failed write
+    leaves any earlier file whole."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        return
+    if _passes_through_dev(out_path) or (os.path.exists(out_path) and not os.path.isfile(out_path)):
+        # no file to replace; appending keeps what a shell redirection wrote
+        with open(out_path, "a", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    target = os.path.realpath(out_path)  # through a symlink, replace the file it names
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)  # an existing report keeps its mode
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp gives 0600; a new file gets 0666 & ~umask
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _kv_table(pairs: list[tuple[str, object]]) -> str:
@@ -124,10 +160,8 @@ def _cmd_bound(args) -> int:
         elif args.format == "csv":
             text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(r, args.floor) for r, _ in pairs])
         else:
-            lines = ["d  bound"]
-            for r, _ in pairs:
-                lines.append(f"{r.d}  {r.floor if args.floor else rat_str(r.bound)}")
-            text = "\n".join(lines) + "\n"
+            text = "d  bound\n" + "".join(
+                f"{r.d}  {r.floor if args.floor else rat_str(r.bound)}\n" for r, _ in pairs)
         _emit(text, args.out)
         return 0
 
@@ -151,8 +185,7 @@ def _cmd_bound(args) -> int:
         pairs.append(("integer", "yes" if result.is_integer else "no"))
         pairs.extend((k, v) for k, v in result.params.items())
         if profile is not None:
-            shown = list(profile.prefix)
-            pairs.append(("profile", " ".join(str(v) for v in shown) + " ..."))
+            pairs.append(("profile", " ".join(str(v) for v in profile.prefix) + " ..."))
             pairs.append(("stabilizes_at", profile.stabilization_index))
         text = _kv_table(pairs)
     _emit(text, args.out)
@@ -165,31 +198,12 @@ def _cmd_bound(args) -> int:
 def _rows_text(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return _json_text(rows)
+    cells = [["" if r[h] is None else r[h] for h in SCAN_CSV_HEADER] for r in rows]
     if fmt == "csv":
-        return _csv_text(
-            SCAN_CSV_HEADER,
-            [
-                [
-                    r["d"], r["a"], r["alpha"], r["beta"], r["degree"], r["k2"],
-                    "" if r["genus"] is None else r["genus"],
-                    r["admissible"], r["extremal"],
-                ]
-                for r in rows
-            ],
-        )
-    head = SCAN_CSV_HEADER
-    widths = [
-        max(len(h), max((len(str(r[h] if r[h] is not None else "")) for r in rows), default=0))
-        for h in head
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip()]
-    for r in rows:
-        lines.append(
-            "  ".join(
-                str(r[h] if r[h] is not None else "").ljust(w)
-                for h, w in zip(head, widths)
-            ).rstrip()
-        )
+        return _csv_text(SCAN_CSV_HEADER, cells)
+    table = [SCAN_CSV_HEADER, *cells]
+    widths = [max(len(str(v)) for v in column) for column in zip(*table)]
+    lines = ["  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -200,18 +214,7 @@ def _cmd_scroll(args) -> int:
         return 0
     if args.action == "class":
         c = scroll.DivisorClass(args.alpha, args.beta)
-        admissible = scroll.is_admissible(c)
-        row = {
-            "d": c.degree(),
-            "a": None,
-            "alpha": c.alpha,
-            "beta": c.beta,
-            "degree": c.degree(),
-            "k2": scroll._k2_raw(c),
-            "genus": scroll.sectional_genus(c) if admissible else None,
-            "admissible": admissible,
-            "extremal": False,
-        }
+        row = scroll.class_row(c)
         reasons = []
         if c.alpha <= 0:
             reasons.append("alpha <= 0")
@@ -219,56 +222,24 @@ def _cmd_scroll(args) -> int:
             reasons.append("alpha + beta < 0")
         if c.degree() < 4:
             reasons.append(f"degree {c.degree()} < 4 (degenerate: the class would be a hyperplane section or worse)")
-        if admissible:
-            f = scroll.frame_from_class(c, c.degree())
-            row["a"] = f.a
-            row["extremal"] = (
-                c.degree() % 2 == 0
-                and c == scroll.DivisorClass(c.degree() // 2, -c.degree() // 2)
-            )
-        if args.format == "table" and reasons:
-            text = _rows_text([row], args.format)
-            text += "inadmissible: " + "; ".join(reasons) + "\n"
-        elif args.format == "json":
-            payload = dict(row)
-            if reasons:
-                payload["inadmissible_reasons"] = reasons
-            text = _json_text(payload)
+        if args.format == "json":
+            text = _json_text({**row, "inadmissible_reasons": reasons} if reasons else row)
         else:
             text = _rows_text([row], args.format)
+            if args.format == "table" and reasons:
+                text += "inadmissible: " + "; ".join(reasons) + "\n"
         _emit(text, args.out)
         return 0
     if args.action == "extremal":
         ext = scroll.extremal_class(args.d)
-        f = scroll.frame_from_class(ext.cls, args.d)
+        row = scroll.class_row(ext.cls)
+        fields = {k: row[k] for k in ("alpha", "beta", "a", "k2", "genus")}
         if args.format == "json":
-            text = _json_text(
-                {
-                    "d": args.d,
-                    "alpha": ext.cls.alpha,
-                    "beta": ext.cls.beta,
-                    "a": f.a,
-                    "k2": ext.k2,
-                    "genus": ext.genus,
-                }
-            )
+            text = _json_text({"d": args.d, **fields})
         elif args.format == "csv":
-            text = _csv_text(
-                SCAN_CSV_HEADER,
-                [[args.d, f.a, ext.cls.alpha, ext.cls.beta, args.d, ext.k2, ext.genus, True, True]],
-            )
+            text = _rows_text([row], args.format)
         else:
-            text = _kv_table(
-                [
-                    ("d", args.d),
-                    ("class", ext.cls.text()),
-                    ("alpha", ext.cls.alpha),
-                    ("beta", ext.cls.beta),
-                    ("a", f.a),
-                    ("k2", ext.k2),
-                    ("genus", ext.genus),
-                ]
-            )
+            text = _kv_table([("d", args.d), ("class", ext.cls.text()), *fields.items()])
         _emit(text, args.out)
         return 0
     # minimize
@@ -293,7 +264,6 @@ def _gather_certificates(case: str, d_from: int, d_to: int, jobs: int):
         raise ValueError("empty degree range")
     if case == "all":
         return verify.verify_theorem(d_from, d_to, jobs)
-    certs = []
     if case == "r2":
         certs = [verify.verify_r2()]
     elif case == "r3":
@@ -318,16 +288,12 @@ def _gather_certificates(case: str, d_from: int, d_to: int, jobs: int):
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("KBOUND_JOBS", "1"))
+    jobs = args.jobs if args.jobs is not None else int(os.environ.get("KBOUND_JOBS", "1"))
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
     verdict = _gather_certificates(args.case, args.d_from, args.d_to, jobs)
 
-    timestamp = None
-    if not args.no_timestamp:
-        timestamp = datetime.now(timezone.utc).isoformat()
+    timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
 
     if args.format == "json":
         text = verdict.to_json(timestamp)
@@ -345,8 +311,7 @@ def _cmd_verify(args) -> int:
     else:
         width = max(len(c.claim_id) for c in verdict.certificates)
         lines = [f"degree range [{verdict.d_from}, {verdict.d_to}]"]
-        for c in verdict.certificates:
-            lines.append(f"{c.claim_id.ljust(width)}  {c.status}")
+        lines += [f"{c.claim_id.ljust(width)}  {c.status}" for c in verdict.certificates]
         lines.append(f"overall: {'verified' if verdict.overall else 'FAILED'}")
         text = "\n".join(lines) + "\n"
 

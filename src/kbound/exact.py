@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 Rat = Fraction
@@ -202,19 +203,17 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.of(1)
-        for _ in range(k):
-            result = result * self
-        return result
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(s, ints): s is the lcm of the denominators and ``ints`` the
+        integer coefficients of s*p, highest power first. Scaling by a
+        positive s keeps every sign, so scans can run Horner on plain ints."""
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        return scale, tuple(c.numerator * (scale // c.denominator) for c in reversed(self.coeffs))
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        scale, ints = self.integer_form
+        return Fraction(_horner(ints, x), scale)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), exact; used to restrict to residue classes."""
@@ -265,13 +264,19 @@ class Poly:
         return [rat_str(c) for c in self.coeffs]
 
 
+def _horner(coeffs: tuple[int, ...], x: Scalar) -> Scalar:
+    """Value at x of the integer polynomial with ``coeffs``, highest power first."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def _coerce(x: "Poly | Scalar") -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly.of(x)
 
-
-SIGNS = ("positive", "nonnegative", "negative", "nonpositive")
 
 _SIGN_HOLDS = {
     "positive": lambda v: v > 0,
@@ -286,8 +291,8 @@ class SignCertificate:
     """Verdict for ``sign(p(x))`` over every integer x >= start.
 
     If ``counterexample`` is None the assertion holds at every integer of
-    ``[start, tail_bound]`` (checked exactly) and at every integer beyond
-    ``tail_bound`` (leading-term dominance through the Cauchy root bound).
+    ``[start, tail_bound]``, with tail_bound = max(start, Cauchy root bound)
+    (checked exactly), and at every integer beyond (leading-term dominance).
     Otherwise ``counterexample`` is the least violating integer found.
     """
 
@@ -295,8 +300,6 @@ class SignCertificate:
     start: int
     asserted_sign: str
     tail_bound: int
-    scan_from: int
-    scan_to: int
     counterexample: int | None
     variable: str = "d"
     label: str = ""
@@ -314,7 +317,7 @@ class SignCertificate:
             "from": self.start,
             "asserted_sign": self.asserted_sign,
             "tail_bound": self.tail_bound,
-            "scanned_range": [self.scan_from, self.scan_to],
+            "scanned_range": [self.start, self.tail_bound],
             "counterexample": self.counterexample,
             "verified": self.ok,
         }
@@ -348,20 +351,10 @@ def sign_certificate(
         raise ValueError(
             f"scan range [{start}, {scan_to}] exceeds max_scan={max_scan}"
         )
-    # Scaling by the positive lcm of the denominators keeps every sign, so
-    # the scan runs Horner on plain ints instead of Fractions.
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    int_coeffs = [c.numerator * (scale // c.denominator) for c in reversed(p.coeffs)]
-
-    def scaled(x: int) -> int:
-        acc = 0
-        for c in int_coeffs:
-            acc = acc * x + c
-        return acc
-
+    _, ints = p.integer_form
     counterexample: int | None = None
     for x in range(start, scan_to + 1):
-        if not holds(scaled(x)):
+        if not holds(_horner(ints, x)):
             counterexample = x
             break
     if counterexample is None:
@@ -370,7 +363,7 @@ def sign_certificate(
             # Beyond the root bound the sign is the leading coefficient's,
             # so the first integer past the scan is a genuine violation.
             witness = scan_to + 1
-            if holds(scaled(witness)):
+            if holds(_horner(ints, witness)):
                 raise InconsistencyError(
                     f"{p.text(variable)} keeps the asserted sign at {witness},"
                     " past its root bound, against its leading coefficient"
@@ -381,8 +374,6 @@ def sign_certificate(
         start=start,
         asserted_sign=asserted_sign,
         tail_bound=scan_to,
-        scan_from=start,
-        scan_to=scan_to,
         counterexample=counterexample,
         variable=variable,
         label=label,

@@ -32,6 +32,7 @@ from .exact import (
     FrameRangeError,
     InconsistencyError,
     OutOfDomainError,
+    Poly,
     euclid_split,
     forward_walk,
 )
@@ -90,6 +91,12 @@ def is_admissible(c: DivisorClass) -> bool:
     return c.alpha > 0 and c.alpha + c.beta >= 0 and c.degree() >= 4
 
 
+def is_extremal(c: DivisorClass) -> bool:
+    """True iff c is the sharp class (d/2)(H - W) of an even degree d >= 4,
+    i.e. an admissible class with beta = -alpha."""
+    return is_admissible(c) and c.alpha + c.beta == 0
+
+
 def _k2_raw(c: DivisorClass) -> int:
     """(K_T + S)^2 . S with no admissibility gate (for oracles and scans)."""
     adj = c + CANONICAL
@@ -125,6 +132,11 @@ def _split3(d: int) -> tuple[int, int]:
     return sp.quotient, sp.remainder
 
 
+def _a_star(m: int, eps: int) -> int:
+    """Right endpoint floor((m + eps - 1)/2) of the admissible range of a."""
+    return (m + eps - 1) // 2
+
+
 @dataclass(frozen=True)
 class ScrollFrame:
     """Parameters (d, m, eps, a) with d - 1 = 3m + eps indexing a degree-d
@@ -141,14 +153,14 @@ class ScrollFrame:
         f = ScrollFrame(d, m, eps, a)
         if not f.in_range:
             raise FrameRangeError(
-                f"a={a} outside [{-m}, {(m + eps - 1) // 2}] for d={d}"
+                f"a={a} outside [{-m}, {_a_star(m, eps)}] for d={d}"
             )
         return f
 
     @property
     def a_star(self) -> int:
         """Right endpoint floor((m + eps - 1)/2) of the admissible range."""
-        return (self.m + self.eps - 1) // 2
+        return _a_star(self.m, self.eps)
 
     @property
     def q_parity(self) -> int:
@@ -176,23 +188,44 @@ def frame_from_class(c: DivisorClass, expect_d: int) -> ScrollFrame:
     return ScrollFrame.for_degree(d, a)
 
 
-def _phi(m: int, e: int, a: int) -> int:
+def phi_coefficients(m: int | Poly, e: int) -> tuple:
+    """Coefficients (c0, c1, c2, c3) of phi = c3*a^3 + c2*a^2 + c1*a + c0
+    for the frame d - 1 = 3m + eps:
+
+        phi(a) = -6a^3 + a^2(-9m + 5 + 3eps) + a(2m(3eps - 4) - 6eps + 10)
+                 + 3m^3 + m^2(3eps - 13) + m(10 - 6eps) + 8.
+
+    ``m`` may be an int or a :class:`Poly` in m; phi, phi' and the
+    discriminant of phi' are all derived from these four coefficients.
+    """
     return (
-        -6 * a**3
-        + a * a * (-9 * m + 5 + 3 * e)
-        + a * (2 * m * (3 * e - 4) - 6 * e + 10)
-        + 3 * m**3
-        + m * m * (3 * e - 13)
-        + m * (10 - 6 * e)
-        + 8
+        3 * m * m * m + m * m * (3 * e - 13) + m * (10 - 6 * e) + 8,
+        2 * m * (3 * e - 4) - 6 * e + 10,
+        -9 * m + 5 + 3 * e,
+        -6,
     )
+
+
+def phi_derivative_coefficients(m: int | Poly, e: int) -> tuple:
+    """Coefficients (C, B, A) of phi' = A*a^2 + B*a + C (A = -18)."""
+    _, c1, c2, c3 = phi_coefficients(m, e)
+    return c1, 2 * c2, 3 * c3
+
+
+def phi_derivative_discriminant(m: int | Poly, e: int) -> int | Poly:
+    """B^2 - 4AC of phi'; an int, or a Poly in m when m is one."""
+    C, B, A = phi_derivative_coefficients(m, e)
+    return B * B - 4 * A * C
+
+
+def _phi(m: int, e: int, a: int) -> int:
+    c0, c1, c2, c3 = phi_coefficients(m, e)
+    return ((c3 * a + c2) * a + c1) * a + c0
 
 
 def phi(d: int, a: int) -> int:
     """K^2 of the degree-d surface class indexed by a, as the exact cubic
-
-        phi(a) = -6a^3 + a^2(-9m + 5 + 3eps) + a(2m(3eps - 4) - 6eps + 10)
-                 + 3m^3 + m^2(3eps - 13) + m(10 - 6eps) + 8.
+    of :func:`phi_coefficients`.
 
     Defined for every integer a (the admissible range is not enforced here;
     endpoint scans evaluate phi just outside it on purpose). Must agree with
@@ -204,17 +237,13 @@ def phi(d: int, a: int) -> int:
 
 
 def _phi_derivative(m: int, e: int, a: int) -> int:
-    return (
-        -18 * a * a
-        + 2 * a * (-9 * m + 5 + 3 * e)
-        + 2 * m * (3 * e - 4)
-        - 6 * e
-        + 10
-    )
+    c0, c1, c2 = phi_derivative_coefficients(m, e)
+    return (c2 * a + c1) * a + c0
 
 
 def phi_derivative(d: int, a: int) -> int:
-    """phi'(a) = -18a^2 + 2a(-9m + 5 + 3eps) + 2m(3eps - 4) - 6eps + 10.
+    """phi'(a) = -18a^2 + 2a(-9m + 5 + 3eps) + 2m(3eps - 4) - 6eps + 10, from
+    :func:`phi_derivative_coefficients`.
 
     Its second forward difference in a is the constant -36.
     """
@@ -249,16 +278,16 @@ def critical_interval(d: int) -> CriticalInterval:
     is reported rather than raised.
     """
     m, e = _split3(d)
-    B = 2 * (-9 * m + 5 + 3 * e)
-    C = 2 * m * (3 * e - 4) - 6 * e + 10
-    disc = B * B + 72 * C  # B^2 - 4AC with A = -18
+    _, B, A = phi_derivative_coefficients(m, e)
+    disc = phi_derivative_discriminant(m, e)
     if disc <= 0:
         return CriticalInterval(d=d, discriminant=disc, a1=None, a2=None)
     s = isqrt(disc)
     s_hi = s if s * s == disc else s + 1
-    # roots of 18a^2 - Ba - C: (B -/+ sqrt(disc)) / 36
-    a1 = (Fraction(B - s_hi, 36), Fraction(B - s, 36))
-    a2 = (Fraction(B + s, 36), Fraction(B + s_hi, 36))
+    # roots (B -/+ sqrt(disc)) / (-2A), in increasing order since A < 0
+    den = -2 * A
+    a1 = (Fraction(B - s_hi, den), Fraction(B - s, den))
+    a2 = (Fraction(B + s, den), Fraction(B + s_hi, den))
     return CriticalInterval(d=d, discriminant=disc, a1=a1, a2=a2)
 
 
@@ -293,7 +322,7 @@ def minimize_k2(d: int) -> KsqMinimum:
     is the least minimizing a.
     """
     m, eps = _split3(d)
-    a_star = (m + eps - 1) // 2
+    a_star = _a_star(m, eps)
     values = forward_walk(lambda a: _phi(m, eps, a), -m, a_star, 3)
     best = min(values)
     return KsqMinimum(
@@ -305,13 +334,19 @@ def minimize_k2(d: int) -> KsqMinimum:
     )
 
 
+#: K^2 = -d(d-6) of the extremal class, the bound the package certifies.
+EVEN_MINIMUM = Poly.of(0, 6, -1)
+#: min K^2 = -d^2/4 + d/2 + 35/4 over the classes of an odd degree d.
+ODD_MINIMUM = Poly.of(Fraction(35, 4), Fraction(1, 2), Fraction(-1, 4))
+#: Sectional genus d^2/8 - 3d/4 + 1 of the extremal class (d/2)(H - W).
+EXTREMAL_GENUS = Poly.of(1, Fraction(-3, 4), Fraction(1, 8))
+
+
 def k2_min_closed_form(d: int) -> Fraction:
-    """phi(a*) by parity of m + eps - 1: -d(d-6) when q = 0 (d even),
-    -d^2/4 + d/2 + 35/4 when q = 1 (d odd)."""
+    """phi(a*) by parity of m + eps - 1: :data:`EVEN_MINIMUM` when q = 0
+    (d even), :data:`ODD_MINIMUM` when q = 1 (d odd)."""
     m, eps = _split3(d)
-    if (m + eps - 1) % 2 == 0:
-        return Fraction(-d * (d - 6))
-    return Fraction(-d * d + 2 * d + 35, 4)
+    return (EVEN_MINIMUM if (m + eps - 1) % 2 == 0 else ODD_MINIMUM)(d)
 
 
 @dataclass(frozen=True)
@@ -333,13 +368,13 @@ def extremal_class(d: int) -> ExtremalSurface:
     if d < 4:
         raise OutOfDomainError("extremal_class needs even d >= 4")
     c = DivisorClass(d // 2, -d // 2)
-    if not is_admissible(c):
+    if not is_extremal(c):
         raise InconsistencyError(f"extremal class {c.text()} is not admissible")
     k2 = k2_intersection(c)
     g = sectional_genus(c)
-    if k2 != -d * (d - 6):
+    if k2 != EVEN_MINIMUM(d):
         raise InconsistencyError(f"extremal K^2 {k2} != -d(d-6) at d={d}")
-    if 8 * g != d * d - 6 * d + 8:
+    if g != EXTREMAL_GENUS(d):
         raise InconsistencyError(f"extremal genus {g} != d^2/8 - 3d/4 + 1 at d={d}")
     f = frame_from_class(c, d)
     if f.a != f.a_star or f.q_parity != 0:
@@ -347,25 +382,28 @@ def extremal_class(d: int) -> ExtremalSurface:
     return ExtremalSurface(cls=c, k2=k2, genus=g)
 
 
+def class_row(c: DivisorClass) -> dict:
+    """One report record for the class c (for reports and the CLI). The
+    frame index a and the genus are None unless c is admissible."""
+    d = c.degree()
+    admissible = is_admissible(c)
+    return {
+        "d": d,
+        "a": frame_from_class(c, d).a if admissible else None,
+        "alpha": c.alpha,
+        "beta": c.beta,
+        "degree": d,
+        "k2": _k2_raw(c),
+        "genus": sectional_genus(c) if admissible else None,
+        "admissible": admissible,
+        "extremal": is_extremal(c),
+    }
+
+
 def frame_scan(d: int) -> list[dict]:
-    """One record per admissible a of degree d (for reports and the CLI)."""
+    """One :func:`class_row` per admissible a of degree d."""
     m, eps = _split3(d)
-    a_star = (m + eps - 1) // 2
-    ext = DivisorClass(d // 2, -d // 2) if d % 2 == 0 else None
-    rows = []
-    for a in range(-m, a_star + 1):
-        c = class_from_frame(ScrollFrame.for_degree(d, a))
-        rows.append(
-            {
-                "d": d,
-                "a": a,
-                "alpha": c.alpha,
-                "beta": c.beta,
-                "degree": c.degree(),
-                "k2": phi(d, a),
-                "genus": sectional_genus(c),
-                "admissible": is_admissible(c),
-                "extremal": ext is not None and c == ext,
-            }
-        )
-    return rows
+    a_star = _a_star(m, eps)
+    return [
+        class_row(class_from_frame(ScrollFrame.for_degree(d, a))) for a in range(-m, a_star + 1)
+    ]

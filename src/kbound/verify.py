@@ -44,13 +44,21 @@ from typing import Callable, Iterable, Sequence
 
 from .bounds import (
     castelnuovo_bound,
+    castelnuovo_poly,
+    chi_bound_poly,
     genus_from_profile,
     halphen_bound,
+    halphen_poly,
     pi1_bound,
+    pi1_poly,
+    pi1_t,
     pi2_bound,
+    pi2_poly,
     pi2_profile,
+    pi2_w,
     propagate_profile,
     weighted_defect_closed_form,
+    weighted_defect_poly,
 )
 from .exact import (
     InconsistencyError,
@@ -61,7 +69,11 @@ from .exact import (
     sign_certificate,
 )
 from .scroll import (
+    EVEN_MINIMUM,
+    EXTREMAL_GENUS,
+    ODD_MINIMUM,
     DivisorClass,
+    _a_star,
     _k2_raw,
     _phi,
     _phi_derivative,
@@ -72,6 +84,7 @@ from .scroll import (
     k2_min_closed_form,
     minimize_k2,
     phi,
+    phi_derivative_discriminant,
 )
 
 CLAIM_ANCHORS = {
@@ -299,32 +312,6 @@ def _first_failure(results: Sequence[str | None]) -> str | None:
 D = Poly.of(0, 1)
 
 
-def castelnuovo_poly(r: int, eps: int) -> Poly:
-    """G(r;d) as a quadratic in d on the residue class (d-1) mod (r-1) = eps."""
-    den = 2 * (r - 1)
-    return Poly.of(
-        Fraction((r - eps) * (1 + eps), den), Fraction(-(r + 1), den), Fraction(1, den)
-    )
-
-
-def halphen_poly(s: int, eps: int) -> Poly:
-    return Poly.of(
-        1 - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s),
-        Fraction(s - 4, 2),
-        Fraction(1, 2 * s),
-    )
-
-
-def pi2_poly(v: int) -> Poly:
-    w = max(0, v // 2)
-    return Poly.of(Fraction(2 + v - v * v, 10) + w, Fraction(-3, 10), Fraction(1, 10))
-
-
-def pi1_poly(q: int) -> Poly:
-    t = 1 if q == 3 else 0
-    return Poly.of(Fraction(3 + 2 * q - q * q, 8) + t, Fraction(-1, 2), Fraction(1, 8))
-
-
 def spanned_quadratic_poly(r: int, eps: int) -> Poly:
     """(r-4)d^2 - (3r-10)d + 2(r + e^2 - er + 2e - 3)."""
     return Poly.of(
@@ -335,7 +322,7 @@ def spanned_quadratic_poly(r: int, eps: int) -> Poly:
 def spanned_from_bounds_poly(r: int, eps: int) -> Poly:
     """(r-2) * [d - 4(G(r-1;d) - 1) + d(d-6)], the route through the bounds."""
     g = castelnuovo_poly(r - 1, eps)
-    return (r - 2) * (D - 4 * (g - 1) + Poly.of(0, -6, 1))
+    return (r - 2) * (D - 4 * (g - 1) - EVEN_MINIMUM)
 
 
 def psi_quoted_poly(r: int, eps: int) -> Poly:
@@ -347,12 +334,12 @@ def psi_quoted_poly(r: int, eps: int) -> Poly:
 
 def psi_from_bounds_poly(r: int, eps: int) -> Poly:
     """8(1 - G(r;d)) + d(d-6), the defining route for psi."""
-    return 8 * (Poly.of(1) - castelnuovo_poly(r, eps)) + Poly.of(0, -6, 1)
+    return 8 * (Poly.of(1) - castelnuovo_poly(r, eps)) - EVEN_MINIMUM
 
 
 def deg4_cubic_poly(q: int) -> Poly:
     """-d^3 + 24d^2 + (-9q^2+18q-125+72t)d - 2q^3 + 42q^2 - 70q + 174 - 360t + 24tq."""
-    t = 1 if q == 3 else 0
+    t = pi1_t(q)
     return Poly.of(
         -2 * q**3 + 42 * q * q - 70 * q + 174 - 360 * t + 24 * t * q,
         -9 * q * q + 18 * q - 125 + 72 * t,
@@ -365,17 +352,10 @@ def deg4_excess_poly_in_k(q: int) -> Poly:
     """96 * [ -W + (d-4)G(4;d,4) - (d-3)(d^2/8 - 3d/4 + 1) ] as a polynomial
     in k, where d = 4k + q + 1 (so p = k) and W is the weighted defect sum
     C(p,2)d - 8C(p+1,3) + tp."""
-    t = 1 if q == 3 else 0
-    k = Poly.of(0, 1)
     dd = Poly.of(q + 1, 4)
-    weighted = (
-        Fraction(1, 2) * (k * (k - 1)) * dd
-        - Fraction(8, 6) * ((k + 1) * k * (k - 1))
-        + t * k
-    )
     g44 = pi1_poly(q).compose(dd)
-    g_floor = Poly.of(1, Fraction(-3, 4), Fraction(1, 8)).compose(dd)
-    return 96 * (-weighted + (dd - 4) * g44 - (dd - 3) * g_floor)
+    g_floor = EXTREMAL_GENUS.compose(dd)
+    return 96 * (-weighted_defect_poly(q) + (dd - 4) * g44 - (dd - 3) * g_floor)
 
 
 def abs_diff_poly(c: int) -> tuple[Poly, int]:
@@ -390,18 +370,9 @@ def abs_diff_poly(c: int) -> tuple[Poly, int]:
 
 REDUCE_RHS = Poly.of(0, -17, 3)  # 3d^2 - 17d
 REDUCE2_RHS = Poly.of(12, -17, 3)  # 3d^2 - 17d + 12
-CHI_WEAK = Poly.of(
-    Fraction(-333, 16), Fraction(-13, 24), Fraction(-7, 16), Fraction(1, 96)
-)
 S4_RHS_QUOTED = Poly.of(
     Fraction(-999, 4), Fraction(-47, 2), Fraction(-9, 4), Fraction(1, 8)
 )
-
-
-def chi_bound_poly(x: Fraction) -> Poly:
-    """chi >= d^3/96 - d^2/16 - 5d/3 - 333/16 - (d-3)d(9-x)/8 as a cubic in d."""
-    base = Poly.of(Fraction(-333, 16), Fraction(-5, 3), Fraction(-1, 16), Fraction(1, 96))
-    return base - Fraction(9 - x, 8) * Poly.of(0, -3, 1)
 
 
 def genus_defect_poly(x: Fraction) -> Poly:
@@ -443,7 +414,7 @@ def verify_r3() -> Certificate:
     b = _Builder("R3.direct")
     b.identity(
         "d(d-4)^2 + d(d-6) = d(d-2)(d-5)",
-        Poly.of(0, 16, -8, 1) + Poly.of(0, -6, 1),
+        Poly.of(0, 16, -8, 1) - EVEN_MINIMUM,
         Poly.of(0, 1) * Poly.of(-2, 1) * Poly.of(-5, 1),
     )
     b.sign(Poly.of(0, 10, -7, 1), 6, "positive", label="d(d-2)(d-5) > 0 for d > 5")
@@ -460,7 +431,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
     lo = _range_setup(b, d_from, d_to, 36)
     b.identity(
         "d(d-5) + 2d(d-6) = 3d^2 - 17d (double point target)",
-        Poly.of(0, -5, 1) + 2 * Poly.of(0, -6, 1),
+        Poly.of(0, -5, 1) - 2 * EVEN_MINIMUM,
         REDUCE_RHS,
     )
     g_weak = Poly.of(1, Fraction(1, 2), Fraction(1, 10))  # d^2/10 + d/2 + 1
@@ -502,7 +473,7 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
     lo = _range_setup(b, d_from, d_to, asserted)
     b.identity(
         "d(d-5) + 12 + 2d(d-6) = 3d^2 - 17d + 12",
-        Poly.of(0, -5, 1) + 12 + 2 * Poly.of(0, -6, 1),
+        Poly.of(0, -5, 1) + 12 - 2 * EVEN_MINIMUM,
         REDUCE2_RHS,
     )
     for eps in range(s):
@@ -564,7 +535,7 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     b.identity(
         "3d^2 - 17d + 12*(d^3/96 - 7d^2/16 - 13d/24 - 333/16)"
         " = d^3/8 - 9d^2/4 - 47d/2 - 999/4",
-        REDUCE_RHS + 12 * CHI_WEAK,
+        REDUCE_RHS + 12 * chi_bound_poly(6),
         S4_RHS_QUOTED,
     )
     main = S4_RHS_QUOTED - 10 * (Poly.of(1, 0, Fraction(1, 8)) - 1)
@@ -740,17 +711,13 @@ def verify_r5_remark() -> Certificate:
     b = _Builder("R5.remark.psi")
     table = {0: 3, 1: 0, 2: -1, 3: 0}
     for eps in range(4):
-        expected = Poly.of(eps * eps - 4 * eps + 3)
+        value = eps * eps - 4 * eps + 3
         b.identity(
             f"8(1 - G(5;d)) + d(d-6) is the constant e^2 - 4e + 3 on residue eps={eps}",
             psi_from_bounds_poly(5, eps),
-            expected,
+            Poly.of(value),
         )
-        b.check(
-            f"table value at eps={eps}",
-            eps * eps - 4 * eps + 3 == table[eps],
-            value=eps * eps - 4 * eps + 3,
-        )
+        b.check(f"table value at eps={eps}", value == table[eps], value=value)
     b.note(
         "psi(5,d) <= 0 only for eps in {1, 2, 3}: any r = 5 exception to the"
         " bound is a scroll with g = G(5;d) and d != 1 mod 4"
@@ -828,8 +795,8 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int, jobs: int = 
             b.sign(diff, 0, "nonnegative", variable="k", label=label)
     b.check(
         "profile value at i = n + 1 is d - w <= 5i - 1 (v - w <= 3 for v = 0..4)",
-        all(v - max(0, v // 2) <= 3 for v in range(5)),
-        gaps=[v - max(0, v // 2) for v in range(5)],
+        all(v - pi2_w(v) <= 3 for v in range(5)),
+        gaps=[v - pi2_w(v) for v in range(5)],
     )
     if lo > d_to:
         return b.done(OUT_OF_RANGE)
@@ -874,7 +841,7 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
         return b.done(OUT_OF_RANGE)
     bad = None
     for d in range(lo, d_to + 1):
-        lhs = (d - 3) * Fraction(d * d - 6 * d + 8, 8)
+        lhs = (d - 3) * EXTREMAL_GENUS(d)
         rhs = -weighted_defect_closed_form(d) + (d - 4) * pi1_bound(d).bound
         if not lhs > rhs:
             bad = d
@@ -904,7 +871,7 @@ def verify_r5_exclusion(d_from: int, d_to: int, jobs: int = 1) -> list[Certifica
 
 def _appendix_check_one(d: int) -> str | None:
     m, eps = _split3(d)
-    a_star = (m + eps - 1) // 2
+    a_star = _a_star(m, eps)
     # phi' is quadratic in a: both sign scans walk it by forward differences.
     rise_lo = -m + 2
     try:
@@ -968,14 +935,14 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     # Closed-form comparison for odd degrees: -d^2/4 + d/2 + 35/4 > -d(d-6).
     b.identity(
         "4*(-d^2/4 + d/2 + 35/4 + d(d-6)) = 3d^2 - 22d + 35",
-        4 * (Poly.of(Fraction(35, 4), Fraction(1, 2), Fraction(-1, 4)) + Poly.of(0, -6, 1)),
+        4 * (ODD_MINIMUM - EVEN_MINIMUM),
         Poly.of(35, -22, 3),
     )
     b.sign(Poly.of(35, -22, 3), 6, "positive", label="-d^2/4 + d/2 + 35/4 > -d(d-6) for d > 5")
     # Small-a comparisons feeding the argument.
     b.sign(Poly.of(8, -6, 1), 5, "positive", label="phi(-m) = 8 > -d(d-6) for d > 4")
     b.sign(Poly.of(14, -9, 1), 8, "positive", label="-3(d-1) + 11 > -d(d-6) for d > 7 (covers phi(-m+1))")
-    b.sign(Poly.of(0, -6, 1), 7, "positive", label="phi(-m+2) = 0 > -d(d-6) for d > 6")
+    b.sign(-EVEN_MINIMUM, 7, "positive", label="phi(-m+2) = 0 > -d(d-6) for d > 6")
     # Sign pattern of phi' and the factor positivity, in the variable m
     # (worst residue chosen each time; 3me, 6e(m-2) >= 0 are dropped).
     b.sign(Poly.of(-4, -7, 3), 3, "positive", variable="m", label="3m^2 - 7m - 4 > 0 for m >= 3 (phi(0) factor, e = 0)")
@@ -985,7 +952,7 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     b.sign(Poly.of(-2, 14), 1, "positive", variable="m", label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
     for eps in range(3):
         b.sign(
-            Poly.of(36 * eps * eps - 312 * eps + 820, 216 * eps - 936, 324),
+            phi_derivative_discriminant(Poly.variable(), eps),
             1,
             "positive",
             variable="m",

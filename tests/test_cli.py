@@ -215,6 +215,78 @@ def test_verify_output_file(tmp_path, capsys):
     assert len(payload["certificates"]) == 5
 
 
+def _file_size_limit(limit: int):
+    def apply():
+        import resource
+        import signal
+
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail the write with EFBIG instead
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    return apply
+
+
+def test_failed_out_write_keeps_the_earlier_file(tmp_path):
+    # A file size limit below the report's size makes the write fail partway,
+    # as a full disk would: the earlier report must survive whole, no temp
+    # file may be left, and the exit code is 3.
+    pytest.importorskip("resource")
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "kbound", "verify", "r4", "--from", "36", "--to", "60",
+         "--format", "json", "--no-timestamp", "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        preexec_fn=_file_size_limit(1024),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "i/o error" in proc.stderr
+    assert target.read_text() == "earlier report\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_writes_through_symlinks_and_devices(tmp_path):
+    # --out replaces the file a symlink names, keeping the link and the
+    # file's mode, and writes straight to a device such as /dev/stdout,
+    # which has no file to replace.
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "kbound", "bound", "pi1", "--d", "33"]
+    expected = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+    real = tmp_path / "real.txt"
+    real.write_text("earlier\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    subprocess.run(argv + ["--out", str(link)], env=env, check=True)
+    assert link.is_symlink()
+    assert real.read_bytes() == expected
+    assert real.stat().st_mode & 0o777 == 0o640
+    if os.path.exists("/dev/stdout"):
+        proc = subprocess.run(argv + ["--out", "/dev/stdout"], capture_output=True, env=env, check=True)
+        assert proc.stdout == expected
+
+
+def test_out_to_dev_stdout_appends_to_a_redirected_file(tmp_path):
+    # With stdout sent to a regular file, /dev/stdout leads to that file:
+    # the report is added after what is already there, not written over it.
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "kbound", "bound", "pi1", "--d", "33"]
+    expected = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"header\n")
+    with open(log, "ab") as fh:
+        subprocess.run(argv + ["--out", "/dev/stdout"], stdout=fh, env=env, check=True)
+    assert log.read_bytes() == b"header\n" + expected
+    assert list(tmp_path.iterdir()) == [log]
+
+
 def test_verify_io_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "verify", "r3", "--out", "/nonexistent-dir/report.json",

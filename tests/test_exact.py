@@ -111,8 +111,9 @@ def test_poly_text():
 polys = st.lists(rationals, min_size=0, max_size=6).map(Poly.from_coeffs)
 
 
-@given(polys, polys, st.integers(-50, 50))
+@given(polys, polys, st.one_of(st.integers(-50, 50), rationals))
 def test_poly_eval_is_ring_homomorphism(p, q, x):
+    assert p(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
     assert (p + q)(x) == p(x) + q(x)
     assert (p * q)(x) == p(x) * q(x)
     assert (p - q)(x) == p(x) - q(x)
@@ -188,7 +189,7 @@ def test_sign_certificate_reduction_quadratic():
     assert all(p(d) > 0 for d in range(36, 101))
     cert = sign_certificate(p, 36, "positive")
     assert cert.ok
-    assert cert.scan_to >= 36
+    assert cert.tail_bound >= 36
 
 
 def test_sign_certificate_least_counterexample():

@@ -3,7 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from kbound.bounds import castelnuovo_bound, pi2_bound
+from kbound.bounds import (
+    castelnuovo_bound,
+    castelnuovo_poly,
+    castelnuovo_profile,
+    halphen_poly,
+    pi1_poly,
+    pi1_profile,
+    pi2_bound,
+    pi2_poly,
+    pi2_profile,
+    weighted_defect_direct,
+    weighted_defect_poly,
+)
 from kbound.exact import Poly
 import kbound.verify as verify
 from kbound.scroll import DivisorClass, _k2_raw
@@ -11,11 +23,8 @@ from kbound.verify import (
     CLAIM_ANCHORS,
     CLAIM_OPERATIONS,
     abs_diff_poly,
-    castelnuovo_poly,
     deg4_cubic_poly,
     deg4_excess_poly_in_k,
-    halphen_poly,
-    pi2_poly,
     psi_from_bounds_poly,
     psi_quoted_poly,
     spanned_from_bounds_poly,
@@ -33,14 +42,30 @@ from kbound.verify import (
 )
 
 
-# symbolic building blocks match the closed-form evaluators ------------------
+# symbolic building blocks match independent oracles ---------------------------
 
 def test_residue_class_polys_match_bound_functions():
-    for d in range(6, 400):
-        assert castelnuovo_poly(5, (d - 1) % 4)(d) == castelnuovo_bound(5, d).bound
-        assert pi2_poly((d - 1) % 5)(d) == pi2_bound(d).bound
-    for d in range(21, 300):
-        assert halphen_poly(5, (d - 1) % 5)(d) == Fraction(d * d, 10) + Fraction(d, 2) + 1 - Fraction(2 * (4 - (d - 1) % 5) * ((d - 1) % 5 + 1), 5)
+    # The scalar bounds evaluate these very polynomials, so they are checked
+    # against oracles that share no formula with them, on every residue class:
+    # Hilbert-profile defect sums, the term-by-term weighted sum and the
+    # Halphen formula written out inline.
+    for r in range(3, 9):
+        for d in range(r, 400):
+            assert castelnuovo_poly(r, (d - 1) % (r - 1))(d) == castelnuovo_profile(r, d).defect_sum(), (r, d)
+    for d in range(2, 400):
+        assert pi2_poly((d - 1) % 5)(d) == pi2_profile(d).defect_sum(), d
+        assert pi1_poly((d - 1) % 4)(d) == pi1_profile(d).defect_sum(), d
+    for d in range(5, 400):
+        p, q = divmod(d - 1, 4)
+        assert weighted_defect_poly(q)(p) == weighted_defect_direct(d), d
+    for s in range(2, 7):
+        for d in range(s * s - s + 1, 300):
+            eps = (d - 1) % s
+            inline = (
+                Fraction(d * d, 2 * s) + Fraction(d * (s - 4), 2) + 1
+                - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s)
+            )
+            assert halphen_poly(s, eps)(d) == inline, (s, d)
 
 
 def test_spanned_quadratic_identity():
@@ -266,6 +291,13 @@ def test_verdict_json_schema_fields():
                     "scanned_range", "counterexample"} <= set(s)
 
 
+def test_tail_bound_is_start_or_cauchy_bound():
+    for cert in verify_theorem(36, 40).certificates:
+        for s in cert.sign_certificates:
+            assert s.tail_bound == max(s.start, s.polynomial.cauchy_tail_bound()), s.label
+            assert s.to_json_dict()["scanned_range"] == [s.start, s.tail_bound]
+
+
 def test_parallel_sweep_matches_serial():
     serial = verify_appendix(18, 140, jobs=1)
     parallel = verify_appendix(18, 140, jobs=2)
@@ -286,5 +318,5 @@ def test_soundness_rescan_against_independent_evaluation():
             continue
         for s in cert.sign_certificates:
             pred = holds[s.asserted_sign]
-            for x in range(s.start, s.scan_to + 50):
+            for x in range(s.start, s.tail_bound + 50):
                 assert pred(s.polynomial(x)), (cert.claim_id, s.label, x)
