@@ -215,13 +215,7 @@ def _cmd_scroll(args) -> int:
     if args.action == "class":
         c = scroll.DivisorClass(args.alpha, args.beta)
         row = scroll.class_row(c)
-        reasons = []
-        if c.alpha <= 0:
-            reasons.append("alpha <= 0")
-        if c.alpha + c.beta < 0:
-            reasons.append("alpha + beta < 0")
-        if c.degree() < 4:
-            reasons.append(f"degree {c.degree()} < 4 (degenerate: the class would be a hyperplane section or worse)")
+        reasons = scroll.inadmissible_reasons(c)
         if args.format == "json":
             text = _json_text({**row, "inadmissible_reasons": reasons} if reasons else row)
         else:
@@ -259,39 +253,11 @@ def _cmd_scroll(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _gather_certificates(case: str, d_from: int, d_to: int, jobs: int):
-    if d_from > d_to:
-        raise ValueError("empty degree range")
-    if case == "all":
-        return verify.verify_theorem(d_from, d_to, jobs)
-    if case == "r2":
-        certs = [verify.verify_r2()]
-    elif case == "r3":
-        certs = [verify.verify_r3()]
-    elif case == "r4":
-        certs = verify.verify_r4(d_from, d_to)
-    elif case == "r5":
-        certs = [verify.verify_r5_remark()] + verify.verify_r5_exclusion(d_from, d_to, jobs)
-    elif case == "r6":
-        certs = [verify.verify_r_ge6_spanned(r) for r in (5, 6, 7, 8)]
-        certs.append(verify.verify_r_ge6_spanned(9, cover_tail=True))
-        certs.append(verify.verify_r_ge6_scroll(6))
-        certs.append(verify.verify_r_ge6_scroll(7, cover_tail=True))
-    elif case == "appendix":
-        certs = [verify.verify_appendix(d_from, d_to, jobs)]
-    elif case == "sharpness":
-        certs = [verify.verify_sharpness(d_from, d_to, jobs)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown case {case!r}")
-    certs.sort(key=verify.Certificate.sort_key)
-    return verify.CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)
-
-
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("KBOUND_JOBS", "1"))
-    if jobs < 1:
+    if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    verdict = _gather_certificates(args.case, args.d_from, args.d_to, jobs)
+    cases = verify.CASES if args.case == "all" else [args.case]
+    verdict = verify.verify_theorem(args.d_from, args.d_to, args.jobs, cases)
 
     timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
 
@@ -376,13 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=_cmd_scroll)
 
     v = sub.add_parser("verify", help="produce certificates for the named case")
-    v.add_argument(
-        "case",
-        choices=("all", "r2", "r3", "r4", "r5", "r6", "appendix", "sharpness"),
-    )
+    v.add_argument("case", choices=("all", *verify.CASES))
     v.add_argument("--from", dest="d_from", type=int, default=36)
     v.add_argument("--to", dest="d_to", type=int, default=500)
-    v.add_argument("--jobs", type=int, default=None, help="parallel degree sweeps (default: KBOUND_JOBS or 1)")
+    v.add_argument("--jobs", type=int, default=1, help="parallel degree sweeps (default: 1)")
     v.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field for byte-identical output")
     _add_common(v)
     v.set_defaults(func=_cmd_verify)

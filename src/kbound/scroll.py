@@ -85,10 +85,23 @@ def degree(c: DivisorClass) -> int:
     return c.degree()
 
 
+def inadmissible_reasons(c: DivisorClass) -> list[str]:
+    """The admissibility conditions alpha > 0, alpha + beta >= 0 and
+    3*alpha + beta >= 4 that c breaks, each as a short text."""
+    reasons = []
+    if c.alpha <= 0:
+        reasons.append("alpha <= 0")
+    if c.alpha + c.beta < 0:
+        reasons.append("alpha + beta < 0")
+    if c.degree() < 4:
+        reasons.append(f"degree {c.degree()} < 4 (degenerate: the class would be a hyperplane section or worse)")
+    return reasons
+
+
 def is_admissible(c: DivisorClass) -> bool:
     """True iff |alpha*H + beta*W| contains an irreducible nonsingular
-    nondegenerate surface: alpha > 0, alpha + beta >= 0, 3*alpha + beta >= 4."""
-    return c.alpha > 0 and c.alpha + c.beta >= 0 and c.degree() >= 4
+    nondegenerate surface, i.e. c breaks none of the conditions above."""
+    return not inadmissible_reasons(c)
 
 
 def is_extremal(c: DivisorClass) -> bool:

@@ -64,6 +64,7 @@ from .exact import (
     InconsistencyError,
     Poly,
     SignCertificate,
+    as_int,
     forward_walk,
     rat_str,
     sign_certificate,
@@ -147,27 +148,6 @@ CLAIM_ANCHORS = {
     ),
 }
 
-#: claim id -> generating operation (the case map is closed: exactly one
-#: operation produces each claim).
-CLAIM_OPERATIONS = {
-    "R2.base": "verify_r2",
-    "R3.direct": "verify_r3",
-    "R4.reduce": "verify_r4",
-    "R4.s2": "verify_r4",
-    "R4.s3": "verify_r4",
-    "R4.s4.x<=6": "verify_r4",
-    "R4.s4.x>6": "verify_r4",
-    "R6.spanned.quadratic": "verify_r_ge6_spanned",
-    "R6.scroll.psi": "verify_r_ge6_scroll",
-    "R5.remark.psi": "verify_r5_remark",
-    "R5.abs": "verify_r5_exclusion",
-    "R5.profile.seed-4-9-16": "verify_r5_exclusion",
-    "R5.profile.seed-4-10-19": "verify_r5_exclusion",
-    "R5.deg4.cubic": "verify_r5_exclusion",
-    "APPENDIX.min": "verify_appendix",
-    "SHARPNESS": "verify_sharpness",
-}
-
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 OUT_OF_RANGE = "out-of-asserted-range"
@@ -222,15 +202,28 @@ class Certificate:
 
 class _Builder:
     """Accumulates sign certificates, exact identities and scan checks for
-    one claim, then freezes them into a Certificate with the right status."""
+    one claim, then freezes them into a Certificate with the right status.
 
-    def __init__(self, claim_id: str, **params):
+    A claim asserted only from some degree on is given the requested range
+    and ``asserted_from``: its sweeps cover [lo, hi] = [max(d_from,
+    asserted_from), d_to], and an empty [lo, hi] makes it out of range."""
+
+    def __init__(self, claim_id: str, requested: tuple[int, int] | None = None,
+                 asserted_from: int | None = None, **params):
         self.claim_id = claim_id
         self.params = dict(params)
         self.signs: list[SignCertificate] = []
         self.identities: list[dict] = []
         self.checks: list[dict] = []
         self.witness: dict | None = None
+        self.lo = self.hi = None
+        if requested is not None:
+            d_from, d_to = requested
+            self.params["requested_range"] = [d_from, d_to]
+            self.params["asserted_from"] = asserted_from
+            if d_from < asserted_from:
+                self.params["below_asserted_range"] = [d_from, min(d_to, asserted_from - 1)]
+            self.lo, self.hi = max(d_from, asserted_from), d_to
 
     def sign(self, poly: Poly, start: int, sign: str, *, variable: str = "d", label: str = "") -> SignCertificate:
         cert = sign_certificate(poly, start, sign, variable=variable, label=label)
@@ -259,22 +252,33 @@ class _Builder:
         if not ok and self.witness is None:
             self.witness = {"failed_check": label, **detail}
 
+    def sweep(self, label: str, check_one: Callable[[int], object], jobs: int, key: str = "failure") -> None:
+        """Run check_one on every degree of [lo, hi] and record the first
+        result that is not None (a failure) under ``key``. check_one must be
+        a module-level function (or a partial of one) so a pool can run it."""
+        if self.lo > self.hi:
+            return
+        results = _pmap(check_one, range(self.lo, self.hi + 1), jobs)
+        bad = next((r for r in results if r is not None), None)
+        self.check(label, bad is None, **{key: bad})
+
     def note(self, text: str) -> None:
         self.params.setdefault("notes", []).append(text)
 
     def assume(self, text: str) -> None:
         self.params.setdefault("assumes", []).append(text)
 
-    def done(self, status: str | None = None) -> Certificate:
+    def done(self) -> Certificate:
         params = dict(self.params)
         if self.identities:
             params["identities"] = self.identities
         if self.checks:
             params["checks"] = self.checks
-        failed = self.witness is not None or any(not s.ok for s in self.signs)
-        if failed:
+        if self.witness is not None or any(not s.ok for s in self.signs):
             status = COUNTEREXAMPLE  # a failure is never masked by range bookkeeping
-        elif status is None:
+        elif self.lo is not None and self.lo > self.hi:
+            status = OUT_OF_RANGE
+        else:
             status = VERIFIED
         return Certificate(
             claim_id=self.claim_id,
@@ -286,24 +290,17 @@ class _Builder:
         )
 
 
-def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
+def _pmap(fn: Callable, items: Sequence, jobs: int) -> Iterable:
     """Order-preserving map, optionally over a process pool (results are
-    merged in input order, so the output is deterministic for any jobs)."""
-    items = list(items)
+    merged in input order, so the output is deterministic for any jobs).
+    The serial map is lazy, so a caller that stops early stops the work."""
     if jobs <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
+        return map(fn, items)
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(items) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items, chunksize=chunk))
-
-
-def _first_failure(results: Sequence[str | None]) -> str | None:
-    for r in results:
-        if r is not None:
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +389,6 @@ def _sampled_x_values() -> list[Fraction]:
     return xs
 
 
-def _range_setup(b: _Builder, d_from: int, d_to: int, asserted_from: int) -> int:
-    """Record range bookkeeping on the builder; return the scan start."""
-    b.params["requested_range"] = [d_from, d_to]
-    b.params["asserted_from"] = asserted_from
-    if d_from < asserted_from:
-        b.params["below_asserted_range"] = [d_from, min(d_to, asserted_from - 1)]
-    return max(d_from, asserted_from)
-
-
 # ---------------------------------------------------------------------------
 # r = 2 and r = 3
 
@@ -424,11 +412,14 @@ def verify_r3() -> Certificate:
 # ---------------------------------------------------------------------------
 # r = 4
 
-def _r4_reduce(d_from: int, d_to: int) -> Certificate:
-    b = _Builder("R4.reduce")
+def _r4_reduce_check_one(d: int) -> int | None:
+    return None if 22 * (halphen_bound(d, 5).bound - 1) < 3 * d * d - 17 * d else d
+
+
+def _r4_reduce(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+    b = _Builder("R4.reduce", (d_from, d_to), 36)
     b.assume("S lies on no hypersurface of degree < 5 in P^4")
     b.assume("d > 14, so the general curve section lies on no surface of degree < 5 in P^3")
-    lo = _range_setup(b, d_from, d_to, 36)
     b.identity(
         "d(d-5) + 2d(d-6) = 3d^2 - 17d (double point target)",
         Poly.of(0, -5, 1) - 2 * EVEN_MINIMUM,
@@ -448,29 +439,23 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
         "positive",
         label="3d^2 - 17d - 22(d^2/10 + d/2) = 4d^2/5 - 28d > 0 for d > 35",
     )
-    if lo <= d_to:
-        bad = None
-        for d in range(lo, d_to + 1):
-            g = halphen_bound(d, 5).bound
-            if not 22 * (g - 1) < 3 * d * d - 17 * d:
-                bad = d
-                break
-        b.check(
-            f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{lo}, {d_to}]",
-            bad is None,
-            failure_at=bad,
-        )
-        return b.done()
-    return b.done(OUT_OF_RANGE)
+    b.sweep(
+        f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{b.lo}, {b.hi}]",
+        _r4_reduce_check_one, jobs, "failure_at",
+    )
+    return b.done()
 
 
-def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
+def _r4_s_check_one(s: int, d: int) -> int | None:
+    return None if 10 * (halphen_bound(d, s).bound - 1) < 3 * d * d - 17 * d + 12 else d
+
+
+def _r4_s(d_from: int, d_to: int, s: int, jobs: int = 1) -> Certificate:
     weak = {2: Poly.of(1, -1, Fraction(1, 4)), 3: Poly.of(1, Fraction(-1, 2), Fraction(1, 6))}[s]
     asserted = {2: 13, 3: 8}[s]
-    b = _Builder(f"R4.s{s}")
+    b = _Builder(f"R4.s{s}", (d_from, d_to), asserted)
     b.assume(f"S lies on an irreducible reduced hypersurface of degree {s}")
     b.assume("d > 12, so S is of general type and chi(O_S) >= 1")
-    lo = _range_setup(b, d_from, d_to, asserted)
     b.identity(
         "d(d-5) + 12 + 2d(d-6) = 3d^2 - 17d + 12",
         Poly.of(0, -5, 1) + 12 - 2 * EVEN_MINIMUM,
@@ -489,27 +474,17 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
         "positive",
         label=f"3d^2 - 17d + 12 - 10(g-1) > 0 with the s={s} genus bound",
     )
-    if lo <= d_to:
-        bad = None
-        for d in range(lo, d_to + 1):
-            g = halphen_bound(d, s).bound
-            if not 10 * (g - 1) < 3 * d * d - 17 * d + 12:
-                bad = d
-                break
-        b.check(
-            f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{lo}, {d_to}]",
-            bad is None,
-            failure_at=bad,
-        )
-        return b.done()
-    return b.done(OUT_OF_RANGE)
+    b.sweep(
+        f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{b.lo}, {b.hi}]",
+        partial(_r4_s_check_one, s), jobs, "failure_at",
+    )
+    return b.done()
 
 
 def _r4_s4_low(d_from: int, d_to: int) -> Certificate:
-    b = _Builder("R4.s4.x<=6")
+    b = _Builder("R4.s4.x<=6", (d_from, d_to), 36)
     b.assume("S lies on an irreducible reduced quartic hypersurface")
     b.assume("genus defect parameter x in [0, 6], so g <= d^2/8 - 3d/8 + 1")
-    _range_setup(b, d_from, d_to, 36)
     weak = Poly.of(1, Fraction(-3, 8), Fraction(1, 8))
     b.identity(
         "g bound at x = 6 equals d^2/8 - 3d/8 + 1",
@@ -522,16 +497,14 @@ def _r4_s4_low(d_from: int, d_to: int) -> Certificate:
         "positive",
         label="3d^2 - 17d - 22(d^2/8 - 3d/8) = (d^2 - 35d)/4 > 0 for d > 35",
     )
-    status = None if max(d_from, 36) <= d_to else OUT_OF_RANGE
-    return b.done(status)
+    return b.done()
 
 
 def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
-    b = _Builder("R4.s4.x>6")
+    b = _Builder("R4.s4.x>6", (d_from, d_to), 36)
     b.assume("S lies on an irreducible reduced quartic hypersurface")
     b.assume("genus defect parameter x in (6, 9]")
     b.note("the constant -333/16 in the chi lower bound is an external input")
-    _range_setup(b, d_from, d_to, 36)
     b.identity(
         "3d^2 - 17d + 12*(d^3/96 - 7d^2/16 - 13d/24 - 333/16)"
         " = d^3/8 - 9d^2/4 - 47d/2 - 999/4",
@@ -565,17 +538,16 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
                 "positive",
                 label=f"chi bound at x = {rat_str(x)} strictly beats the weak bound",
             )
-    status = None if max(d_from, 36) <= d_to else OUT_OF_RANGE
-    return b.done(status)
+    return b.done()
 
 
-def verify_r4(d_from: int, d_to: int) -> list[Certificate]:
+def verify_r4(d_from: int, d_to: int, jobs: int = 1) -> list[Certificate]:
     """The whole r = 4 case: one certificate per sub-case, each reduced to
     tail-bounded sign certificates plus an exact sweep of the requested range."""
     return [
-        _r4_reduce(d_from, d_to),
-        _r4_s(d_from, d_to, 2),
-        _r4_s(d_from, d_to, 3),
+        _r4_reduce(d_from, d_to, jobs),
+        _r4_s(d_from, d_to, 2, jobs),
+        _r4_s(d_from, d_to, 3, jobs),
         _r4_s4_low(d_from, d_to),
         _r4_s4_high(d_from, d_to),
     ]
@@ -728,9 +700,12 @@ def verify_r5_remark() -> Certificate:
 # ---------------------------------------------------------------------------
 # r = 5 exclusion chain
 
-def _r5_abs(d_from: int, d_to: int) -> Certificate:
-    b = _Builder("R5.abs")
-    lo = _range_setup(b, d_from, d_to, 19)
+def _r5_abs_check_one(d: int) -> int | None:
+    return None if pi2_bound(d).bound_int < castelnuovo_bound(5, d).bound_int else d
+
+
+def _r5_abs(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+    b = _Builder("R5.abs", (d_from, d_to), 19)
     p18 = pi2_bound(18).bound_int
     c18 = castelnuovo_bound(5, 18).bound_int
     b.params["boundary_d18"] = {
@@ -747,17 +722,9 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
             variable="k",
             label=f"G(4;d,5) - G(5;d) on d = 20k + {c} (all d > 18 in the class)",
         )
-    if lo > d_to:
-        return b.done(OUT_OF_RANGE)
-    bad = None
-    for d in range(lo, d_to + 1):
-        if not pi2_bound(d).bound_int < castelnuovo_bound(5, d).bound_int:
-            bad = d
-            break
-    b.check(
-        f"G(4;d,5) < G(5;d) for every integer d in [{lo}, {d_to}]",
-        bad is None,
-        failure_at=bad,
+    b.sweep(
+        f"G(4;d,5) < G(5;d) for every integer d in [{b.lo}, {b.hi}]",
+        _r5_abs_check_one, jobs, "failure_at",
     )
     return b.done()
 
@@ -779,10 +746,9 @@ def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
 
 def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     claim = f"R5.profile.seed-{seed[0]}-{seed[1]}-{seed[2]}"
-    b = _Builder(claim, seed=list(seed))
+    b = _Builder(claim, (d_from, d_to), 31, seed=list(seed))
     b.assume("the general plane section of the curve section has Hilbert"
              f" function >= {seed} at degrees 1, 2, 3")
-    lo = _range_setup(b, d_from, d_to, 31)
     step = seed[2] - 1
     for j in (1, 2, 3):
         diff = Poly.of(seed[j - 1] - 5 * j + 1, step - 15)
@@ -798,24 +764,24 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int, jobs: int = 
         all(v - pi2_w(v) <= 3 for v in range(5)),
         gaps=[v - pi2_w(v) for v in range(5)],
     )
-    if lo > d_to:
-        return b.done(OUT_OF_RANGE)
-    results = _pmap(partial(_r5_profile_check_one, seed), range(lo, d_to + 1), jobs)
-    bad = _first_failure(results)
-    b.check(
+    b.sweep(
         f"propagated profile dominates the G(4;d,5) profile pointwise and its"
-        f" genus bound is <= G(4;d,5) for d in [{lo}, {d_to}]",
-        bad is None,
-        failure=bad,
+        f" genus bound is <= G(4;d,5) for d in [{b.lo}, {b.hi}]",
+        partial(_r5_profile_check_one, seed), jobs,
     )
     return b.done()
 
 
-def _r5_deg4(d_from: int, d_to: int) -> Certificate:
-    b = _Builder("R5.deg4.cubic")
+def _r5_deg4_check_one(d: int) -> int | None:
+    lhs = (d - 3) * EXTREMAL_GENUS(d)
+    rhs = -weighted_defect_closed_form(d) + (d - 4) * pi1_bound(d).bound
+    return None if lhs > rhs else d
+
+
+def _r5_deg4(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+    b = _Builder("R5.deg4.cubic", (d_from, d_to), 25)
     b.assume("S is a scroll with K^2 = 8(1-g), g = G(5;d), lying on an"
              " irreducible quartic 3-fold in P^5")
-    lo = _range_setup(b, d_from, d_to, 25)
     for eps in (1, 2, 3):
         b.check(
             f"g = G(5;d) >= d^2/8 - 3d/4 + 1 on residue eps={eps}:"
@@ -837,20 +803,10 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
             "negative",
             label=f"the q={q} cubic is negative for every integer d > 24",
         )
-    if lo > d_to:
-        return b.done(OUT_OF_RANGE)
-    bad = None
-    for d in range(lo, d_to + 1):
-        lhs = (d - 3) * EXTREMAL_GENUS(d)
-        rhs = -weighted_defect_closed_form(d) + (d - 4) * pi1_bound(d).bound
-        if not lhs > rhs:
-            bad = d
-            break
-    b.check(
-        f"(d-3)(d^2/8 - 3d/4 + 1) > -W + (d-4)G(4;d,4) for d in [{lo}, {d_to}]"
+    b.sweep(
+        f"(d-3)(d^2/8 - 3d/4 + 1) > -W + (d-4)G(4;d,4) for d in [{b.lo}, {b.hi}]"
         " (the required inequality fails, as claimed)",
-        bad is None,
-        failure_at=bad,
+        _r5_deg4_check_one, jobs, "failure_at",
     )
     return b.done()
 
@@ -859,10 +815,10 @@ def verify_r5_exclusion(d_from: int, d_to: int, jobs: int = 1) -> list[Certifica
     """The r = 5 exclusion chain: (abs), both profile seeds, and the
     degree-4 threefold cubic."""
     return [
-        _r5_abs(d_from, d_to),
+        _r5_abs(d_from, d_to, jobs),
         _r5_profile((4, 9, 16), d_from, d_to, jobs),
         _r5_profile((4, 10, 19), d_from, d_to, jobs),
-        _r5_deg4(d_from, d_to),
+        _r5_deg4(d_from, d_to, jobs),
     ]
 
 
@@ -880,7 +836,7 @@ def _appendix_check_one(d: int) -> str | None:
         falling = forward_walk(lambda a: _phi_derivative(m, eps, a), 1, max(a_star, 1) + 1, 2)
     except InconsistencyError as exc:
         return f"d={d}: {exc}"
-    bound = -d * (d - 6)
+    bound = as_int(EVEN_MINIMUM(d))
     if res.k2_min < bound:
         return f"d={d}: minimum {res.k2_min} below -d(d-6) = {bound}"
     if Fraction(res.k2_min) != k2_min_closed_form(d):
@@ -923,8 +879,7 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument."""
-    b = _Builder("APPENDIX.min")
-    lo = _range_setup(b, d_from, d_to, 18)
+    b = _Builder("APPENDIX.min", (d_from, d_to), 18)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
     b.note("root isolation of phi' uses its exact discriminant"
@@ -965,43 +920,37 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
             variable="m",
             label=f"tabulated discriminant variant is positive for m >= 3, eps={eps}",
         )
-    if lo > d_to:
-        return b.done(OUT_OF_RANGE)
-    results = _pmap(_appendix_check_one, range(lo, d_to + 1), jobs)
-    bad = _first_failure(results)
-    b.check(
+    b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
-        f" uniqueness and parity for every d in [{lo}, {d_to}]",
-        bad is None,
-        failure=bad,
+        f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
+        _appendix_check_one, jobs,
     )
     cert = b.done()
     if cert.status == VERIFIED:
         cert.witness = {
-            "checked_range": [lo, d_to],
+            "checked_range": [b.lo, b.hi],
             "even_minimum": "-d(d-6), uniquely at a* = (m+eps-1)/2",
             "odd_minimum": "-d^2/4 + d/2 + 35/4 at a*, strictly above -d(d-6)",
         }
     return cert
 
 
-def _sharpness_scan(d: int) -> tuple[int | None, list[int]]:
+def _sharpness_scan(d: int, target: int) -> tuple[int | None, list[int]]:
     """Least K^2 over the degree-d classes alpha*H + (d - 3alpha)W with
-    1 <= alpha <= d/2, and the alphas attaining -d(d-6).
+    1 <= alpha <= d/2, and the alphas attaining target = -d(d-6).
 
     K^2 = (K_T + S)^2.S comes from the intersection ring, not from phi, so
     the two routes stay independent. It is cubic in alpha, so the scan walks
     it by forward differences (InconsistencyError if the walk goes wrong).
     """
-    target = -d * (d - 6)
     k2s = forward_walk(lambda alpha: _k2_raw(DivisorClass(alpha, d - 3 * alpha)), 1, d // 2, 3)
     return min(k2s, default=None), [alpha for alpha, k2 in enumerate(k2s, 1) if k2 == target]
 
 
 def _sharpness_check_one(d: int) -> str | None:
-    target = -d * (d - 6)
+    target = as_int(EVEN_MINIMUM(d))
     try:
-        best, attained = _sharpness_scan(d)
+        best, attained = _sharpness_scan(d, target)
     except InconsistencyError as exc:
         return f"d={d}: {exc}"
     if d % 2 == 0:
@@ -1025,21 +974,15 @@ def verify_sharpness(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     """Brute force over every admissible class of each degree in range:
     even degrees attain K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees
     never reach it."""
-    b = _Builder("SHARPNESS")
-    lo = _range_setup(b, d_from, d_to, 36)
-    if lo > d_to:
-        return b.done(OUT_OF_RANGE)
-    ds = list(range(lo, d_to + 1))
-    results = _pmap(_sharpness_check_one, ds, jobs)
-    bad = _first_failure(results)
-    b.check(
+    b = _Builder("SHARPNESS", (d_from, d_to), 36)
+    b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
-        f" odd-degree gap, for every d in [{lo}, {d_to}]",
-        bad is None,
-        failure=bad,
+        f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
+        _sharpness_check_one, jobs,
     )
     cert = b.done()
     if cert.status == VERIFIED:
+        ds = range(b.lo, b.hi + 1)
         evens = [d for d in ds if d % 2 == 0]
         sample = evens[:3] + evens[-3:] if len(evens) > 6 else evens
         cert.witness = {
@@ -1081,26 +1024,39 @@ class CaseVerdict:
         return json.dumps(self.to_json_dict(timestamp), indent=2, sort_keys=True) + "\n"
 
 
-def verify_theorem(d_from: int, d_to: int, jobs: int = 1) -> CaseVerdict:
-    """Aggregate every case certificate over [d_from, d_to].
+#: The proof's case split, keyed by the CLI case name: each entry maps
+#: (d_from, d_to, jobs) to that case's certificates, and every claim id is
+#: produced by exactly one entry. The entries call the builders by their
+#: global names, so a wrapper installed on a builder is the one called.
+CASES: dict[str, Callable[[int, int, int], list[Certificate]]] = {
+    "r2": lambda d_from, d_to, jobs: [verify_r2()],
+    "r3": lambda d_from, d_to, jobs: [verify_r3()],
+    "r4": lambda d_from, d_to, jobs: verify_r4(d_from, d_to, jobs),
+    "r5": lambda d_from, d_to, jobs: [verify_r5_remark(), *verify_r5_exclusion(d_from, d_to, jobs)],
+    "r6": lambda d_from, d_to, jobs: [
+        *(verify_r_ge6_spanned(r) for r in (5, 6, 7, 8)),
+        verify_r_ge6_spanned(9, cover_tail=True),
+        verify_r_ge6_scroll(6),
+        verify_r_ge6_scroll(7, cover_tail=True),
+    ],
+    "appendix": lambda d_from, d_to, jobs: [verify_appendix(d_from, d_to, jobs)],
+    "sharpness": lambda d_from, d_to, jobs: [verify_sharpness(d_from, d_to, jobs)],
+}
+
+
+def verify_theorem(d_from: int, d_to: int, jobs: int = 1, cases: Iterable[str] = CASES) -> CaseVerdict:
+    """Aggregate the certificates of the named cases (by default the whole
+    case split) over [d_from, d_to].
 
     The theorem's own hypothesis is d > 35; certificates whose asserted
     range does not meet the requested one are marked out-of-asserted-range
-    rather than asserted. The merge is keyed by (claim_id, params) and is
-    order-independent.
+    rather than asserted. The merge is keyed by (claim_id, params), which is
+    unique, so it does not depend on the order the certificates are made in.
     """
     if d_from > d_to:
         raise ValueError("empty degree range")
-    certs: list[Certificate] = [verify_r2(), verify_r3()]
-    certs.extend(verify_r4(d_from, d_to))
-    for r in (5, 6, 7, 8):
-        certs.append(verify_r_ge6_spanned(r))
-    certs.append(verify_r_ge6_spanned(9, cover_tail=True))
-    certs.append(verify_r_ge6_scroll(6))
-    certs.append(verify_r_ge6_scroll(7, cover_tail=True))
-    certs.append(verify_r5_remark())
-    certs.extend(verify_r5_exclusion(d_from, d_to, jobs))
-    certs.append(verify_appendix(d_from, d_to, jobs))
-    certs.append(verify_sharpness(d_from, d_to, jobs))
-    certs.sort(key=Certificate.sort_key)
+    certs = sorted(
+        (cert for case in cases for cert in CASES[case](d_from, d_to, jobs)),
+        key=Certificate.sort_key,
+    )
     return CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)

@@ -169,16 +169,6 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[0] == "claim_id,status,params,witness"
 
 
-def test_verify_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("KBOUND_JOBS", "2")
-    code, out, _ = run_cli(capsys, "verify", "sharpness", "--from", "36", "--to", "90", "--format", "json", "--no-timestamp")
-    assert code == 0
-    monkeypatch.setenv("KBOUND_JOBS", "1")
-    code2, out2, _ = run_cli(capsys, "verify", "sharpness", "--from", "36", "--to", "90", "--format", "json", "--no-timestamp")
-    assert code2 == 0
-    assert out == out2
-
-
 @pytest.mark.parametrize(
     "case", ["all", "r2", "r3", "r4", "r5", "r6", "appendix", "sharpness"]
 )
@@ -189,13 +179,20 @@ def test_verify_empty_range_exit_code(capsys, case):
     assert err == "error: empty degree range\n"
 
 
-def test_verify_all_fingerprint():
+def test_verify_jobs_below_one_exit_code(capsys):
+    code, out, err = run_cli(capsys, "verify", "r3", "--jobs", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --jobs must be >= 1\n"
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
+def test_verify_all_fingerprint(jobs):
     src = str(Path(kbound.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("KBOUND_JOBS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "kbound", "verify", "all", "--from", "36", "--to", "2000",
-         "--format", "json", "--no-timestamp"],
+         "--format", "json", "--no-timestamp", *jobs],
         capture_output=True,
         env=env,
         check=True,

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,8 @@ from kbound.exact import Poly
 import kbound.verify as verify
 from kbound.scroll import DivisorClass, _k2_raw
 from kbound.verify import (
+    CASES,
     CLAIM_ANCHORS,
-    CLAIM_OPERATIONS,
     abs_diff_poly,
     deg4_cubic_poly,
     deg4_excess_poly_in_k,
@@ -208,7 +209,7 @@ def test_sharpness_certificate():
 def test_sharpness_scan_matches_naive_ring_scan():
     for d in list(range(4, 120)) + [500, 501, 1998, 1999]:
         k2s = [_k2_raw(DivisorClass(alpha, d - 3 * alpha)) for alpha in range(1, d // 2 + 1)]
-        best, attained = verify._sharpness_scan(d)
+        best, attained = verify._sharpness_scan(d, -d * (d - 6))
         assert best == min(k2s, default=None), d
         assert attained == [
             alpha for alpha, k2 in enumerate(k2s, 1) if k2 == -d * (d - 6)
@@ -232,13 +233,29 @@ def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
     assert failure.startswith("d=100: forward-difference walk")
 
 
+def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
+    # A per-degree failure in a failure_at sweep is reported as the first
+    # failing degree, under the check's label, and fails the claim.
+    real = verify.castelnuovo_bound
+    monkeypatch.setattr(
+        verify, "castelnuovo_bound",
+        lambda r, d: SimpleNamespace(bound_int=0) if d in (40, 45) else real(r, d),
+    )
+    cert = verify._r5_abs(36, 50)
+    assert cert.status == "counterexample"
+    assert cert.witness == {
+        "failed_check": "G(4;d,5) < G(5;d) for every integer d in [36, 50]",
+        "failure_at": 40,
+    }
+
+
 # aggregate ----------------------------------------------------------------------
 
 def test_verify_theorem_small_range():
     verdict = verify_theorem(36, 80)
     assert verdict.overall
     ids = {c.claim_id for c in verdict.certificates}
-    assert ids == set(CLAIM_OPERATIONS)
+    assert ids == set(CLAIM_ANCHORS)
     # the twelve named claims all appear
     required = {
         "R4.reduce", "R4.s2", "R4.s3", "R4.s4.x>6",
@@ -261,10 +278,27 @@ def test_verify_theorem_below_threshold_marks_ranges():
 
 
 def test_claim_map_is_complete_and_uniquely_generated():
-    assert set(CLAIM_ANCHORS) == set(CLAIM_OPERATIONS)
-    ops = CLAIM_OPERATIONS
-    # one generating operation per claim id
-    assert all(isinstance(v, str) and v for v in ops.values())
+    assert all(isinstance(v, str) and v for v in CLAIM_ANCHORS.values())
+    certs = verify_theorem(36, 60).certificates
+    assert {c.claim_id for c in certs} == set(CLAIM_ANCHORS)
+    assert all(c.anchor == CLAIM_ANCHORS[c.claim_id] for c in certs)
+    # the merge key is unique, so the merged order cannot depend on the
+    # order in which the cases are generated
+    keys = [c.sort_key() for c in certs]
+    assert len(set(keys)) == len(keys) == 21
+
+
+def test_case_table_partitions_the_claims():
+    ids = {case: {c.claim_id for c in make(36, 60, 1)} for case, make in CASES.items()}
+    assert sum(len(v) for v in ids.values()) == len(set().union(*ids.values()))
+    assert set().union(*ids.values()) == set(CLAIM_ANCHORS)
+
+
+def test_ranged_claims_are_out_of_range_below_and_verified_inside():
+    for d_from, d_to, status in ((1, 5, "out-of-asserted-range"), (36, 40, "verified")):
+        ranged = [c for c in verify_theorem(d_from, d_to).certificates if "asserted_from" in c.params]
+        assert len(ranged) == 11
+        assert {c.status for c in ranged} == {status}, (d_from, d_to)
 
 
 def test_verdict_json_is_deterministic():
@@ -299,9 +333,9 @@ def test_tail_bound_is_start_or_cauchy_bound():
 
 
 def test_parallel_sweep_matches_serial():
-    serial = verify_appendix(18, 140, jobs=1)
-    parallel = verify_appendix(18, 140, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+    serial = verify_theorem(36, 140, jobs=1)
+    parallel = verify_theorem(36, 140, jobs=2)
+    assert serial.to_json() == parallel.to_json()
 
 
 def test_soundness_rescan_against_independent_evaluation():
