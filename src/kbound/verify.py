@@ -36,11 +36,14 @@ scroll, general type), the certificate records the hypothesis in
 from __future__ import annotations
 
 import json
+import os
 import random
+from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .bounds import (
     castelnuovo_bound,
@@ -79,7 +82,6 @@ from .scroll import (
     _phi,
     _phi_derivative,
     _split3,
-    critical_interval,
     extremal_class,
     frame_from_class,
     k2_min_closed_form,
@@ -252,13 +254,13 @@ class _Builder:
         if not ok and self.witness is None:
             self.witness = {"failed_check": label, **detail}
 
-    def sweep(self, label: str, check_one: Callable[[int], object], jobs: int, key: str = "failure") -> None:
-        """Run check_one on every degree of [lo, hi] and record the first
+    def sweep(self, label: str, check_one: Callable[[int], object], key: str = "failure") -> None:
+        """Map check_one over [lo, hi] with _SWEEP_MAP; record the first
         result that is not None (a failure) under ``key``. check_one must be
-        a module-level function (or a partial of one) so a pool can run it."""
+        module-level (or a partial of one) so a pool can run it."""
         if self.lo > self.hi:
             return
-        results = _pmap(check_one, range(self.lo, self.hi + 1), jobs)
+        results = _SWEEP_MAP.get()(check_one, range(self.lo, self.hi + 1))
         bad = next((r for r in results if r is not None), None)
         self.check(label, bad is None, **{key: bad})
 
@@ -290,17 +292,9 @@ class _Builder:
         )
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> Iterable:
-    """Order-preserving map, optionally over a process pool (results are
-    merged in input order, so the output is deterministic for any jobs).
-    The serial map is lazy, so a caller that stops early stops the work."""
-    if jobs <= 1 or len(items) < 4:
-        return map(fn, items)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
+#: The order-preserving map of every degree sweep: the lazy serial map (a
+#: sweep that stops early stops the work) or, within verify_theorem, its pool's.
+_SWEEP_MAP: ContextVar[Callable] = ContextVar("_SWEEP_MAP", default=map)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +410,7 @@ def _r4_reduce_check_one(d: int) -> int | None:
     return None if 22 * (halphen_bound(d, 5).bound - 1) < 3 * d * d - 17 * d else d
 
 
-def _r4_reduce(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+def _r4_reduce(d_from: int, d_to: int) -> Certificate:
     b = _Builder("R4.reduce", (d_from, d_to), 36)
     b.assume("S lies on no hypersurface of degree < 5 in P^4")
     b.assume("d > 14, so the general curve section lies on no surface of degree < 5 in P^3")
@@ -441,7 +435,7 @@ def _r4_reduce(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     )
     b.sweep(
         f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{b.lo}, {b.hi}]",
-        _r4_reduce_check_one, jobs, "failure_at",
+        _r4_reduce_check_one, "failure_at",
     )
     return b.done()
 
@@ -450,7 +444,7 @@ def _r4_s_check_one(s: int, d: int) -> int | None:
     return None if 10 * (halphen_bound(d, s).bound - 1) < 3 * d * d - 17 * d + 12 else d
 
 
-def _r4_s(d_from: int, d_to: int, s: int, jobs: int = 1) -> Certificate:
+def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
     weak = {2: Poly.of(1, -1, Fraction(1, 4)), 3: Poly.of(1, Fraction(-1, 2), Fraction(1, 6))}[s]
     asserted = {2: 13, 3: 8}[s]
     b = _Builder(f"R4.s{s}", (d_from, d_to), asserted)
@@ -466,7 +460,7 @@ def _r4_s(d_from: int, d_to: int, s: int, jobs: int = 1) -> Certificate:
         b.check(
             f"G(3;d,{s}) <= weakened bound on residue eps={eps} (gap constant)",
             gap.degree <= 0 and (gap.is_zero or gap.coeffs[0] >= 0),
-            gap=rat_str(gap(0)) if not gap.is_zero else "0",
+            gap=rat_str(gap(0)),
         )
     b.sign(
         REDUCE2_RHS - 10 * (weak - 1),
@@ -476,7 +470,7 @@ def _r4_s(d_from: int, d_to: int, s: int, jobs: int = 1) -> Certificate:
     )
     b.sweep(
         f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{b.lo}, {b.hi}]",
-        partial(_r4_s_check_one, s), jobs, "failure_at",
+        partial(_r4_s_check_one, s), "failure_at",
     )
     return b.done()
 
@@ -541,13 +535,13 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     return b.done()
 
 
-def verify_r4(d_from: int, d_to: int, jobs: int = 1) -> list[Certificate]:
+def verify_r4(d_from: int, d_to: int) -> list[Certificate]:
     """The whole r = 4 case: one certificate per sub-case, each reduced to
     tail-bounded sign certificates plus an exact sweep of the requested range."""
     return [
-        _r4_reduce(d_from, d_to, jobs),
-        _r4_s(d_from, d_to, 2, jobs),
-        _r4_s(d_from, d_to, 3, jobs),
+        _r4_reduce(d_from, d_to),
+        _r4_s(d_from, d_to, 2),
+        _r4_s(d_from, d_to, 3),
         _r4_s4_low(d_from, d_to),
         _r4_s4_high(d_from, d_to),
     ]
@@ -704,7 +698,7 @@ def _r5_abs_check_one(d: int) -> int | None:
     return None if pi2_bound(d).bound_int < castelnuovo_bound(5, d).bound_int else d
 
 
-def _r5_abs(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+def _r5_abs(d_from: int, d_to: int) -> Certificate:
     b = _Builder("R5.abs", (d_from, d_to), 19)
     p18 = pi2_bound(18).bound_int
     c18 = castelnuovo_bound(5, 18).bound_int
@@ -724,7 +718,7 @@ def _r5_abs(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
         )
     b.sweep(
         f"G(4;d,5) < G(5;d) for every integer d in [{b.lo}, {b.hi}]",
-        _r5_abs_check_one, jobs, "failure_at",
+        _r5_abs_check_one, "failure_at",
     )
     return b.done()
 
@@ -744,7 +738,7 @@ def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
     return None
 
 
-def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int) -> Certificate:
     claim = f"R5.profile.seed-{seed[0]}-{seed[1]}-{seed[2]}"
     b = _Builder(claim, (d_from, d_to), 31, seed=list(seed))
     b.assume("the general plane section of the curve section has Hilbert"
@@ -767,7 +761,7 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int, jobs: int = 
     b.sweep(
         f"propagated profile dominates the G(4;d,5) profile pointwise and its"
         f" genus bound is <= G(4;d,5) for d in [{b.lo}, {b.hi}]",
-        partial(_r5_profile_check_one, seed), jobs,
+        partial(_r5_profile_check_one, seed),
     )
     return b.done()
 
@@ -778,7 +772,7 @@ def _r5_deg4_check_one(d: int) -> int | None:
     return None if lhs > rhs else d
 
 
-def _r5_deg4(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+def _r5_deg4(d_from: int, d_to: int) -> Certificate:
     b = _Builder("R5.deg4.cubic", (d_from, d_to), 25)
     b.assume("S is a scroll with K^2 = 8(1-g), g = G(5;d), lying on an"
              " irreducible quartic 3-fold in P^5")
@@ -806,19 +800,19 @@ def _r5_deg4(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     b.sweep(
         f"(d-3)(d^2/8 - 3d/4 + 1) > -W + (d-4)G(4;d,4) for d in [{b.lo}, {b.hi}]"
         " (the required inequality fails, as claimed)",
-        _r5_deg4_check_one, jobs, "failure_at",
+        _r5_deg4_check_one, "failure_at",
     )
     return b.done()
 
 
-def verify_r5_exclusion(d_from: int, d_to: int, jobs: int = 1) -> list[Certificate]:
+def verify_r5_exclusion(d_from: int, d_to: int) -> list[Certificate]:
     """The r = 5 exclusion chain: (abs), both profile seeds, and the
     degree-4 threefold cubic."""
     return [
-        _r5_abs(d_from, d_to, jobs),
-        _r5_profile((4, 9, 16), d_from, d_to, jobs),
-        _r5_profile((4, 10, 19), d_from, d_to, jobs),
-        _r5_deg4(d_from, d_to, jobs),
+        _r5_abs(d_from, d_to),
+        _r5_profile((4, 9, 16), d_from, d_to),
+        _r5_profile((4, 10, 19), d_from, d_to),
+        _r5_deg4(d_from, d_to),
     ]
 
 
@@ -869,13 +863,12 @@ def _appendix_check_one(d: int) -> str | None:
     a = next((a for a, v in enumerate(falling, 1) if v >= 0), None)
     if a is not None:
         return f"d={d}: phi' not negative at a={a} >= 1"
-    ci = critical_interval(d)
-    if ci.discriminant <= 0 or not ci.has_real_roots:
+    if phi_derivative_discriminant(m, eps) <= 0:
         return f"d={d}: phi' lacks two real roots"
     return None
 
 
-def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument."""
@@ -923,7 +916,7 @@ def verify_appendix(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
-        _appendix_check_one, jobs,
+        _appendix_check_one,
     )
     cert = b.done()
     if cert.status == VERIFIED:
@@ -970,7 +963,7 @@ def _sharpness_check_one(d: int) -> str | None:
     return None
 
 
-def verify_sharpness(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
+def verify_sharpness(d_from: int, d_to: int) -> Certificate:
     """Brute force over every admissible class of each degree in range:
     even degrees attain K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees
     never reach it."""
@@ -978,7 +971,7 @@ def verify_sharpness(d_from: int, d_to: int, jobs: int = 1) -> Certificate:
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
-        _sharpness_check_one, jobs,
+        _sharpness_check_one,
     )
     cert = b.done()
     if cert.status == VERIFIED:
@@ -1025,22 +1018,22 @@ class CaseVerdict:
 
 
 #: The proof's case split, keyed by the CLI case name: each entry maps
-#: (d_from, d_to, jobs) to that case's certificates, and every claim id is
+#: (d_from, d_to) to that case's certificates, and every claim id is
 #: produced by exactly one entry. The entries call the builders by their
 #: global names, so a wrapper installed on a builder is the one called.
-CASES: dict[str, Callable[[int, int, int], list[Certificate]]] = {
-    "r2": lambda d_from, d_to, jobs: [verify_r2()],
-    "r3": lambda d_from, d_to, jobs: [verify_r3()],
-    "r4": lambda d_from, d_to, jobs: verify_r4(d_from, d_to, jobs),
-    "r5": lambda d_from, d_to, jobs: [verify_r5_remark(), *verify_r5_exclusion(d_from, d_to, jobs)],
-    "r6": lambda d_from, d_to, jobs: [
+CASES: dict[str, Callable[[int, int], list[Certificate]]] = {
+    "r2": lambda d_from, d_to: [verify_r2()],
+    "r3": lambda d_from, d_to: [verify_r3()],
+    "r4": lambda d_from, d_to: verify_r4(d_from, d_to),
+    "r5": lambda d_from, d_to: [verify_r5_remark(), *verify_r5_exclusion(d_from, d_to)],
+    "r6": lambda d_from, d_to: [
         *(verify_r_ge6_spanned(r) for r in (5, 6, 7, 8)),
         verify_r_ge6_spanned(9, cover_tail=True),
         verify_r_ge6_scroll(6),
         verify_r_ge6_scroll(7, cover_tail=True),
     ],
-    "appendix": lambda d_from, d_to, jobs: [verify_appendix(d_from, d_to, jobs)],
-    "sharpness": lambda d_from, d_to, jobs: [verify_sharpness(d_from, d_to, jobs)],
+    "appendix": lambda d_from, d_to: [verify_appendix(d_from, d_to)],
+    "sharpness": lambda d_from, d_to: [verify_sharpness(d_from, d_to)],
 }
 
 
@@ -1052,11 +1045,18 @@ def verify_theorem(d_from: int, d_to: int, jobs: int = 1, cases: Iterable[str] =
     range does not meet the requested one are marked out-of-asserted-range
     rather than asserted. The merge is keyed by (claim_id, params), which is
     unique, so it does not depend on the order the certificates are made in.
+    With jobs > 1 the call's sweeps share one pool of at most cpu_count() workers.
     """
     if d_from > d_to:
         raise ValueError("empty degree range")
-    certs = sorted(
-        (cert for case in cases for cert in CASES[case](d_from, d_to, jobs)),
-        key=Certificate.sort_key,
-    )
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        chunk = max(1, (d_to - d_from + 1) // (workers * 8))
+        token = _SWEEP_MAP.set(partial(pool.map, chunksize=chunk) if pool else map)
+        try:
+            certs = sorted((c for case in cases for c in CASES[case](d_from, d_to)), key=Certificate.sort_key)
+        finally:
+            _SWEEP_MAP.reset(token)
     return CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)

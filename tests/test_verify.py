@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import os
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -289,7 +292,7 @@ def test_claim_map_is_complete_and_uniquely_generated():
 
 
 def test_case_table_partitions_the_claims():
-    ids = {case: {c.claim_id for c in make(36, 60, 1)} for case, make in CASES.items()}
+    ids = {case: {c.claim_id for c in make(36, 60)} for case, make in CASES.items()}
     assert sum(len(v) for v in ids.values()) == len(set().union(*ids.values()))
     assert set().union(*ids.values()) == set(CLAIM_ANCHORS)
 
@@ -336,6 +339,74 @@ def test_parallel_sweep_matches_serial():
     serial = verify_theorem(36, 140, jobs=1)
     parallel = verify_theorem(36, 140, jobs=2)
     assert serial.to_json() == parallel.to_json()
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records its construction and maps
+    serially, so no process is ever started."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksizes = []
+        self.other_thread_sees = []
+        FakeExecutor.made.append(self)
+
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(verify._SWEEP_MAP.get()))
+        thread.start()
+        thread.join()
+        self.other_thread_sees += seen
+        return map(fn, items)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakeExecutor.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return FakeExecutor.made
+
+
+def test_one_pool_serves_every_sweep_of_a_run(fake_pool):
+    parallel = verify_theorem(36, 140, jobs=2)
+    assert [ex.max_workers for ex in fake_pool] == [2]
+    # nine degree sweeps, one chunk size for the run: 105 // (2 * 8)
+    assert fake_pool[0].chunksizes == [6] * 9
+    # a thread of its own never sees this run's pool
+    assert fake_pool[0].other_thread_sees == [map] * 9
+    assert verify._SWEEP_MAP.get() is map
+    assert parallel.to_json() == verify_theorem(36, 140).to_json()
+    assert len(fake_pool) == 1  # the serial run made no executor
+
+
+def test_pool_is_capped_at_the_cpu_count(fake_pool, monkeypatch):
+    verify_theorem(36, 40, jobs=100000, cases=["r3"])
+    assert [ex.max_workers for ex in fake_pool] == [4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    verify_theorem(36, 40, jobs=100000, cases=["r3"])
+    assert len(fake_pool) == 1  # an unknown CPU count runs serially
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_map_is_reset_after_a_sweep_raises(fake_pool, monkeypatch, jobs):
+    def boom(d):
+        raise RuntimeError(f"check failed at d={d}")
+
+    monkeypatch.setattr(verify, "_sharpness_check_one", boom)
+    with pytest.raises(RuntimeError, match="d=36"):
+        verify_theorem(36, 40, jobs=jobs, cases=["sharpness"])
+    assert verify._SWEEP_MAP.get() is map
+    assert len(fake_pool) == jobs - 1
 
 
 def test_soundness_rescan_against_independent_evaluation():
