@@ -8,7 +8,6 @@ from .bounds import (
     castelnuovo_bound,
     castelnuovo_profile,
     chi_lower_bound_s4,
-    chi_lower_bound_s4_weak,
     double_point_k2,
     genus_from_profile,
     halphen_bound,
@@ -19,20 +18,14 @@ from .bounds import (
     propagate_profile,
     weighted_defect_closed_form,
     weighted_defect_direct,
-    weighted_defect_sum,
 )
 from .exact import (
-    EuclidSplit,
     FrameRangeError,
     InconsistencyError,
     OutOfDomainError,
     Poly,
-    Rat,
     SignCertificate,
     as_int,
-    binom,
-    euclid_split,
-    parse_rat,
     rat_str,
     sign_certificate,
 )
@@ -45,8 +38,6 @@ from .scroll import (
     RULING,
     ScrollFrame,
     class_from_frame,
-    critical_interval,
-    degree,
     extremal_class,
     frame_from_class,
     is_admissible,

@@ -13,15 +13,17 @@ Implements, always in exact arithmetic:
   values, and the weighted defect sum Sum (i-1)(d - k(i)) with its binomial
   closed form.
 * The double point formula d(d-5) - 10(g-1) + 12*chi - 2*K^2 = 0 for smooth
-  surfaces in P^4, and the Euler characteristic lower bound used for
-  surfaces on a quartic hypersurface.
+  surfaces in P^4, written once as :func:`double_point_2k2`, and the Euler
+  characteristic lower bound used for surfaces on a quartic hypersurface.
 
 Each closed form is defined once, as a polynomial on a residue class (the
 ``*_poly`` functions): the scalar functions evaluate it and the certificates
 in :mod:`kbound.verify` quantify over it; the profile sums stay its oracles.
 Every bound function returns a :class:`GenusBoundResult` carrying the exact
 rational value plus the split data (m/eps, n/v/w, p/q/t) that entered the
-formula.
+formula. Every split is ``divmod(d - 1, k)``, the canonical least
+nonnegative remainder: d - 1 = (r-1)m + eps with 0 <= eps <= r-2,
+d - 1 = 5n + v with 0 <= v <= 4, d - 1 = 4p + q with 0 <= q <= 3.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .exact import (
     OutOfDomainError,
     Poly,
     as_int,
-    euclid_split,
     rat_str,
 )
 
@@ -148,8 +149,7 @@ def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
         raise ValueError("castelnuovo_bound needs r >= 3")
     if d < r:
         raise OutOfDomainError(f"no nondegenerate degree-{d} curve in P^{r}")
-    s = euclid_split(d - 1, r - 1)
-    m, eps = s.quotient, s.remainder
+    m, eps = divmod(d - 1, r - 1)
     bound = castelnuovo_poly(r, eps)(d)
     as_int(bound, f"G({r};{d})")
     return GenusBoundResult(
@@ -194,8 +194,7 @@ def halphen_bound(d: int, s: int) -> GenusBoundResult:
         raise ValueError("halphen_bound needs s >= 2")
     if d <= s * s - s:
         raise OutOfDomainError(f"Halphen bound asserted only for d > {s * s - s}")
-    sp = euclid_split(d - 1, s)
-    m, eps = sp.quotient, sp.remainder
+    m, eps = divmod(d - 1, s)
     bound = halphen_poly(s, eps)(d)
     return GenusBoundResult(
         formula_id="halphen",
@@ -212,8 +211,7 @@ def pi2_w(v: int) -> int:
 
 def pi2_split(d: int) -> tuple[int, int, int]:
     """(n, v, w) with d - 1 = 5n + v, 0 <= v <= 4, w = :func:`pi2_w`."""
-    sp = euclid_split(d - 1, 5)
-    n, v = sp.quotient, sp.remainder
+    n, v = divmod(d - 1, 5)
     return n, v, pi2_w(v)
 
 
@@ -261,8 +259,7 @@ def pi1_t(q: int) -> int:
 
 def pi1_split(d: int) -> tuple[int, int, int]:
     """(p, q, t) with d - 1 = 4p + q, 0 <= q <= 3, t = :func:`pi1_t`."""
-    sp = euclid_split(d - 1, 4)
-    p, q = sp.quotient, sp.remainder
+    p, q = divmod(d - 1, 4)
     return p, q, pi1_t(q)
 
 
@@ -381,21 +378,16 @@ def weighted_defect_closed_form(d: int) -> int:
     return as_int(weighted_defect_poly(q)(p), f"weighted defect sum at d={d}")
 
 
-def weighted_defect_sum(d: int) -> int:
-    """Weighted defect sum with its closed-form cross-check enforced."""
-    direct = weighted_defect_direct(d)
-    closed = weighted_defect_closed_form(d)
-    if direct != closed:
-        raise InconsistencyError(
-            f"weighted defect mismatch at d={d}: direct {direct} != closed {closed}"
-        )
-    return direct
+def double_point_2k2(d, g, chi):
+    """2K^2 = d(d-5) - 10(g-1) + 12*chi, the double point formula solved for
+    2K^2. Each of d, g, chi may be an int, a Fraction or a :class:`Poly` in d;
+    the certificates substitute a genus bound for g and an Euler
+    characteristic bound for chi."""
+    return d * (d - 5) - 10 * (g - 1) + 12 * chi
 
 
 def double_point_k2(d: int, g: int, chi: int) -> int:
-    """Solve the double point formula for K^2:
-
-        K^2 = (d(d-5) - 10(g-1) + 12*chi) / 2.
+    """K^2 from :func:`double_point_2k2`.
 
     Raises :class:`InconsistencyError` when the inputs cannot come from a
     smooth surface in P^4: an odd numerator, or chi < 1 - g (restriction of
@@ -406,7 +398,7 @@ def double_point_k2(d: int, g: int, chi: int) -> int:
         raise InconsistencyError(
             f"chi={chi} < 1 - g = {1 - g}: no smooth surface in P^4 has these invariants"
         )
-    num = d * (d - 5) - 10 * (g - 1) + 12 * chi
+    num = double_point_2k2(d, g, chi)
     if num % 2 != 0:
         raise InconsistencyError(
             f"double point formula gives odd 2*K^2 = {num}: inconsistent invariants"
@@ -436,9 +428,3 @@ def chi_lower_bound_s4(d: int, x) -> Fraction:
     if d < 4:
         raise OutOfDomainError("chi_lower_bound_s4 needs d >= 4")
     return chi_bound_poly(x)(d)
-
-
-def chi_lower_bound_s4_weak(d: int) -> Fraction:
-    """The x-free weakening chi > d^3/96 - 7d^2/16 - 13d/24 - 333/16 used
-    when x > 6: the bound at x = 6, since (9-x)/8 < 3/8."""
-    return chi_lower_bound_s4(d, 6)

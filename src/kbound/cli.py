@@ -265,13 +265,9 @@ def _cmd_verify(args) -> int:
         text = verdict.to_json(timestamp)
     elif args.format == "csv":
         rows = [
-            [
-                c.claim_id,
-                c.status,
-                json.dumps(verify._jsonable(c.params), sort_keys=True),
-                json.dumps(verify._jsonable(c.witness), sort_keys=True),
-            ]
-            for c in verdict.certificates
+            [doc["claim_id"], doc["status"], json.dumps(doc["params"], sort_keys=True),
+             json.dumps(doc["witness"], sort_keys=True)]
+            for doc in (c.to_json_dict() for c in verdict.certificates)
         ]
         text = _csv_text(VERIFY_CSV_HEADER, rows)
     else:

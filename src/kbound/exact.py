@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: Euclidean splits, univariate polynomials over
-the rationals, and tail-bounded sign certificates.
+"""Exact arithmetic substrate: univariate polynomials over the rationals,
+forward-difference walks and tail-bounded sign certificates.
 
 Everything in this module is exact; no floating point is ever used. Rationals
 are ``fractions.Fraction`` (automatically in lowest terms with positive
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Union
-
-Rat = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -44,54 +42,12 @@ def rat_str(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def as_int(x: Scalar, what: str = "value") -> int:
     """Assert integrality of an exact rational and return it as an int."""
     x = Fraction(x)
     if x.denominator != 1:
         raise InconsistencyError(f"{what} is not an integer: {rat_str(x)}")
     return x.numerator
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binom requires nonnegative arguments")
-    return math.comb(n, k)
-
-
-@dataclass(frozen=True)
-class EuclidSplit:
-    """dividend = quotient * modulus + remainder with 0 <= remainder < modulus."""
-
-    dividend: int
-    modulus: int
-    quotient: int
-    remainder: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if self.dividend != self.quotient * self.modulus + self.remainder:
-            raise InconsistencyError("Euclidean split does not reconstruct")
-        if not 0 <= self.remainder <= self.modulus - 1:
-            raise InconsistencyError("remainder outside [0, modulus-1]")
-
-
-def euclid_split(dividend: int, modulus: int) -> EuclidSplit:
-    """Division with the canonical least nonnegative remainder.
-
-    This is the remainder convention used everywhere in the package: the
-    split of d - 1 by 3 yields (m, eps) with 0 <= eps <= 2, by 5 yields
-    (n, v) with 0 <= v <= 4, by 4 yields (p, q) with 0 <= q <= 3.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    q, r = divmod(dividend, modulus)
-    return EuclidSplit(dividend, modulus, q, r)
 
 
 def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list[int]:
@@ -221,9 +177,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * inner + Poly.of(c)
         return acc
-
-    def derivative(self) -> "Poly":
-        return Poly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def cauchy_tail_bound(self) -> int:
         """Integer N >= 1 + max |c_i / c_deg|; no real root has |x| > N.

@@ -18,22 +18,21 @@ error in either.
 A surface class alpha*H + beta*W of degree d = 3*alpha + beta >= 4 contains
 an irreducible nonsingular nondegenerate surface iff alpha > 0,
 alpha + beta >= 0 and 3*alpha + beta >= 4 (admissibility). Writing
-d - 1 = 3m + eps, the admissible classes of degree d are exactly
-(m + 1 + a)H + (eps + 1 - 3(a + 1))W for integers -m <= a <= (m + eps - 1)/2.
+d - 1 = 3m + eps with 0 <= eps <= 2 (``divmod(d - 1, 3)``), the admissible
+classes of degree d are exactly (m + 1 + a)H + (eps + 1 - 3(a + 1))W for
+integers -m <= a <= (m + eps - 1)/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .exact import (
     FrameRangeError,
     InconsistencyError,
     OutOfDomainError,
     Poly,
-    euclid_split,
     forward_walk,
 )
 
@@ -79,10 +78,6 @@ def triple_product(c1: DivisorClass, c2: DivisorClass, c3: DivisorClass) -> int:
         + HW2 * (a1 * b2 * b3 + b1 * a2 * b3 + b1 * b2 * a3)
         + W3 * b1 * b2 * b3
     )
-
-
-def degree(c: DivisorClass) -> int:
-    return c.degree()
 
 
 def inadmissible_reasons(c: DivisorClass) -> list[str]:
@@ -141,8 +136,7 @@ def sectional_genus(c: DivisorClass) -> int:
 def _split3(d: int) -> tuple[int, int]:
     if d < 4:
         raise OutOfDomainError("scroll surfaces have degree d >= 4")
-    sp = euclid_split(d - 1, 3)
-    return sp.quotient, sp.remainder
+    return divmod(d - 1, 3)
 
 
 def _a_star(m: int, eps: int) -> int:
@@ -262,46 +256,6 @@ def phi_derivative(d: int, a: int) -> int:
     """
     m, e = _split3(d)
     return _phi_derivative(m, e, a)
-
-
-@dataclass(frozen=True)
-class CriticalInterval:
-    """Rational isolation of the two real roots a1 < a2 of phi'.
-
-    Each root is pinned to an interval of width 1/36 < 1, so every integer
-    is classified as inside or outside (a1, a2) exactly. ``discriminant``
-    is the exact discriminant B^2 - 4AC of phi' (A = -18).
-    """
-
-    d: int
-    discriminant: int
-    a1: tuple[Fraction, Fraction] | None
-    a2: tuple[Fraction, Fraction] | None
-
-    @property
-    def has_real_roots(self) -> bool:
-        return self.a1 is not None
-
-
-def critical_interval(d: int) -> CriticalInterval:
-    """Isolate the roots of phi' for the degree-d frame.
-
-    phi' = -18a^2 + Ba + C is concave, so phi increases exactly on (a1, a2).
-    The discriminant is positive for every d >= 4, but a nonpositive value
-    is reported rather than raised.
-    """
-    m, e = _split3(d)
-    _, B, A = phi_derivative_coefficients(m, e)
-    disc = phi_derivative_discriminant(m, e)
-    if disc <= 0:
-        return CriticalInterval(d=d, discriminant=disc, a1=None, a2=None)
-    s = isqrt(disc)
-    s_hi = s if s * s == disc else s + 1
-    # roots (B -/+ sqrt(disc)) / (-2A), in increasing order since A < 0
-    den = -2 * A
-    a1 = (Fraction(B - s_hi, den), Fraction(B - s, den))
-    a2 = (Fraction(B + s, den), Fraction(B + s_hi, den))
-    return CriticalInterval(d=d, discriminant=disc, a1=a1, a2=a2)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .bounds import (
     castelnuovo_bound,
     castelnuovo_poly,
     chi_bound_poly,
+    double_point_2k2,
     genus_from_profile,
     halphen_bound,
     halphen_poly,
@@ -359,6 +360,14 @@ def abs_diff_poly(c: int) -> tuple[Poly, int]:
     return diff.compose(Poly.of(c, 20)), k_from
 
 
+def r4_margin_poly(g: Poly | int, chi: Poly | int) -> Poly:
+    """2K^2 - 2(-d(d-6)) by the double point formula, with a genus bound g
+    and an Euler characteristic bound chi substituted: every r = 4 chain
+    is this polynomial, and K^2 > -d(d-6) wherever it is positive."""
+    return double_point_2k2(D, g, chi) - 2 * EVEN_MINIMUM
+
+
+# The r = 4 double point targets as the paper writes them out.
 REDUCE_RHS = Poly.of(0, -17, 3)  # 3d^2 - 17d
 REDUCE2_RHS = Poly.of(12, -17, 3)  # 3d^2 - 17d + 12
 S4_RHS_QUOTED = Poly.of(
@@ -388,7 +397,7 @@ def _sampled_x_values() -> list[Fraction]:
 
 def verify_r2() -> Certificate:
     b = _Builder("R2.base")
-    b.check("K^2 = 9 > 5 = -d(d-6) at d = 1", 9 > -1 * (1 - 6), k2=9, bound=5)
+    b.check("K^2 = 9 > 5 = -d(d-6) at d = 1", 9 > as_int(EVEN_MINIMUM(1)), k2=9, bound=5)
     return b.done()
 
 
@@ -407,7 +416,9 @@ def verify_r3() -> Certificate:
 # r = 4
 
 def _r4_reduce_check_one(d: int) -> int | None:
-    return None if 22 * (halphen_bound(d, 5).bound - 1) < 3 * d * d - 17 * d else d
+    # r4_margin_poly > 0 at one degree, in ints and Fractions: 2K^2 > -2d(d-6)
+    g = halphen_bound(d, 5).bound
+    return None if double_point_2k2(d, g, 1 - g) > -2 * d * (d - 6) else d
 
 
 def _r4_reduce(d_from: int, d_to: int) -> Certificate:
@@ -416,7 +427,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
     b.assume("d > 14, so the general curve section lies on no surface of degree < 5 in P^3")
     b.identity(
         "d(d-5) + 2d(d-6) = 3d^2 - 17d (double point target)",
-        Poly.of(0, -5, 1) - 2 * EVEN_MINIMUM,
+        r4_margin_poly(1, 0),
         REDUCE_RHS,
     )
     g_weak = Poly.of(1, Fraction(1, 2), Fraction(1, 10))  # d^2/10 + d/2 + 1
@@ -428,7 +439,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
             gap=rat_str(gap(0)),
         )
     b.sign(
-        REDUCE_RHS - 22 * (g_weak - 1),
+        r4_margin_poly(g_weak, 1 - g_weak),
         36,
         "positive",
         label="3d^2 - 17d - 22(d^2/10 + d/2) = 4d^2/5 - 28d > 0 for d > 35",
@@ -441,7 +452,8 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
 
 
 def _r4_s_check_one(s: int, d: int) -> int | None:
-    return None if 10 * (halphen_bound(d, s).bound - 1) < 3 * d * d - 17 * d + 12 else d
+    # as _r4_reduce_check_one, with chi = 1
+    return None if double_point_2k2(d, halphen_bound(d, s).bound, 1) > -2 * d * (d - 6) else d
 
 
 def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
@@ -452,7 +464,7 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
     b.assume("d > 12, so S is of general type and chi(O_S) >= 1")
     b.identity(
         "d(d-5) + 12 + 2d(d-6) = 3d^2 - 17d + 12",
-        Poly.of(0, -5, 1) + 12 - 2 * EVEN_MINIMUM,
+        r4_margin_poly(1, 1),
         REDUCE2_RHS,
     )
     for eps in range(s):
@@ -463,7 +475,7 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
             gap=rat_str(gap(0)),
         )
     b.sign(
-        REDUCE2_RHS - 10 * (weak - 1),
+        r4_margin_poly(weak, 1),
         asserted,
         "positive",
         label=f"3d^2 - 17d + 12 - 10(g-1) > 0 with the s={s} genus bound",
@@ -486,7 +498,7 @@ def _r4_s4_low(d_from: int, d_to: int) -> Certificate:
         weak,
     )
     b.sign(
-        REDUCE_RHS - 22 * (weak - 1),
+        r4_margin_poly(weak, 1 - weak),
         36,
         "positive",
         label="3d^2 - 17d - 22(d^2/8 - 3d/8) = (d^2 - 35d)/4 > 0 for d > 35",
@@ -502,10 +514,10 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     b.identity(
         "3d^2 - 17d + 12*(d^3/96 - 7d^2/16 - 13d/24 - 333/16)"
         " = d^3/8 - 9d^2/4 - 47d/2 - 999/4",
-        REDUCE_RHS + 12 * chi_bound_poly(6),
+        r4_margin_poly(1, chi_bound_poly(6)),
         S4_RHS_QUOTED,
     )
-    main = S4_RHS_QUOTED - 10 * (Poly.of(1, 0, Fraction(1, 8)) - 1)
+    main = r4_margin_poly(Poly.of(1, 0, Fraction(1, 8)), chi_bound_poly(6))
     b.sign(
         main,
         36,
@@ -523,7 +535,7 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     xs = [Fraction(9), Fraction(6)] + _sampled_x_values()
     b.params["x_samples"] = [rat_str(x) for x in xs]
     for x in xs:
-        p_x = REDUCE_RHS + 12 * chi_bound_poly(x) - 10 * (genus_defect_poly(x) - 1)
+        p_x = r4_margin_poly(genus_defect_poly(x), chi_bound_poly(x))
         b.sign(p_x, 36, "positive", label=f"exact chain at x = {rat_str(x)}")
         if x > 6:
             b.sign(

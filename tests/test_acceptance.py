@@ -7,6 +7,7 @@ closed forms evaluated separately.
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from kbound.bounds import (
     weighted_defect_closed_form,
     weighted_defect_direct,
 )
-from kbound.exact import InconsistencyError, binom, sign_certificate
+from kbound.exact import InconsistencyError, sign_certificate
 from kbound.scroll import (
     DivisorClass,
     ScrollFrame,
@@ -126,7 +127,7 @@ def test_criterion_05_profile_identities():
         direct = weighted_defect_direct(d)
         p, q = divmod(d - 1, 4)
         t = 1 if q == 3 else 0
-        assert direct == binom(p, 2) * d - 8 * binom(p + 1, 3) + t * p, d
+        assert direct == math.comb(p, 2) * d - 8 * math.comb(p + 1, 3) + t * p, d
         assert direct == weighted_defect_closed_form(d), d
     elapsed = time.time() - t0
     assert elapsed < 60, f"profile identity sweep took {elapsed:.1f}s"

@@ -8,8 +8,9 @@ from kbound.bounds import (
     HilbertProfile,
     castelnuovo_bound,
     castelnuovo_profile,
+    chi_bound_poly,
     chi_lower_bound_s4,
-    chi_lower_bound_s4_weak,
+    double_point_2k2,
     double_point_k2,
     genus_from_profile,
     halphen_bound,
@@ -20,9 +21,8 @@ from kbound.bounds import (
     propagate_profile,
     weighted_defect_closed_form,
     weighted_defect_direct,
-    weighted_defect_sum,
 )
-from kbound.exact import InconsistencyError, OutOfDomainError
+from kbound.exact import InconsistencyError, OutOfDomainError, Poly
 
 
 # independent oracles --------------------------------------------------------
@@ -226,9 +226,9 @@ def test_propagate_profile_rejects_bad_seeds():
 # weighted defect sum ----------------------------------------------------------
 
 def test_weighted_defect_examples():
-    assert weighted_defect_sum(33) == 252  # C(8,2)*33 - 8*C(9,3) = 924 - 672
-    assert weighted_defect_sum(5) == 0
-    assert weighted_defect_sum(36) == 344  # 28*36 - 672 + 8
+    assert weighted_defect_closed_form(33) == 252  # C(8,2)*33 - 8*C(9,3) = 924 - 672
+    assert weighted_defect_closed_form(5) == 0
+    assert weighted_defect_closed_form(36) == 344  # 28*36 - 672 + 8
 
 
 def test_weighted_defect_identity_sampled():
@@ -249,7 +249,7 @@ def test_weighted_defect_oracle_full_range_small():
             return d
 
         brute = sum((i - 1) * (d - k(i)) for i in range(1, d - 3))
-        assert brute == weighted_defect_sum(d), d
+        assert brute == weighted_defect_direct(d) == weighted_defect_closed_form(d), d
 
 
 # double point formula ---------------------------------------------------------
@@ -268,6 +268,17 @@ def test_double_point_scroll_oracle():
             assert k2 == (d * (d - 5) - 10 * (g - 1) + 12 * (1 - g)) // 2
 
 
+def test_double_point_polynomial_form_matches_scalars():
+    # the same definition in ints, Fractions and polynomials in d
+    g = Poly.of(1, Fraction(-3, 8), Fraction(1, 8))
+    chi = chi_bound_poly(Fraction(15, 2))
+    two_k2 = double_point_2k2(Poly.variable(), g, chi)
+    assert two_k2.degree == 3
+    for d in range(4, 60):
+        assert two_k2(d) == double_point_2k2(d, g(d), chi(d)), d
+    assert double_point_2k2(Poly.variable(), 1, 0) == Poly.of(0, -5, 1)  # d(d-5)
+
+
 def test_double_point_rejects_impossible_invariants():
     with pytest.raises(InconsistencyError):
         double_point_k2(4, 0, 0)  # chi < 1 - g: no smooth surface in P^4
@@ -279,9 +290,11 @@ def test_chi_lower_bound_examples():
     d = 36
     at9 = chi_lower_bound_s4(d, 9)
     assert at9 == Fraction(d**3, 96) - Fraction(d * d, 16) - Fraction(5 * d, 3) - Fraction(333, 16)
-    # at x = 6 the weak bound is attained exactly; above 6 it is exceeded
-    assert chi_lower_bound_s4(d, 6) == chi_lower_bound_s4_weak(d)
-    assert chi_lower_bound_s4(d, Fraction(13, 2)) > chi_lower_bound_s4_weak(d)
+    # at x = 6 the bound is d^3/96 - 7d^2/16 - 13d/24 - 333/16 = -1941/16;
+    # above 6 it is exceeded
+    weak = Fraction(d**3, 96) - Fraction(7 * d * d, 16) - Fraction(13 * d, 24) - Fraction(333, 16)
+    assert chi_lower_bound_s4(d, 6) == weak == Fraction(-1941, 16)
+    assert chi_lower_bound_s4(d, Fraction(13, 2)) > weak
     assert chi_lower_bound_s4(d, 0) == Fraction(-16197, 16)
 
 

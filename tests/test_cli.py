@@ -14,6 +14,13 @@ from kbound.cli import main
 #: the behaviour contract that every speed-up and refactor must keep.
 FINGERPRINT_SHA256 = "739feb0f98c158b2edc4dfaed40f7c5576cdd2927f7c1139796ec3e12f4e6c97"
 
+#: sha256 of ``verify all --from 36 --to 120 --no-timestamp`` in the other
+#: two formats, which are part of the same contract.
+FORMAT_SHA256 = {
+    "csv": "90c2a2aba885115b465f83fb0ae0e33e9ab36f795dd7146be9ef20e17f67b006",
+    "table": "9b1cad0ad812ffa8993d2d95ddf3481a0e53f988654be6dc894529cc5686f2f1",
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -198,6 +205,15 @@ def test_verify_all_fingerprint(jobs):
         check=True,
     )
     assert hashlib.sha256(proc.stdout).hexdigest() == FINGERPRINT_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SHA256))
+def test_verify_all_format_pin(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "verify", "all", "--from", "36", "--to", "120", "--no-timestamp", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[fmt]
 
 
 def test_verify_output_file(tmp_path, capsys):

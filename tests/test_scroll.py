@@ -12,8 +12,6 @@ from kbound.scroll import (
     RULING,
     ScrollFrame,
     class_from_frame,
-    critical_interval,
-    degree,
     extremal_class,
     frame_from_class,
     frame_scan,
@@ -23,6 +21,7 @@ from kbound.scroll import (
     minimize_k2,
     phi,
     phi_derivative,
+    phi_derivative_discriminant,
     sectional_genus,
     triple_product,
 )
@@ -50,9 +49,9 @@ def test_ring_constants():
 
 
 def test_degree_examples():
-    assert degree(DivisorClass(9, -9)) == 18
-    assert degree(DivisorClass(1, 1)) == 4
-    assert degree(DivisorClass(2, -2)) == 4
+    assert DivisorClass(9, -9).degree() == 18
+    assert DivisorClass(1, 1).degree() == 4
+    assert DivisorClass(2, -2).degree() == 4
 
 
 # admissibility ----------------------------------------------------------------
@@ -179,27 +178,12 @@ def test_phi_derivative_examples():
     assert phi_derivative(18, -3) == 60 == 18 * 5 + 6 * 2 - 42
     # phi'(1) = 2 - 26m + 6me at d = 18 is -68
     assert phi_derivative(18, 1) == -68 == 2 - 26 * 5 + 6 * 5 * 2
-    ci = critical_interval(18)
-    assert ci.discriminant > 0
+    # the exact discriminant 324m^2 - 936m + 216me + 36e^2 - 312e + 820 of
+    # phi' at d = 18 (m = 5, e = 2)
+    assert phi_derivative_discriminant(5, 2) == 8100 - 4680 + 2160 + 144 - 624 + 820 == 5920 > 0
     # the tabulated variant 324m^2 - 936m + 216me + 110 + 114e + 36e^2 is
     # also positive here (m = 5, e = 2)
     assert 324 * 25 - 936 * 5 + 216 * 10 + 110 + 228 + 144 == 6062 > 0
-
-
-def test_critical_interval_brackets_roots():
-    for d in range(12, 400):
-        ci = critical_interval(d)
-        assert ci.has_real_roots
-        (lo1, hi1), (lo2, hi2) = ci.a1, ci.a2
-        assert lo1 <= hi1 < lo2 <= hi2
-        assert hi1 - lo1 < 1 and hi2 - lo2 < 1
-        # phi' is negative outside [lo1, hi2] and positive strictly inside
-        for a in range(-(d + 5), d + 5):
-            dv = phi_derivative(d, a)
-            if a < lo1 or a > hi2:
-                assert dv < 0, (d, a)
-            elif hi1 < a < lo2:
-                assert dv > 0, (d, a)
 
 
 def test_appendix_value_table_full_range():
