@@ -279,6 +279,16 @@ def test_double_point_polynomial_form_matches_scalars():
     assert double_point_2k2(Poly.variable(), 1, 0) == Poly.of(0, -5, 1)  # d(d-5)
 
 
+
+@given(st.integers(1, 500), st.integers(0, 10**4), st.integers(-10**4, 10**4))
+def test_double_point_k2_halves_the_formula(d, g, chi):
+    if chi < 1 - g:
+        with pytest.raises(InconsistencyError):
+            double_point_k2(d, g, chi)
+    else:
+        assert 2 * double_point_k2(d, g, chi) == double_point_2k2(d, g, chi)
+
+
 def test_double_point_rejects_impossible_invariants():
     with pytest.raises(InconsistencyError):
         double_point_k2(4, 0, 0)  # chi < 1 - g: no smooth surface in P^4

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from kbound.scroll import (
     minimize_k2,
     phi,
     phi_derivative,
+    phi_derivative_coefficients,
     phi_derivative_discriminant,
     sectional_genus,
     triple_product,
@@ -184,6 +186,35 @@ def test_phi_derivative_examples():
     # the tabulated variant 324m^2 - 936m + 216me + 110 + 114e + 36e^2 is
     # also positive here (m = 5, e = 2)
     assert 324 * 25 - 936 * 5 + 216 * 10 + 110 + 228 + 144 == 6062 > 0
+
+
+
+def test_phi_derivative_positive_between_its_two_real_roots():
+    # phi' = A a^2 + B a + C with A = -18 has the roots (B -+ sqrt(disc)) / 36;
+    # bracket sqrt(disc) by isqrt and check the sign on either side
+    for d in range(12, 400):
+        m, e = divmod(d - 1, 3)
+        C, B, A = phi_derivative_coefficients(m, e)
+        assert A == -18
+        disc = phi_derivative_discriminant(m, e)
+        assert disc > 0, d
+        s = isqrt(disc)
+        lo1, hi1 = Fraction(B - s - 1, 36), Fraction(B - s, 36)
+        lo2, hi2 = Fraction(B + s, 36), Fraction(B + s + 1, 36)
+        assert lo1 <= hi1 < lo2 <= hi2
+        for a in range(-(d + 5), d + 5):
+            dv = phi_derivative(d, a)
+            assert dv == (A * a + B) * a + C, (d, a)
+            if a < lo1 or a > hi2:
+                assert dv < 0, (d, a)
+            elif hi1 < a < lo2:
+                assert dv > 0, (d, a)
+
+
+@given(st.integers(4, 3000), st.integers(-1000, 1000))
+def test_phi_derivative_is_the_derivative_of_phi(d, a):
+    # for a cubic with leading coefficient -6: f(a+1) - f(a-1) = 2f'(a) - 12
+    assert phi(d, a + 1) - phi(d, a - 1) == 2 * phi_derivative(d, a) - 12
 
 
 def test_appendix_value_table_full_range():

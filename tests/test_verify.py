@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from kbound.bounds import (
+    chi_bound_poly,
+    double_point_2k2,
     castelnuovo_bound,
     castelnuovo_poly,
     castelnuovo_profile,
@@ -29,8 +31,10 @@ from kbound.verify import (
     abs_diff_poly,
     deg4_cubic_poly,
     deg4_excess_poly_in_k,
+    genus_defect_poly,
     psi_from_bounds_poly,
     psi_quoted_poly,
+    r4_margin_poly,
     spanned_from_bounds_poly,
     spanned_quadratic_poly,
     verify_appendix,
@@ -122,6 +126,34 @@ def test_r4_certificates():
     checks = certs["R4.s4.x>6"].params["checks"]
     assert any("tight" in rec["label"] and rec["holds"] for rec in checks)
     assert certs["R4.s4.x>6"].params["x_samples"][0] == "9"
+
+
+
+def test_r4_margin_poly_is_the_scalar_double_point_margin():
+    weak = Poly.of(1, Fraction(-3, 8), Fraction(1, 8))
+    forms = [(Poly.of(1), Poly.of(0)), (Poly.of(1), Poly.of(1)), (weak, 1 - weak)] + [
+        (genus_defect_poly(x), chi_bound_poly(x)) for x in (Fraction(6), Fraction(15, 2), Fraction(9))
+    ]
+    for g, chi in forms:
+        margin = r4_margin_poly(g, chi)
+        for d in range(1, 120):
+            assert margin(d) == double_point_2k2(d, g(d), chi(d)) + 2 * d * (d - 6), (g, chi, d)
+    assert r4_margin_poly(1, 0) == verify.REDUCE_RHS
+    assert r4_margin_poly(1, 1) == verify.REDUCE2_RHS
+
+
+def test_r4_per_degree_checks_report_a_failing_degree(monkeypatch):
+    # the scalar per-degree checks must see the genus bound: a bound far above
+    # Halphen's at one degree makes 2K^2 too small there
+    real = verify.halphen_bound
+    monkeypatch.setattr(
+        verify, "halphen_bound",
+        lambda d, s: SimpleNamespace(bound=d * d) if d == 44 else real(d, s),
+    )
+    assert verify._r4_reduce_check_one(43) is None
+    assert verify._r4_reduce_check_one(44) == 44
+    assert verify._r4_s_check_one(2, 44) == 44
+    assert verify._r4_s_check_one(3, 45) is None
 
 
 def test_r6_spanned_certificates():
