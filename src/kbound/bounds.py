@@ -85,9 +85,6 @@ class HilbertProfile:
         # Sum of d - value over the explicit prefix; the tail contributes 0.
         return self.d * len(self.prefix) - sum(self.prefix)
 
-    def values_upto(self, n: int) -> list[int]:
-        return [self.value_at(i) for i in range(1, n + 1)]
-
     def to_json_dict(self) -> dict:
         return {
             "ambient_label": self.label,
@@ -302,24 +299,19 @@ def genus_from_profile(profile: HilbertProfile) -> int:
     return profile.defect_sum()
 
 
-def propagate_profile(seed: Sequence, d: int) -> HilbertProfile:
-    """Minimal profile consistent with three seed values and the rule
+def propagate_profile(seed: Sequence[int], d: int) -> HilbertProfile:
+    """Minimal profile with seed values h(1), h(2), h(3) and the rule
 
-        h(i) = min{d, h(i-3) + h(3) - 1}   for i >= 4.
+        h(i) = min{d, h(i-3) + h(3) - 1}   for i >= 4,
 
-    ``seed`` is either three values or three (i, value) pairs for i = 1..3.
-    Used to bound the genus from initial Hilbert data: seeds (4, 9, 16) and
+    that is, h(3k + j) = min{d, h(j) + k(h(3) - 1)} for j = 1, 2, 3: three
+    arithmetic progressions, each built as one ``range``. The prefix keeps
+    the seed and ends at the first value d. Seeds (4, 9, 16) and
     (4, 10, 19) drive the curve-in-P^4 exclusion cases.
     """
-    values = list(seed)
-    if len(values) != 3:
+    vals = [int(v) for v in seed]
+    if len(vals) != 3:
         raise ValueError("seed must have exactly three entries")
-    if values and isinstance(values[0], (tuple, list)):
-        pairs = [tuple(p) for p in values]
-        if [i for i, _ in pairs] != [1, 2, 3]:
-            raise ValueError("seed pairs must cover i = 1, 2, 3 in order")
-        values = [v for _, v in pairs]
-    vals = [int(v) for v in values]
     if any(v < 1 for v in vals):
         raise ValueError("seed values must be positive")
     if vals != sorted(vals):
@@ -329,11 +321,15 @@ def propagate_profile(seed: Sequence, d: int) -> HilbertProfile:
     h3 = vals[2]
     if h3 < 2 and not all(v == d for v in vals):
         raise ValueError("seed cannot stabilize: value_at(3) must be >= 2")
-    prefix = list(vals)
-    while prefix[-1] < d:
-        prefix.append(min(d, prefix[-3] + h3 - 1))
-        if len(prefix) > 3 * d + 3:  # unreachable once h3 >= 2
-            raise ValueError("profile failed to stabilize")
+    prefix = vals
+    if h3 < d:
+        # Column j holds the values below d; the profile ends at the first
+        # index 3 * len(column) + j where some column reaches d.
+        columns = [range(v, d, h3 - 1) for v in vals]
+        n = min(3 * len(c) + j for j, c in enumerate(columns, 1))
+        prefix = [d] * n
+        for j, c in enumerate(columns):
+            prefix[j : n - 1 : 3] = c[: len(range(j, n - 1, 3))]
     return HilbertProfile(label=f"propagated from {tuple(vals)}", d=d, prefix=tuple(prefix))
 
 

@@ -231,6 +231,9 @@ def _coerce(x: "Poly | Scalar") -> Poly:
     return Poly.of(x)
 
 
+#: Longest scan, in integers past ``start``, that :func:`sign_certificate` runs.
+MAX_SCAN = 2_000_000
+
 _SIGN_HOLDS = {
     "positive": lambda v: v > 0,
     "nonnegative": lambda v: v >= 0,
@@ -283,7 +286,6 @@ def sign_certificate(
     *,
     variable: str = "d",
     label: str = "",
-    max_scan: int = 2_000_000,
 ) -> SignCertificate:
     """Prove or refute ``p(x) <sign> 0`` for every integer x >= start.
 
@@ -300,9 +302,9 @@ def sign_certificate(
     holds = _SIGN_HOLDS[asserted_sign]
     tail = p.cauchy_tail_bound()
     scan_to = max(start, tail)
-    if scan_to - start > max_scan:
+    if scan_to - start > MAX_SCAN:
         raise ValueError(
-            f"scan range [{start}, {scan_to}] exceeds max_scan={max_scan}"
+            f"scan range [{start}, {scan_to}] exceeds max_scan={MAX_SCAN}"
         )
     _, ints = p.integer_form
     counterexample: int | None = None

@@ -43,6 +43,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Iterable
 
 from .bounds import (
@@ -737,12 +738,9 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
 
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
     prof = propagate_profile(seed, d)
-    have, need = prof.prefix, pi2_profile(d).prefix
-    # Past its prefix a profile equals d; compare up to one index beyond both.
-    upto = max(len(have), len(need)) + 1
-    have += (d,) * (upto - len(have))
-    need += (d,) * (upto - len(need))
-    for i, (h, n) in enumerate(zip(have, need), 1):
+    # Past its prefix a profile equals d.
+    pairs = zip_longest(prof.prefix, pi2_profile(d).prefix, fillvalue=d)
+    for i, (h, n) in enumerate(pairs, 1):
         if h < n:
             return f"d={d}: propagated value {h} < profile value {n} at i={i}"
     if genus_from_profile(prof) > pi2_bound(d).bound_int:

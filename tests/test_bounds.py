@@ -61,9 +61,11 @@ def test_castelnuovo_examples():
 
 
 def test_castelnuovo_profile_values():
-    assert castelnuovo_profile(5, 18).values_upto(6) == [5, 9, 13, 17, 18, 18]
-    assert castelnuovo_profile(3, 6).values_upto(4) == [3, 5, 6, 6]
-    assert castelnuovo_profile(5, 21).values_upto(5) == [5, 9, 13, 17, 21]
+    assert castelnuovo_profile(5, 18).prefix == (5, 9, 13, 17, 18)
+    assert castelnuovo_profile(5, 18).value_at(6) == 18
+    assert castelnuovo_profile(3, 6).prefix == (3, 5, 6)
+    assert castelnuovo_profile(3, 6).value_at(4) == 6
+    assert castelnuovo_profile(5, 21).prefix == (5, 9, 13, 17, 21)
 
 
 def test_castelnuovo_domain():
@@ -135,7 +137,8 @@ def test_halphen_monotone_in_d():
 
 def test_pi2_examples():
     assert pi2_bound(31).bound_int == 87 == pi2_defect_oracle(31)
-    assert pi2_profile(31).values_upto(8) == [4, 9, 14, 19, 24, 29, 31, 31]
+    assert pi2_profile(31).prefix == (4, 9, 14, 19, 24, 29, 31)
+    assert pi2_profile(31).value_at(8) == 31
     # d = 32: v = 1, w = 0; closed form must equal the profile sum
     assert pi2_bound(32).bound_int == pi2_defect_oracle(32) == 93
     # boundary behavior at d = 18: equality with G(5;18), strict drop after
@@ -147,7 +150,8 @@ def test_pi1_examples():
     assert pi1_bound(33).bound_int == 120 == pi1_defect_oracle(33)
     assert pi1_bound(36).bound_int == 145 == pi1_defect_oracle(36)
     assert pi1_bound(5).bound_int == 1
-    assert pi1_profile(36).values_upto(10) == [4, 8, 12, 16, 20, 24, 28, 32, 35, 36]
+    assert pi1_profile(36).prefix == (4, 8, 12, 16, 20, 24, 28, 32, 35)
+    assert pi1_profile(36).value_at(10) == 36
 
 
 def test_profile_closed_form_agreement_sampled():
@@ -188,14 +192,17 @@ def test_profile_invariants():
 
 
 def test_propagate_profile_examples():
-    prof = propagate_profile([(1, 4), (2, 9), (3, 16)], 31)
+    prof = propagate_profile((4, 9, 16), 31)
     assert prof.value_at(4) == min(31, 4 + 15) == 19
+    assert prof.prefix == (4, 9, 16, 19, 24, 31)
     prof = propagate_profile((4, 10, 19), 40)
     assert prof.value_at(6) == min(40, 19 + 18) == 37
     # already-saturated seed gives the constant-d profile
     prof = propagate_profile((7, 7, 7), 7)
     assert genus_from_profile(prof) == 0
     assert prof.value_at(1) == 7
+    # h(3) = 1 is allowed only when the seed is already d
+    assert propagate_profile((1, 1, 1), 1).prefix == (1, 1, 1)
 
 
 def test_propagate_profile_dominates_pi2_profile():
@@ -208,6 +215,26 @@ def test_propagate_profile_dominates_pi2_profile():
                 prop.value_at(i) >= target.value_at(i) for i in range(1, upto)
             ), (seed, d)
             assert genus_from_profile(prop) <= pi2_bound(d).bound_int
+
+
+def test_propagate_profile_matches_the_recurrence():
+    # Every nondecreasing seed in [1, 12] with h(3) >= 2, and every d from
+    # the largest seed value to 300; this includes seeds that already reach
+    # d, such as (4, 9, 9) at d = 9 and (7, 7, 7) at d = 7.
+    seeds = [
+        (a, b, c)
+        for a in range(1, 13)
+        for b in range(a, 13)
+        for c in range(max(b, 2), 13)
+    ]
+    for seed in seeds:
+        for d in range(seed[2], 301):
+            # the reference: h(i) = min{d, h(i-3) + h(3) - 1}, one index at a
+            # time, up to the first value d; the seed is always kept
+            h = list(seed)
+            while h[-1] < d:
+                h.append(min(d, h[-3] + h[2] - 1))
+            assert propagate_profile(seed, d).prefix == tuple(h), (seed, d)
 
 
 def test_propagate_profile_rejects_bad_seeds():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kbound import exact
 from kbound.exact import (
     InconsistencyError,
     Poly,
@@ -242,6 +243,17 @@ def test_past_bound_witness_is_checked_explicitly(monkeypatch):
     monkeypatch.setattr(Poly, "cauchy_tail_bound", lambda self: 5)
     with pytest.raises(InconsistencyError):
         sign_certificate(Poly.of(-100, 0, 1), 0, "negative")
+
+
+def test_sign_certificate_refuses_a_scan_past_max_scan(monkeypatch):
+    # x - 3000000 has its root bound past MAX_SCAN integers from 0: the
+    # range check must refuse before a single integer is evaluated.
+    def no_scan(coeffs, x):
+        raise AssertionError("scanned before the range check")
+
+    monkeypatch.setattr(exact, "_horner", no_scan)
+    with pytest.raises(ValueError, match=r"exceeds max_scan=2000000"):
+        sign_certificate(Poly.of(-3_000_000, 1), 0, "positive")
 
 
 def test_sign_certificate_json_shape():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from kbound.bounds import (
+    HilbertProfile,
     chi_bound_poly,
     double_point_2k2,
     castelnuovo_bound,
@@ -281,6 +282,49 @@ def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
     assert cert.witness == {
         "failed_check": "G(4;d,5) < G(5;d) for every integer d in [36, 50]",
         "failure_at": 40,
+    }
+
+
+R5_PROFILE_LABEL = (
+    "propagated profile dominates the G(4;d,5) profile pointwise and its"
+    " genus bound is <= G(4;d,5) for d in [36, 50]"
+)
+
+
+@pytest.mark.parametrize(
+    "prefix, value",
+    [
+        ((4, 9, 14, 19, 24, 29, 35, 38), 35),  # one value raised above 34
+        ((4, 9, 14, 19, 24, 29), 40),  # stabilizes early: d from i = 7 on
+    ],
+)
+def test_r5_profile_sweep_reports_a_dominated_value(monkeypatch, prefix, value):
+    # At d = 40 the seed (4, 9, 16) propagates to 34 at i = 7; a profile
+    # that rises above it there, inside or past its prefix, fails the claim.
+    real = verify.pi2_profile
+    monkeypatch.setattr(
+        verify, "pi2_profile",
+        lambda d: HilbertProfile("patched", d, prefix) if d == 40 else real(d),
+    )
+    cert = verify._r5_profile((4, 9, 16), 36, 50)
+    assert cert.status == "counterexample"
+    assert cert.witness == {
+        "failed_check": R5_PROFILE_LABEL,
+        "failure": f"d=40: propagated value 34 < profile value {value} at i=7",
+    }
+
+
+def test_r5_profile_sweep_reports_a_genus_bound_above_pi2(monkeypatch):
+    real = verify.pi2_bound
+    monkeypatch.setattr(
+        verify, "pi2_bound",
+        lambda d: SimpleNamespace(bound_int=0) if d == 40 else real(d),
+    )
+    cert = verify._r5_profile((4, 10, 19), 36, 50)
+    assert cert.status == "counterexample"
+    assert cert.witness == {
+        "failed_check": R5_PROFILE_LABEL,
+        "failure": "d=40: propagated genus bound exceeds G(4;d,5)",
     }
 
 
