@@ -28,22 +28,24 @@ d - 1 = 5n + v with 0 <= v <= 4, d - 1 = 4p + q with 0 <= q <= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import le
 from typing import Sequence
 
 from .exact import (
+    Frozen,
     InconsistencyError,
     OutOfDomainError,
     Poly,
+    Record,
+    _set,
     as_int,
     rat_str,
 )
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(Frozen):
     """Lower-bound profile i -> value for i >= 1, stabilizing at d.
 
     ``prefix`` holds the values at i = 1 .. len(prefix); every later value
@@ -51,20 +53,22 @@ class HilbertProfile:
     construction.
     """
 
-    label: str
-    d: int
-    prefix: tuple[int, ...]
+    __slots__ = ("label", "d", "prefix")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(self, label: str, d: int, prefix: tuple[int, ...]):
+        if d < 1:
             raise ValueError("profile needs d >= 1")
-        last = 0
-        for v in self.prefix:
-            if v < 1 or v > self.d:
-                raise ValueError(f"profile value {v} outside [1, d={self.d}]")
-            if v < last:
-                raise ValueError("profile must be nondecreasing")
-            last = v
+        if prefix and not (1 <= prefix[0] and prefix[-1] <= d and all(map(le, prefix, prefix[1:]))):
+            last = 0  # name the first bad value
+            for v in prefix:
+                if v < 1 or v > d:
+                    raise ValueError(f"profile value {v} outside [1, d={d}]")
+                if v < last:
+                    raise ValueError("profile must be nondecreasing")
+                last = v
+        _set(self, "label", label)
+        _set(self, "d", d)
+        _set(self, "prefix", prefix)
 
     def value_at(self, i: int) -> int:
         if i < 1:
@@ -94,14 +98,16 @@ class HilbertProfile:
         }
 
 
-@dataclass
-class GenusBoundResult:
+class GenusBoundResult(Record):
     """Exact value of one named genus bound plus its split parameters."""
 
-    formula_id: str
-    d: int
-    bound: Fraction
-    params: dict
+    __slots__ = ("formula_id", "d", "bound", "params")
+
+    def __init__(self, formula_id: str, d: int, bound: Fraction, params: dict):
+        self.formula_id = formula_id
+        self.d = d
+        self.bound = bound
+        self.params = params
 
     @property
     def is_integer(self) -> bool:

@@ -19,14 +19,12 @@ arguments or out-of-domain inputs, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import shutil
 import sys
 import tempfile
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import bounds, scroll, verify
@@ -98,11 +96,20 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601, for the ``generated_at`` field."""
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).isoformat()
 
 
 def _params_text(params: dict) -> str:
@@ -259,10 +266,8 @@ def _cmd_verify(args) -> int:
     cases = verify.CASES if args.case == "all" else [args.case]
     verdict = verify.verify_theorem(args.d_from, args.d_to, args.jobs, cases)
 
-    timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
-
     if args.format == "json":
-        text = verdict.to_json(timestamp)
+        text = verdict.to_json(None if args.no_timestamp else _utc_now())
     elif args.format == "csv":
         rows = [
             [doc["claim_id"], doc["status"], json.dumps(doc["params"], sort_keys=True),

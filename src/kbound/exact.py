@@ -12,9 +12,10 @@ quantified over an infinite range rather than sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import partial
+from itertools import accumulate, compress, count, islice, repeat
+from operator import ge, gt, le, lt
 from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -60,8 +61,6 @@ def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list
     InconsistencyError is raised, so a wrong degree or a broken walk cannot
     go unnoticed. An empty range (hi < lo) gives an empty list.
     """
-    from itertools import accumulate, islice, repeat
-
     if hi < lo:
         return []
     column = [f(lo + i) for i in range(degree + 1)]
@@ -81,15 +80,65 @@ def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list
     return values
 
 
-@dataclass(frozen=True)
-class Poly:
+class Record:
+    """Base of kbound's value classes. The fields are the public names in
+    ``__slots__``, in order: ``==``, ``repr`` (``Name(field=value, ...)``)
+    and pickling read them. A record equals only records of its own class,
+    and is unhashable unless it is :class:`Frozen`."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+#: Sets a field of a :class:`Frozen` record, in its ``__init__``.
+_set = object.__setattr__
+
+
+class Frozen(Record):
+    """A :class:`Record` whose fields cannot be assigned after ``__init__``
+    (AttributeError); hashed by its field values."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Poly(Frozen):
     """Univariate polynomial over Fraction; ``coeffs[i]`` multiplies ``x^i``.
 
     Trailing zero coefficients are trimmed; the zero polynomial has an empty
     coefficient tuple. Construct through :meth:`of` / :meth:`from_coeffs`.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs", "_integer_form")
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        _set(self, "coeffs", coeffs)
 
     @staticmethod
     def of(*coeffs: Scalar) -> "Poly":
@@ -97,7 +146,7 @@ class Poly:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[Scalar]) -> "Poly":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly(tuple(cs))
@@ -159,13 +208,19 @@ class Poly:
 
     __rmul__ = __mul__
 
-    @cached_property
+    @property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
         """(s, ints): s is the lcm of the denominators and ``ints`` the
         integer coefficients of s*p, highest power first. Scaling by a
-        positive s keeps every sign, so scans can run Horner on plain ints."""
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
-        return scale, tuple(c.numerator * (scale // c.denominator) for c in reversed(self.coeffs))
+        positive s keeps every sign, so scans can run on plain ints.
+        Computed once per polynomial."""
+        try:
+            return self._integer_form
+        except AttributeError:
+            scale = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = tuple(c.numerator * (scale // c.denominator) for c in reversed(self.coeffs))
+            _set(self, "_integer_form", (scale, ints))
+            return scale, ints
 
     def __call__(self, x: Scalar) -> Fraction:
         scale, ints = self.integer_form
@@ -234,16 +289,15 @@ def _coerce(x: "Poly | Scalar") -> Poly:
 #: Longest scan, in integers past ``start``, that :func:`sign_certificate` runs.
 MAX_SCAN = 2_000_000
 
-_SIGN_HOLDS = {
-    "positive": lambda v: v > 0,
-    "nonnegative": lambda v: v >= 0,
-    "negative": lambda v: v < 0,
-    "nonpositive": lambda v: v <= 0,
-}
+#: Integers per forward-difference block of a scan, which bounds its memory.
+SCAN_BLOCK = 4096
+
+#: For each asserted sign, the operator ``op`` with ``op(v, 0)`` true exactly
+#: where the value v violates it.
+_SIGN_FAILS = {"positive": le, "nonnegative": lt, "negative": ge, "nonpositive": gt}
 
 
-@dataclass
-class SignCertificate:
+class SignCertificate(Record):
     """Verdict for ``sign(p(x))`` over every integer x >= start.
 
     If ``counterexample`` is None the assertion holds at every integer of
@@ -252,13 +306,18 @@ class SignCertificate:
     Otherwise ``counterexample`` is the least violating integer found.
     """
 
-    polynomial: Poly
-    start: int
-    asserted_sign: str
-    tail_bound: int
-    counterexample: int | None
-    variable: str = "d"
-    label: str = ""
+    __slots__ = ("polynomial", "start", "asserted_sign", "tail_bound", "counterexample",
+                 "variable", "label")
+
+    def __init__(self, polynomial: Poly, start: int, asserted_sign: str, tail_bound: int,
+                 counterexample: int | None, variable: str = "d", label: str = ""):
+        self.polynomial = polynomial
+        self.start = start
+        self.asserted_sign = asserted_sign
+        self.tail_bound = tail_bound
+        self.counterexample = counterexample
+        self.variable = variable
+        self.label = label
 
     @property
     def ok(self) -> bool:
@@ -294,12 +353,16 @@ def sign_certificate(
     coefficient plus a clean scan proves the claim for all integers >= start.
     A mismatching leading coefficient always yields an explicit
     counterexample just past the tail bound.
+
+    The scan walks the integer form of p by exact forward differences, in
+    blocks of at most :data:`SCAN_BLOCK` integers, each seeded and checked
+    at its end by direct evaluation (see :func:`forward_walk`).
     """
-    if asserted_sign not in _SIGN_HOLDS:
+    if asserted_sign not in _SIGN_FAILS:
         raise ValueError(f"unknown sign assertion: {asserted_sign!r}")
     if p.is_zero:
         raise ValueError("cannot certify the zero polynomial")
-    holds = _SIGN_HOLDS[asserted_sign]
+    fails = _SIGN_FAILS[asserted_sign]
     tail = p.cauchy_tail_bound()
     scan_to = max(start, tail)
     if scan_to - start > MAX_SCAN:
@@ -307,10 +370,12 @@ def sign_certificate(
             f"scan range [{start}, {scan_to}] exceeds max_scan={MAX_SCAN}"
         )
     _, ints = p.integer_form
+    value_at = partial(_horner, ints)
     counterexample: int | None = None
-    for x in range(start, scan_to + 1):
-        if not holds(_horner(ints, x)):
-            counterexample = x
+    for lo in range(start, scan_to + 1, SCAN_BLOCK):
+        values = forward_walk(value_at, lo, min(lo + SCAN_BLOCK - 1, scan_to), p.degree)
+        counterexample = next(compress(count(lo), map(fails, values, repeat(0))), None)
+        if counterexample is not None:
             break
     if counterexample is None:
         lead_ok = p.leading > 0 if asserted_sign in ("positive", "nonnegative") else p.leading < 0
@@ -318,7 +383,7 @@ def sign_certificate(
             # Beyond the root bound the sign is the leading coefficient's,
             # so the first integer past the scan is a genuine violation.
             witness = scan_to + 1
-            if holds(_horner(ints, witness)):
+            if not fails(value_at(witness), 0):
                 raise InconsistencyError(
                     f"{p.text(variable)} keeps the asserted sign at {witness},"
                     " past its root bound, against its leading coefficient"

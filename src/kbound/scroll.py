@@ -25,14 +25,15 @@ integers -m <= a <= (m + eps - 1)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
     FrameRangeError,
+    Frozen,
     InconsistencyError,
     OutOfDomainError,
     Poly,
+    _set,
     forward_walk,
 )
 
@@ -43,12 +44,14 @@ HW2 = 0
 W3 = 0
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Frozen):
     """Integer class alpha*H + beta*W in Pic(T)."""
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int):
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
     def degree(self) -> int:
         """deg(S) = S.H^2 = 3*alpha + beta."""
@@ -144,15 +147,17 @@ def _a_star(m: int, eps: int) -> int:
     return (m + eps - 1) // 2
 
 
-@dataclass(frozen=True)
-class ScrollFrame:
+class ScrollFrame(Frozen):
     """Parameters (d, m, eps, a) with d - 1 = 3m + eps indexing a degree-d
     class on T; valid frames have -m <= a <= floor((m + eps - 1)/2)."""
 
-    d: int
-    m: int
-    eps: int
-    a: int
+    __slots__ = ("d", "m", "eps", "a")
+
+    def __init__(self, d: int, m: int, eps: int, a: int):
+        _set(self, "d", d)
+        _set(self, "m", m)
+        _set(self, "eps", eps)
+        _set(self, "a", a)
 
     @staticmethod
     def for_degree(d: int, a: int) -> "ScrollFrame":
@@ -258,15 +263,17 @@ def phi_derivative(d: int, a: int) -> int:
     return _phi_derivative(m, e, a)
 
 
-@dataclass(frozen=True)
-class KsqMinimum:
+class KsqMinimum(Frozen):
     """Result of the exhaustive minimization of phi over -m <= a <= a*."""
 
-    d: int
-    a_min: int
-    k2_min: int
-    unique: bool
-    in_asserted_range: bool  # the minimization claim is asserted for d >= 18
+    __slots__ = ("d", "a_min", "k2_min", "unique", "in_asserted_range")
+
+    def __init__(self, d: int, a_min: int, k2_min: int, unique: bool, in_asserted_range: bool):
+        _set(self, "d", d)
+        _set(self, "a_min", a_min)
+        _set(self, "k2_min", k2_min)
+        _set(self, "unique", unique)
+        _set(self, "in_asserted_range", in_asserted_range)  # the claim is asserted for d >= 18
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,11 +323,13 @@ def k2_min_closed_form(d: int) -> Fraction:
     return (EVEN_MINIMUM if (m + eps - 1) % 2 == 0 else ODD_MINIMUM)(d)
 
 
-@dataclass(frozen=True)
-class ExtremalSurface:
-    cls: DivisorClass
-    k2: int
-    genus: int
+class ExtremalSurface(Frozen):
+    __slots__ = ("cls", "k2", "genus")
+
+    def __init__(self, cls: DivisorClass, k2: int, genus: int):
+        _set(self, "cls", cls)
+        _set(self, "k2", k2)
+        _set(self, "genus", genus)
 
 
 def extremal_class(d: int) -> ExtremalSurface:

@@ -40,10 +40,10 @@ import os
 import random
 from contextlib import nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
+from itertools import compress, count, repeat
+from operator import eq, ge, le, lt
 from typing import Callable, Iterable
 
 from .bounds import (
@@ -68,6 +68,7 @@ from .bounds import (
 from .exact import (
     InconsistencyError,
     Poly,
+    Record,
     SignCertificate,
     as_int,
     forward_walk,
@@ -169,22 +170,26 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass
-class Certificate:
+class Certificate(Record):
     """Machine-checkable verdict for one named claim.
 
     ``status`` is ``verified`` only if every embedded sign certificate,
     identity and scan succeeded; a ``counterexample`` status always carries
     an explicit witness; ``out-of-asserted-range`` marks a claim whose
     asserted range does not meet the requested one (reported, not asserted).
+    ``sign_certificates`` defaults to a new empty list.
     """
 
-    claim_id: str
-    anchor: str
-    params: dict
-    status: str
-    witness: dict | None = None
-    sign_certificates: list[SignCertificate] = field(default_factory=list)
+    __slots__ = ("claim_id", "anchor", "params", "status", "witness", "sign_certificates")
+
+    def __init__(self, claim_id: str, anchor: str, params: dict, status: str,
+                 witness: dict | None = None, sign_certificates: list[SignCertificate] | None = None):
+        self.claim_id = claim_id
+        self.anchor = anchor
+        self.params = params
+        self.status = status
+        self.witness = witness
+        self.sign_certificates = [] if sign_certificates is None else sign_certificates
 
     @property
     def verified(self) -> bool:
@@ -738,11 +743,12 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
 
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
     prof = propagate_profile(seed, d)
-    # Past its prefix a profile equals d.
-    pairs = zip_longest(prof.prefix, pi2_profile(d).prefix, fillvalue=d)
-    for i, (h, n) in enumerate(pairs, 1):
-        if h < n:
-            return f"d={d}: propagated value {h} < profile value {n} at i={i}"
+    h, n = prof.prefix, pi2_profile(d).prefix
+    width = max(len(h), len(n))  # past its prefix a profile equals d
+    h, n = h + (d,) * (width - len(h)), n + (d,) * (width - len(n))
+    i = next(compress(count(), map(lt, h, n)), None)
+    if i is not None:
+        return f"d={d}: propagated value {h[i]} < profile value {n[i]} at i={i + 1}"
     if genus_from_profile(prof) > pi2_bound(d).bound_int:
         return f"d={d}: propagated genus bound exceeds G(4;d,5)"
     return None
@@ -867,10 +873,10 @@ def _appendix_check_one(d: int) -> str | None:
         return f"d={d}: phi'(-m+2) != 18m + 6e - 42"
     if _phi_derivative(m, eps, -1) != 10 * m + 6 * m * eps - 12 * eps - 18:
         return f"d={d}: phi'(-1) != 10m + 6me - 12e - 18"
-    a = next((a for a, v in enumerate(rising, rise_lo) if v <= 0), None)
+    a = next(compress(count(rise_lo), map(le, rising, repeat(0))), None)
     if a is not None:
         return f"d={d}: phi' not positive at a={a} in [-m+2, -1]"
-    a = next((a for a, v in enumerate(falling, 1) if v >= 0), None)
+    a = next(compress(count(1), map(ge, falling, repeat(0))), None)
     if a is not None:
         return f"d={d}: phi' not negative at a={a} >= 1"
     if phi_derivative_discriminant(m, eps) <= 0:
@@ -947,7 +953,7 @@ def _sharpness_scan(d: int, target: int) -> tuple[int | None, list[int]]:
     it by forward differences (InconsistencyError if the walk goes wrong).
     """
     k2s = forward_walk(lambda alpha: _k2_raw(DivisorClass(alpha, d - 3 * alpha)), 1, d // 2, 3)
-    return min(k2s, default=None), [alpha for alpha, k2 in enumerate(k2s, 1) if k2 == target]
+    return min(k2s, default=None), list(compress(count(1), map(eq, k2s, repeat(target))))
 
 
 def _sharpness_check_one(d: int) -> str | None:
@@ -999,14 +1005,16 @@ def verify_sharpness(d_from: int, d_to: int) -> Certificate:
 # ---------------------------------------------------------------------------
 # aggregate
 
-@dataclass
-class CaseVerdict:
+class CaseVerdict(Record):
     """All case certificates over a degree range, with the aggregate verdict
     that the bound is numerically confirmed on the checkable surface."""
 
-    d_from: int
-    d_to: int
-    certificates: list[Certificate]
+    __slots__ = ("d_from", "d_to", "certificates")
+
+    def __init__(self, d_from: int, d_to: int, certificates: list[Certificate]):
+        self.d_from = d_from
+        self.d_to = d_to
+        self.certificates = certificates
 
     @property
     def overall(self) -> bool:

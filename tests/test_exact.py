@@ -227,6 +227,41 @@ def test_integer_scan_matches_fraction_scan(coeffs, start, sign):
     assert cert.counterexample == fraction_scan_counterexample(p, start, sign)
 
 
+@given(
+    st.lists(small_rationals, min_size=1, max_size=5).filter(lambda cs: cs[-1] != 0),
+    st.integers(-40, 40),
+    st.sampled_from(["positive", "nonnegative", "negative", "nonpositive"]),
+)
+def test_scan_in_three_integer_blocks_matches_fraction_scan(coeffs, start, sign):
+    p = Poly.from_coeffs(coeffs)
+    original = exact.SCAN_BLOCK
+    exact.SCAN_BLOCK = 3  # many blocks, each seeded and end-checked on its own
+    try:
+        cert = sign_certificate(p, start, sign)
+    finally:
+        exact.SCAN_BLOCK = original
+    assert cert.counterexample == fraction_scan_counterexample(p, start, sign)
+
+
+def test_scan_walks_blocks_of_at_most_scan_block_integers(monkeypatch):
+    # x - 9000 scans [0, 9001]; "negative" first fails at 9000 and
+    # "nonpositive" at 9001, both in the third block.
+    blocks = []
+    real = exact.forward_walk
+
+    def walk(f, lo, hi, degree):
+        blocks.append((lo, hi))
+        return real(f, lo, hi, degree)
+
+    monkeypatch.setattr(exact, "forward_walk", walk)
+    p = Poly.of(-9000, 1)
+    assert sign_certificate(p, 0, "negative").counterexample == 9000
+    assert blocks == [(0, 4095), (4096, 8191), (8192, 9001)]
+    assert sign_certificate(p, 0, "nonpositive").counterexample == 9001
+    assert sign_certificate(p, 9001, "positive").ok
+    assert sign_certificate(-p, 5, "positive").counterexample == 9000
+
+
 def test_integer_scan_wrong_leading_sign():
     # 1/3 - x/7 - x^2/5: the leading coefficient refutes "positive"; the
     # least violation lies inside the scan and both scans find it.

@@ -1,0 +1,183 @@
+"""The value classes: field-wise ==, hash and repr, keyword construction,
+immutability of the frozen ones, and an import of kbound.cli that loads
+neither dataclasses nor csv nor datetime."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from kbound.bounds import GenusBoundResult, HilbertProfile
+from kbound.exact import Poly, SignCertificate
+from kbound.scroll import HYPERPLANE, DivisorClass, ExtremalSurface, KsqMinimum, ScrollFrame
+from kbound.verify import CaseVerdict, Certificate
+
+POLY = Poly((Fraction(-1), Fraction(0), Fraction(1, 2)))
+SIGN = SignCertificate(POLY, 2, "positive", 3, None, "m", "x^2/2 - 1 > 0")
+CERT = Certificate("R2.base", "anchor", {"d": 1}, "verified", {"w": 1}, [SIGN])
+
+# Each class with keyword arguments for every field, in field order.
+FROZEN = [
+    (Poly, {"coeffs": POLY.coeffs}),
+    (HilbertProfile, {"label": "h", "d": 9, "prefix": (4, 9)}),
+    (DivisorClass, {"alpha": 2, "beta": -2}),
+    (ScrollFrame, {"d": 4, "m": 1, "eps": 0, "a": 0}),
+    (KsqMinimum, {"d": 40, "a_min": 6, "k2_min": -1360, "unique": True, "in_asserted_range": True}),
+    (ExtremalSurface, {"cls": DivisorClass(2, -2), "k2": 8, "genus": 0}),
+]
+MUTABLE = [
+    (SignCertificate, {
+        "polynomial": POLY, "start": 2, "asserted_sign": "positive", "tail_bound": 3,
+        "counterexample": None, "variable": "m", "label": "x^2/2 - 1 > 0",
+    }),
+    (GenusBoundResult, {"formula_id": "pi2", "d": 7, "bound": Fraction(3), "params": {"v": 1}}),
+    (Certificate, {
+        "claim_id": "R2.base", "anchor": "anchor", "params": {"d": 1}, "status": "verified",
+        "witness": {"w": 1}, "sign_certificates": [SIGN],
+    }),
+    (CaseVerdict, {"d_from": 36, "d_to": 40, "certificates": [CERT]}),
+]
+
+
+def ids(cases):
+    return [cls.__name__ for cls, _ in cases]
+
+
+def changed(value):
+    """A value of the same kind that differs from value."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, Fraction)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "'"
+    if isinstance(value, (tuple, list)):
+        return value[:-1]
+    if isinstance(value, dict):
+        return {**value, "extra": 0}
+    if value is None:
+        return 0
+    if isinstance(value, Poly):
+        return value + 1
+    return DivisorClass(value.alpha + 1, value.beta)
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN + MUTABLE, ids=ids(FROZEN + MUTABLE))
+def test_keyword_and_positional_construction_agree(cls, fields):
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    assert not record != cls(*fields.values())
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN + MUTABLE, ids=ids(FROZEN + MUTABLE))
+def test_equality_is_field_wise(cls, fields):
+    record = cls(**fields)
+    for name, value in fields.items():
+        if cls is HilbertProfile and name in ("d", "prefix"):
+            continue  # validated together below
+        assert record != cls(**{**fields, name: changed(value)}), name
+    assert record != tuple(fields.values())
+    assert record != object()
+
+
+def test_hilbert_profile_equality_reads_d_and_prefix():
+    assert HilbertProfile("h", 9, (4, 9)) != HilbertProfile("h", 10, (4, 9))
+    assert HilbertProfile("h", 9, (4, 9)) != HilbertProfile("h", 9, (4,))
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=ids(FROZEN))
+def test_frozen_records_hash_by_value_and_reject_assignment(cls, fields):
+    record = cls(**fields)
+    assert hash(record) == hash(cls(*fields.values()))
+    assert len({record, cls(**fields)}) == 1
+    for name, value in fields.items():
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, changed(value))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 1
+    assert record == cls(**fields)
+
+
+@pytest.mark.parametrize("cls, fields", MUTABLE, ids=ids(MUTABLE))
+def test_mutable_records_are_unhashable_and_assignable(cls, fields):
+    record = cls(**fields)
+    with pytest.raises(TypeError):
+        hash(record)
+    name, value = next(iter(fields.items()))
+    setattr(record, name, changed(value))
+    assert getattr(record, name) == changed(value)
+    assert record != cls(**fields)
+
+
+def test_defaults():
+    sign = SignCertificate(POLY, 2, "positive", 3, None)
+    assert (sign.variable, sign.label) == ("d", "")
+    first = Certificate("R2.base", "anchor", {}, "verified")
+    second = Certificate("R2.base", "anchor", {}, "verified")
+    assert first.witness is None
+    assert first.sign_certificates == [] and first.sign_certificates is not second.sign_certificates
+    first.sign_certificates.append(SIGN)
+    assert second.sign_certificates == []
+
+
+def test_divisor_classes_are_not_tuples():
+    assert DivisorClass(1, 2) != (1, 2)
+    assert DivisorClass(1, 2) + DivisorClass(0, 1) == DivisorClass(1, 3)
+    with pytest.raises(TypeError):
+        3 * HYPERPLANE
+
+
+def test_integer_form_is_computed_once():
+    p = Poly.of(Fraction(1, 2), 3)
+    assert p.integer_form == (2, (6, 1))
+    assert p.integer_form is p.integer_form
+    assert p == Poly.of(Fraction(1, 2), 3)  # the cache is not a field
+    assert repr(p) == "Poly(coeffs=(Fraction(1, 2), Fraction(3, 1)))"
+
+
+def test_from_coeffs_keeps_fractions_and_converts_ints():
+    half = Fraction(1, 2)
+    p = Poly.from_coeffs([half, 2, 0])
+    assert p.coeffs[0] is half
+    assert p.coeffs == (half, Fraction(2)) and type(p.coeffs[1]) is Fraction
+
+
+@pytest.mark.parametrize(
+    "d, prefix, message",
+    [
+        (0, (), "profile needs d >= 1"),
+        (5, (0, 1), "profile value 0 outside [1, d=5]"),
+        (5, (1, 6), "profile value 6 outside [1, d=5]"),
+        (5, (1, 7, 5), "profile value 7 outside [1, d=5]"),
+        (5, (2, 1), "profile must be nondecreasing"),
+        (5, (1, 3, 2, 9), "profile must be nondecreasing"),
+    ],
+)
+def test_hilbert_profile_names_the_first_bad_value(d, prefix, message):
+    with pytest.raises(ValueError) as info:
+        HilbertProfile("h", d, prefix)
+    assert str(info.value) == message
+
+
+def test_cli_import_loads_no_dataclasses_inspect_csv_or_datetime():
+    # -S: no site module, whose .pth files may import any of these first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, kbound.cli;"
+        " print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'csv', 'datetime'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"

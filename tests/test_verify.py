@@ -269,6 +269,50 @@ def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
     assert failure.startswith("d=100: forward-difference walk")
 
 
+def doctor_walk(monkeypatch, lo, index, value):
+    """Make every verify.forward_walk from lo return value at index."""
+    real = verify.forward_walk
+
+    def walk(f, start, hi, degree):
+        values = real(f, start, hi, degree)
+        if start == lo:
+            values[index] = value
+        return values
+
+    monkeypatch.setattr(verify, "forward_walk", walk)
+
+
+# At d = 40 (m = 13, e = 0, a* = 6) phi' is walked over [-11, -1], where it
+# must be positive, and over [1, 7], where it must be negative.
+@pytest.mark.parametrize("index, a", [(0, -11), (4, -7), (10, -1)])
+def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
+    doctor_walk(monkeypatch, -11, index, 0)
+    failure = f"d=40: phi' not positive at a={a} in [-m+2, -1]"
+    assert verify._appendix_check_one(40) == failure
+    assert verify._appendix_check_one(43) is None  # m = 14: its walk starts at -12
+    cert = verify_appendix(39, 41)
+    assert cert.status == "counterexample"
+    assert cert.witness["failure"] == failure
+
+
+@pytest.mark.parametrize("index, a", [(0, 1), (6, 7)])
+def test_appendix_reports_phi_prime_not_negative(monkeypatch, index, a):
+    doctor_walk(monkeypatch, 1, index, 0)
+    assert verify._appendix_check_one(40) == f"d=40: phi' not negative at a={a} >= 1"
+
+
+@pytest.mark.parametrize("index, attained", [(0, [1, 20]), (4, [5, 20])])
+def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
+    # K^2 is walked over alpha = 1 .. d/2 from 1; at d = 40 a second class
+    # with K^2 = -d(d-6) = -1360 breaks the uniqueness.
+    doctor_walk(monkeypatch, 1, index, -1360)
+    cert = verify_sharpness(40, 40)
+    assert cert.status == "counterexample"
+    assert cert.witness["failure"] == (
+        f"d=40: -d(d-6) attained at alpha in {attained}, not only d/2"
+    )
+
+
 def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
     # A per-degree failure in a failure_at sweep is reported as the first
     # failing degree, under the check's label, and fails the claim.
