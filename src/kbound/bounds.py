@@ -28,10 +28,10 @@ d - 1 = 5n + v with 0 <= v <= 4, d - 1 = 4p + q with 0 <= q <= 3.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from operator import le
-from typing import Sequence
 
 from .exact import (
     Frozen,

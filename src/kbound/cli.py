@@ -261,8 +261,6 @@ def _cmd_scroll(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
     cases = verify.CASES if args.case == "all" else [args.case]
     verdict = verify.verify_theorem(args.d_from, args.d_to, args.jobs, cases)
 

@@ -12,15 +12,11 @@ quantified over an infinite range rather than sampled.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, count, islice, repeat
 from operator import ge, gt, le, lt
-from typing import Callable, Iterable, Union
-
-Scalar = Union[int, Fraction]
-
-#: Serialized rationals are "num/den" with "/den" omitted when den == 1.
 
 
 class OutOfDomainError(ValueError):
@@ -35,7 +31,7 @@ class FrameRangeError(ValueError):
     """Divisor class or frame parameter outside the admissible range."""
 
 
-def rat_str(x: Scalar) -> str:
+def rat_str(x: int | Fraction) -> str:
     """Render an exact rational as ``num/den``, omitting ``/den`` when 1."""
     x = Fraction(x)
     if x.denominator == 1:
@@ -43,7 +39,7 @@ def rat_str(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def as_int(x: Scalar, what: str = "value") -> int:
+def as_int(x: int | Fraction, what: str = "value") -> int:
     """Assert integrality of an exact rational and return it as an int."""
     x = Fraction(x)
     if x.denominator != 1:
@@ -141,11 +137,11 @@ class Poly(Frozen):
         _set(self, "coeffs", coeffs)
 
     @staticmethod
-    def of(*coeffs: Scalar) -> "Poly":
+    def of(*coeffs: int | Fraction) -> "Poly":
         return Poly.from_coeffs(coeffs)
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[Scalar]) -> "Poly":
+    def from_coeffs(coeffs: Iterable[int | Fraction]) -> "Poly":
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -174,7 +170,7 @@ class Poly(Frozen):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __add__(self, other: "Poly | Scalar") -> "Poly":
+    def __add__(self, other: "Poly | int | Fraction") -> "Poly":
         other = _coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly.from_coeffs(
@@ -188,13 +184,13 @@ class Poly(Frozen):
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "Poly | Scalar") -> "Poly":
+    def __sub__(self, other: "Poly | int | Fraction") -> "Poly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: "Poly | Scalar") -> "Poly":
+    def __rsub__(self, other: "Poly | int | Fraction") -> "Poly":
         return _coerce(other) + (-self)
 
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
+    def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
         other = _coerce(other)
         if self.is_zero or other.is_zero:
             return Poly(())
@@ -222,7 +218,7 @@ class Poly(Frozen):
             _set(self, "_integer_form", (scale, ints))
             return scale, ints
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         scale, ints = self.integer_form
         return Fraction(_horner(ints, x), scale)
 
@@ -272,7 +268,7 @@ class Poly(Frozen):
         return [rat_str(c) for c in self.coeffs]
 
 
-def _horner(coeffs: tuple[int, ...], x: Scalar) -> Scalar:
+def _horner(coeffs: tuple[int, ...], x: int | Fraction) -> int | Fraction:
     """Value at x of the integer polynomial with ``coeffs``, highest power first."""
     acc = 0
     for c in coeffs:
@@ -280,7 +276,7 @@ def _horner(coeffs: tuple[int, ...], x: Scalar) -> Scalar:
     return acc
 
 
-def _coerce(x: "Poly | Scalar") -> Poly:
+def _coerce(x: "Poly | int | Fraction") -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly.of(x)

@@ -43,6 +43,9 @@ H2W = 1
 HW2 = 0
 W3 = 0
 
+#: The least degree from which APPENDIX.min, the minimization of K^2, is asserted.
+ASSERTED_FROM = 18
+
 
 class DivisorClass(Frozen):
     """Integer class alpha*H + beta*W in Pic(T)."""
@@ -148,26 +151,25 @@ def _a_star(m: int, eps: int) -> int:
 
 
 class ScrollFrame(Frozen):
-    """Parameters (d, m, eps, a) with d - 1 = 3m + eps indexing a degree-d
-    class on T; valid frames have -m <= a <= floor((m + eps - 1)/2)."""
+    """The degree-d class on T indexed by a, where d - 1 = 3m + eps; needs
+    d >= 4 (OutOfDomainError) and -m <= a <= a* (FrameRangeError)."""
 
-    __slots__ = ("d", "m", "eps", "a")
+    __slots__ = ("d", "a")
 
-    def __init__(self, d: int, m: int, eps: int, a: int):
+    def __init__(self, d: int, a: int):
+        m, eps = _split3(d)
+        if not -m <= a <= _a_star(m, eps):
+            raise FrameRangeError(f"a={a} outside [{-m}, {_a_star(m, eps)}] for d={d}")
         _set(self, "d", d)
-        _set(self, "m", m)
-        _set(self, "eps", eps)
         _set(self, "a", a)
 
-    @staticmethod
-    def for_degree(d: int, a: int) -> "ScrollFrame":
-        m, eps = _split3(d)
-        f = ScrollFrame(d, m, eps, a)
-        if not f.in_range:
-            raise FrameRangeError(
-                f"a={a} outside [{-m}, {_a_star(m, eps)}] for d={d}"
-            )
-        return f
+    @property
+    def m(self) -> int:
+        return _split3(self.d)[0]
+
+    @property
+    def eps(self) -> int:
+        return _split3(self.d)[1]
 
     @property
     def a_star(self) -> int:
@@ -178,10 +180,6 @@ class ScrollFrame(Frozen):
     def q_parity(self) -> int:
         """m + eps - 1 = 2p + q with 0 <= q <= 1; q = 0 iff d is even."""
         return (self.m + self.eps - 1) % 2
-
-    @property
-    def in_range(self) -> bool:
-        return -self.m <= self.a <= self.a_star
 
 
 def class_from_frame(f: ScrollFrame) -> DivisorClass:
@@ -194,10 +192,8 @@ def frame_from_class(c: DivisorClass, expect_d: int) -> ScrollFrame:
     d = c.degree()
     if d != expect_d:
         raise FrameRangeError(f"class {c.text()} has degree {d}, expected {expect_d}")
-    m, eps = _split3(d)
-    a = c.alpha - m - 1
-    # beta is then forced: eps + 1 - 3(a + 1) = d - 3*alpha automatically.
-    return ScrollFrame.for_degree(d, a)
+    # alpha = m + 1 + a; beta is then forced: eps + 1 - 3(a + 1) = d - 3*alpha.
+    return ScrollFrame(d, c.alpha - _split3(d)[0] - 1)
 
 
 def phi_coefficients(m: int | Poly, e: int) -> tuple:
@@ -266,14 +262,17 @@ def phi_derivative(d: int, a: int) -> int:
 class KsqMinimum(Frozen):
     """Result of the exhaustive minimization of phi over -m <= a <= a*."""
 
-    __slots__ = ("d", "a_min", "k2_min", "unique", "in_asserted_range")
+    __slots__ = ("d", "a_min", "k2_min", "unique")
 
-    def __init__(self, d: int, a_min: int, k2_min: int, unique: bool, in_asserted_range: bool):
+    def __init__(self, d: int, a_min: int, k2_min: int, unique: bool):
         _set(self, "d", d)
         _set(self, "a_min", a_min)
         _set(self, "k2_min", k2_min)
         _set(self, "unique", unique)
-        _set(self, "in_asserted_range", in_asserted_range)  # the claim is asserted for d >= 18
+
+    @property
+    def in_asserted_range(self) -> bool:
+        return self.d >= ASSERTED_FROM
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,7 +303,6 @@ def minimize_k2(d: int) -> KsqMinimum:
         a_min=-m + values.index(best),
         k2_min=best,
         unique=values.count(best) == 1,
-        in_asserted_range=(d >= 18),
     )
 
 
@@ -379,7 +377,4 @@ def class_row(c: DivisorClass) -> dict:
 def frame_scan(d: int) -> list[dict]:
     """One :func:`class_row` per admissible a of degree d."""
     m, eps = _split3(d)
-    a_star = _a_star(m, eps)
-    return [
-        class_row(class_from_frame(ScrollFrame.for_degree(d, a))) for a in range(-m, a_star + 1)
-    ]
+    return [class_row(class_from_frame(ScrollFrame(d, a))) for a in range(-m, _a_star(m, eps) + 1)]

@@ -38,13 +38,13 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count, repeat
 from operator import eq, ge, le, lt
-from typing import Callable, Iterable
 
 from .bounds import (
     castelnuovo_bound,
@@ -76,6 +76,7 @@ from .exact import (
     sign_certificate,
 )
 from .scroll import (
+    ASSERTED_FROM,
     EVEN_MINIMUM,
     EXTREMAL_GENUS,
     ODD_MINIMUM,
@@ -177,19 +178,25 @@ class Certificate(Record):
     identity and scan succeeded; a ``counterexample`` status always carries
     an explicit witness; ``out-of-asserted-range`` marks a claim whose
     asserted range does not meet the requested one (reported, not asserted).
-    ``sign_certificates`` defaults to a new empty list.
+    ``sign_certificates`` defaults to a new empty list. The claim id must be
+    a key of :data:`CLAIM_ANCHORS` (ValueError), which gives the anchor.
     """
 
-    __slots__ = ("claim_id", "anchor", "params", "status", "witness", "sign_certificates")
+    __slots__ = ("claim_id", "params", "status", "witness", "sign_certificates")
 
-    def __init__(self, claim_id: str, anchor: str, params: dict, status: str,
+    def __init__(self, claim_id: str, params: dict, status: str,
                  witness: dict | None = None, sign_certificates: list[SignCertificate] | None = None):
+        if claim_id not in CLAIM_ANCHORS:
+            raise ValueError(f"unknown claim id {claim_id!r}")
         self.claim_id = claim_id
-        self.anchor = anchor
         self.params = params
         self.status = status
         self.witness = witness
         self.sign_certificates = [] if sign_certificates is None else sign_certificates
+
+    @property
+    def anchor(self) -> str:
+        return CLAIM_ANCHORS[self.claim_id]
 
     @property
     def verified(self) -> bool:
@@ -291,7 +298,6 @@ class _Builder:
             status = VERIFIED
         return Certificate(
             claim_id=self.claim_id,
-            anchor=CLAIM_ANCHORS[self.claim_id],
             params=params,
             status=status,
             witness=self.witness,
@@ -424,7 +430,7 @@ def verify_r3() -> Certificate:
 def _r4_reduce_check_one(d: int) -> int | None:
     # r4_margin_poly > 0 at one degree, in ints and Fractions: 2K^2 > -2d(d-6)
     g = halphen_bound(d, 5).bound
-    return None if double_point_2k2(d, g, 1 - g) > -2 * d * (d - 6) else d
+    return None if double_point_2k2(d, g, 1 - g) > 2 * EVEN_MINIMUM(d) else d
 
 
 def _r4_reduce(d_from: int, d_to: int) -> Certificate:
@@ -459,7 +465,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
 
 def _r4_s_check_one(s: int, d: int) -> int | None:
     # as _r4_reduce_check_one, with chi = 1
-    return None if double_point_2k2(d, halphen_bound(d, s).bound, 1) > -2 * d * (d - 6) else d
+    return None if double_point_2k2(d, halphen_bound(d, s).bound, 1) > 2 * EVEN_MINIMUM(d) else d
 
 
 def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
@@ -568,13 +574,13 @@ def verify_r4(d_from: int, d_to: int) -> list[Certificate]:
 # ---------------------------------------------------------------------------
 # r >= 6 (and the spanned case for r = 5)
 
-def verify_r_ge6_spanned(r: int, cover_tail: bool = False) -> Certificate:
+def verify_r_ge6_spanned(r: int) -> Certificate:
     """Positivity of (r-4)d^2 - (3r-10)d + 2(r+e^2-er+2e-3) for d >= r-1.
 
     For 5 <= r <= 8 every residue e gets its own tail-bounded certificate
     (d > 5 for r = 5). For r >= 9 the positivity follows from
-    d >= r-1 >= (5r-10)/(r-4); with ``cover_tail`` the certificate carries
-    the sign certificates quantifying that argument over every r >= 9.
+    d >= r-1 >= (5r-10)/(r-4), and the certificate carries the sign
+    certificates quantifying that argument over every r >= 9.
     """
     if r < 5:
         raise ValueError("the spanned-case certificate needs r >= 5")
@@ -601,31 +607,31 @@ def verify_r_ge6_spanned(r: int, cover_tail: bool = False) -> Certificate:
             lhs=(r - 1) * (r - 4),
             rhs=5 * r - 10,
         )
-        if cover_tail:
-            b.params["covers"] = "every r >= 9"
-            b.sign(
-                Poly.of(14, -10, 1),
-                9,
-                "positive",
-                variable="r",
-                label="r^2 - 10r + 14 > 0, i.e. r-1 >= (5r-10)/(r-4), for all r >= 9",
-            )
-            b.sign(
-                Poly.of(0, 2, 1),
-                0,
-                "nonnegative",
-                variable="e",
-                label="e^2 + 2e >= 0: dropping 2(r+e^2-er+2e-3) to -2er only needs r >= 3",
-            )
-            b.note("2r(d - e) > 0 because e <= r - 3 < r - 1 <= d")
+        b.params["covers"] = "every r >= 9"
+        b.sign(
+            Poly.of(14, -10, 1),
+            9,
+            "positive",
+            variable="r",
+            label="r^2 - 10r + 14 > 0, i.e. r-1 >= (5r-10)/(r-4), for all r >= 9",
+        )
+        b.sign(
+            Poly.of(0, 2, 1),
+            0,
+            "nonnegative",
+            variable="e",
+            label="e^2 + 2e >= 0: dropping 2(r+e^2-er+2e-3) to -2er only needs r >= 3",
+        )
+        b.note("2r(d - e) > 0 because e <= r - 3 < r - 1 <= d")
     return b.done()
 
 
-def verify_r_ge6_scroll(r: int, cover_tail: bool = False) -> Certificate:
+def verify_r_ge6_scroll(r: int) -> Certificate:
     """Positivity of psi(r,d) = 8(1 - G(r;d)) + d(d-6) for r >= 6, d >= r-1.
 
     r = 6 is handled per residue; r >= 7 goes through psi(r,d) >= psi(r,r-1)
-    and the cubic r^3 - 10r^2 + 27r - 23 after completing the square.
+    and the cubic r^3 - 10r^2 + 27r - 23 after completing the square, with
+    sign certificates that cover every r >= 7.
     """
     if r < 6:
         raise ValueError("the scroll-case certificate needs r >= 6")
@@ -676,17 +682,16 @@ def verify_r_ge6_scroll(r: int, cover_tail: bool = False) -> Certificate:
                 value=rat_str(psi_min),
             )
         b.params["square_completion_samples"] = samples
-        if cover_tail:
-            b.params["covers"] = "every r >= 7"
-            b.sign(cubic, 7, "positive", variable="r", label="r^3 - 10r^2 + 27r - 23 > 0 for all r >= 7")
-            b.sign(
-                Poly.of(-1, 2),
-                1,
-                "positive",
-                label="d^2 - 2d is strictly increasing for d >= 1 (forward difference 2d - 1)",
-            )
-            b.note("psi(r,d) >= psi(r,r-1) uses d >= r-1 and (r-5)/(r-1) > 0 for r >= 6")
-            b.note("4e >= 0 and (r-2e)^2 >= 0 are dropped exactly as written")
+        b.params["covers"] = "every r >= 7"
+        b.sign(cubic, 7, "positive", variable="r", label="r^3 - 10r^2 + 27r - 23 > 0 for all r >= 7")
+        b.sign(
+            Poly.of(-1, 2),
+            1,
+            "positive",
+            label="d^2 - 2d is strictly increasing for d >= 1 (forward difference 2d - 1)",
+        )
+        b.note("psi(r,d) >= psi(r,r-1) uses d >= r-1 and (r-5)/(r-1) > 0 for r >= 6")
+        b.note("4e >= 0 and (r-2e)^2 >= 0 are dropped exactly as written")
     return b.done()
 
 
@@ -888,7 +893,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument."""
-    b = _Builder("APPENDIX.min", (d_from, d_to), 18)
+    b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
     b.note("root isolation of phi' uses its exact discriminant"
@@ -1046,9 +1051,9 @@ CASES: dict[str, Callable[[int, int], list[Certificate]]] = {
     "r5": lambda d_from, d_to: [verify_r5_remark(), *verify_r5_exclusion(d_from, d_to)],
     "r6": lambda d_from, d_to: [
         *(verify_r_ge6_spanned(r) for r in (5, 6, 7, 8)),
-        verify_r_ge6_spanned(9, cover_tail=True),
+        verify_r_ge6_spanned(9),
         verify_r_ge6_scroll(6),
-        verify_r_ge6_scroll(7, cover_tail=True),
+        verify_r_ge6_scroll(7),
     ],
     "appendix": lambda d_from, d_to: [verify_appendix(d_from, d_to)],
     "sharpness": lambda d_from, d_to: [verify_sharpness(d_from, d_to)],
@@ -1063,8 +1068,11 @@ def verify_theorem(d_from: int, d_to: int, jobs: int = 1, cases: Iterable[str] =
     range does not meet the requested one are marked out-of-asserted-range
     rather than asserted. The merge is keyed by (claim_id, params), which is
     unique, so it does not depend on the order the certificates are made in.
-    With jobs > 1 the call's sweeps share one pool of at most cpu_count() workers.
+    With jobs > 1 the call's sweeps share one pool of at most cpu_count()
+    workers; jobs < 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if d_from > d_to:
         raise ValueError("empty degree range")
     workers = min(jobs, os.cpu_count() or 1)

@@ -100,7 +100,7 @@ def test_criterion_03_phi_intersection_agreement():
     for d in range(4, 501):
         m, eps = divmod(d - 1, 3)
         for a in range(-m, (m + eps - 1) // 2 + 1):
-            c = class_from_frame(ScrollFrame.for_degree(d, a))
+            c = class_from_frame(ScrollFrame(d, a))
             assert phi(d, a) == k2_intersection(c), (d, a)
             checked += 1
     _passed(3, f"phi(d,a) = K^2 via the intersection ring on all {checked} admissible classes of degree <= 500")
@@ -151,9 +151,9 @@ def test_criterion_07_case_analysis_certificates():
     certs.extend(verify_r4(36, 300))
     for r in (5, 6, 7, 8):
         certs.append(verify_r_ge6_spanned(r))
-    certs.append(verify_r_ge6_spanned(9, cover_tail=True))
+    certs.append(verify_r_ge6_spanned(9))
     certs.append(verify_r_ge6_scroll(6))
-    certs.append(verify_r_ge6_scroll(7, cover_tail=True))
+    certs.append(verify_r_ge6_scroll(7))
     certs.append(verify_r5_remark())
     certs.extend(verify_r5_exclusion(31, 300))
     for cert in certs:

@@ -190,7 +190,7 @@ def test_verify_jobs_below_one_exit_code(capsys):
     code, out, err = run_cli(capsys, "verify", "r3", "--jobs", "0")
     assert code == 2
     assert out == ""
-    assert err == "error: --jobs must be >= 1\n"
+    assert err == "error: jobs must be >= 1\n"
 
 
 @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
@@ -314,7 +314,6 @@ def test_verify_counterexample_exit_code(capsys, monkeypatch):
 
     broken = verify.Certificate(
         claim_id="R3.direct",
-        anchor=verify.CLAIM_ANCHORS["R3.direct"],
         params={},
         status="counterexample",
         witness={"failed_check": "synthetic", "d": 7},

@@ -1,6 +1,7 @@
 """The value classes: field-wise ==, hash and repr, keyword construction,
-immutability of the frozen ones, and an import of kbound.cli that loads
-neither dataclasses nor csv nor datetime."""
+immutability of the frozen ones, values derived rather than stored, and an
+import of kbound.cli that loads neither typing, dataclasses, csv nor
+datetime."""
 
 import os
 import pickle
@@ -14,19 +15,19 @@ import pytest
 from kbound.bounds import GenusBoundResult, HilbertProfile
 from kbound.exact import Poly, SignCertificate
 from kbound.scroll import HYPERPLANE, DivisorClass, ExtremalSurface, KsqMinimum, ScrollFrame
-from kbound.verify import CaseVerdict, Certificate
+from kbound.verify import CLAIM_ANCHORS, CaseVerdict, Certificate
 
 POLY = Poly((Fraction(-1), Fraction(0), Fraction(1, 2)))
 SIGN = SignCertificate(POLY, 2, "positive", 3, None, "m", "x^2/2 - 1 > 0")
-CERT = Certificate("R2.base", "anchor", {"d": 1}, "verified", {"w": 1}, [SIGN])
+CERT = Certificate("R2.base", {"d": 1}, "verified", {"w": 1}, [SIGN])
 
 # Each class with keyword arguments for every field, in field order.
 FROZEN = [
     (Poly, {"coeffs": POLY.coeffs}),
     (HilbertProfile, {"label": "h", "d": 9, "prefix": (4, 9)}),
     (DivisorClass, {"alpha": 2, "beta": -2}),
-    (ScrollFrame, {"d": 4, "m": 1, "eps": 0, "a": 0}),
-    (KsqMinimum, {"d": 40, "a_min": 6, "k2_min": -1360, "unique": True, "in_asserted_range": True}),
+    (ScrollFrame, {"d": 10, "a": 0}),
+    (KsqMinimum, {"d": 40, "a_min": 6, "k2_min": -1360, "unique": True}),
     (ExtremalSurface, {"cls": DivisorClass(2, -2), "k2": 8, "genus": 0}),
 ]
 MUTABLE = [
@@ -36,7 +37,7 @@ MUTABLE = [
     }),
     (GenusBoundResult, {"formula_id": "pi2", "d": 7, "bound": Fraction(3), "params": {"v": 1}}),
     (Certificate, {
-        "claim_id": "R2.base", "anchor": "anchor", "params": {"d": 1}, "status": "verified",
+        "claim_id": "R2.base", "params": {"d": 1}, "status": "verified",
         "witness": {"w": 1}, "sign_certificates": [SIGN],
     }),
     (CaseVerdict, {"d_from": 36, "d_to": 40, "certificates": [CERT]}),
@@ -54,7 +55,8 @@ def changed(value):
     if isinstance(value, (int, Fraction)):
         return value + 1
     if isinstance(value, str):
-        return value + "'"
+        # a claim id changes to another known one, as Certificate requires
+        return "R3.direct" if value == "R2.base" else value + "'"
     if isinstance(value, (tuple, list)):
         return value[:-1]
     if isinstance(value, dict):
@@ -121,12 +123,30 @@ def test_mutable_records_are_unhashable_and_assignable(cls, fields):
 def test_defaults():
     sign = SignCertificate(POLY, 2, "positive", 3, None)
     assert (sign.variable, sign.label) == ("d", "")
-    first = Certificate("R2.base", "anchor", {}, "verified")
-    second = Certificate("R2.base", "anchor", {}, "verified")
+    first = Certificate("R2.base", {}, "verified")
+    second = Certificate("R2.base", {}, "verified")
     assert first.witness is None
     assert first.sign_certificates == [] and first.sign_certificates is not second.sign_certificates
     first.sign_certificates.append(SIGN)
     assert second.sign_certificates == []
+
+
+def test_derived_values_are_properties_not_fields():
+    assert ScrollFrame.__slots__ == ("d", "a")
+    frame = ScrollFrame(10, 1)
+    assert (frame.m, frame.eps, frame.a_star, frame.q_parity) == (3, 0, 1, 0)
+    assert "in_asserted_range" not in KsqMinimum.__slots__
+    assert KsqMinimum(17, 2, -55, True).in_asserted_range is False
+    assert KsqMinimum(18, 3, -216, True).in_asserted_range is True
+    assert "anchor" not in Certificate.__slots__
+    assert CERT.anchor == CLAIM_ANCHORS["R2.base"]
+    with pytest.raises(TypeError):
+        Certificate("R2.base", CLAIM_ANCHORS["R2.base"], {}, "verified", None, [], None)
+
+
+def test_certificate_rejects_an_unknown_claim_id():
+    with pytest.raises(ValueError, match="unknown claim id 'R7.none'"):
+        Certificate("R7.none", {}, "verified")
 
 
 def test_divisor_classes_are_not_tuples():
@@ -173,7 +193,7 @@ def test_cli_import_loads_no_dataclasses_inspect_csv_or_datetime():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, kbound.cli;"
-        " print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'csv', 'datetime'}))"
+        " print(sorted(set(sys.modules) & {'typing', 'dataclasses', 'inspect', 'csv', 'datetime'}))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],

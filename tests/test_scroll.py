@@ -79,19 +79,19 @@ def test_admissibility_matches_frame_range():
 # frames -------------------------------------------------------------------------
 
 def test_class_from_frame_examples():
-    assert class_from_frame(ScrollFrame.for_degree(18, 3)) == DivisorClass(9, -9)
+    assert class_from_frame(ScrollFrame(18, 3)) == DivisorClass(9, -9)
     # a = -m at d = 18: alpha = 1, beta = eps + 1 - 3(a+1) = 3 + 12 = 15
-    c = class_from_frame(ScrollFrame.for_degree(18, -5))
+    c = class_from_frame(ScrollFrame(18, -5))
     assert c == DivisorClass(1, 15)
     assert c.degree() == 18
-    assert class_from_frame(ScrollFrame.for_degree(4, -1)) == DivisorClass(1, 1)
+    assert class_from_frame(ScrollFrame(4, -1)) == DivisorClass(1, 1)
 
 
 def test_frame_round_trip():
     for d in range(4, 200):
         m, eps = divmod(d - 1, 3)
         for a in range(-m, (m + eps - 1) // 2 + 1):
-            f = ScrollFrame.for_degree(d, a)
+            f = ScrollFrame(d, a)
             c = class_from_frame(f)
             assert c.degree() == d
             back = frame_from_class(c, d)
@@ -101,12 +101,38 @@ def test_frame_round_trip():
 def test_frame_errors():
     with pytest.raises(FrameRangeError):
         frame_from_class(DivisorClass(9, -9), 17)  # degree mismatch
+    with pytest.raises(FrameRangeError, match=r"a=4 outside \[-5, 3\] for d=18"):
+        ScrollFrame(18, 4)  # beyond a*
     with pytest.raises(FrameRangeError):
-        ScrollFrame.for_degree(18, 4)  # beyond a*
-    with pytest.raises(FrameRangeError):
-        ScrollFrame.for_degree(18, -6)  # below -m
+        ScrollFrame(18, -6)  # below -m
     with pytest.raises(OutOfDomainError):
-        ScrollFrame.for_degree(3, 0)
+        ScrollFrame(3, 0)
+
+
+def test_frame_constructor_accepts_exactly_the_admissible_range():
+    for d in range(4, 201):
+        m, eps = divmod(d - 1, 3)
+        a_star = (m + eps - 1) // 2
+        for a in range(-m - 2, a_star + 3):
+            if -m <= a <= a_star:
+                f = ScrollFrame(d, a)
+                assert (f.m, f.eps, f.a_star) == (m, eps, a_star), (d, a)
+                assert f.q_parity == d % 2, (d, a)
+            else:
+                with pytest.raises(FrameRangeError):
+                    ScrollFrame(d, a)
+
+
+def test_frame_parameters_follow_from_the_degree():
+    # m and eps are derived from d, so a frame with d = 10 and m = eps = 0
+    # (whose class would have degree 1) cannot be built.
+    with pytest.raises(TypeError):
+        ScrollFrame(10, 0, 0, 0)
+    with pytest.raises(TypeError):
+        ScrollFrame(d=10, m=0, eps=0, a=0)
+    f = ScrollFrame(10, 0)
+    assert (f.m, f.eps) == (3, 0)
+    assert class_from_frame(f) == DivisorClass(4, -2) and class_from_frame(f).degree() == 10
 
 
 # phi and the intersection route -------------------------------------------------
@@ -134,7 +160,7 @@ def test_phi_agrees_with_intersection_ring_up_to_500():
     for d in range(4, 501):
         m, eps = divmod(d - 1, 3)
         for a in range(-m, (m + eps - 1) // 2 + 1):
-            c = class_from_frame(ScrollFrame.for_degree(d, a))
+            c = class_from_frame(ScrollFrame(d, a))
             assert phi(d, a) == k2_oracle(c.alpha, c.beta), (d, a)
 
 
@@ -251,7 +277,7 @@ def test_minimize_examples():
     assert res.k2_min > -19 * 13 == -247
     res = minimize_k2(20)
     assert res.k2_min == -280 == -20 * 14
-    f = ScrollFrame.for_degree(20, res.a_min)
+    f = ScrollFrame(20, res.a_min)
     assert res.a_min == f.a_star
 
 
@@ -279,6 +305,9 @@ def test_minimize_matches_naive_scan():
 def test_minimize_below_asserted_range_is_flagged():
     res = minimize_k2(12)
     assert not res.in_asserted_range
+    assert not minimize_k2(17).in_asserted_range
+    assert minimize_k2(18).in_asserted_range and minimize_k2(19).in_asserted_range
+    assert minimize_k2(18).to_json_dict()["in_asserted_range"] is True
 
 
 # extremal construction -----------------------------------------------------------------

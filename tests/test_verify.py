@@ -162,10 +162,14 @@ def test_r6_spanned_certificates():
         cert = verify_r_ge6_spanned(r)
         assert cert.status == "verified"
         assert len(cert.sign_certificates) == r - 2  # one per residue
-    tail = verify_r_ge6_spanned(9, cover_tail=True)
+    tail = verify_r_ge6_spanned(9)
     assert tail.status == "verified"
     labels = [s.label for s in tail.sign_certificates]
     assert any("r >= 9" in lab for lab in labels)
+    # every r >= 9 carries the certificates that cover the whole tail
+    later = verify_r_ge6_spanned(12)
+    assert later.status == "verified" and later.params["covers"] == "every r >= 9"
+    assert [s.label for s in later.sign_certificates] == labels
     with pytest.raises(ValueError):
         verify_r_ge6_spanned(4)
 
@@ -176,8 +180,10 @@ def test_r6_scroll_certificates():
     assert len(c6.sign_certificates) == 5
     # psi(6,10) with eps = 4 equals 16
     assert psi_quoted_poly(6, 4)(10) == 16
-    c7 = verify_r_ge6_scroll(7, cover_tail=True)
+    c7 = verify_r_ge6_scroll(7)
     assert c7.status == "verified"
+    assert c7.params["covers"] == "every r >= 7"
+    assert any("for all r >= 7" in s.label for s in c7.sign_certificates)
     cubic = Poly.of(-23, 27, -10, 1)
     assert cubic(7) == 19
     with pytest.raises(ValueError):
@@ -507,6 +513,13 @@ def test_one_pool_serves_every_sweep_of_a_run(fake_pool):
     assert verify._SWEEP_MAP.get() is map
     assert parallel.to_json() == verify_theorem(36, 140).to_json()
     assert len(fake_pool) == 1  # the serial run made no executor
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_verify_theorem_rejects_jobs_below_one(fake_pool, jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        verify_theorem(36, 40, jobs=jobs, cases=["r3"])
+    assert fake_pool == []
 
 
 def test_pool_is_capped_at_the_cpu_count(fake_pool, monkeypatch):
