@@ -1,12 +1,13 @@
 """Exact arithmetic substrate: univariate polynomials over the rationals,
 forward-difference walks and tail-bounded sign certificates.
 
-Everything in this module is exact; no floating point is ever used. Rationals
-are ``fractions.Fraction`` (automatically in lowest terms with positive
-denominator). A :class:`SignCertificate` proves a polynomial inequality on the
-whole integer ray ``[start, +oo)`` by combining a finite exact scan with a
-Cauchy root bound for the tail, so "for all d > N" claims are genuinely
-quantified over an infinite range rather than sampled.
+Everything in this module is exact; no floating point is ever used. A
+:class:`Poly` stores integer numerators over one positive denominator, in
+lowest terms, and computes in ints; single rational values are
+``fractions.Fraction``. A :class:`SignCertificate` proves a polynomial
+inequality on the whole integer ray ``[start, +oo)`` by combining a finite
+exact scan with a Cauchy root bound for the tail, so "for all d > N" claims
+are genuinely quantified over an infinite range rather than sampled.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat, zip_longest
 from operator import ge, gt, le, lt
 
 
@@ -125,27 +126,35 @@ class Frozen(Record):
 
 
 class Poly(Frozen):
-    """Univariate polynomial over Fraction; ``coeffs[i]`` multiplies ``x^i``.
+    """Univariate polynomial over the rationals, held as integer numerators
+    over one positive denominator: ``num[i] / den`` multiplies ``x^i``.
 
-    Trailing zero coefficients are trimmed; the zero polynomial has an empty
-    coefficient tuple. Construct through :meth:`of` / :meth:`from_coeffs`.
+    The constructor trims trailing zero numerators and divides out
+    gcd(den, *num), so equal polynomials have equal fields; the zero
+    polynomial is ``Poly(())``. Build from rationals with :meth:`of`.
     """
 
-    __slots__ = ("coeffs", "_integer_form")
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        _set(self, "coeffs", coeffs)
+    def __init__(self, num: Iterable[int], den: int = 1):
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        num = list(num)
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+        _set(self, "num", tuple(num))
+        _set(self, "den", den)
 
     @staticmethod
     def of(*coeffs: int | Fraction) -> "Poly":
-        return Poly.from_coeffs(coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[int | Fraction]) -> "Poly":
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        """The polynomial with coefficients ``coeffs``, lowest power first,
+        over the lcm of their denominators."""
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return Poly([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @staticmethod
     def zero() -> "Poly":
@@ -153,36 +162,38 @@ class Poly(Frozen):
 
     @staticmethod
     def variable() -> "Poly":
-        return Poly((Fraction(0), Fraction(1)))
+        return Poly((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, lowest power first."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __add__(self, other: "Poly | int | Fraction") -> "Poly":
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_coeffs(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Poly([x * a + y * b for x, y in zip_longest(self.num, other.num, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-n for n in self.num], self.den)
 
     def __sub__(self, other: "Poly | int | Fraction") -> "Poly":
         return self + (-_coerce(other))
@@ -192,42 +203,24 @@ class Poly(Frozen):
 
     def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
         other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.from_coeffs(out)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return Poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    @property
-    def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(s, ints): s is the lcm of the denominators and ``ints`` the
-        integer coefficients of s*p, highest power first. Scaling by a
-        positive s keeps every sign, so scans can run on plain ints.
-        Computed once per polynomial."""
-        try:
-            return self._integer_form
-        except AttributeError:
-            scale = math.lcm(*(c.denominator for c in self.coeffs))
-            ints = tuple(c.numerator * (scale // c.denominator) for c in reversed(self.coeffs))
-            _set(self, "_integer_form", (scale, ints))
-            return scale, ints
-
     def __call__(self, x: int | Fraction) -> Fraction:
-        scale, ints = self.integer_form
-        return Fraction(_horner(ints, x), scale)
+        return Fraction(_horner(self.num, x), self.den)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), exact; used to restrict to residue classes."""
         acc = Poly(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.of(c)
-        return acc
+        for n in reversed(self.num):
+            acc = acc * inner + n
+        return Poly(acc.num, acc.den * self.den)
 
     def cauchy_tail_bound(self) -> int:
         """Integer N >= 1 + max |c_i / c_deg|; no real root has |x| > N.
@@ -239,17 +232,15 @@ class Poly(Frozen):
             raise ValueError("zero polynomial has no root bound")
         if self.degree == 0:
             return 0
-        lead = abs(self.leading)
-        bound = 1 + max(abs(c) / lead for c in self.coeffs[:-1])
-        return math.ceil(bound)
+        *rest, lead = map(abs, self.num)
+        return 1 - (-max(rest) // lead)  # 1 + ceil(max / lead); den cancels
 
     def text(self, var: str = "d") -> str:
         """Human-readable rendering like ``4/5*d^2 - 28*d``."""
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = rat_str(abs(c))
@@ -268,10 +259,10 @@ class Poly(Frozen):
         return [rat_str(c) for c in self.coeffs]
 
 
-def _horner(coeffs: tuple[int, ...], x: int | Fraction) -> int | Fraction:
-    """Value at x of the integer polynomial with ``coeffs``, highest power first."""
+def _horner(num: tuple[int, ...], x: int | Fraction) -> int | Fraction:
+    """Value at x of the integer polynomial with ``num[i]`` multiplying ``x^i``."""
     acc = 0
-    for c in coeffs:
+    for c in reversed(num):
         acc = acc * x + c
     return acc
 
@@ -350,7 +341,8 @@ def sign_certificate(
     A mismatching leading coefficient always yields an explicit
     counterexample just past the tail bound.
 
-    The scan walks the integer form of p by exact forward differences, in
+    The scan walks the numerators ``p.num`` (dividing by the positive
+    ``p.den`` keeps every sign) by exact forward differences, in
     blocks of at most :data:`SCAN_BLOCK` integers, each seeded and checked
     at its end by direct evaluation (see :func:`forward_walk`).
     """
@@ -365,8 +357,7 @@ def sign_certificate(
         raise ValueError(
             f"scan range [{start}, {scan_to}] exceeds max_scan={MAX_SCAN}"
         )
-    _, ints = p.integer_form
-    value_at = partial(_horner, ints)
+    value_at = partial(_horner, p.num)
     counterexample: int | None = None
     for lo in range(start, scan_to + 1, SCAN_BLOCK):
         values = forward_walk(value_at, lo, min(lo + SCAN_BLOCK - 1, scan_to), p.degree)
@@ -374,7 +365,8 @@ def sign_certificate(
         if counterexample is not None:
             break
     if counterexample is None:
-        lead_ok = p.leading > 0 if asserted_sign in ("positive", "nonnegative") else p.leading < 0
+        lead = p.num[-1]
+        lead_ok = lead > 0 if asserted_sign in ("positive", "nonnegative") else lead < 0
         if not lead_ok:
             # Beyond the root bound the sign is the leading coefficient's,
             # so the first integer past the scan is a genuine violation.

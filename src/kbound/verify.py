@@ -447,7 +447,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
         gap = g_weak - halphen_poly(5, eps)
         b.check(
             f"G(3;d,5) <= d^2/10 + d/2 + 1 on residue eps={eps} (gap constant)",
-            gap.degree <= 0 and (gap.is_zero or gap.coeffs[0] >= 0),
+            gap.degree <= 0 and gap(0) >= 0,
             gap=rat_str(gap(0)),
         )
     b.sign(
@@ -483,7 +483,7 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
         gap = weak - halphen_poly(s, eps)
         b.check(
             f"G(3;d,{s}) <= weakened bound on residue eps={eps} (gap constant)",
-            gap.degree <= 0 and (gap.is_zero or gap.coeffs[0] >= 0),
+            gap.degree <= 0 and gap(0) >= 0,
             gap=rat_str(gap(0)),
         )
     b.sign(

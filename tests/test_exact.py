@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -64,7 +65,33 @@ def test_poly_text():
     assert Poly.of(-23, 27, -10, 1).text("r") == "r^3 - 10*r^2 + 27*r - 23"
 
 
-polys = st.lists(rationals, min_size=0, max_size=6).map(Poly.from_coeffs)
+@given(st.lists(rationals, min_size=0, max_size=6))
+def test_poly_of_stores_numerators_over_the_lcm_of_denominators(cs):
+    p = Poly.of(*cs)
+    trimmed = list(cs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    den = math.lcm(*(c.denominator for c in cs))
+    num = tuple(c.numerator * (den // c.denominator) for c in trimmed)
+    assert (p.num, p.den) == (num, den)
+    assert math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.coeffs == tuple(trimmed)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def test_poly_constructor_is_canonical():
+    assert Poly((1, 0)) == Poly.of(1)
+    assert Poly((1, 0)).degree == 0
+    assert Poly((2, 4), 2) == Poly.of(1, 2)
+    assert (Poly((2, 4), 2).num, Poly((2, 4), 2).den) == ((1, 2), 1)
+    assert (Poly((0, 0), 6).num, Poly((0, 0), 6).den) == ((), 1)
+    assert sign_certificate(Poly((1, 0)), 0, "positive").ok
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        Poly((1,), 0)
+
+
+polys = st.lists(rationals, min_size=0, max_size=6).map(lambda cs: Poly.of(*cs))
 
 
 @given(polys, polys, st.one_of(st.integers(-50, 50), rationals))
@@ -100,7 +127,7 @@ def test_cauchy_bound_dominates_integer_roots(roots):
     st.integers(-1, 200),
 )
 def test_forward_walk_matches_direct_evaluation(coeffs, lo, span):
-    p = Poly.from_coeffs(coeffs)
+    p = Poly.of(*coeffs)
     degree = max(p.degree, 0)
     walked = forward_walk(lambda x: int(p(x)), lo, lo + span, degree)
     assert walked == [p(x) for x in range(lo, lo + span + 1)]
@@ -178,7 +205,7 @@ def test_sign_certificate_constant_polys():
 def test_certified_claims_survive_random_sampling(coeffs, start, sign):
     # A certificate with no counterexample must survive brute-force
     # evaluation at 1000 random integers far beyond the scanned range.
-    p = Poly.from_coeffs(coeffs)
+    p = Poly.of(*coeffs)
     cert = sign_certificate(p, start, sign)
     assert cert.ok
     holds = {
@@ -222,7 +249,7 @@ small_rationals = st.fractions(
     st.sampled_from(["positive", "nonnegative", "negative", "nonpositive"]),
 )
 def test_integer_scan_matches_fraction_scan(coeffs, start, sign):
-    p = Poly.from_coeffs(coeffs)
+    p = Poly.of(*coeffs)
     cert = sign_certificate(p, start, sign)
     assert cert.counterexample == fraction_scan_counterexample(p, start, sign)
 
@@ -233,7 +260,7 @@ def test_integer_scan_matches_fraction_scan(coeffs, start, sign):
     st.sampled_from(["positive", "nonnegative", "negative", "nonpositive"]),
 )
 def test_scan_in_three_integer_blocks_matches_fraction_scan(coeffs, start, sign):
-    p = Poly.from_coeffs(coeffs)
+    p = Poly.of(*coeffs)
     original = exact.SCAN_BLOCK
     exact.SCAN_BLOCK = 3  # many blocks, each seeded and end-checked on its own
     try:

@@ -28,12 +28,12 @@ def test_readme_library_block_matches_its_comments():
         "28",
         "87, the defect-sum oracle",
         "-216 == phi(18, 3)",
-        "KsqMinimum(a_min=2, k2_min=-72, ...)",
+        "KsqMinimum(d=19, a_min=2, k2_min=-72, unique=True)",
         "True",
     ]
     castelnuovo, defect, k2, minimum, overall = values
     assert castelnuovo == 28
     assert defect == 87
     assert k2 == -216 == namespace["phi"](18, 3)
-    assert (minimum.a_min, minimum.k2_min) == (2, -72)
+    assert repr(minimum) == comments[3]
     assert overall is True

@@ -17,13 +17,13 @@ from kbound.exact import Poly, SignCertificate
 from kbound.scroll import HYPERPLANE, DivisorClass, ExtremalSurface, KsqMinimum, ScrollFrame
 from kbound.verify import CLAIM_ANCHORS, CaseVerdict, Certificate
 
-POLY = Poly((Fraction(-1), Fraction(0), Fraction(1, 2)))
+POLY = Poly((-2, 0, 1), 2)  # x^2/2 - 1
 SIGN = SignCertificate(POLY, 2, "positive", 3, None, "m", "x^2/2 - 1 > 0")
 CERT = Certificate("R2.base", {"d": 1}, "verified", {"w": 1}, [SIGN])
 
 # Each class with keyword arguments for every field, in field order.
 FROZEN = [
-    (Poly, {"coeffs": POLY.coeffs}),
+    (Poly, {"num": (-2, 0, 1), "den": 2}),
     (HilbertProfile, {"label": "h", "d": 9, "prefix": (4, 9)}),
     (DivisorClass, {"alpha": 2, "beta": -2}),
     (ScrollFrame, {"d": 10, "a": 0}),
@@ -156,19 +156,17 @@ def test_divisor_classes_are_not_tuples():
         3 * HYPERPLANE
 
 
-def test_integer_form_is_computed_once():
-    p = Poly.of(Fraction(1, 2), 3)
-    assert p.integer_form == (2, (6, 1))
-    assert p.integer_form is p.integer_form
-    assert p == Poly.of(Fraction(1, 2), 3)  # the cache is not a field
-    assert repr(p) == "Poly(coeffs=(Fraction(1, 2), Fraction(3, 1)))"
-
-
-def test_from_coeffs_keeps_fractions_and_converts_ints():
-    half = Fraction(1, 2)
-    p = Poly.from_coeffs([half, 2, 0])
-    assert p.coeffs[0] is half
-    assert p.coeffs == (half, Fraction(2)) and type(p.coeffs[1]) is Fraction
+def test_poly_stores_numerators_over_one_denominator():
+    assert Poly.__slots__ == ("num", "den")
+    p = Poly.of(Fraction(1, 2), 3, 0)
+    assert (p.num, p.den) == ((1, 6), 2)
+    assert repr(p) == "Poly(num=(1, 6), den=2)"
+    # the coefficients are derived, as Fractions, and are not a field
+    assert p.coeffs == (Fraction(1, 2), Fraction(3)) and type(p.coeffs[1]) is Fraction
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    # equal polynomials have equal fields, so == and hash agree on any input
+    assert p == Poly((3, 18, 0), 6) and hash(p) == hash(Poly((3, 18, 0), 6))
 
 
 @pytest.mark.parametrize(

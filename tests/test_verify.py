@@ -190,6 +190,18 @@ def test_r6_scroll_certificates():
         verify_r_ge6_scroll(5)
 
 
+def test_r6_scroll_certified_cubic_is_psi_at_its_least_degree():
+    # (r-1)*psi(r, r-1) = cubic(r) + (r-2e)^2 + 4e as polynomials in r and e:
+    # both sides have degree <= 3 in r and <= 2 in e, so agreement on the
+    # 4 x 3 grid below proves the identity, and with it that the certified
+    # cubic is the one the psi bound reduces to.
+    (sign,) = [s for s in verify_r_ge6_scroll(7).sign_certificates if s.variable == "r"]
+    cubic = sign.polynomial
+    for r in range(7, 11):
+        for e in range(3):
+            assert (r - 1) * psi_quoted_poly(r, e)(r - 1) == cubic(r) + (r - 2 * e) ** 2 + 4 * e
+
+
 def test_r5_remark_table():
     cert = verify_r5_remark()
     assert cert.status == "verified"
