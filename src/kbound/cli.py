@@ -22,9 +22,7 @@ import argparse
 import io
 import json
 import os
-import shutil
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import bounds, scroll, verify
@@ -69,6 +67,9 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "a", encoding="utf-8") as fh:
             fh.write(text)
         return
+    import shutil
+    import tempfile  # only --out needs these two; importing them costs start-up time
+
     target = os.path.realpath(out_path)  # through a symlink, replace the file it names
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
     try:

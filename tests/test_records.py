@@ -186,13 +186,11 @@ def test_hilbert_profile_names_the_first_bad_value(d, prefix, message):
     assert str(info.value) == message
 
 
-def test_cli_import_loads_no_dataclasses_inspect_csv_or_datetime():
+def test_cli_import_loads_no_dataclasses_inspect_csv_datetime_random_tempfile_or_shutil():
     # -S: no site module, whose .pth files may import any of these first.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys, kbound.cli;"
-        " print(sorted(set(sys.modules) & {'typing', 'dataclasses', 'inspect', 'csv', 'datetime'}))"
-    )
+    deferred = {"typing", "dataclasses", "inspect", "csv", "datetime", "random", "tempfile", "shutil"}
+    code = f"import sys, kbound.cli; print(sorted(set(sys.modules) & {deferred!r}))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},

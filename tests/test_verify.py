@@ -1,8 +1,11 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -128,6 +131,12 @@ def test_r4_certificates():
     assert any("tight" in rec["label"] and rec["holds"] for rec in checks)
     assert certs["R4.s4.x>6"].params["x_samples"][0] == "9"
 
+
+def test_sample_tables_keep_the_sampling_ranges():
+    xs = verify.X_SAMPLES
+    assert len(set(xs)) == len(xs)
+    assert all(6 < x <= 9 and x.denominator in (2, 4, 8, 16) for x in xs)
+    assert all(7 <= r < 60 and 0 <= e < r - 1 for r, e in verify.SQUARE_COMPLETION_SAMPLES)
 
 
 def test_r4_margin_poly_is_the_scalar_double_point_margin():
@@ -477,6 +486,27 @@ def test_parallel_sweep_matches_serial():
     serial = verify_theorem(36, 140, jobs=1)
     parallel = verify_theorem(36, 140, jobs=2)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_parallel_sweep_matches_serial_under_forkserver():
+    # Python 3.14 makes forkserver the default start method on Linux: the
+    # workers import kbound afresh and receive each check_one by pickling.
+    code = (
+        "import multiprocessing, os\n"
+        "from kbound.verify import verify_theorem\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('forkserver')\n"
+        "    os.cpu_count = lambda: 2  # a pool of two even on one CPU\n"
+        "    serial = verify_theorem(36, 140).to_json()\n"
+        "    print(verify_theorem(36, 140, jobs=2).to_json() == serial)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout == "True\n"
 
 
 class FakeExecutor:
