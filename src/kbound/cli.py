@@ -120,20 +120,25 @@ def _params_text(params: dict) -> str:
 # ---------------------------------------------------------------------------
 # bound
 
-def _bound_one(args, d: int):
+def _bound_one(args, d: int, with_profile: bool = False):
+    """The bound of args.kind at d and its Hilbert profile: None for halphen,
+    and for castelnuovo, pi1 and pi2 unless with_profile (a range prints none)."""
     profile = None
     if args.kind == "castelnuovo":
         result = bounds.castelnuovo_bound(args.r, d)
-        profile = bounds.castelnuovo_profile(args.r, d)
+        if with_profile:
+            profile = bounds.castelnuovo_profile(args.r, d)
     elif args.kind == "halphen":
         result = bounds.halphen_bound(d, args.s)
     elif args.kind == "pi1":
         result = bounds.pi1_bound(d)
-        profile = bounds.pi1_profile(d)
+        if with_profile:
+            profile = bounds.pi1_profile(d)
     elif args.kind == "pi2":
         result = bounds.pi2_bound(d)
-        profile = bounds.pi2_profile(d)
-    else:  # propagate
+        if with_profile:
+            profile = bounds.pi2_profile(d)
+    else:  # propagate: the genus comes from the profile
         seed = [int(v) for v in args.seed.split(",")]
         profile = bounds.propagate_profile(seed, d)
         g = bounds.genus_from_profile(profile)
@@ -162,18 +167,18 @@ def _cmd_bound(args) -> int:
         # (d, bound) table over the requested degree range
         if args.d_to < args.d:
             raise ValueError("--d-to must be >= --d")
-        pairs = [_bound_one(args, d) for d in range(args.d, args.d_to + 1)]
+        results = [_bound_one(args, d)[0] for d in range(args.d, args.d_to + 1)]
         if args.format == "json":
-            text = _json_text([r.to_json_dict() for r, _ in pairs])
+            text = _json_text([r.to_json_dict() for r in results])
         elif args.format == "csv":
-            text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(r, args.floor) for r, _ in pairs])
+            text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(r, args.floor) for r in results])
         else:
             text = "d  bound\n" + "".join(
-                f"{r.d}  {r.floor if args.floor else rat_str(r.bound)}\n" for r, _ in pairs)
+                f"{r.d}  {r.floor if args.floor else rat_str(r.bound)}\n" for r in results)
         _emit(text, args.out)
         return 0
 
-    result, profile = _bound_one(args, args.d)
+    result, profile = _bound_one(args, args.d, with_profile=True)
     payload = result.to_json_dict()
     if profile is not None:
         payload["profile"] = profile.to_json_dict()

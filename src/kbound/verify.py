@@ -158,18 +158,6 @@ COUNTEREXAMPLE = "counterexample"
 OUT_OF_RANGE = "out-of-asserted-range"
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return rat_str(obj)
-    if isinstance(obj, Poly):
-        return obj.text()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 class Certificate(Record):
     """Machine-checkable verdict for one named claim.
 
@@ -197,19 +185,15 @@ class Certificate(Record):
     def anchor(self) -> str:
         return CLAIM_ANCHORS[self.claim_id]
 
-    @property
-    def verified(self) -> bool:
-        return self.status == VERIFIED
-
     def sort_key(self) -> tuple:
-        return (self.claim_id, json.dumps(_jsonable(self.params), sort_keys=True))
+        return (self.claim_id, json.dumps(self.params, sort_keys=True))
 
     def to_json_dict(self) -> dict:
         return {
             "claim_id": self.claim_id,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "status": self.status,
-            "witness": _jsonable(self.witness),
+            "witness": self.witness,
             "sign_certificates": [s.to_json_dict() for s in self.sign_certificates],
             "anchor": self.anchor,
         }
@@ -388,6 +372,11 @@ S4_RHS_QUOTED = Poly.of(
 )
 
 
+#: r^3 - 10r^2 + 27r - 23, which (r-1)psi(r,r-1) reduces to for r >= 7 once
+#: 4e and (r-2e)^2 are dropped; R6.scroll.psi certifies it positive.
+SCROLL_CUBIC = Poly.of(-23, 27, -10, 1)
+
+
 def genus_defect_poly(x: Fraction) -> Poly:
     """g = d^2/8 + d(x-9)/8 + 1 for the defect parameter x."""
     return Poly.of(1, Fraction(x - 9, 8), Fraction(1, 8))
@@ -412,12 +401,9 @@ def verify_r2() -> Certificate:
 
 def verify_r3() -> Certificate:
     b = _Builder("R3.direct")
-    b.identity(
-        "d(d-4)^2 + d(d-6) = d(d-2)(d-5)",
-        Poly.of(0, 16, -8, 1) - EVEN_MINIMUM,
-        Poly.of(0, 1) * Poly.of(-2, 1) * Poly.of(-5, 1),
-    )
-    b.sign(Poly.of(0, 10, -7, 1), 6, "positive", label="d(d-2)(d-5) > 0 for d > 5")
+    rhs = D * (D - 2) * (D - 5)
+    b.identity("d(d-4)^2 + d(d-6) = d(d-2)(d-5)", Poly.of(0, 16, -8, 1) - EVEN_MINIMUM, rhs)
+    b.sign(rhs, 6, "positive", label="d(d-2)(d-5) > 0 for d > 5")
     return b.done()
 
 
@@ -547,12 +533,8 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
         p_x = r4_margin_poly(genus_defect_poly(x), chi_bound_poly(x))
         b.sign(p_x, 36, "positive", label=f"exact chain at x = {rat_str(x)}")
         if x > 6:
-            b.sign(
-                Fraction(x - 6, 8) * Poly.of(0, -3, 1),
-                4,
-                "positive",
-                label=f"chi bound at x = {rat_str(x)} strictly beats the weak bound",
-            )
+            b.sign(chi_bound_poly(x) - chi_bound_poly(6), 4, "positive",
+                   label=f"chi bound at x = {rat_str(x)} strictly beats the weak bound")
     return b.done()
 
 
@@ -651,7 +633,7 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
                 label=f"psi(6,d) > 0 on residue eps={eps}, d >= 5",
             )
     else:
-        cubic = Poly.of(-23, 27, -10, 1)
+        cubic = SCROLL_CUBIC
         b.check(
             f"r^3 - 10r^2 + 27r - 23 = {cubic(r)} > 0 at r = {r}",
             cubic(r) > 0,
@@ -659,18 +641,13 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
         )
         for rr, ee in SQUARE_COMPLETION_SAMPLES:
             lhs = rr**3 - 9 * rr * rr + 27 * rr - 23 + 4 * ee * ee - 4 * ee * rr
-            rhs = rr**3 - 10 * rr * rr + 27 * rr - 23 + (rr - 2 * ee) ** 2
-            b.check(
-                f"square completion at (r,e)=({rr},{ee})",
-                lhs == rhs,
-                lhs=lhs,
-                rhs=rhs,
-            )
+            rhs = as_int(cubic(rr)) + (rr - 2 * ee) ** 2
+            b.check(f"square completion at (r,e)=({rr},{ee})", lhs == rhs, lhs=lhs, rhs=rhs)
             psi_min = (rr - 1) * psi_quoted_poly(rr, ee)(rr - 1)
             b.check(
                 f"(r-1)*psi(r,r-1) = r^3 - 9r^2 + 27r - 23 + 4e + 4e^2 - 4er"
                 f" at (r,e)=({rr},{ee})",
-                psi_min == rr**3 - 9 * rr * rr + 27 * rr - 23 + 4 * ee + 4 * ee * ee - 4 * ee * rr,
+                psi_min == lhs + 4 * ee,
                 value=rat_str(psi_min),
             )
         b.params["square_completion_samples"] = [list(p) for p in SQUARE_COMPLETION_SAMPLES]
@@ -832,6 +809,20 @@ def verify_r5_exclusion(d_from: int, d_to: int) -> list[Certificate]:
 # ---------------------------------------------------------------------------
 # appendix minimization and sharpness
 
+def appendix_table(m: int | Poly, eps: int) -> tuple:
+    """The values the appendix tabulates for the frame d - 1 = 3m + eps:
+    phi(-m), phi(0)/(m-2), phi(1)/(m-1), phi'(1), phi'(-m+2) and phi'(-1).
+    ``m`` may be an int or a :class:`Poly` in m."""
+    return (
+        8,
+        3 * m * m - 7 * m + 3 * m * eps - 4,
+        3 * m * m - 10 * m + 3 * m * eps + 3 * eps - 17,
+        2 - 26 * m + 6 * m * eps,
+        18 * m + 6 * eps - 42,
+        10 * m + 6 * m * eps - 12 * eps - 18,
+    )
+
+
 def _appendix_check_one(d: int) -> str | None:
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
@@ -854,21 +845,22 @@ def _appendix_check_one(d: int) -> str | None:
     else:
         if res.k2_min <= bound:
             return f"d={d}: odd-degree minimum fails to exceed -d(d-6)"
-    if _phi(m, eps, -m) != 8:
+    phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
+    if _phi(m, eps, -m) != phi_lo:
         return f"d={d}: phi(-m) != 8"
     if _phi(m, eps, -m + 1) != -9 * m + 17 - 3 * eps:
         return f"d={d}: phi(-m+1) != -9m + 17 - 3e"
     if _phi(m, eps, -m + 2) != 0:
         return f"d={d}: phi(-m+2) != 0"
-    if _phi(m, eps, 0) != (m - 2) * (3 * m * m - 7 * m + 3 * m * eps - 4):
+    if _phi(m, eps, 0) != (m - 2) * phi0:
         return f"d={d}: phi(0) factorization fails"
-    if _phi(m, eps, 1) != (m - 1) * (3 * m * m - 10 * m + 3 * m * eps + 3 * eps - 17):
+    if _phi(m, eps, 1) != (m - 1) * phi1:
         return f"d={d}: phi(1) factorization fails"
-    if _phi_derivative(m, eps, 1) != 2 - 26 * m + 6 * m * eps:
+    if _phi_derivative(m, eps, 1) != dphi1:
         return f"d={d}: phi'(1) != 2 - 26m + 6me"
-    if _phi_derivative(m, eps, -m + 2) != 18 * m + 6 * eps - 42:
+    if _phi_derivative(m, eps, -m + 2) != dphi_lo:
         return f"d={d}: phi'(-m+2) != 18m + 6e - 42"
-    if _phi_derivative(m, eps, -1) != 10 * m + 6 * m * eps - 12 * eps - 18:
+    if _phi_derivative(m, eps, -1) != dphi_m1:
         return f"d={d}: phi'(-1) != 10m + 6me - 12e - 18"
     a = next(compress(count(rise_lo), map(le, rising, repeat(0))), None)
     if a is not None:
@@ -894,26 +886,27 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
            " from it but is also positive for m >= 3, which is all the"
            " argument needs")
     # Closed-form comparison for odd degrees: -d^2/4 + d/2 + 35/4 > -d(d-6).
-    b.identity(
-        "4*(-d^2/4 + d/2 + 35/4 + d(d-6)) = 3d^2 - 22d + 35",
-        4 * (ODD_MINIMUM - EVEN_MINIMUM),
-        Poly.of(35, -22, 3),
-    )
-    b.sign(Poly.of(35, -22, 3), 6, "positive", label="-d^2/4 + d/2 + 35/4 > -d(d-6) for d > 5")
+    gap = 4 * (ODD_MINIMUM - EVEN_MINIMUM)
+    b.identity("4*(-d^2/4 + d/2 + 35/4 + d(d-6)) = 3d^2 - 22d + 35", gap, Poly.of(35, -22, 3))
+    b.sign(gap, 6, "positive", label="-d^2/4 + d/2 + 35/4 > -d(d-6) for d > 5")
     # Small-a comparisons feeding the argument.
-    b.sign(Poly.of(8, -6, 1), 5, "positive", label="phi(-m) = 8 > -d(d-6) for d > 4")
+    m = Poly.variable()
+    phi_lo, phi0, phi1, _, dphi_lo, dphi_m1 = appendix_table(m, 0)
+    b.sign(phi_lo - EVEN_MINIMUM, 5, "positive", label="phi(-m) = 8 > -d(d-6) for d > 4")
     b.sign(Poly.of(14, -9, 1), 8, "positive", label="-3(d-1) + 11 > -d(d-6) for d > 7 (covers phi(-m+1))")
     b.sign(-EVEN_MINIMUM, 7, "positive", label="phi(-m+2) = 0 > -d(d-6) for d > 6")
-    # Sign pattern of phi' and the factor positivity, in the variable m
-    # (worst residue chosen each time; 3me, 6e(m-2) >= 0 are dropped).
-    b.sign(Poly.of(-4, -7, 3), 3, "positive", variable="m", label="3m^2 - 7m - 4 > 0 for m >= 3 (phi(0) factor, e = 0)")
-    b.sign(Poly.of(-17, -10, 3), 5, "positive", variable="m", label="3m^2 - 10m - 17 > 0 for m >= 5 (phi(1) factor, e = 0)")
-    b.sign(Poly.of(-42, 18), 3, "positive", variable="m", label="18m - 42 > 0 for m >= 3 (phi'(-m+2), e = 0)")
-    b.sign(Poly.of(-18, 10), 2, "positive", variable="m", label="10m - 18 > 0 for m >= 2 (phi'(-1); 6e(m-2) >= 0)")
-    b.sign(Poly.of(-2, 14), 1, "positive", variable="m", label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
+    # Sign pattern of phi' and the factor positivity, in the variable m, from
+    # the tabulated values at the worst residue: e = 0, except e = 2 for
+    # phi'(1) (3me, 6e(m-2) >= 0 are dropped).
+    b.sign(phi0, 3, "positive", variable="m", label="3m^2 - 7m - 4 > 0 for m >= 3 (phi(0) factor, e = 0)")
+    b.sign(phi1, 5, "positive", variable="m", label="3m^2 - 10m - 17 > 0 for m >= 5 (phi(1) factor, e = 0)")
+    b.sign(dphi_lo, 3, "positive", variable="m", label="18m - 42 > 0 for m >= 3 (phi'(-m+2), e = 0)")
+    b.sign(dphi_m1, 2, "positive", variable="m", label="10m - 18 > 0 for m >= 2 (phi'(-1); 6e(m-2) >= 0)")
+    b.sign(-appendix_table(m, 2)[3], 1, "positive", variable="m",
+           label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
     for eps in range(3):
         b.sign(
-            phi_derivative_discriminant(Poly.variable(), eps),
+            phi_derivative_discriminant(m, eps),
             1,
             "positive",
             variable="m",

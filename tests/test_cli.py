@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kbound
+from kbound import bounds
 from kbound.cli import main
 
 #: sha256 of ``verify all --from 36 --to 2000 --format json --no-timestamp``,
@@ -90,6 +91,20 @@ def test_bound_range_sweep_csv(capsys):
     assert len(lines) == 5  # header + four degrees
     assert lines[1].startswith("castelnuovo,18,28")
     assert lines[4].startswith("castelnuovo,21,40")
+
+
+@pytest.mark.parametrize("kind, extra", [("castelnuovo", ("--r", "5")), ("pi1", ()), ("pi2", ())])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_bound_range_builds_no_profile(capsys, monkeypatch, kind, extra, fmt):
+    # a range prints no profile, so it must not build an O(d) one per degree
+    def no_profile(*args):
+        raise AssertionError("profile built for a range")
+
+    for name in ("castelnuovo_profile", "pi1_profile", "pi2_profile"):
+        monkeypatch.setattr(bounds, name, no_profile)
+    code, out, _ = run_cli(capsys, "bound", kind, *extra, "--d", "18", "--d-to", "60", "--format", fmt)
+    assert code == 0
+    assert "60" in out
 
 
 # scroll ------------------------------------------------------------------------

@@ -211,6 +211,48 @@ def test_r6_scroll_certified_cubic_is_psi_at_its_least_degree():
             assert (r - 1) * psi_quoted_poly(r, e)(r - 1) == cubic(r) + (r - 2 * e) ** 2 + 4 * e
 
 
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_r6_scroll_catches_a_wrong_cubic_coefficient(monkeypatch, index, delta):
+    # the per-r check, the sign certificate and the square completion all read
+    # SCROLL_CUBIC, so a wrong coefficient makes the certificate itself fail
+    coeffs = list(verify.SCROLL_CUBIC.coeffs)
+    coeffs[index] += delta
+    monkeypatch.setattr(verify, "SCROLL_CUBIC", Poly.of(*coeffs))
+    cert = verify_r_ge6_scroll(7)
+    assert cert.status == "counterexample"
+    if (index, delta) == (0, -1):  # -24 in place of -23
+        assert cert.witness["failed_check"] == "square completion at (r,e)=(55,22)"
+
+
+TABLE_PERTURBATIONS = {
+    "+1": lambda m, e: 1, "-1": lambda m, e: -1,
+    "+m": lambda m, e: m, "-m": lambda m, e: -m,
+    "+e": lambda m, e: e, "-e": lambda m, e: -e,
+    "+me": lambda m, e: m * e, "-me": lambda m, e: -m * e,
+    "+m*m": lambda m, e: m * m, "-m*m": lambda m, e: -m * m,
+}
+
+
+@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("change", sorted(TABLE_PERTURBATIONS))
+def test_appendix_catches_a_wrong_tabulated_value(monkeypatch, index, change):
+    # the per-degree checks and the sign certificates read one appendix_table,
+    # so a wrong tabulated value makes the certificate itself fail
+    real = verify.appendix_table
+
+    def wrong(m, eps):
+        values = list(real(m, eps))
+        values[index] += TABLE_PERTURBATIONS[change](m, eps)
+        return tuple(values)
+
+    monkeypatch.setattr(verify, "appendix_table", wrong)
+    cert = verify_appendix(18, 60)
+    assert cert.status == "counterexample"
+    if (index, change) == (1, "+1"):
+        assert cert.witness["failure"] == "d=18: phi(0) factorization fails"
+
+
 def test_r5_remark_table():
     cert = verify_r5_remark()
     assert cert.status == "verified"
