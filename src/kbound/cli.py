@@ -26,12 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, scroll, verify
-from .exact import (
-    FrameRangeError,
-    InconsistencyError,
-    OutOfDomainError,
-    rat_str,
-)
+from .exact import InconsistencyError, rat_str
 
 FORMATS = ("table", "json", "csv")
 
@@ -274,9 +269,9 @@ def _cmd_verify(args) -> int:
         text = verdict.to_json(None if args.no_timestamp else _utc_now())
     elif args.format == "csv":
         rows = [
-            [doc["claim_id"], doc["status"], json.dumps(doc["params"], sort_keys=True),
-             json.dumps(doc["witness"], sort_keys=True)]
-            for doc in (c.to_json_dict() for c in verdict.certificates)
+            [c.claim_id, c.status, json.dumps(c.params, sort_keys=True),
+             json.dumps(c.witness, sort_keys=True)]
+            for c in verdict.certificates
         ]
         text = _csv_text(VERIFY_CSV_HEADER, rows)
     else:
@@ -363,9 +358,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfDomainError, FrameRangeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except InconsistencyError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")
         return 1

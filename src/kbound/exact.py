@@ -212,15 +212,13 @@ class Poly(Frozen):
 
     __rmul__ = __mul__
 
-    def __call__(self, x: int | Fraction) -> Fraction:
+    def __call__(self, x: "Poly | int | Fraction") -> "Poly | Fraction":
+        """The exact value at x, or for a Poly x the composition self(x(t)),
+        which restricts a polynomial to a residue class."""
+        if isinstance(x, Poly):
+            acc = _coerce(_horner(self.num, x))  # the int 0 when self is zero
+            return Poly(acc.num, acc.den * self.den)
         return Fraction(_horner(self.num, x), self.den)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), exact; used to restrict to residue classes."""
-        acc = Poly(())
-        for n in reversed(self.num):
-            acc = acc * inner + n
-        return Poly(acc.num, acc.den * self.den)
 
     def cauchy_tail_bound(self) -> int:
         """Integer N >= 1 + max |c_i / c_deg|; no real root has |x| > N.
@@ -259,7 +257,7 @@ class Poly(Frozen):
         return [rat_str(c) for c in self.coeffs]
 
 
-def _horner(num: tuple[int, ...], x: int | Fraction) -> int | Fraction:
+def _horner(num: tuple[int, ...], x: "Poly | int | Fraction") -> "Poly | int | Fraction":
     """Value at x of the integer polynomial with ``num[i]`` multiplying ``x^i``."""
     acc = 0
     for c in reversed(num):

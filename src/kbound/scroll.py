@@ -26,6 +26,7 @@ integers -m <= a <= (m + eps - 1)/2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .exact import (
     FrameRangeError,
@@ -226,11 +227,6 @@ def phi_derivative_discriminant(m: int | Poly, e: int) -> int | Poly:
     return B * B - 4 * A * C
 
 
-def _phi(m: int, e: int, a: int) -> int:
-    c0, c1, c2, c3 = phi_coefficients(m, e)
-    return ((c3 * a + c2) * a + c1) * a + c0
-
-
 def phi(d: int, a: int) -> int:
     """K^2 of the degree-d surface class indexed by a, as the exact cubic
     of :func:`phi_coefficients`.
@@ -240,13 +236,8 @@ def phi(d: int, a: int) -> int:
     :func:`k2_intersection` on every admissible class. Its third forward
     difference in a is the constant -36.
     """
-    m, e = _split3(d)
-    return _phi(m, e, a)
-
-
-def _phi_derivative(m: int, e: int, a: int) -> int:
-    c0, c1, c2 = phi_derivative_coefficients(m, e)
-    return (c2 * a + c1) * a + c0
+    c0, c1, c2, c3 = phi_coefficients(*_split3(d))
+    return ((c3 * a + c2) * a + c1) * a + c0
 
 
 def phi_derivative(d: int, a: int) -> int:
@@ -255,8 +246,8 @@ def phi_derivative(d: int, a: int) -> int:
 
     Its second forward difference in a is the constant -36.
     """
-    m, e = _split3(d)
-    return _phi_derivative(m, e, a)
+    c0, c1, c2 = phi_derivative_coefficients(*_split3(d))
+    return (c2 * a + c1) * a + c0
 
 
 class KsqMinimum(Frozen):
@@ -296,7 +287,7 @@ def minimize_k2(d: int) -> KsqMinimum:
     """
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
-    values = forward_walk(lambda a: _phi(m, eps, a), -m, a_star, 3)
+    values = forward_walk(partial(phi, d), -m, a_star, 3)
     best = min(values)
     return KsqMinimum(
         d=d,

@@ -82,14 +82,13 @@ from .scroll import (
     DivisorClass,
     _a_star,
     _k2_raw,
-    _phi,
-    _phi_derivative,
     _split3,
     extremal_class,
     frame_from_class,
     k2_min_closed_form,
     minimize_k2,
     phi,
+    phi_derivative,
     phi_derivative_discriminant,
 )
 
@@ -212,8 +211,6 @@ class _Builder:
         self.claim_id = claim_id
         self.params = dict(params)
         self.signs: list[SignCertificate] = []
-        self.identities: list[dict] = []
-        self.checks: list[dict] = []
         self.witness: dict | None = None
         self.lo = self.hi = None
         if requested is not None:
@@ -236,7 +233,7 @@ class _Builder:
 
     def identity(self, label: str, lhs: Poly, rhs: Poly) -> None:
         holds = lhs == rhs
-        self.identities.append({"label": label, "holds": holds})
+        self.params.setdefault("identities", []).append({"label": label, "holds": holds})
         if not holds and self.witness is None:
             self.witness = {
                 "failed_identity": label,
@@ -247,7 +244,7 @@ class _Builder:
     def check(self, label: str, ok, **detail) -> None:
         rec = {"label": label, "holds": bool(ok)}
         rec.update(detail)
-        self.checks.append(rec)
+        self.params.setdefault("checks", []).append(rec)
         if not ok and self.witness is None:
             self.witness = {"failed_check": label, **detail}
 
@@ -270,11 +267,6 @@ class _Builder:
     def done(self, summary: dict | None = None) -> Certificate:
         """Freeze the claim; a verified certificate takes summary as its
         witness, any other keeps the witness of its first failure."""
-        params = dict(self.params)
-        if self.identities:
-            params["identities"] = self.identities
-        if self.checks:
-            params["checks"] = self.checks
         if self.witness is not None or any(not s.ok for s in self.signs):
             status = COUNTEREXAMPLE  # a failure is never masked by range bookkeeping
         elif self.lo is not None and self.lo > self.hi:
@@ -283,7 +275,7 @@ class _Builder:
             status = VERIFIED
         return Certificate(
             claim_id=self.claim_id,
-            params=params,
+            params=self.params,
             status=status,
             witness=summary if status == VERIFIED else self.witness,
             sign_certificates=self.signs,
@@ -342,8 +334,8 @@ def deg4_excess_poly_in_k(q: int) -> Poly:
     in k, where d = 4k + q + 1 (so p = k) and W is the weighted defect sum
     C(p,2)d - 8C(p+1,3) + tp."""
     dd = Poly.of(q + 1, 4)
-    g44 = pi1_poly(q).compose(dd)
-    g_floor = EXTREMAL_GENUS.compose(dd)
+    g44 = pi1_poly(q)(dd)
+    g_floor = EXTREMAL_GENUS(dd)
     return 96 * (-weighted_defect_poly(q) + (dd - 4) * g44 - (dd - 3) * g_floor)
 
 
@@ -354,7 +346,7 @@ def abs_diff_poly(c: int) -> tuple[Poly, int]:
     eps = (c - 1) % 4
     diff = pi2_poly(v) - castelnuovo_poly(5, eps)
     k_from = 0 if c >= 19 else 1
-    return diff.compose(Poly.of(c, 20)), k_from
+    return diff(Poly.of(c, 20)), k_from
 
 
 def r4_margin_poly(g: Poly | int, chi: Poly | int) -> Poly:
@@ -502,7 +494,9 @@ def _r4_s4_low(d_from: int, d_to: int) -> Certificate:
 
 
 def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
-    b = _Builder("R4.s4.x>6", (d_from, d_to), 36)
+    start = 36
+    tight = start - 1
+    b = _Builder("R4.s4.x>6", (d_from, d_to), start)
     b.assume("S lies on an irreducible reduced quartic hypersurface")
     b.assume("genus defect parameter x in (6, 9]")
     b.note("the constant -333/16 in the chi lower bound is an external input")
@@ -515,23 +509,23 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     main = r4_margin_poly(genus_defect_poly(Fraction(9)), chi_bound_poly(6))
     b.sign(
         main,
-        36,
+        start,
         "positive",
-        label="RHS - 10(g-1) with g <= d^2/8 + 1, positive for d > 35",
+        label=f"RHS - 10(g-1) with g <= d^2/8 + 1, positive for d > {tight}",
     )
     b.check(
-        "the same polynomial is negative at d = 35, so the threshold d > 35 is tight",
-        main(35) < 0,
-        value_at_35=rat_str(main(35)),
+        f"the same polynomial is negative at d = {tight}, so the threshold d > {tight} is tight",
+        main(tight) < 0,
+        **{f"value_at_{tight}": rat_str(main(tight))},
     )
     # Symbolic-x route: for fixed rational x the exact genus and chi bound
-    # combine into a cubic that must be positive from d = 36. x = 9 is the
+    # combine into a cubic that must be positive from d = start. x = 9 is the
     # weakest point of the chi bound; x -> 6+ is the branch boundary.
     xs = [Fraction(9), Fraction(6), *X_SAMPLES]
     b.params["x_samples"] = [rat_str(x) for x in xs]
     for x in xs:
         p_x = r4_margin_poly(genus_defect_poly(x), chi_bound_poly(x))
-        b.sign(p_x, 36, "positive", label=f"exact chain at x = {rat_str(x)}")
+        b.sign(p_x, start, "positive", label=f"exact chain at x = {rat_str(x)}")
         if x > 6:
             b.sign(chi_bound_poly(x) - chi_bound_poly(6), 4, "positive",
                    label=f"chi bound at x = {rat_str(x)} strictly beats the weak bound")
@@ -653,8 +647,9 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
         b.params["square_completion_samples"] = [list(p) for p in SQUARE_COMPLETION_SAMPLES]
         b.params["covers"] = "every r >= 7"
         b.sign(cubic, 7, "positive", variable="r", label="r^3 - 10r^2 + 27r - 23 > 0 for all r >= 7")
+        q = D * D - 2 * D
         b.sign(
-            Poly.of(-1, 2),
+            q(D + 1) - q,
             1,
             "positive",
             label="d^2 - 2d is strictly increasing for d >= 1 (forward difference 2d - 1)",
@@ -779,7 +774,7 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
             f"q={q}: 96*[-W + (d-4)G(4;d,4) - (d-3)(d^2/8-3d/4+1)] equals the"
             " displayed cubic on d = 4k + q + 1",
             deg4_excess_poly_in_k(q),
-            cubic.compose(Poly.of(q + 1, 4)),
+            cubic(Poly.of(q + 1, 4)),
         )
         b.sign(
             cubic,
@@ -830,14 +825,14 @@ def _appendix_check_one(d: int) -> str | None:
     rise_lo = -m + 2
     try:
         res = minimize_k2(d)
-        rising = forward_walk(lambda a: _phi_derivative(m, eps, a), rise_lo, -1, 2)
-        falling = forward_walk(lambda a: _phi_derivative(m, eps, a), 1, max(a_star, 1) + 1, 2)
+        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2)
+        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2)
     except InconsistencyError as exc:
         return f"d={d}: {exc}"
     bound = as_int(EVEN_MINIMUM(d))
     if res.k2_min < bound:
         return f"d={d}: minimum {res.k2_min} below -d(d-6) = {bound}"
-    if Fraction(res.k2_min) != k2_min_closed_form(d):
+    if res.k2_min != k2_min_closed_form(d):
         return f"d={d}: minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
     if d % 2 == 0:
         if res.k2_min != bound or res.a_min != a_star or not res.unique:
@@ -846,21 +841,21 @@ def _appendix_check_one(d: int) -> str | None:
         if res.k2_min <= bound:
             return f"d={d}: odd-degree minimum fails to exceed -d(d-6)"
     phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
-    if _phi(m, eps, -m) != phi_lo:
+    if phi(d, -m) != phi_lo:
         return f"d={d}: phi(-m) != 8"
-    if _phi(m, eps, -m + 1) != -9 * m + 17 - 3 * eps:
+    if phi(d, -m + 1) != -9 * m + 17 - 3 * eps:
         return f"d={d}: phi(-m+1) != -9m + 17 - 3e"
-    if _phi(m, eps, -m + 2) != 0:
+    if phi(d, -m + 2) != 0:
         return f"d={d}: phi(-m+2) != 0"
-    if _phi(m, eps, 0) != (m - 2) * phi0:
+    if phi(d, 0) != (m - 2) * phi0:
         return f"d={d}: phi(0) factorization fails"
-    if _phi(m, eps, 1) != (m - 1) * phi1:
+    if phi(d, 1) != (m - 1) * phi1:
         return f"d={d}: phi(1) factorization fails"
-    if _phi_derivative(m, eps, 1) != dphi1:
+    if phi_derivative(d, 1) != dphi1:
         return f"d={d}: phi'(1) != 2 - 26m + 6me"
-    if _phi_derivative(m, eps, -m + 2) != dphi_lo:
+    if phi_derivative(d, -m + 2) != dphi_lo:
         return f"d={d}: phi'(-m+2) != 18m + 6e - 42"
-    if _phi_derivative(m, eps, -1) != dphi_m1:
+    if phi_derivative(d, -1) != dphi_m1:
         return f"d={d}: phi'(-1) != 10m + 6me - 12e - 18"
     a = next(compress(count(rise_lo), map(le, rising, repeat(0))), None)
     if a is not None:

@@ -191,6 +191,21 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[0] == "claim_id,status,params,witness"
 
 
+def test_verify_csv_renders_no_json_documents(capsys, monkeypatch):
+    # csv rows read the certificate fields, not the rendered JSON document
+    import kbound.verify as verify
+
+    def refuse(self):
+        raise AssertionError("csv output rendered a JSON document")
+
+    monkeypatch.setattr(verify.Certificate, "to_json_dict", refuse)
+    code, out, _ = run_cli(capsys, "verify", "all", "--from", "36", "--to", "40", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "46cca9343c25152ba83f5a4c292aa19cdd3e17cfdc941fff039becdade811821"
+    )
+
+
 @pytest.mark.parametrize(
     "case", ["all", "r2", "r3", "r4", "r5", "r6", "appendix", "sharpness"]
 )

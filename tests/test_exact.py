@@ -104,7 +104,14 @@ def test_poly_eval_is_ring_homomorphism(p, q, x):
 
 @given(polys, polys, st.integers(-20, 20))
 def test_poly_compose_matches_eval(p, q, x):
-    assert p.compose(q)(x) == p(q(x))
+    assert p(q)(x) == p(q(x))
+
+
+@pytest.mark.parametrize("p", [Poly.zero(), Poly.of(7), Poly.of(Fraction(-3, 4))])
+def test_constant_poly_called_on_a_poly_is_a_poly(p):
+    # Horner on a constant never multiplies by the inner polynomial, so the
+    # composition must still come back as a Poly, not as a number.
+    assert p(Poly.of(1, 4)) == p
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5))

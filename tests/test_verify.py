@@ -26,7 +26,7 @@ from kbound.bounds import (
     weighted_defect_direct,
     weighted_defect_poly,
 )
-from kbound.exact import Poly
+from kbound.exact import Poly, rat_str
 import kbound.verify as verify
 from kbound.scroll import DivisorClass, _k2_raw
 from kbound.verify import (
@@ -97,7 +97,7 @@ def test_psi_identity_and_remark_constants():
 
 def test_deg4_cubic_identity_and_values():
     for q in range(4):
-        assert deg4_excess_poly_in_k(q) == deg4_cubic_poly(q).compose(Poly.of(q + 1, 4))
+        assert deg4_excess_poly_in_k(q) == deg4_cubic_poly(q)(Poly.of(q + 1, 4))
     # direct evaluation: q = 0, t = 0 at d = 25
     assert deg4_cubic_poly(0)(25) == -15625 + 15000 - 3125 + 174 == -3576
 
@@ -130,6 +130,19 @@ def test_r4_certificates():
     checks = certs["R4.s4.x>6"].params["checks"]
     assert any("tight" in rec["label"] and rec["holds"] for rec in checks)
     assert certs["R4.s4.x>6"].params["x_samples"][0] == "9"
+
+
+def test_r4_s4_high_tightness_point_is_one_below_the_certified_start():
+    # the check's witness key names the degree where the certified
+    # polynomial turns negative, and its value is that polynomial there
+    cert = verify._r4_s4_high(36, 40)
+    chains = [s for s in cert.sign_certificates if s.label.startswith(("RHS", "exact chain"))]
+    (start,) = {s.start for s in chains}
+    main = chains[0].polynomial
+    (tight,) = [rec for rec in cert.params["checks"] if "tight" in rec["label"]]
+    (key,) = [k for k in tight if k.startswith("value_at_")]
+    assert key == f"value_at_{start - 1}"
+    assert tight[key] == rat_str(main(start - 1))
 
 
 def test_sample_tables_keep_the_sampling_ranges():
@@ -209,6 +222,13 @@ def test_r6_scroll_certified_cubic_is_psi_at_its_least_degree():
     for r in range(7, 11):
         for e in range(3):
             assert (r - 1) * psi_quoted_poly(r, e)(r - 1) == cubic(r) + (r - 2 * e) ** 2 + 4 * e
+
+
+def test_r6_scroll_signs_the_forward_difference_it_names():
+    (sign,) = [s for s in verify_r_ge6_scroll(7).sign_certificates if s.label.startswith("d^2 - 2d")]
+    d = Poly.variable()
+    q = d * d - 2 * d
+    assert sign.polynomial == q(d + 1) - q
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -333,7 +353,7 @@ def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
 
 
 def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
-    monkeypatch.setattr(verify, "_phi_derivative", lambda m, e, a: a**3 - 1000)
+    monkeypatch.setattr(verify, "phi_derivative", lambda d, a: a**3 - 1000)
     failure = verify._appendix_check_one(100)
     assert failure.startswith("d=100: forward-difference walk")
 
