@@ -59,6 +59,7 @@ from .bounds import (
     pi2_bound,
     pi2_poly,
     pi2_profile,
+    pi2_split,
     pi2_w,
     propagate_profile,
     weighted_defect_closed_form,
@@ -69,6 +70,7 @@ from .exact import (
     Poly,
     Record,
     SignCertificate,
+    _horner,
     as_int,
     forward_walk,
     rat_str,
@@ -248,14 +250,22 @@ class _Builder:
         if not ok and self.witness is None:
             self.witness = {"failed_check": label, **detail}
 
-    def sweep(self, label: str, check_one: Callable[[int], object], key: str = "failure") -> None:
+    def sweep(self, label: str, check_one: Callable[[int], object], key: str = "failure",
+              oracle: Callable[[int], object] | None = None) -> None:
         """Map check_one over [lo, hi] with _SWEEP_MAP; record the first
         result that is not None (a failure) under ``key``. check_one must be
-        module-level (or a partial of one) so a pool can run it."""
+        module-level (or a partial of one) so a pool can run it. An oracle
+        is the same check by another route: it is run at hi after the map,
+        and InconsistencyError is raised unless it gives check_one's result."""
         if self.lo > self.hi:
             return
         results = _SWEEP_MAP.get()(check_one, range(self.lo, self.hi + 1))
         bad = next((r for r in results if r is not None), None)
+        if oracle is not None and (fast := check_one(self.hi)) != (direct := oracle(self.hi)):
+            raise InconsistencyError(
+                f"{self.claim_id} at d={self.hi}: the per-degree check gives {fast!r},"
+                f" the scalar route {direct!r}"
+            )
         self.check(label, bad is None, **{key: bad})
 
     def note(self, text: str) -> None:
@@ -382,6 +392,15 @@ X_SAMPLES = (Fraction(17, 2), Fraction(49, 8), Fraction(51, 8))
 SQUARE_COMPLETION_SAMPLES = ((55, 22), (51, 20), (55, 49), (28, 12), (22, 4), (10, 2))
 
 
+def _int_at(p: Poly, x: int, what: str) -> int:
+    """p(x) as an int: the value of the numerators divided by the positive
+    denominator, with InconsistencyError if that leaves a remainder."""
+    value, rem = divmod(_horner(p.num, x), p.den)
+    if rem:
+        raise InconsistencyError(f"{what} is not an integer: {rat_str(p(x))}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # r = 2 and r = 3
 
@@ -402,8 +421,16 @@ def verify_r3() -> Certificate:
 # ---------------------------------------------------------------------------
 # r = 4
 
+def _r4_margin_int_check(margins: tuple[Poly, ...], d: int) -> int | None:
+    # margins[e] is an r4_margin_poly on the residue (d - 1) mod s = e, with
+    # s = len(margins); its positive denominator leaves the sign to the
+    # numerators, so the check is one integer Horner evaluation
+    return None if _horner(margins[(d - 1) % len(margins)].num, d) > 0 else d
+
+
 def _r4_reduce_check_one(d: int) -> int | None:
-    # r4_margin_poly > 0 at one degree, in ints and Fractions: 2K^2 > -2d(d-6)
+    # the scalar route: r4_margin_poly > 0 at one degree, in ints and
+    # Fractions: 2K^2 > -2d(d-6)
     g = halphen_bound(d, 5).bound
     return None if double_point_2k2(d, g, 1 - g) > 2 * EVEN_MINIMUM(d) else d
 
@@ -431,9 +458,10 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
         "positive",
         label="3d^2 - 17d - 22(d^2/10 + d/2) = 4d^2/5 - 28d > 0 for d > 35",
     )
+    margins = tuple(r4_margin_poly(halphen_poly(5, eps), 1 - halphen_poly(5, eps)) for eps in range(5))
     b.sweep(
         f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{b.lo}, {b.hi}]",
-        _r4_reduce_check_one, "failure_at",
+        partial(_r4_margin_int_check, margins), "failure_at", oracle=_r4_reduce_check_one,
     )
     return b.done()
 
@@ -467,9 +495,10 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
         "positive",
         label=f"3d^2 - 17d + 12 - 10(g-1) > 0 with the s={s} genus bound",
     )
+    margins = tuple(r4_margin_poly(halphen_poly(s, eps), 1) for eps in range(s))
     b.sweep(
         f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{b.lo}, {b.hi}]",
-        partial(_r4_s_check_one, s), "failure_at",
+        partial(_r4_margin_int_check, margins), "failure_at", oracle=partial(_r4_s_check_one, s),
     )
     return b.done()
 
@@ -681,7 +710,14 @@ def verify_r5_remark() -> Certificate:
 # ---------------------------------------------------------------------------
 # r = 5 exclusion chain
 
+def _r5_abs_int_check(g4: tuple[Poly, ...], g5: tuple[Poly, ...], d: int) -> int | None:
+    # g4[v] is G(4;d,5) on (d - 1) mod 5 = v, g5[e] is G(5;d) on (d - 1) mod 4 = e
+    lhs = _int_at(g4[(d - 1) % 5], d, f"G(4;{d},5)")
+    return None if lhs < _int_at(g5[(d - 1) % 4], d, f"G(5;{d})") else d
+
+
 def _r5_abs_check_one(d: int) -> int | None:
+    # the scalar route
     return None if pi2_bound(d).bound_int < castelnuovo_bound(5, d).bound_int else d
 
 
@@ -703,14 +739,59 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
             variable="k",
             label=f"G(4;d,5) - G(5;d) on d = 20k + {c} (all d > 18 in the class)",
         )
+    g4 = tuple(map(pi2_poly, range(5)))
+    g5 = tuple(castelnuovo_poly(5, eps) for eps in range(4))
     b.sweep(
         f"G(4;d,5) < G(5;d) for every integer d in [{b.lo}, {b.hi}]",
-        _r5_abs_check_one, "failure_at",
+        partial(_r5_abs_int_check, g4, g5), "failure_at", oracle=_r5_abs_check_one,
     )
     return b.done()
 
 
+def _first_below(h: int, j: int, step: int, d: int, n: int, w: int) -> int | None:
+    """Least k >= 0 at which column j of a propagated profile, h + k*step at
+    i = 3k + j, falls below the G(4;d,5) profile value at i, or None."""
+    # i <= n, value 5i - 1: h + k*step < 15k + 5j - 1, that is k(15 - step) > h - 5j + 1
+    a, b = 15 - step, h - 5 * j + 1
+    k = 0 if b < 0 else b // a + 1 if a > 0 else None
+    if k is not None and 3 * k + j <= n:
+        return k
+    # i = n + 1, value d - w; i > n + 1, value d, which the growing column
+    # can fall below only at its first index there
+    k = max(0, -((j - n - 1) // 3))  # least k with 3k + j >= n + 1
+    if 3 * k + j == n + 1:
+        if h + k * step < d - w:
+            return k
+        k += 1
+    return k if h + k * step < d else None
+
+
+def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: int) -> str | None:
+    """:func:`_r5_profile_check_one` in O(1) integer steps, for any valid
+    seed. Column j = 1, 2, 3 of the propagated profile is h(3k + j) =
+    min(d, seed_j + k*step) with step = seed_3 - 1 >= 1, and the G(4;d,5)
+    profile is 5i - 1 for i <= n, d - w at i = n + 1 and d after: each
+    column's first index below the profile is read off per segment, and the
+    genus bound is each column's defect sum, an arithmetic series."""
+    n, v, w = pi2_split(d)
+    step = seed[2] - 1
+    below = [(3 * k + j, h + k * step) for j, h in enumerate(seed, 1)
+             if (k := _first_below(h, j, step, d, n, w)) is not None]
+    if below:
+        i, value = min(below)
+        profile = 5 * i - 1 if i <= n else d - w if i == n + 1 else d
+        return f"d={d}: propagated value {value} < profile value {profile} at i={i}"
+    genus = 0
+    for h in seed:
+        c = -((h - d) // step)  # the column's values below d: h + k*step for k < c
+        genus += c * (d - h) - step * c * (c - 1) // 2
+    if genus > _int_at(g4[v], d, f"G(4;{d},5)"):
+        return f"d={d}: propagated genus bound exceeds G(4;d,5)"
+    return None
+
+
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
+    # the scalar route: both profiles built and compared index by index
     prof = propagate_profile(seed, d)
     h, n = prof.prefix, pi2_profile(d).prefix
     width = max(len(h), len(n))  # past its prefix a profile equals d
@@ -746,12 +827,24 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int) -> Certifica
     b.sweep(
         f"propagated profile dominates the G(4;d,5) profile pointwise and its"
         f" genus bound is <= G(4;d,5) for d in [{b.lo}, {b.hi}]",
-        partial(_r5_profile_check_one, seed),
+        partial(_r5_profile_int_check, seed, tuple(map(pi2_poly, range(5)))),
+        oracle=partial(_r5_profile_check_one, seed),
     )
     return b.done()
 
 
+def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int) -> int | None:
+    # on d = 4p + q + 1, defects[q] is the weighted defect sum W as a
+    # polynomial in p and g44[q] is G(4;d,4); EXTREMAL_GENUS has a positive
+    # denominator, which multiplies the right side
+    p, q = divmod(d - 1, 4)
+    w = _int_at(defects[q], p, f"weighted defect sum at d={d}")
+    rhs = -w + (d - 4) * _int_at(g44[q], d, f"G(4;{d},4)")
+    return None if (d - 3) * _horner(EXTREMAL_GENUS.num, d) > rhs * EXTREMAL_GENUS.den else d
+
+
 def _r5_deg4_check_one(d: int) -> int | None:
+    # the scalar route
     lhs = (d - 3) * EXTREMAL_GENUS(d)
     rhs = -weighted_defect_closed_form(d) + (d - 4) * pi1_bound(d).bound
     return None if lhs > rhs else d
@@ -782,10 +875,11 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
             "negative",
             label=f"the q={q} cubic is negative for every integer d > 24",
         )
+    defects, g44 = tuple(map(weighted_defect_poly, range(4))), tuple(map(pi1_poly, range(4)))
     b.sweep(
         f"(d-3)(d^2/8 - 3d/4 + 1) > -W + (d-4)G(4;d,4) for d in [{b.lo}, {b.hi}]"
         " (the required inequality fails, as claimed)",
-        _r5_deg4_check_one, "failure_at",
+        partial(_r5_deg4_int_check, defects, g44), "failure_at", oracle=_r5_deg4_check_one,
     )
     return b.done()
 

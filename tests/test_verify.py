@@ -5,28 +5,33 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kbound.bounds import (
-    HilbertProfile,
     chi_bound_poly,
     double_point_2k2,
     castelnuovo_bound,
     castelnuovo_poly,
     castelnuovo_profile,
+    genus_from_profile,
     halphen_poly,
     pi1_poly,
     pi1_profile,
     pi2_bound,
     pi2_poly,
     pi2_profile,
+    propagate_profile,
     weighted_defect_direct,
     weighted_defect_poly,
 )
-from kbound.exact import Poly, rat_str
+from kbound.exact import InconsistencyError, Poly, rat_str
 import kbound.verify as verify
 from kbound.scroll import DivisorClass, _k2_raw
 from kbound.verify import (
@@ -404,11 +409,12 @@ def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
 
 def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
     # A per-degree failure in a failure_at sweep is reported as the first
-    # failing degree, under the check's label, and fails the claim.
-    real = verify.castelnuovo_bound
+    # failing degree, under the check's label, and fails the claim. The
+    # integer check is handed G(5;d) = 0 at d = 40 and 45.
+    real = verify._r5_abs_int_check
     monkeypatch.setattr(
-        verify, "castelnuovo_bound",
-        lambda r, d: SimpleNamespace(bound_int=0) if d in (40, 45) else real(r, d),
+        verify, "_r5_abs_int_check",
+        lambda g4, g5, d: real(g4, (Poly.zero(),) * 4 if d in (40, 45) else g5, d),
     )
     cert = verify._r5_abs(36, 50)
     assert cert.status == "counterexample"
@@ -425,20 +431,18 @@ R5_PROFILE_LABEL = (
 
 
 @pytest.mark.parametrize(
-    "prefix, value",
+    "split, value",
     [
-        ((4, 9, 14, 19, 24, 29, 35, 38), 35),  # one value raised above 34
-        ((4, 9, 14, 19, 24, 29), 40),  # stabilizes early: d from i = 7 on
+        ((6, 4, 5), 35),  # 4, 9, ..., 29, then 35 at i = 7: raised above 34
+        ((6, 4, 0), 40),  # 4, 9, ..., 29, then d from i = 7 on: stabilizes early
     ],
 )
-def test_r5_profile_sweep_reports_a_dominated_value(monkeypatch, prefix, value):
+def test_r5_profile_sweep_reports_a_dominated_value(monkeypatch, split, value):
     # At d = 40 the seed (4, 9, 16) propagates to 34 at i = 7; a profile
-    # that rises above it there, inside or past its prefix, fails the claim.
-    real = verify.pi2_profile
-    monkeypatch.setattr(
-        verify, "pi2_profile",
-        lambda d: HilbertProfile("patched", d, prefix) if d == 40 else real(d),
-    )
+    # that rises above it there fails the claim. The doctored (n, v, w) split
+    # makes the G(4;d,5) profile 5i - 1 for i <= n, d - w at i = n + 1, then d.
+    real = verify.pi2_split
+    monkeypatch.setattr(verify, "pi2_split", lambda d: split if d == 40 else real(d))
     cert = verify._r5_profile((4, 9, 16), 36, 50)
     assert cert.status == "counterexample"
     assert cert.witness == {
@@ -448,10 +452,11 @@ def test_r5_profile_sweep_reports_a_dominated_value(monkeypatch, prefix, value):
 
 
 def test_r5_profile_sweep_reports_a_genus_bound_above_pi2(monkeypatch):
-    real = verify.pi2_bound
+    # the integer check is handed G(4;d,5) = 0 at d = 40
+    real = verify._r5_profile_int_check
     monkeypatch.setattr(
-        verify, "pi2_bound",
-        lambda d: SimpleNamespace(bound_int=0) if d == 40 else real(d),
+        verify, "_r5_profile_int_check",
+        lambda seed, g4, d: real(seed, (Poly.zero(),) * 5 if d == 40 else g4, d),
     )
     cert = verify._r5_profile((4, 10, 19), 36, 50)
     assert cert.status == "counterexample"
@@ -459,6 +464,132 @@ def test_r5_profile_sweep_reports_a_genus_bound_above_pi2(monkeypatch):
         "failed_check": R5_PROFILE_LABEL,
         "failure": "d=40: propagated genus bound exceeds G(4;d,5)",
     }
+
+
+# the integer per-degree checks against the scalar route ------------------------
+
+G4 = tuple(map(pi2_poly, range(5)))
+
+
+@pytest.mark.parametrize("seed", [(4, 9, 16), (4, 10, 19), (4, 8, 12), (4, 9, 15), (2, 3, 4)])
+def test_r5_profile_closed_form_matches_the_built_profiles(seed):
+    # failure strings included: the last three seeds fail at many degrees
+    failing = 0
+    for d in range(31, 3001):
+        closed = verify._r5_profile_int_check(seed, G4, d)
+        assert closed == verify._r5_profile_check_one(seed, d), d
+        failing += closed is not None
+    assert (failing == 0) == (seed in ((4, 9, 16), (4, 10, 19)))
+
+
+VALID_SEEDS = st.lists(st.integers(1, 40), min_size=3, max_size=3).map(sorted).filter(
+    lambda seed: seed[2] >= 2
+)
+
+
+@given(VALID_SEEDS, st.integers(0, 400))
+def test_r5_profile_closed_form_matches_for_any_valid_seed(seed, extra):
+    # nondecreasing seeds with h3 >= 2, and d >= h3 so that no value exceeds d
+    seed, d = tuple(seed), seed[2] + extra
+    assert verify._r5_profile_int_check(seed, G4, d) == verify._r5_profile_check_one(seed, d)
+
+
+def test_r5_profile_closed_form_matches_on_every_small_seed():
+    # seeds equal to d at small d meet every segment boundary of the closed form
+    seeds = [seed for seed in combinations_with_replacement(range(1, 13), 3) if seed[2] >= 2]
+    for seed in seeds:
+        for d in range(seed[2], 61):
+            assert verify._r5_profile_int_check(seed, G4, d) == verify._r5_profile_check_one(seed, d)
+
+
+@given(VALID_SEEDS, st.integers(0, 400))
+def test_r5_profile_closed_form_genus_is_the_defect_sum(seed, extra):
+    # a dominating profile's genus never exceeds G(4;d,5), so the comparison
+    # is probed with G(4;d,5) set to the propagated defect sum and one below
+    seed, d = tuple(seed), seed[2] + extra
+    genus = genus_from_profile(propagate_profile(seed, d))
+    if verify._r5_profile_int_check(seed, G4, d) is None:
+        assert verify._r5_profile_int_check(seed, (Poly.of(genus),) * 5, d) is None
+        assert verify._r5_profile_int_check(seed, (Poly.of(genus - 1),) * 5, d) == (
+            f"d={d}: propagated genus bound exceeds G(4;d,5)"
+        )
+
+
+R4_MARGINS = {
+    5: tuple(r4_margin_poly(halphen_poly(5, e), 1 - halphen_poly(5, e)) for e in range(5)),
+    2: tuple(r4_margin_poly(halphen_poly(2, e), 1) for e in range(2)),
+    3: tuple(r4_margin_poly(halphen_poly(3, e), 1) for e in range(3)),
+}
+
+
+@pytest.mark.parametrize("s", [5, 2, 3])
+def test_r4_integer_checks_match_the_scalar_ones(s):
+    # from the first degree Halphen's bound is asserted for, so that the
+    # range holds failing degrees too
+    scalar = verify._r4_reduce_check_one if s == 5 else partial(verify._r4_s_check_one, s)
+    ds = range(s * s - s + 1, 5001)
+    results = [verify._r4_margin_int_check(R4_MARGINS[s], d) for d in ds]
+    assert results == list(map(scalar, ds))
+    assert any(results)
+
+
+def test_r5_abs_and_deg4_integer_checks_match_the_scalar_ones():
+    ds = range(5, 5001)
+    g5 = tuple(castelnuovo_poly(5, e) for e in range(4))
+    abs_results = [verify._r5_abs_int_check(G4, g5, d) for d in ds]
+    assert abs_results == list(map(verify._r5_abs_check_one, ds))
+    assert max(filter(None, abs_results)) == 18
+    deg4 = tuple(map(weighted_defect_poly, range(4))), tuple(map(pi1_poly, range(4)))
+    deg4_results = [verify._r5_deg4_int_check(*deg4, d) for d in ds]
+    assert deg4_results == list(map(verify._r5_deg4_check_one, ds))
+    assert any(deg4_results)
+
+
+def test_integer_checks_raise_on_a_non_integer_genus_bound():
+    half = Poly.of(Fraction(1, 2))
+    with pytest.raises(InconsistencyError, match=r"G\(5;41\) is not an integer: 1/2"):
+        verify._r5_abs_int_check(G4, (half,) * 4, 41)
+    with pytest.raises(InconsistencyError, match=r"G\(4;41,5\) is not an integer"):
+        verify._r5_profile_int_check((4, 9, 16), (half,) * 5, 41)
+
+
+def test_each_sweep_rechecks_its_last_degree_through_the_scalar_api(monkeypatch):
+    seen = []
+    real = verify.halphen_bound
+    monkeypatch.setattr(verify, "halphen_bound", lambda d, s: seen.append((d, s)) or real(d, s))
+    verify_r4(36, 50)
+    assert seen == [(50, 5), (50, 2), (50, 3)]
+
+
+def flip_at(monkeypatch, name, hi):
+    """Make the integer check `name` report the opposite verdict at d = hi."""
+    real = getattr(verify, name)
+
+    def wrong(*args):
+        got = real(*args)
+        return got if args[-1] != hi else "wrong" if got is None else None
+
+    monkeypatch.setattr(verify, name, wrong)
+
+
+@pytest.mark.parametrize("name, build, claim", [
+    ("_r4_margin_int_check", lambda: verify._r4_reduce(36, 50), "R4.reduce"),
+    ("_r4_margin_int_check", lambda: verify._r4_s(36, 50, 3), "R4.s3"),
+    ("_r5_abs_int_check", lambda: verify._r5_abs(36, 50), "R5.abs"),
+    ("_r5_profile_int_check", lambda: verify._r5_profile((4, 10, 19), 36, 50), "R5.profile.seed-4-10-19"),
+    ("_r5_deg4_int_check", lambda: verify._r5_deg4(36, 50), "R5.deg4.cubic"),
+])
+def test_a_wrong_integer_check_at_the_last_degree_raises(monkeypatch, name, build, claim):
+    flip_at(monkeypatch, name, 50)
+    with pytest.raises(InconsistencyError, match=f"^{claim} at d=50: the per-degree check gives"):
+        build()
+
+
+def test_a_wrong_integer_check_below_the_last_degree_is_a_counterexample(monkeypatch):
+    # the scalar route re-checks only d = hi: below it the sweep's own
+    # verdict is the claim's
+    flip_at(monkeypatch, "_r5_deg4_int_check", 49)
+    assert verify._r5_deg4(36, 50).witness["failure_at"] == "wrong"
 
 
 # aggregate ----------------------------------------------------------------------
