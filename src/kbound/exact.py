@@ -220,6 +220,11 @@ class Poly(Frozen):
             return Poly(acc.num, acc.den * self.den)
         return Fraction(_horner(self.num, x), self.den)
 
+    def has_value(self, x: int, value: int) -> bool:
+        """self(x) == value for integers x and value, compared in integers:
+        the numerators at x against value times the denominator."""
+        return _horner(self.num, x) == value * self.den
+
     def cauchy_tail_bound(self) -> int:
         """Integer N >= 1 + max |c_i / c_deg|; no real root has |x| > N.
 

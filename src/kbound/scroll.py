@@ -275,23 +275,27 @@ class KsqMinimum(Frozen):
         }
 
 
+def frame_k2(d: int) -> list[int]:
+    """[phi(d, -m), ..., phi(d, a*)], the K^2 of every admissible class of
+    degree d, by an exact forward-difference walk of the cubic phi that is
+    re-checked against phi at a* (InconsistencyError on a mismatch)."""
+    m, eps = _split3(d)
+    return forward_walk(partial(phi, d), -m, _a_star(m, eps), 3)
+
+
 def minimize_k2(d: int) -> KsqMinimum:
     """Brute-force minimum of phi over every integer a in [-m, a*].
 
     The range has O(d) points and the arithmetic is exact, which makes this
     the trustworthy oracle against which the closed forms
     (-d(d-6) for even d, -d^2/4 + d/2 + 35/4 for odd d) are claims. The
-    values come from an exact forward-difference walk of the cubic phi,
-    re-checked against phi at a* (InconsistencyError on a mismatch); a_min
-    is the least minimizing a.
+    values are those of :func:`frame_k2`; a_min is the least minimizing a.
     """
-    m, eps = _split3(d)
-    a_star = _a_star(m, eps)
-    values = forward_walk(partial(phi, d), -m, a_star, 3)
+    values = frame_k2(d)
     best = min(values)
     return KsqMinimum(
         d=d,
-        a_min=-m + values.index(best),
+        a_min=-_split3(d)[0] + values.index(best),
         k2_min=best,
         unique=values.count(best) == 1,
     )
@@ -305,11 +309,17 @@ ODD_MINIMUM = Poly.of(Fraction(35, 4), Fraction(1, 2), Fraction(-1, 4))
 EXTREMAL_GENUS = Poly.of(1, Fraction(-3, 4), Fraction(1, 8))
 
 
-def k2_min_closed_form(d: int) -> Fraction:
-    """phi(a*) by parity of m + eps - 1: :data:`EVEN_MINIMUM` when q = 0
-    (d even), :data:`ODD_MINIMUM` when q = 1 (d odd)."""
+def k2_min_form(d: int) -> Poly:
+    """The closed form of phi(a*) by parity of m + eps - 1:
+    :data:`EVEN_MINIMUM` when q = 0 (d even), :data:`ODD_MINIMUM` when q = 1
+    (d odd)."""
     m, eps = _split3(d)
-    return (EVEN_MINIMUM if (m + eps - 1) % 2 == 0 else ODD_MINIMUM)(d)
+    return EVEN_MINIMUM if (m + eps - 1) % 2 == 0 else ODD_MINIMUM
+
+
+def k2_min_closed_form(d: int) -> Fraction:
+    """phi(a*) from :func:`k2_min_form`."""
+    return k2_min_form(d)(d)
 
 
 class ExtremalSurface(Frozen):
@@ -337,9 +347,9 @@ def extremal_class(d: int) -> ExtremalSurface:
         raise InconsistencyError(f"extremal class {c.text()} is not admissible")
     k2 = k2_intersection(c)
     g = sectional_genus(c)
-    if k2 != EVEN_MINIMUM(d):
+    if not EVEN_MINIMUM.has_value(d, k2):
         raise InconsistencyError(f"extremal K^2 {k2} != -d(d-6) at d={d}")
-    if g != EXTREMAL_GENUS(d):
+    if not EXTREMAL_GENUS.has_value(d, g):
         raise InconsistencyError(f"extremal genus {g} != d^2/8 - 3d/4 + 1 at d={d}")
     f = frame_from_class(c, d)
     if f.a != f.a_star or f.q_parity != 0:

@@ -82,12 +82,15 @@ from .scroll import (
     EXTREMAL_GENUS,
     ODD_MINIMUM,
     DivisorClass,
+    KsqMinimum,
     _a_star,
     _k2_raw,
     _split3,
     extremal_class,
     frame_from_class,
+    frame_k2,
     k2_min_closed_form,
+    k2_min_form,
     minimize_k2,
     phi,
     phi_derivative,
@@ -264,7 +267,7 @@ class _Builder:
         if oracle is not None and (fast := check_one(self.hi)) != (direct := oracle(self.hi)):
             raise InconsistencyError(
                 f"{self.claim_id} at d={self.hi}: the per-degree check gives {fast!r},"
-                f" the scalar route {direct!r}"
+                f" its oracle {direct!r}"
             )
         self.check(label, bad is None, **{key: bad})
 
@@ -912,21 +915,37 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
     )
 
 
+#: Within verify_theorem, the minimize_k2 result of each degree this run has
+#: computed, so that APPENDIX.min and SHARPNESS share one frame scan per
+#: degree; None outside a run, where each check computes its own.
+_MINIMA: ContextVar[dict[int, KsqMinimum] | None] = ContextVar("_MINIMA", default=None)
+
+
+def _minimum(d: int) -> KsqMinimum:
+    """minimize_k2(d), computed at most once per verify_theorem call."""
+    table = _MINIMA.get()
+    if table is None:
+        return minimize_k2(d)
+    if d not in table:
+        table[d] = minimize_k2(d)
+    return table[d]
+
+
 def _appendix_check_one(d: int) -> str | None:
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
     # phi' is quadratic in a: both sign scans walk it by forward differences.
     rise_lo = -m + 2
     try:
-        res = minimize_k2(d)
+        res = _minimum(d)
         rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2)
         falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2)
     except InconsistencyError as exc:
         return f"d={d}: {exc}"
-    bound = as_int(EVEN_MINIMUM(d))
+    bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
         return f"d={d}: minimum {res.k2_min} below -d(d-6) = {bound}"
-    if res.k2_min != k2_min_closed_form(d):
+    if not k2_min_form(d).has_value(d, res.k2_min):
         return f"d={d}: minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
     if d % 2 == 0:
         if res.k2_min != bound or res.a_min != a_star or not res.unique:
@@ -951,11 +970,11 @@ def _appendix_check_one(d: int) -> str | None:
         return f"d={d}: phi'(-m+2) != 18m + 6e - 42"
     if phi_derivative(d, -1) != dphi_m1:
         return f"d={d}: phi'(-1) != 10m + 6me - 12e - 18"
-    a = next(compress(count(rise_lo), map(le, rising, repeat(0))), None)
-    if a is not None:
+    if min(rising, default=1) <= 0:
+        a = next(compress(count(rise_lo), map(le, rising, repeat(0))))
         return f"d={d}: phi' not positive at a={a} in [-m+2, -1]"
-    a = next(compress(count(1), map(ge, falling, repeat(0))), None)
-    if a is not None:
+    if max(falling) >= 0:
+        a = next(compress(count(1), map(ge, falling, repeat(0))))
         return f"d={d}: phi' not negative at a={a} >= 1"
     if phi_derivative_discriminant(m, eps) <= 0:
         return f"d={d}: phi' lacks two real roots"
@@ -1027,43 +1046,97 @@ def _sharpness_scan(d: int, target: int) -> tuple[int | None, list[int]]:
     K^2 = (K_T + S)^2.S comes from the intersection ring, not from phi, so
     the two routes stay independent. It is cubic in alpha, so the scan walks
     it by forward differences (InconsistencyError if the walk goes wrong).
+    This O(d) walk is the oracle of the SHARPNESS sweep, run at its last
+    degree by :func:`_sharpness_ring_check`.
     """
     k2s = forward_walk(lambda alpha: _k2_raw(DivisorClass(alpha, d - 3 * alpha)), 1, d // 2, 3)
     return min(k2s, default=None), list(compress(count(1), map(eq, k2s, repeat(target))))
 
 
-def _sharpness_check_one(d: int) -> str | None:
-    target = as_int(EVEN_MINIMUM(d))
-    try:
-        best, attained = _sharpness_scan(d, target)
-    except InconsistencyError as exc:
-        return f"d={d}: {exc}"
+def _ring_mismatch(d: int) -> str | None:
+    """The first of the classes alpha = 1, 2, 3, 4 and d // 2 where the
+    intersection ring's K^2 differs from phi(d, alpha - m - 1), or None.
+
+    For a fixed d both are cubic in alpha, so agreement at the four seeds
+    makes them one cubic, and alpha = d // 2 (the frame's a*) is the end
+    check of a walk. Then the ring's least K^2 over 1 <= alpha <= d/2 and
+    its attainers are those of phi over [-m, a*].
+    """
+    m = _split3(d)[0]
+    for alpha in (1, 2, 3, 4, d // 2):
+        ring, cubic = _k2_raw(DivisorClass(alpha, d - 3 * alpha)), phi(d, alpha - m - 1)
+        if ring != cubic:
+            return f"d={d}: the intersection ring gives K^2 = {ring} at alpha={alpha}, phi gives {cubic}"
+    return None
+
+
+def _sharpness_verdict(d: int, target: int, best: int | None, only_at_half: bool,
+                       attainers: Callable[[], list[int]]) -> str | None:
+    """SHARPNESS at d from the least K^2 over the degree-d classes and
+    whether target = -d(d-6) is attained at alpha = d/2 alone; attainers()
+    lists the attaining alphas, for a failure only."""
     if d % 2 == 0:
         ext = extremal_class(d)  # re-checks K^2 and genus through both routes
         if best != target:
             return f"d={d}: class minimum {best} != -d(d-6) = {target}"
-        if attained != [d // 2]:
-            return f"d={d}: -d(d-6) attained at alpha in {attained}, not only d/2"
+        if not only_at_half:
+            return f"d={d}: -d(d-6) attained at alpha in {attainers()}, not only d/2"
         f = frame_from_class(ext.cls, d)
         if phi(d, f.a) != ext.k2:
             return f"d={d}: phi and the intersection ring disagree on the extremal class"
-    else:
-        if attained:
+    elif best is None or best <= target:
+        if attainers():
             return f"d={d}: odd degree attains the even-degree minimum"
-        if best is None or best <= target:
-            return f"d={d}: odd-degree minimum {best} fails to exceed {target}"
+        return f"d={d}: odd-degree minimum {best} fails to exceed {target}"
     return None
 
 
+def _sharpness_ring_check(d: int) -> str | None:
+    """SHARPNESS at d with the least K^2 and its attainers taken from the
+    full ring walk of :func:`_sharpness_scan`: the oracle of the sweep."""
+    if (mismatch := _ring_mismatch(d)) is not None:
+        return mismatch
+    target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
+    try:
+        best, attained = _sharpness_scan(d, target)
+    except InconsistencyError as exc:
+        return f"d={d}: {exc}"
+    return _sharpness_verdict(d, target, best, attained == [d // 2], lambda: attained)
+
+
+def _sharpness_check_one(d: int) -> str | None:
+    """SHARPNESS at d on the frame minimum shared with APPENDIX.min, once
+    :func:`_ring_mismatch` has matched the ring with phi."""
+    if (mismatch := _ring_mismatch(d)) is not None:
+        return mismatch
+    target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
+    try:
+        res = _minimum(d)
+    except InconsistencyError as exc:
+        return f"d={d}: {exc}"
+    only_at_half = res.unique and res.a_min + _split3(d)[0] + 1 == d // 2
+    return _sharpness_verdict(d, target, res.k2_min, only_at_half, partial(_attainers, d, target))
+
+
+def _attainers(d: int, target: int) -> list[int]:
+    """The alphas = a + m + 1 of the frame classes with K^2 = target."""
+    return list(compress(count(1), map(eq, frame_k2(d), repeat(target))))
+
+
 def verify_sharpness(d_from: int, d_to: int) -> Certificate:
-    """Brute force over every admissible class of each degree in range:
-    even degrees attain K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees
-    never reach it."""
+    """Every admissible class of each degree in range: even degrees attain
+    K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees never reach it.
+
+    Each degree reads its minimum from the frame scan of minimize_k2 (shared
+    with APPENDIX.min within verify_theorem, computed here when called
+    directly) once the intersection ring agrees with phi at five classes;
+    the full ring walk re-checks the sweep's last degree."""
     b = _Builder("SHARPNESS", (d_from, d_to), 36)
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
         _sharpness_check_one,
+        oracle=_sharpness_ring_check,
     )
     ds = range(b.lo, b.hi + 1)
     evens = [d for d in ds if d % 2 == 0]
@@ -1149,8 +1222,10 @@ def verify_theorem(d_from: int, d_to: int, jobs: int = 1, cases: Iterable[str] =
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         chunk = max(1, (d_to - d_from + 1) // (workers * 8))
         token = _SWEEP_MAP.set(partial(pool.map, chunksize=chunk) if pool else map)
+        minima = _MINIMA.set({})
         try:
             certs = sorted((c for case in cases for c in CASES[case](d_from, d_to)), key=Certificate.sort_key)
         finally:
+            _MINIMA.reset(minima)
             _SWEEP_MAP.reset(token)
     return CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)

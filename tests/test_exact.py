@@ -107,6 +107,13 @@ def test_poly_compose_matches_eval(p, q, x):
     assert p(q)(x) == p(q(x))
 
 
+@given(polys, st.integers(-50, 50), st.integers(-2, 2))
+def test_poly_has_value_matches_eval(p, x, offset):
+    # near the value, so that an integer value is hit as well as missed
+    value = math.floor(p(x)) + offset
+    assert p.has_value(x, value) == (p(x) == value)
+
+
 @pytest.mark.parametrize("p", [Poly.zero(), Poly.of(7), Poly.of(Fraction(-3, 4))])
 def test_constant_poly_called_on_a_poly_is_a_poly(p):
     # Horner on a constant never multiplies by the inner polynomial, so the

@@ -32,6 +32,7 @@ from kbound.bounds import (
     weighted_defect_poly,
 )
 from kbound.exact import InconsistencyError, Poly, rat_str
+import kbound.scroll as scroll
 import kbound.verify as verify
 from kbound.scroll import DivisorClass, _k2_raw
 from kbound.verify import (
@@ -347,14 +348,17 @@ def test_sharpness_scan_matches_naive_ring_scan():
 
 
 def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
-    # A K^2 route that is not cubic in alpha derails the walk; the check must
-    # report the disagreement, not pass or crash.
+    # A K^2 route that is not cubic in alpha derails the ring walk, and the
+    # per-degree check finds it leaving phi at the first of its five classes
+    # (phi(-m) = 8); neither passes or crashes.
     monkeypatch.setattr(verify, "_k2_raw", lambda c: c.alpha**4)
-    failure = verify._sharpness_check_one(40)
-    assert failure.startswith("d=40: forward-difference walk")
+    with pytest.raises(InconsistencyError, match="^forward-difference walk"):
+        verify._sharpness_scan(40, -1360)
+    failure = "the intersection ring gives K^2 = 1 at alpha=1, phi gives 8"
+    assert verify._sharpness_check_one(40) == f"d=40: {failure}"
     cert = verify_sharpness(36, 40)
     assert cert.status == "counterexample"
-    assert cert.witness["failure"].startswith("d=36: forward-difference walk")
+    assert cert.witness["failure"] == f"d=36: {failure}"
 
 
 def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
@@ -395,16 +399,104 @@ def test_appendix_reports_phi_prime_not_negative(monkeypatch, index, a):
     assert verify._appendix_check_one(40) == f"d=40: phi' not negative at a={a} >= 1"
 
 
+def doctor_frame(monkeypatch, d, index, value):
+    """Make the frame scan of phi at degree d, which minimize_k2 and the
+    attainer list both read, return value at index."""
+    real = scroll.frame_k2
+
+    def scan(n):
+        values = real(n)
+        if n == d:
+            values[index] = value
+        return values
+
+    monkeypatch.setattr(scroll, "frame_k2", scan)
+    monkeypatch.setattr(verify, "frame_k2", scan)
+
+
 @pytest.mark.parametrize("index, attained", [(0, [1, 20]), (4, [5, 20])])
 def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
-    # K^2 is walked over alpha = 1 .. d/2 from 1; at d = 40 a second class
-    # with K^2 = -d(d-6) = -1360 breaks the uniqueness.
-    doctor_walk(monkeypatch, 1, index, -1360)
-    cert = verify_sharpness(40, 40)
+    # The frame of d = 40 is a = -13 .. 6, alpha = a + 14 = 1 .. 20: a second
+    # class with K^2 = -d(d-6) = -1360 in the shared minimum breaks the
+    # uniqueness. d = 40 is below the sweep's last degree, where the full
+    # ring walk re-checks the verdict.
+    doctor_frame(monkeypatch, 40, index, -1360)
+    cert = verify_sharpness(39, 42)
     assert cert.status == "counterexample"
     assert cert.witness["failure"] == (
         f"d=40: -d(d-6) attained at alpha in {attained}, not only d/2"
     )
+
+
+def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
+    # d = 41 (frame a = -13 .. 6): a class reaching -d(d-6) = -1435, and one
+    # below it without the even minimum reached
+    doctor_frame(monkeypatch, 41, 3, -1435)
+    assert verify._sharpness_check_one(41) == "d=41: odd degree attains the even-degree minimum"
+    doctor_frame(monkeypatch, 41, 3, -1436)
+    assert verify._sharpness_check_one(41) == "d=41: odd-degree minimum -1436 fails to exceed -1435"
+
+
+@pytest.mark.parametrize("extra", [
+    lambda a: (a - 1) * (a - 2) * (a - 3),  # agrees at three of the four seeds
+    lambda a: -(a - 1) * (a - 2) * (a - 3),
+    lambda a: (a - 1) * (a - 2) * (a - 3) * (a - 4),  # agrees at all four seeds
+])
+def test_sharpness_fails_a_ring_route_that_leaves_phi(monkeypatch, extra):
+    real = verify._k2_raw
+    monkeypatch.setattr(verify, "_k2_raw", lambda c: real(c) + extra(c.alpha))
+    cert = verify_sharpness(36, 60)
+    assert cert.status == "counterexample"
+    alpha = 18 if extra(4) == 0 else 4  # the first class where the routes differ
+    ring = -36 * 30 + extra(alpha) if alpha == 18 else real(DivisorClass(4, 24)) + extra(4)
+    assert cert.witness["failure"] == (
+        f"d=36: the intersection ring gives K^2 = {ring} at alpha={alpha},"
+        f" phi gives {ring - extra(alpha)}"
+    )
+
+
+@pytest.mark.parametrize("wrong", [lambda a: 1, lambda a: a])
+def test_a_wrong_phi_fails_both_claims(monkeypatch, wrong):
+    real = scroll.phi
+    for module in (scroll, verify):
+        monkeypatch.setattr(module, "phi", lambda d, a: real(d, a) + wrong(a))
+    verdict = verify_theorem(36, 60, cases=("appendix", "sharpness"))
+    assert [c.status for c in verdict.certificates] == ["counterexample"] * 2
+
+
+def test_sharpness_certificate_alone_equals_the_full_runs():
+    def sharpness(verdict):
+        (cert,) = (c for c in verdict.certificates if c.claim_id == "SHARPNESS")
+        return cert.to_json_dict()
+
+    alone = sharpness(verify_theorem(36, 400, cases=("sharpness",)))
+    assert alone == sharpness(verify_theorem(36, 400))
+    assert alone == verify_sharpness(36, 400).to_json_dict()
+
+
+def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
+    calls = []
+    real = verify.minimize_k2
+    monkeypatch.setattr(verify, "minimize_k2", lambda d: calls.append(d) or real(d))
+    verify_theorem(36, 100)
+    assert calls == list(range(36, 101))  # APPENDIX.min's, then read by SHARPNESS
+    assert verify._MINIMA.get() is None
+    calls.clear()
+    # a builder called directly computes its own, at d = 40 once more when
+    # the sweep re-runs its check beside the oracle
+    verify_sharpness(36, 40)
+    assert calls == [36, 37, 38, 39, 40, 40]
+
+
+def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
+    def boom(d):
+        assert verify._MINIMA.get()[d].d == d  # APPENDIX.min filled the table
+        raise RuntimeError(f"check failed at d={d}")
+
+    monkeypatch.setattr(verify, "_sharpness_check_one", boom)
+    with pytest.raises(RuntimeError, match="d=36"):
+        verify_theorem(36, 40, cases=["appendix", "sharpness"])
+    assert verify._MINIMA.get() is None
 
 
 def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
