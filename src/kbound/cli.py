@@ -263,7 +263,7 @@ def _cmd_scroll(args) -> int:
 
 def _cmd_verify(args) -> int:
     cases = verify.CASES if args.case == "all" else [args.case]
-    verdict = verify.verify_theorem(args.d_from, args.d_to, args.jobs, cases)
+    verdict = verify.verify_theorem(args.d_from, args.d_to, cases=cases)
 
     if args.format == "json":
         text = verdict.to_json(None if args.no_timestamp else _utc_now())
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("case", choices=("all", *verify.CASES))
     v.add_argument("--from", dest="d_from", type=int, default=36)
     v.add_argument("--to", dest="d_to", type=int, default=500)
-    v.add_argument("--jobs", type=int, default=1, help="parallel degree sweeps (default: 1)")
     v.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field for byte-identical output")
     _add_common(v)
     v.set_defaults(func=_cmd_verify)

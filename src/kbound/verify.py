@@ -36,9 +36,7 @@ scroll, general type), the certificate records the hypothesis in
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Callable, Iterable
-from contextlib import nullcontext
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
@@ -255,20 +253,23 @@ class _Builder:
 
     def sweep(self, label: str, check_one: Callable[[int], object], key: str = "failure",
               oracle: Callable[[int], object] | None = None) -> None:
-        """Map check_one over [lo, hi] with _SWEEP_MAP; record the first
-        result that is not None (a failure) under ``key``. check_one must be
-        module-level (or a partial of one) so a pool can run it. An oracle
-        is the same check by another route: it is run at hi after the map,
-        and InconsistencyError is raised unless it gives check_one's result."""
+        """Map check_one lazily over [lo, hi]; record the first result that
+        is not None (a failure) under ``key``. An oracle is the same check
+        by another route, run at hi: InconsistencyError is raised unless it
+        gives check_one's result there, which is None when the map found no
+        failure and is computed again otherwise, since the map stops at its
+        first failure."""
         if self.lo > self.hi:
             return
-        results = _SWEEP_MAP.get()(check_one, range(self.lo, self.hi + 1))
+        results = map(check_one, range(self.lo, self.hi + 1))
         bad = next((r for r in results if r is not None), None)
-        if oracle is not None and (fast := check_one(self.hi)) != (direct := oracle(self.hi)):
-            raise InconsistencyError(
-                f"{self.claim_id} at d={self.hi}: the per-degree check gives {fast!r},"
-                f" its oracle {direct!r}"
-            )
+        if oracle is not None:
+            fast = None if bad is None else check_one(self.hi)
+            if fast != (direct := oracle(self.hi)):
+                raise InconsistencyError(
+                    f"{self.claim_id} at d={self.hi}: the per-degree check gives {fast!r},"
+                    f" its oracle {direct!r}"
+                )
         self.check(label, bad is None, **{key: bad})
 
     def note(self, text: str) -> None:
@@ -293,11 +294,6 @@ class _Builder:
             witness=summary if status == VERIFIED else self.witness,
             sign_certificates=self.signs,
         )
-
-
-#: The order-preserving map of every degree sweep: the lazy serial map (a
-#: sweep that stops early stops the work) or, within verify_theorem, its pool's.
-_SWEEP_MAP: ContextVar[Callable] = ContextVar("_SWEEP_MAP", default=map)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,7 +1197,7 @@ CASES: dict[str, Callable[[int, int], list[Certificate]]] = {
 }
 
 
-def verify_theorem(d_from: int, d_to: int, jobs: int = 1, cases: Iterable[str] = CASES) -> CaseVerdict:
+def verify_theorem(d_from: int, d_to: int, *, cases: Iterable[str] = CASES) -> CaseVerdict:
     """Aggregate the certificates of the named cases (by default the whole
     case split) over [d_from, d_to].
 
@@ -1209,23 +1205,12 @@ def verify_theorem(d_from: int, d_to: int, jobs: int = 1, cases: Iterable[str] =
     range does not meet the requested one are marked out-of-asserted-range
     rather than asserted. The merge is keyed by (claim_id, params), which is
     unique, so it does not depend on the order the certificates are made in.
-    With jobs > 1 the call's sweeps share one pool of at most cpu_count()
-    workers; jobs < 1 raises ValueError.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if d_from > d_to:
         raise ValueError("empty degree range")
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        chunk = max(1, (d_to - d_from + 1) // (workers * 8))
-        token = _SWEEP_MAP.set(partial(pool.map, chunksize=chunk) if pool else map)
-        minima = _MINIMA.set({})
-        try:
-            certs = sorted((c for case in cases for c in CASES[case](d_from, d_to)), key=Certificate.sort_key)
-        finally:
-            _MINIMA.reset(minima)
-            _SWEEP_MAP.reset(token)
+    minima = _MINIMA.set({})
+    try:
+        certs = sorted((c for case in cases for c in CASES[case](d_from, d_to)), key=Certificate.sort_key)
+    finally:
+        _MINIMA.reset(minima)
     return CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)

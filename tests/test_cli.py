@@ -216,20 +216,39 @@ def test_verify_empty_range_exit_code(capsys, case):
     assert err == "error: empty degree range\n"
 
 
-def test_verify_jobs_below_one_exit_code(capsys):
-    code, out, err = run_cli(capsys, "verify", "r3", "--jobs", "0")
-    assert code == 2
-    assert out == ""
-    assert err == "error: jobs must be >= 1\n"
+def test_verify_rejects_jobs(capsys):
+    # there is no --jobs option: argparse's unknown-option path, exit code 2
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "r3", "--jobs", "2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
-@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
-def test_verify_all_fingerprint(jobs):
+def test_verify_run_loads_no_process_pool(tmp_path):
+    # -S: no site module, whose .pth files may import either module first.
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    argv = ["verify", "all", "--from", "36", "--to", "60", "--no-timestamp",
+            "--out", str(tmp_path / "r.txt")]
+    code = (
+        "import sys, kbound.cli\n"
+        f"assert kbound.cli.main({argv!r}) == 0\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_verify_all_fingerprint():
     src = str(Path(kbound.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "kbound", "verify", "all", "--from", "36", "--to", "2000",
-         "--format", "json", "--no-timestamp", *jobs],
+         "--format", "json", "--no-timestamp"],
         capture_output=True,
         env=env,
         check=True,

@@ -1,13 +1,7 @@
-import concurrent.futures
 import json
-import os
-import subprocess
-import sys
-import threading
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -482,10 +476,10 @@ def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
     assert calls == list(range(36, 101))  # APPENDIX.min's, then read by SHARPNESS
     assert verify._MINIMA.get() is None
     calls.clear()
-    # a builder called directly computes its own, at d = 40 once more when
-    # the sweep re-runs its check beside the oracle
+    # a builder called directly computes its own, once per degree: the
+    # oracle is compared with the map's result at d = 40, not a re-run
     verify_sharpness(36, 40)
-    assert calls == [36, 37, 38, 39, 40, 40]
+    assert calls == [36, 37, 38, 39, 40]
 
 
 def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
@@ -767,106 +761,10 @@ def test_tail_bound_is_start_or_cauchy_bound():
             assert s.to_json_dict()["scanned_range"] == [s.start, s.tail_bound]
 
 
-def test_parallel_sweep_matches_serial():
-    serial = verify_theorem(36, 140, jobs=1)
-    parallel = verify_theorem(36, 140, jobs=2)
-    assert serial.to_json() == parallel.to_json()
-
-
-def test_parallel_sweep_matches_serial_under_forkserver():
-    # Python 3.14 makes forkserver the default start method on Linux: the
-    # workers import kbound afresh and receive each check_one by pickling.
-    code = (
-        "import multiprocessing, os\n"
-        "from kbound.verify import verify_theorem\n"
-        "if __name__ == '__main__':\n"
-        "    multiprocessing.set_start_method('forkserver')\n"
-        "    os.cpu_count = lambda: 2  # a pool of two even on one CPU\n"
-        "    serial = verify_theorem(36, 140).to_json()\n"
-        "    print(verify_theorem(36, 140, jobs=2).to_json() == serial)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert out.stdout == "True\n"
-
-
-class FakeExecutor:
-    """Stands in for ProcessPoolExecutor: records its construction and maps
-    serially, so no process is ever started."""
-
-    made: list = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.chunksizes = []
-        self.other_thread_sees = []
-        FakeExecutor.made.append(self)
-
-    def map(self, fn, items, chunksize=1):
-        self.chunksizes.append(chunksize)
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(verify._SWEEP_MAP.get()))
-        thread.start()
-        thread.join()
-        self.other_thread_sees += seen
-        return map(fn, items)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    FakeExecutor.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    return FakeExecutor.made
-
-
-def test_one_pool_serves_every_sweep_of_a_run(fake_pool):
-    parallel = verify_theorem(36, 140, jobs=2)
-    assert [ex.max_workers for ex in fake_pool] == [2]
-    # nine degree sweeps, one chunk size for the run: 105 // (2 * 8)
-    assert fake_pool[0].chunksizes == [6] * 9
-    # a thread of its own never sees this run's pool
-    assert fake_pool[0].other_thread_sees == [map] * 9
-    assert verify._SWEEP_MAP.get() is map
-    assert parallel.to_json() == verify_theorem(36, 140).to_json()
-    assert len(fake_pool) == 1  # the serial run made no executor
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_verify_theorem_rejects_jobs_below_one(fake_pool, jobs):
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        verify_theorem(36, 40, jobs=jobs, cases=["r3"])
-    assert fake_pool == []
-
-
-def test_pool_is_capped_at_the_cpu_count(fake_pool, monkeypatch):
-    verify_theorem(36, 40, jobs=100000, cases=["r3"])
-    assert [ex.max_workers for ex in fake_pool] == [4]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    verify_theorem(36, 40, jobs=100000, cases=["r3"])
-    assert len(fake_pool) == 1  # an unknown CPU count runs serially
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_map_is_reset_after_a_sweep_raises(fake_pool, monkeypatch, jobs):
-    def boom(d):
-        raise RuntimeError(f"check failed at d={d}")
-
-    monkeypatch.setattr(verify, "_sharpness_check_one", boom)
-    with pytest.raises(RuntimeError, match="d=36"):
-        verify_theorem(36, 40, jobs=jobs, cases=["sharpness"])
-    assert verify._SWEEP_MAP.get() is map
-    assert len(fake_pool) == jobs - 1
+def test_cases_is_keyword_only():
+    # a positional third argument is a TypeError, not a run over an int
+    with pytest.raises(TypeError):
+        verify_theorem(36, 40, 2)
 
 
 def test_soundness_rescan_against_independent_evaluation():
