@@ -671,6 +671,55 @@ def test_a_wrong_integer_check_at_the_last_degree_raises(monkeypatch, name, buil
         build()
 
 
+#: Each sweep with an oracle: its per-degree check, its oracle, a builder
+#: over [36, 50], and the witness key of a failure.
+ORACLE_SWEEPS = {
+    "R4.reduce": ("_r4_margin_int_check", "_r4_reduce_check_one", lambda: verify._r4_reduce(36, 50), "failure_at"),
+    "R4.s3": ("_r4_margin_int_check", "_r4_s_check_one", lambda: verify._r4_s(36, 50, 3), "failure_at"),
+    "R5.abs": ("_r5_abs_int_check", "_r5_abs_check_one", lambda: verify._r5_abs(36, 50), "failure_at"),
+    "R5.profile": ("_r5_profile_int_check", "_r5_profile_check_one",
+                   lambda: verify._r5_profile((4, 10, 19), 36, 50), "failure"),
+    "R5.deg4": ("_r5_deg4_int_check", "_r5_deg4_check_one", lambda: verify._r5_deg4(36, 50), "failure_at"),
+    "SHARPNESS": ("_sharpness_check_one", "_sharpness_ring_check", lambda: verify_sharpness(36, 50), "failure"),
+}
+
+
+def spy(monkeypatch, name, calls, fail_at=None):
+    """Record the degree of each call of `name`; report a failure at fail_at."""
+    real = getattr(verify, name)
+
+    def recorded(*args):
+        calls.append(args[-1])
+        return "wrong" if args[-1] == fail_at else real(*args)
+
+    monkeypatch.setattr(verify, name, recorded)
+
+
+@pytest.mark.parametrize("check, oracle, build, key", ORACLE_SWEEPS.values(), ids=ORACLE_SWEEPS)
+def test_a_passing_sweep_runs_each_degree_once(monkeypatch, check, oracle, build, key):
+    # no failure: the oracle at d = 50 is compared with the map's None there
+    checked, direct = [], []
+    spy(monkeypatch, check, checked)
+    spy(monkeypatch, oracle, direct)
+    assert build().status == "verified"
+    assert checked == list(range(36, 51))
+    assert direct == [50]
+
+
+@pytest.mark.parametrize("check, oracle, build, key", ORACLE_SWEEPS.values(), ids=ORACLE_SWEEPS)
+def test_a_sweep_stops_at_its_first_failure(monkeypatch, check, oracle, build, key):
+    # the lazy map stops at d = 40; the check runs once more at d = 50 only
+    # to be compared with its oracle there
+    checked, direct = [], []
+    spy(monkeypatch, check, checked, fail_at=40)
+    spy(monkeypatch, oracle, direct)
+    cert = build()
+    assert cert.status == "counterexample"
+    assert cert.witness[key] == "wrong"
+    assert checked == [*range(36, 41), 50]
+    assert direct == [50]
+
+
 def test_a_wrong_integer_check_below_the_last_degree_is_a_counterexample(monkeypatch):
     # the scalar route re-checks only d = hi: below it the sweep's own
     # verdict is the claim's
