@@ -16,14 +16,14 @@ Implements, always in exact arithmetic:
   surfaces in P^4, written once as :func:`double_point_2k2`, and the Euler
   characteristic lower bound used for surfaces on a quartic hypersurface.
 
-Each closed form is defined once, as a polynomial on a residue class (the
-``*_poly`` functions): the scalar functions evaluate it and the certificates
-in :mod:`kbound.verify` quantify over it; the profile sums stay its oracles.
-Every bound function returns a :class:`GenusBoundResult` carrying the exact
-rational value plus the split data (m/eps, n/v/w, p/q/t) that entered the
-formula. Every split is ``divmod(d - 1, k)``, the canonical least
-nonnegative remainder: d - 1 = (r-1)m + eps with 0 <= eps <= r-2,
-d - 1 = 5n + v with 0 <= v <= 4, d - 1 = 4p + q with 0 <= q <= 3.
+Each closed form is defined once, as a tuple of polynomials whose entry e
+holds on the residue class (d - 1) mod len = e (the ``*_polys`` functions):
+the scalar functions evaluate it and the certificates in :mod:`kbound.verify`
+iterate over it; the profile sums stay its oracles. Every bound function
+returns a :class:`GenusBoundResult` carrying the exact rational value plus the
+split data (m/eps, n/v/w, p/q/t) that entered the formula. Every split is
+``divmod(d - 1, len(polys))``, so each modulus is written once, where its tuple
+is built: d - 1 = (r-1)m + eps, d - 1 = 5n + v, d - 1 = 4p + q.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from operator import le
 
 from .exact import (
     Frozen,
@@ -58,14 +57,13 @@ class HilbertProfile(Frozen):
     def __init__(self, label: str, d: int, prefix: tuple[int, ...]):
         if d < 1:
             raise ValueError("profile needs d >= 1")
-        if prefix and not (1 <= prefix[0] and prefix[-1] <= d and all(map(le, prefix, prefix[1:]))):
-            last = 0  # name the first bad value
-            for v in prefix:
-                if v < 1 or v > d:
-                    raise ValueError(f"profile value {v} outside [1, d={d}]")
-                if v < last:
-                    raise ValueError("profile must be nondecreasing")
-                last = v
+        last = 0
+        for v in prefix:
+            if v < 1 or v > d:
+                raise ValueError(f"profile value {v} outside [1, d={d}]")
+            if v < last:
+                raise ValueError("profile must be nondecreasing")
+            last = v
         _set(self, "label", label)
         _set(self, "d", d)
         _set(self, "prefix", prefix)
@@ -133,10 +131,11 @@ class GenusBoundResult(Record):
 
 
 @cache
-def castelnuovo_poly(r: int, eps: int) -> Poly:
-    """G(r;d) as a quadratic in d on the residue class (d-1) mod (r-1) = eps."""
+def castelnuovo_polys(r: int) -> tuple[Poly, ...]:
+    """G(r;d) as a quadratic in d, entry eps on (d-1) mod (r-1) = eps."""
     den = 2 * (r - 1)
-    return Poly.of(Fraction((r - eps) * (1 + eps), den), Fraction(-(r + 1), den), Fraction(1, den))
+    quadratic = Poly.of(0, Fraction(-(r + 1), den), Fraction(1, den))
+    return tuple(quadratic + Fraction((r - eps) * (1 + eps), den) for eps in range(r - 1))
 
 
 def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
@@ -152,8 +151,8 @@ def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
         raise ValueError("castelnuovo_bound needs r >= 3")
     if d < r:
         raise OutOfDomainError(f"no nondegenerate degree-{d} curve in P^{r}")
-    m, eps = divmod(d - 1, r - 1)
-    bound = castelnuovo_poly(r, eps)(d)
+    m, eps = divmod(d - 1, len(castelnuovo_polys(r)))
+    bound = castelnuovo_polys(r)[eps](d)
     as_int(bound, f"G({r};{d})")
     return GenusBoundResult(
         formula_id="castelnuovo",
@@ -176,10 +175,10 @@ def castelnuovo_profile(r: int, d: int) -> HilbertProfile:
 
 
 @cache
-def halphen_poly(s: int, eps: int) -> Poly:
-    """G(3;d,s) as a quadratic in d on the residue class (d-1) mod s = eps."""
-    const = 1 - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s)
-    return Poly.of(const, Fraction(s - 4, 2), Fraction(1, 2 * s))
+def halphen_polys(s: int) -> tuple[Poly, ...]:
+    """G(3;d,s) as a quadratic in d, entry eps on (d-1) mod s = eps."""
+    quadratic = Poly.of(1, Fraction(s - 4, 2), Fraction(1, 2 * s))
+    return tuple(quadratic - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s) for eps in range(s))
 
 
 def halphen_bound(d: int, s: int) -> GenusBoundResult:
@@ -197,8 +196,8 @@ def halphen_bound(d: int, s: int) -> GenusBoundResult:
         raise ValueError("halphen_bound needs s >= 2")
     if d <= s * s - s:
         raise OutOfDomainError(f"Halphen bound asserted only for d > {s * s - s}")
-    m, eps = divmod(d - 1, s)
-    bound = halphen_poly(s, eps)(d)
+    m, eps = divmod(d - 1, len(halphen_polys(s)))
+    bound = halphen_polys(s)[eps](d)
     return GenusBoundResult(
         formula_id="halphen",
         d=d,
@@ -212,29 +211,30 @@ def pi2_w(v: int) -> int:
     return max(0, v // 2)
 
 
+@cache
+def pi2_polys() -> tuple[Poly, ...]:
+    """G(4;d,5) = d^2/10 - 3d/10 + 1/5 + v/10 - v^2/10 + w, entry v on the
+    residue class (d-1) mod 5 = v."""
+    quadratic = Poly.of(0, Fraction(-3, 10), Fraction(1, 10))
+    return tuple(quadratic + Fraction(2 + v - v * v, 10) + pi2_w(v) for v in range(5))
+
+
 def pi2_split(d: int) -> tuple[int, int, int]:
     """(n, v, w) with d - 1 = 5n + v, 0 <= v <= 4, w = :func:`pi2_w`."""
-    n, v = divmod(d - 1, 5)
+    n, v = divmod(d - 1, len(pi2_polys()))
     return n, v, pi2_w(v)
-
-
-@cache
-def pi2_poly(v: int) -> Poly:
-    """G(4;d,5) = d^2/10 - 3d/10 + 1/5 + v/10 - v^2/10 + w on the residue
-    class (d-1) mod 5 = v."""
-    return Poly.of(Fraction(2 + v - v * v, 10) + pi2_w(v), Fraction(-3, 10), Fraction(1, 10))
 
 
 def pi2_bound(d: int) -> GenusBoundResult:
     """G(4;d,5), the maximal genus of a degree-d curve in P^4 whose general
     hyperplane section lies on no surface of degree < 5 in P^3, from
-    :func:`pi2_poly`. Computed for every d >= 2; as a genus bound it is
+    :func:`pi2_polys`. Computed for every d >= 2; as a genus bound it is
     asserted for d > 143.
     """
     if d < 2:
         raise OutOfDomainError("pi2_bound needs d >= 2")
     n, v, w = pi2_split(d)
-    bound = pi2_poly(v)(d)
+    bound = pi2_polys()[v](d)
     as_int(bound, f"G(4;{d},5)")
     return GenusBoundResult(
         formula_id="pi2",
@@ -260,25 +260,26 @@ def pi1_t(q: int) -> int:
     return 1 if q == 3 else 0
 
 
+@cache
+def pi1_polys() -> tuple[Poly, ...]:
+    """G(4;d,4) = d^2/8 - d/2 + 3/8 + q/4 - q^2/8 + t, entry q on the
+    residue class (d-1) mod 4 = q."""
+    quadratic = Poly.of(0, Fraction(-1, 2), Fraction(1, 8))
+    return tuple(quadratic + Fraction(3 + 2 * q - q * q, 8) + pi1_t(q) for q in range(4))
+
+
 def pi1_split(d: int) -> tuple[int, int, int]:
     """(p, q, t) with d - 1 = 4p + q, 0 <= q <= 3, t = :func:`pi1_t`."""
-    p, q = divmod(d - 1, 4)
+    p, q = divmod(d - 1, len(pi1_polys()))
     return p, q, pi1_t(q)
 
 
-@cache
-def pi1_poly(q: int) -> Poly:
-    """G(4;d,4) = d^2/8 - d/2 + 3/8 + q/4 - q^2/8 + t on the residue class
-    (d-1) mod 4 = q."""
-    return Poly.of(Fraction(3 + 2 * q - q * q, 8) + pi1_t(q), Fraction(-1, 2), Fraction(1, 8))
-
-
 def pi1_bound(d: int) -> GenusBoundResult:
-    """G(4;d,4) from :func:`pi1_poly`."""
+    """G(4;d,4) from :func:`pi1_polys`."""
     if d < 2:
         raise OutOfDomainError("pi1_bound needs d >= 2")
     p, q, t = pi1_split(d)
-    bound = pi1_poly(q)(d)
+    bound = pi1_polys()[q](d)
     as_int(bound, f"G(4;{d},4)")
     return GenusBoundResult(
         formula_id="pi1",
@@ -310,10 +311,9 @@ def propagate_profile(seed: Sequence[int], d: int) -> HilbertProfile:
 
         h(i) = min{d, h(i-3) + h(3) - 1}   for i >= 4,
 
-    that is, h(3k + j) = min{d, h(j) + k(h(3) - 1)} for j = 1, 2, 3: three
-    arithmetic progressions, each built as one ``range``. The prefix keeps
-    the seed and ends at the first value d. Seeds (4, 9, 16) and
-    (4, 10, 19) drive the curve-in-P^4 exclusion cases.
+    appended one index at a time. The prefix keeps the seed and ends at
+    the first value d. Seeds (4, 9, 16) and (4, 10, 19) drive the
+    curve-in-P^4 exclusion cases.
     """
     vals = [int(v) for v in seed]
     if len(vals) != 3:
@@ -327,15 +327,9 @@ def propagate_profile(seed: Sequence[int], d: int) -> HilbertProfile:
     h3 = vals[2]
     if h3 < 2 and not all(v == d for v in vals):
         raise ValueError("seed cannot stabilize: value_at(3) must be >= 2")
-    prefix = vals
-    if h3 < d:
-        # Column j holds the values below d; the profile ends at the first
-        # index 3 * len(column) + j where some column reaches d.
-        columns = [range(v, d, h3 - 1) for v in vals]
-        n = min(3 * len(c) + j for j, c in enumerate(columns, 1))
-        prefix = [d] * n
-        for j, c in enumerate(columns):
-            prefix[j : n - 1 : 3] = c[: len(range(j, n - 1, 3))]
+    prefix = list(vals)  # a copy: the label shows the seed
+    while prefix[-1] < d:
+        prefix.append(min(d, prefix[-3] + h3 - 1))
     return HilbertProfile(label=f"propagated from {tuple(vals)}", d=d, prefix=tuple(prefix))
 
 
@@ -360,24 +354,26 @@ def weighted_defect_direct(d: int) -> int:
 
 
 @cache
-def weighted_defect_poly(q: int) -> Poly:
+def weighted_defect_polys() -> tuple[Poly, ...]:
     """C(p,2)*d - 8*C(p+1,3) + t*p, the closed form of the weighted sum, as
-    a cubic in p on the residue class d = 4p + q + 1."""
+    a cubic in p, entry q on the residue class d = 4p + q + 1 of
+    :func:`pi1_polys`."""
     p = Poly.variable()
-    d = Poly.of(q + 1, 4)
-    return (
-        Fraction(1, 2) * (p * (p - 1)) * d
+    k = len(pi1_polys())
+    return tuple(
+        Fraction(1, 2) * (p * (p - 1)) * Poly.of(q + 1, k)
         - Fraction(8, 6) * ((p + 1) * p * (p - 1))
         + pi1_t(q) * p
+        for q in range(k)
     )
 
 
 def weighted_defect_closed_form(d: int) -> int:
-    """The weighted defect sum from :func:`weighted_defect_poly`."""
+    """The weighted defect sum from :func:`weighted_defect_polys`."""
     if d < 5:
         raise OutOfDomainError("weighted defect sum needs d >= 5")
-    p, q, _ = pi1_split(d)
-    return as_int(weighted_defect_poly(q)(p), f"weighted defect sum at d={d}")
+    p, q = divmod(d - 1, len(weighted_defect_polys()))
+    return as_int(weighted_defect_polys()[q](p), f"weighted defect sum at d={d}")
 
 
 def double_point_2k2(d, g, chi):

@@ -18,9 +18,9 @@ error in either.
 A surface class alpha*H + beta*W of degree d = 3*alpha + beta >= 4 contains
 an irreducible nonsingular nondegenerate surface iff alpha > 0,
 alpha + beta >= 0 and 3*alpha + beta >= 4 (admissibility). Writing
-d - 1 = 3m + eps with 0 <= eps <= 2 (``divmod(d - 1, 3)``), the admissible
-classes of degree d are exactly (m + 1 + a)H + (eps + 1 - 3(a + 1))W for
-integers -m <= a <= (m + eps - 1)/2.
+d - 1 = 3m + eps with eps in :data:`FRAME_RESIDUES` (``divmod(d - 1, 3)``),
+the admissible classes of degree d are exactly
+(m + 1 + a)H + (eps + 1 - 3(a + 1))W for integers -m <= a <= (m + eps - 1)/2.
 """
 
 from __future__ import annotations
@@ -140,10 +140,14 @@ def sectional_genus(c: DivisorClass) -> int:
     return g
 
 
+#: The residues eps of the frame d - 1 = 3m + eps.
+FRAME_RESIDUES = range(3)
+
+
 def _split3(d: int) -> tuple[int, int]:
     if d < 4:
         raise OutOfDomainError("scroll surfaces have degree d >= 4")
-    return divmod(d - 1, 3)
+    return divmod(d - 1, len(FRAME_RESIDUES))
 
 
 def _a_star(m: int, eps: int) -> int:

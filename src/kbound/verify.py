@@ -41,27 +41,27 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count, repeat
-from operator import eq, ge, le, lt
+from operator import eq, ge, le
 
 from .bounds import (
     castelnuovo_bound,
-    castelnuovo_poly,
+    castelnuovo_polys,
     chi_bound_poly,
     double_point_2k2,
     genus_from_profile,
     halphen_bound,
-    halphen_poly,
+    halphen_polys,
     pi1_bound,
-    pi1_poly,
+    pi1_polys,
     pi1_t,
     pi2_bound,
-    pi2_poly,
+    pi2_polys,
     pi2_profile,
     pi2_split,
     pi2_w,
     propagate_profile,
     weighted_defect_closed_form,
-    weighted_defect_poly,
+    weighted_defect_polys,
 )
 from .exact import (
     InconsistencyError,
@@ -78,6 +78,7 @@ from .scroll import (
     ASSERTED_FROM,
     EVEN_MINIMUM,
     EXTREMAL_GENUS,
+    FRAME_RESIDUES,
     ODD_MINIMUM,
     DivisorClass,
     KsqMinimum,
@@ -85,7 +86,6 @@ from .scroll import (
     _k2_raw,
     _split3,
     extremal_class,
-    frame_from_class,
     frame_k2,
     k2_min_closed_form,
     k2_min_form,
@@ -311,7 +311,7 @@ def spanned_quadratic_poly(r: int, eps: int) -> Poly:
 
 def spanned_from_bounds_poly(r: int, eps: int) -> Poly:
     """(r-2) * [d - 4(G(r-1;d) - 1) + d(d-6)], the route through the bounds."""
-    g = castelnuovo_poly(r - 1, eps)
+    g = castelnuovo_polys(r - 1)[eps]
     return (r - 2) * (D - 4 * (g - 1) - EVEN_MINIMUM)
 
 
@@ -324,7 +324,7 @@ def psi_quoted_poly(r: int, eps: int) -> Poly:
 
 def psi_from_bounds_poly(r: int, eps: int) -> Poly:
     """8(1 - G(r;d)) + d(d-6), the defining route for psi."""
-    return 8 * (Poly.of(1) - castelnuovo_poly(r, eps)) - EVEN_MINIMUM
+    return 8 * (Poly.of(1) - castelnuovo_polys(r)[eps]) - EVEN_MINIMUM
 
 
 def deg4_cubic_poly(q: int) -> Poly:
@@ -342,18 +342,18 @@ def deg4_excess_poly_in_k(q: int) -> Poly:
     """96 * [ -W + (d-4)G(4;d,4) - (d-3)(d^2/8 - 3d/4 + 1) ] as a polynomial
     in k, where d = 4k + q + 1 (so p = k) and W is the weighted defect sum
     C(p,2)d - 8C(p+1,3) + tp."""
-    dd = Poly.of(q + 1, 4)
-    g44 = pi1_poly(q)(dd)
+    defects = weighted_defect_polys()
+    dd = Poly.of(q + 1, len(defects))
+    g44 = pi1_polys()[q](dd)
     g_floor = EXTREMAL_GENUS(dd)
-    return 96 * (-weighted_defect_poly(q) + (dd - 4) * g44 - (dd - 3) * g_floor)
+    return 96 * (-defects[q] + (dd - 4) * g44 - (dd - 3) * g_floor)
 
 
 def abs_diff_poly(c: int) -> tuple[Poly, int]:
     """G(4;d,5) - G(5;d) restricted to d = 20k + c, as a polynomial in k,
     plus the least k with 20k + c > 18."""
-    v = (c - 1) % 5
-    eps = (c - 1) % 4
-    diff = pi2_poly(v) - castelnuovo_poly(5, eps)
+    g4, g5 = pi2_polys(), castelnuovo_polys(5)
+    diff = g4[(c - 1) % len(g4)] - g5[(c - 1) % len(g5)]
     k_from = 0 if c >= 19 else 1
     return diff(Poly.of(c, 20)), k_from
 
@@ -444,8 +444,8 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
         REDUCE_RHS,
     )
     g_weak = Poly.of(1, Fraction(1, 2), Fraction(1, 10))  # d^2/10 + d/2 + 1
-    for eps in range(5):
-        gap = g_weak - halphen_poly(5, eps)
+    for eps, g in enumerate(halphen_polys(5)):
+        gap = g_weak - g
         b.check(
             f"G(3;d,5) <= d^2/10 + d/2 + 1 on residue eps={eps} (gap constant)",
             gap.degree <= 0 and gap(0) >= 0,
@@ -457,7 +457,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
         "positive",
         label="3d^2 - 17d - 22(d^2/10 + d/2) = 4d^2/5 - 28d > 0 for d > 35",
     )
-    margins = tuple(r4_margin_poly(halphen_poly(5, eps), 1 - halphen_poly(5, eps)) for eps in range(5))
+    margins = tuple(r4_margin_poly(g, 1 - g) for g in halphen_polys(5))
     b.sweep(
         f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{b.lo}, {b.hi}]",
         partial(_r4_margin_int_check, margins), "failure_at", oracle=_r4_reduce_check_one,
@@ -481,8 +481,8 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
         r4_margin_poly(1, 1),
         REDUCE2_RHS,
     )
-    for eps in range(s):
-        gap = weak - halphen_poly(s, eps)
+    for eps, g in enumerate(halphen_polys(s)):
+        gap = weak - g
         b.check(
             f"G(3;d,{s}) <= weakened bound on residue eps={eps} (gap constant)",
             gap.degree <= 0 and gap(0) >= 0,
@@ -494,7 +494,7 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
         "positive",
         label=f"3d^2 - 17d + 12 - 10(g-1) > 0 with the s={s} genus bound",
     )
-    margins = tuple(r4_margin_poly(halphen_poly(s, eps), 1) for eps in range(s))
+    margins = tuple(r4_margin_poly(g, 1) for g in halphen_polys(s))
     b.sweep(
         f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{b.lo}, {b.hi}]",
         partial(_r4_margin_int_check, margins), "failure_at", oracle=partial(_r4_s_check_one, s),
@@ -591,7 +591,7 @@ def verify_r_ge6_spanned(r: int) -> Certificate:
     if r <= 8:
         d0 = 6 if r == 5 else r - 1
         b.params["d_from"] = d0
-        for eps in range(r - 2):
+        for eps in range(len(castelnuovo_polys(r - 1))):
             quad = spanned_quadratic_poly(r, eps)
             b.identity(
                 f"quadratic route check at eps={eps}:"
@@ -639,7 +639,8 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
     b = _Builder("R6.scroll.psi", r=r)
     b.assume("O_S(K_S + H) is not spanned, so S is a scroll and K^2 = 8(1-g)")
     b.assume("g equals the irregularity of S and satisfies g <= G(r;d)")
-    for eps in range(r - 1):
+    residues = range(len(castelnuovo_polys(r)))
+    for eps in residues:
         b.identity(
             f"psi route check at eps={eps}: 8(1-G(r;d)) + d(d-6) equals the"
             " displayed rational quadratic",
@@ -647,7 +648,7 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
             psi_quoted_poly(r, eps),
         )
     if r == 6:
-        for eps in range(r - 1):
+        for eps in residues:
             b.sign(
                 psi_quoted_poly(r, eps),
                 5,
@@ -675,7 +676,8 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
         b.params["square_completion_samples"] = [list(p) for p in SQUARE_COMPLETION_SAMPLES]
         b.params["covers"] = "every r >= 7"
         b.sign(cubic, 7, "positive", variable="r", label="r^3 - 10r^2 + 27r - 23 > 0 for all r >= 7")
-        q = D * D - 2 * D
+        psi = psi_quoted_poly(r, 0)
+        q = (psi - psi(0)) * (1 / psi.leading)  # d^2 - 2d, the d-part of psi
         b.sign(
             q(D + 1) - q,
             1,
@@ -691,7 +693,7 @@ def verify_r5_remark() -> Certificate:
     """psi(5,d) = e^2 - 4e + 3 where e = (d-1) mod 4; table 3, 0, -1, 0."""
     b = _Builder("R5.remark.psi")
     table = {0: 3, 1: 0, 2: -1, 3: 0}
-    for eps in range(4):
+    for eps in range(len(castelnuovo_polys(5))):
         value = eps * eps - 4 * eps + 3
         b.identity(
             f"8(1 - G(5;d)) + d(d-6) is the constant e^2 - 4e + 3 on residue eps={eps}",
@@ -711,8 +713,8 @@ def verify_r5_remark() -> Certificate:
 
 def _r5_abs_int_check(g4: tuple[Poly, ...], g5: tuple[Poly, ...], d: int) -> int | None:
     # g4[v] is G(4;d,5) on (d - 1) mod 5 = v, g5[e] is G(5;d) on (d - 1) mod 4 = e
-    lhs = _int_at(g4[(d - 1) % 5], d, f"G(4;{d},5)")
-    return None if lhs < _int_at(g5[(d - 1) % 4], d, f"G(5;{d})") else d
+    lhs = _int_at(g4[(d - 1) % len(g4)], d, f"G(4;{d},5)")
+    return None if lhs < _int_at(g5[(d - 1) % len(g5)], d, f"G(5;{d})") else d
 
 
 def _r5_abs_check_one(d: int) -> int | None:
@@ -738,11 +740,10 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
             variable="k",
             label=f"G(4;d,5) - G(5;d) on d = 20k + {c} (all d > 18 in the class)",
         )
-    g4 = tuple(map(pi2_poly, range(5)))
-    g5 = tuple(castelnuovo_poly(5, eps) for eps in range(4))
     b.sweep(
         f"G(4;d,5) < G(5;d) for every integer d in [{b.lo}, {b.hi}]",
-        partial(_r5_abs_int_check, g4, g5), "failure_at", oracle=_r5_abs_check_one,
+        partial(_r5_abs_int_check, pi2_polys(), castelnuovo_polys(5)), "failure_at",
+        oracle=_r5_abs_check_one,
     )
     return b.done()
 
@@ -791,13 +792,10 @@ def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: i
 
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
     # the scalar route: both profiles built and compared index by index
-    prof = propagate_profile(seed, d)
-    h, n = prof.prefix, pi2_profile(d).prefix
-    width = max(len(h), len(n))  # past its prefix a profile equals d
-    h, n = h + (d,) * (width - len(h)), n + (d,) * (width - len(n))
-    i = next(compress(count(), map(lt, h, n)), None)
-    if i is not None:
-        return f"d={d}: propagated value {h[i]} < profile value {n[i]} at i={i + 1}"
+    prof, ref = propagate_profile(seed, d), pi2_profile(d)
+    for i in range(1, max(len(prof.prefix), len(ref.prefix)) + 1):
+        if (h := prof.value_at(i)) < (n := ref.value_at(i)):
+            return f"d={d}: propagated value {h} < profile value {n} at i={i}"
     if genus_from_profile(prof) > pi2_bound(d).bound_int:
         return f"d={d}: propagated genus bound exceeds G(4;d,5)"
     return None
@@ -818,15 +816,16 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int) -> Certifica
             b.identity(label + " (identically 0)", diff, Poly.zero())
         else:
             b.sign(diff, 0, "nonnegative", variable="k", label=label)
+    gaps = [v - pi2_w(v) for v in range(len(pi2_polys()))]
     b.check(
         "profile value at i = n + 1 is d - w <= 5i - 1 (v - w <= 3 for v = 0..4)",
-        all(v - pi2_w(v) <= 3 for v in range(5)),
-        gaps=[v - pi2_w(v) for v in range(5)],
+        all(gap <= 3 for gap in gaps),
+        gaps=gaps,
     )
     b.sweep(
         f"propagated profile dominates the G(4;d,5) profile pointwise and its"
         f" genus bound is <= G(4;d,5) for d in [{b.lo}, {b.hi}]",
-        partial(_r5_profile_int_check, seed, tuple(map(pi2_poly, range(5)))),
+        partial(_r5_profile_int_check, seed, pi2_polys()),
         oracle=partial(_r5_profile_check_one, seed),
     )
     return b.done()
@@ -836,9 +835,9 @@ def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int)
     # on d = 4p + q + 1, defects[q] is the weighted defect sum W as a
     # polynomial in p and g44[q] is G(4;d,4); EXTREMAL_GENUS has a positive
     # denominator, which multiplies the right side
-    p, q = divmod(d - 1, 4)
+    p, q = divmod(d - 1, len(defects))
     w = _int_at(defects[q], p, f"weighted defect sum at d={d}")
-    rhs = -w + (d - 4) * _int_at(g44[q], d, f"G(4;{d},4)")
+    rhs = -w + (d - 4) * _int_at(g44[(d - 1) % len(g44)], d, f"G(4;{d},4)")
     return None if (d - 3) * _horner(EXTREMAL_GENUS.num, d) > rhs * EXTREMAL_GENUS.den else d
 
 
@@ -853,20 +852,21 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
     b = _Builder("R5.deg4.cubic", (d_from, d_to), 25)
     b.assume("S is a scroll with K^2 = 8(1-g), g = G(5;d), lying on an"
              " irreducible quartic 3-fold in P^5")
-    for eps in (1, 2, 3):
+    for eps in range(1, len(castelnuovo_polys(5))):
         b.check(
             f"g = G(5;d) >= d^2/8 - 3d/4 + 1 on residue eps={eps}:"
             " (5-e)(1+e) >= 8",
             (5 - eps) * (1 + eps) >= 8,
             value=(5 - eps) * (1 + eps),
         )
-    for q in range(4):
+    defects = weighted_defect_polys()
+    for q in range(len(defects)):
         cubic = deg4_cubic_poly(q)
         b.identity(
             f"q={q}: 96*[-W + (d-4)G(4;d,4) - (d-3)(d^2/8-3d/4+1)] equals the"
             " displayed cubic on d = 4k + q + 1",
             deg4_excess_poly_in_k(q),
-            cubic(Poly.of(q + 1, 4)),
+            cubic(Poly.of(q + 1, len(defects))),
         )
         b.sign(
             cubic,
@@ -874,11 +874,10 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
             "negative",
             label=f"the q={q} cubic is negative for every integer d > 24",
         )
-    defects, g44 = tuple(map(weighted_defect_poly, range(4))), tuple(map(pi1_poly, range(4)))
     b.sweep(
         f"(d-3)(d^2/8 - 3d/4 + 1) > -W + (d-4)G(4;d,4) for d in [{b.lo}, {b.hi}]"
         " (the required inequality fails, as claimed)",
-        partial(_r5_deg4_int_check, defects, g44), "failure_at", oracle=_r5_deg4_check_one,
+        partial(_r5_deg4_int_check, defects, pi1_polys()), "failure_at", oracle=_r5_deg4_check_one,
     )
     return b.done()
 
@@ -1008,7 +1007,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sign(dphi_m1, 2, "positive", variable="m", label="10m - 18 > 0 for m >= 2 (phi'(-1); 6e(m-2) >= 0)")
     b.sign(-appendix_table(m, 2)[3], 1, "positive", variable="m",
            label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
-    for eps in range(3):
+    for eps in FRAME_RESIDUES:
         b.sign(
             phi_derivative_discriminant(m, eps),
             1,
@@ -1072,14 +1071,11 @@ def _sharpness_verdict(d: int, target: int, best: int | None, only_at_half: bool
     whether target = -d(d-6) is attained at alpha = d/2 alone; attainers()
     lists the attaining alphas, for a failure only."""
     if d % 2 == 0:
-        ext = extremal_class(d)  # re-checks K^2 and genus through both routes
+        extremal_class(d)  # re-checks K^2 and genus through both routes
         if best != target:
             return f"d={d}: class minimum {best} != -d(d-6) = {target}"
         if not only_at_half:
             return f"d={d}: -d(d-6) attained at alpha in {attainers()}, not only d/2"
-        f = frame_from_class(ext.cls, d)
-        if phi(d, f.a) != ext.k2:
-            return f"d={d}: phi and the intersection ring disagree on the extremal class"
     elif best is None or best <= target:
         if attainers():
             return f"d={d}: odd degree attains the even-degree minimum"
