@@ -92,6 +92,7 @@ from .scroll import (
     minimize_k2,
     phi,
     phi_derivative,
+    phi_derivative_coefficients,
     phi_derivative_discriminant,
 )
 
@@ -926,15 +927,27 @@ def _minimum(d: int) -> KsqMinimum:
     return table[d]
 
 
+def _phi_prime_settled(d: int, m: int, eps: int) -> tuple[bool, bool]:
+    """Whether phi' > 0 on [-m+2, -1] and phi' < 0 on every a >= 1 follow
+    from phi'(-m+2), phi'(-1), phi'(1) and the coefficients (C, B, A): a
+    concave quadratic (A < 0) is least at an end of an interval, and falls
+    on a >= 1 once phi''(1) = 2A + B < 0. An empty range is settled."""
+    _, B, A = phi_derivative_coefficients(m, eps)
+    rises = -m + 2 > -1 or A < 0 < min(phi_derivative(d, -m + 2), phi_derivative(d, -1))
+    return rises, A < 0 and 2 * A + B < 0 and phi_derivative(d, 1) < 0
+
+
 def _appendix_check_one(d: int) -> str | None:
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
-    # phi' is quadratic in a: both sign scans walk it by forward differences.
+    # phi' is quadratic in a: a sign range that _phi_prime_settled leaves
+    # open is walked by forward differences.
     rise_lo = -m + 2
     try:
         res = _minimum(d)
-        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2)
-        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2)
+        rises, falls = _phi_prime_settled(d, m, eps)
+        rising = () if rises else forward_walk(partial(phi_derivative, d), rise_lo, -1, 2)
+        falling = () if falls else forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2)
     except InconsistencyError as exc:
         return f"d={d}: {exc}"
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
@@ -968,7 +981,7 @@ def _appendix_check_one(d: int) -> str | None:
     if min(rising, default=1) <= 0:
         a = next(compress(count(rise_lo), map(le, rising, repeat(0))))
         return f"d={d}: phi' not positive at a={a} in [-m+2, -1]"
-    if max(falling) >= 0:
+    if max(falling, default=-1) >= 0:
         a = next(compress(count(1), map(ge, falling, repeat(0))))
         return f"d={d}: phi' not negative at a={a} >= 1"
     if phi_derivative_discriminant(m, eps) <= 0:
@@ -979,7 +992,8 @@ def _appendix_check_one(d: int) -> str | None:
 def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
-    sign pattern of phi' that drive the minimization argument."""
+    sign pattern of phi' that drive the minimization argument (decided from
+    phi' at its range ends and its curvature, walked only where unsettled)."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")

@@ -1,7 +1,8 @@
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from operator import le
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +26,7 @@ from kbound.bounds import (
     weighted_defect_direct,
     weighted_defect_polys,
 )
-from kbound.exact import InconsistencyError, Poly, rat_str
+from kbound.exact import InconsistencyError, Poly, rat_str, sign_certificate
 import kbound.bounds as bounds
 import kbound.scroll as scroll
 import kbound.verify as verify
@@ -34,6 +35,7 @@ from kbound.verify import (
     CASES,
     CLAIM_ANCHORS,
     abs_diff_poly,
+    appendix_table,
     deg4_cubic_poly,
     deg4_excess_poly_in_k,
     genus_defect_poly,
@@ -424,10 +426,20 @@ def doctor_walk(monkeypatch, lo, index, value):
     monkeypatch.setattr(verify, "forward_walk", walk)
 
 
+def unsettle_phi_prime(monkeypatch):
+    """Give the O(1) sign test a zero curvature A, so that it settles
+    neither phi' range and both walks run."""
+    real = verify.phi_derivative_coefficients
+    monkeypatch.setattr(verify, "phi_derivative_coefficients", lambda m, e: (*real(m, e)[:2], 0))
+
+
 # At d = 40 (m = 13, e = 0, a* = 6) phi' is walked over [-11, -1], where it
-# must be positive, and over [1, 7], where it must be negative.
+# must be positive, and over [1, 7], where it must be negative. The ends and
+# the curvature settle both ranges on a passing degree, so each case also
+# unsettles them to reach the doctored walk.
 @pytest.mark.parametrize("index, a", [(0, -11), (4, -7), (10, -1)])
 def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
+    unsettle_phi_prime(monkeypatch)
     doctor_walk(monkeypatch, -11, index, 0)
     failure = f"d=40: phi' not positive at a={a} in [-m+2, -1]"
     assert verify._appendix_check_one(40) == failure
@@ -439,8 +451,77 @@ def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
 
 @pytest.mark.parametrize("index, a", [(0, 1), (6, 7)])
 def test_appendix_reports_phi_prime_not_negative(monkeypatch, index, a):
+    unsettle_phi_prime(monkeypatch)
     doctor_walk(monkeypatch, 1, index, 0)
     assert verify._appendix_check_one(40) == f"d=40: phi' not negative at a={a} >= 1"
+
+
+def walked_phi_prime_signs(dphi, m, eps):
+    """The verdicts of _appendix_check_one's two walks of phi' = dphi(a):
+    positive on [-m+2, -1], negative on [1, max(a*, 1) + 1]."""
+    rising = verify.forward_walk(dphi, -m + 2, -1, 2)
+    falling = verify.forward_walk(dphi, 1, max(scroll._a_star(m, eps), 1) + 1, 2)
+    return min(rising, default=1) > 0, max(falling) < 0
+
+
+def test_phi_prime_settled_matches_both_walks():
+    # The O(1) decision for each phi' range is the verdict of that range's
+    # walk at every degree, the empty rising ranges of m < 3 included.
+    for d in range(4, 3001):
+        m, eps = scroll._split3(d)
+        walked = walked_phi_prime_signs(partial(scroll.phi_derivative, d), m, eps)
+        assert verify._phi_prime_settled(d, m, eps) == walked, d
+
+
+@pytest.mark.parametrize("d", [7, 40, 41])
+def test_phi_prime_settled_is_sound_for_any_quadratic(monkeypatch, d):
+    # On every small quadratic (C, B, A), convex and linear ones included, a
+    # range that the O(1) test settles passes its walk.
+    m, eps = scroll._split3(d)
+    verdicts = set()
+    for C, B, A in product(range(-20, 21, 5), range(-20, 21, 5), (-5, -1, 0, 1)):
+        def dphi(d, a):
+            return (A * a + B) * a + C
+
+        monkeypatch.setattr(verify, "phi_derivative_coefficients", lambda m, e: (C, B, A))
+        monkeypatch.setattr(verify, "phi_derivative", dphi)
+        walked = walked_phi_prime_signs(partial(dphi, d), m, eps)
+        settled = verify._phi_prime_settled(d, m, eps)
+        assert all(map(le, settled, walked)), (C, B, A)
+        verdicts.update(zip(settled, walked))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_passing_appendix_sweep_walks_no_phi_prime(monkeypatch):
+    # The frame scan goes through scroll, so on a passing sweep nothing
+    # calls verify.forward_walk: each phi' range is settled in O(1).
+    calls = []
+    real = verify.forward_walk
+    monkeypatch.setattr(verify, "forward_walk", lambda *args: calls.append(args) or real(*args))
+    assert verify_appendix(1500, 1519).status == "verified"
+    assert calls == []
+
+
+# The certificates signed at one fixed residue, by label: the appendix_table
+# entry each carries and the sign it is carried with.
+WORST_RESIDUE_ENTRIES = {
+    "(phi(0) factor": (1, 1), "(phi(1) factor": (2, 1), "(phi'(-m+2)": (4, 1),
+    "(phi'(-1)": (5, 1), "(phi'(1)": (3, -1),
+}
+
+
+def test_appendix_worst_residues_come_from_the_frame_residues():
+    m = Poly.variable()
+    signs = verify_appendix(36, 36).sign_certificates
+    for tag, (k, sign) in WORST_RESIDUE_ENTRIES.items():
+        [cert] = [c for c in signs if tag in c.label]
+        entries = {e: sign * appendix_table(m, e)[k] for e in scroll.FRAME_RESIDUES}
+        worst = [e for e, p in entries.items() if p == cert.polynomial]
+        assert worst, cert.label
+        for e, p in entries.items():
+            if e != worst[0]:
+                margin = sign_certificate(p - cert.polynomial, cert.start, "nonnegative", variable="m")
+                assert margin.ok, (cert.label, e)
 
 
 def doctor_frame(monkeypatch, d, index, value):
