@@ -36,11 +36,11 @@ scroll, general type), the certificate records the hypothesis in
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import compress, count, filterfalse, repeat
 from operator import eq, ge, le
 
 from .bounds import (
@@ -86,7 +86,6 @@ from .scroll import (
     _k2_raw,
     _split3,
     extremal_class,
-    frame_k2,
     k2_min_closed_form,
     k2_min_form,
     minimize_k2,
@@ -252,26 +251,28 @@ class _Builder:
         if not ok and self.witness is None:
             self.witness = {"failed_check": label, **detail}
 
-    def sweep(self, label: str, check_one: Callable[[int], object], key: str = "failure",
-              oracle: Callable[[int], object] | None = None) -> None:
-        """Map check_one lazily over [lo, hi]; record the first result that
-        is not None (a failure) under ``key``. An oracle is the same check
-        by another route, run at hi: InconsistencyError is raised unless it
-        gives check_one's result there, which is None when the map found no
-        failure and is computed again otherwise, since the map stops at its
-        first failure."""
+    def sweep(self, label: str, decide: Callable[[int], bool], locate: Callable[[int], object],
+              key: str = "failure") -> None:
+        """Check every degree of [lo, hi] by two routes. decide, the fast
+        route, is mapped lazily and stops at the first degree it rejects.
+        locate, the slow route, gives the failure at one degree, None if
+        there is none: it runs at the rejected degree and at hi, and
+        InconsistencyError is raised wherever it disagrees with decide. The
+        first failure is recorded under ``key``, and only locate writes it."""
         if self.lo > self.hi:
             return
-        results = map(check_one, range(self.lo, self.hi + 1))
-        bad = next((r for r in results if r is not None), None)
-        if oracle is not None:
-            fast = None if bad is None else check_one(self.hi)
-            if fast != (direct := oracle(self.hi)):
+        rejected = next(filterfalse(decide, range(self.lo, self.hi + 1)), None)
+        verdicts = {self.hi: True} if rejected is None else {rejected: False}
+        if self.hi not in verdicts:
+            verdicts[self.hi] = decide(self.hi)
+        failures = {d: locate(d) for d in verdicts}
+        for d, passed in verdicts.items():
+            if passed != (failures[d] is None):
                 raise InconsistencyError(
-                    f"{self.claim_id} at d={self.hi}: the per-degree check gives {fast!r},"
-                    f" its oracle {direct!r}"
+                    f"{self.claim_id} at d={d}: decide {'passes' if passed else 'rejects'},"
+                    f" locate gives {failures[d]!r}"
                 )
-        self.check(label, bad is None, **{key: bad})
+        self.check(label, rejected is None, **{key: failures.get(rejected)})
 
     def note(self, text: str) -> None:
         self.params.setdefault("notes", []).append(text)
@@ -421,11 +422,11 @@ def verify_r3() -> Certificate:
 # ---------------------------------------------------------------------------
 # r = 4
 
-def _r4_margin_int_check(margins: tuple[Poly, ...], d: int) -> int | None:
+def _r4_margin_int_check(margins: tuple[Poly, ...], d: int) -> bool:
     # margins[e] is an r4_margin_poly on the residue (d - 1) mod s = e, with
     # s = len(margins); its positive denominator leaves the sign to the
     # numerators, so the check is one integer Horner evaluation
-    return None if _horner(margins[(d - 1) % len(margins)].num, d) > 0 else d
+    return _horner(margins[(d - 1) % len(margins)].num, d) > 0
 
 
 def _r4_reduce_check_one(d: int) -> int | None:
@@ -461,7 +462,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
     margins = tuple(r4_margin_poly(g, 1 - g) for g in halphen_polys(5))
     b.sweep(
         f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{b.lo}, {b.hi}]",
-        partial(_r4_margin_int_check, margins), "failure_at", oracle=_r4_reduce_check_one,
+        partial(_r4_margin_int_check, margins), _r4_reduce_check_one, "failure_at",
     )
     return b.done()
 
@@ -498,7 +499,7 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
     margins = tuple(r4_margin_poly(g, 1) for g in halphen_polys(s))
     b.sweep(
         f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{b.lo}, {b.hi}]",
-        partial(_r4_margin_int_check, margins), "failure_at", oracle=partial(_r4_s_check_one, s),
+        partial(_r4_margin_int_check, margins), partial(_r4_s_check_one, s), "failure_at",
     )
     return b.done()
 
@@ -712,10 +713,10 @@ def verify_r5_remark() -> Certificate:
 # ---------------------------------------------------------------------------
 # r = 5 exclusion chain
 
-def _r5_abs_int_check(g4: tuple[Poly, ...], g5: tuple[Poly, ...], d: int) -> int | None:
+def _r5_abs_int_check(g4: tuple[Poly, ...], g5: tuple[Poly, ...], d: int) -> bool:
     # g4[v] is G(4;d,5) on (d - 1) mod 5 = v, g5[e] is G(5;d) on (d - 1) mod 4 = e
     lhs = _int_at(g4[(d - 1) % len(g4)], d, f"G(4;{d},5)")
-    return None if lhs < _int_at(g5[(d - 1) % len(g5)], d, f"G(5;{d})") else d
+    return lhs < _int_at(g5[(d - 1) % len(g5)], d, f"G(5;{d})")
 
 
 def _r5_abs_check_one(d: int) -> int | None:
@@ -743,8 +744,7 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
         )
     b.sweep(
         f"G(4;d,5) < G(5;d) for every integer d in [{b.lo}, {b.hi}]",
-        partial(_r5_abs_int_check, pi2_polys(), castelnuovo_polys(5)), "failure_at",
-        oracle=_r5_abs_check_one,
+        partial(_r5_abs_int_check, pi2_polys(), castelnuovo_polys(5)), _r5_abs_check_one, "failure_at",
     )
     return b.done()
 
@@ -767,28 +767,22 @@ def _first_below(h: int, j: int, step: int, d: int, n: int, w: int) -> int | Non
     return k if h + k * step < d else None
 
 
-def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: int) -> str | None:
-    """:func:`_r5_profile_check_one` in O(1) integer steps, for any valid
-    seed. Column j = 1, 2, 3 of the propagated profile is h(3k + j) =
-    min(d, seed_j + k*step) with step = seed_3 - 1 >= 1, and the G(4;d,5)
-    profile is 5i - 1 for i <= n, d - w at i = n + 1 and d after: each
-    column's first index below the profile is read off per segment, and the
-    genus bound is each column's defect sum, an arithmetic series."""
+def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: int) -> bool:
+    """Whether :func:`_r5_profile_check_one` passes, in O(1) integer steps,
+    for any valid seed. Column j = 1, 2, 3 of the propagated profile is
+    h(3k + j) = min(d, seed_j + k*step) with step = seed_3 - 1 >= 1, and the
+    G(4;d,5) profile is 5i - 1 for i <= n, d - w at i = n + 1 and d after:
+    no column may fall below it in any segment, and the genus bound is each
+    column's defect sum, an arithmetic series."""
     n, v, w = pi2_split(d)
     step = seed[2] - 1
-    below = [(3 * k + j, h + k * step) for j, h in enumerate(seed, 1)
-             if (k := _first_below(h, j, step, d, n, w)) is not None]
-    if below:
-        i, value = min(below)
-        profile = 5 * i - 1 if i <= n else d - w if i == n + 1 else d
-        return f"d={d}: propagated value {value} < profile value {profile} at i={i}"
+    if any(_first_below(h, j, step, d, n, w) is not None for j, h in enumerate(seed, 1)):
+        return False
     genus = 0
     for h in seed:
         c = -((h - d) // step)  # the column's values below d: h + k*step for k < c
         genus += c * (d - h) - step * c * (c - 1) // 2
-    if genus > _int_at(g4[v], d, f"G(4;{d},5)"):
-        return f"d={d}: propagated genus bound exceeds G(4;d,5)"
-    return None
+    return genus <= _int_at(g4[v], d, f"G(4;{d},5)")
 
 
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
@@ -827,19 +821,19 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int) -> Certifica
         f"propagated profile dominates the G(4;d,5) profile pointwise and its"
         f" genus bound is <= G(4;d,5) for d in [{b.lo}, {b.hi}]",
         partial(_r5_profile_int_check, seed, pi2_polys()),
-        oracle=partial(_r5_profile_check_one, seed),
+        partial(_r5_profile_check_one, seed),
     )
     return b.done()
 
 
-def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int) -> int | None:
+def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int) -> bool:
     # on d = 4p + q + 1, defects[q] is the weighted defect sum W as a
     # polynomial in p and g44[q] is G(4;d,4); EXTREMAL_GENUS has a positive
     # denominator, which multiplies the right side
     p, q = divmod(d - 1, len(defects))
     w = _int_at(defects[q], p, f"weighted defect sum at d={d}")
     rhs = -w + (d - 4) * _int_at(g44[(d - 1) % len(g44)], d, f"G(4;{d},4)")
-    return None if (d - 3) * _horner(EXTREMAL_GENUS.num, d) > rhs * EXTREMAL_GENUS.den else d
+    return (d - 3) * _horner(EXTREMAL_GENUS.num, d) > rhs * EXTREMAL_GENUS.den
 
 
 def _r5_deg4_check_one(d: int) -> int | None:
@@ -878,7 +872,7 @@ def _r5_deg4(d_from: int, d_to: int) -> Certificate:
     b.sweep(
         f"(d-3)(d^2/8 - 3d/4 + 1) > -W + (d-4)G(4;d,4) for d in [{b.lo}, {b.hi}]"
         " (the required inequality fails, as claimed)",
-        partial(_r5_deg4_int_check, defects, pi1_polys()), "failure_at", oracle=_r5_deg4_check_one,
+        partial(_r5_deg4_int_check, defects, pi1_polys()), _r5_deg4_check_one, "failure_at",
     )
     return b.done()
 
@@ -937,63 +931,74 @@ def _phi_prime_settled(d: int, m: int, eps: int) -> tuple[bool, bool]:
     return rises, A < 0 and 2 * A + B < 0 and phi_derivative(d, 1) < 0
 
 
-def _appendix_check_one(d: int) -> str | None:
+def _appendix_faults(d: int, walk: bool) -> Iterator[Callable[[], str]]:
+    """APPENDIX.min's failing checks at d, in order, each a thunk that
+    writes its failure. The two phi' sign ranges are walked by forward
+    differences only if walk is set."""
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
-    # phi' is quadratic in a: a sign range that _phi_prime_settled leaves
-    # open is walked by forward differences.
     rise_lo = -m + 2
     try:
         res = _minimum(d)
-        rises, falls = _phi_prime_settled(d, m, eps)
-        rising = () if rises else forward_walk(partial(phi_derivative, d), rise_lo, -1, 2)
-        falling = () if falls else forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2)
+        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if walk else ()
+        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if walk else ()
     except InconsistencyError as exc:
-        return f"d={d}: {exc}"
+        yield partial(str, exc)
+        return
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
-        return f"d={d}: minimum {res.k2_min} below -d(d-6) = {bound}"
+        yield lambda: f"minimum {res.k2_min} below -d(d-6) = {bound}"
     if not k2_min_form(d).has_value(d, res.k2_min):
-        return f"d={d}: minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
+        yield lambda: f"minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
     if d % 2 == 0:
         if res.k2_min != bound or res.a_min != a_star or not res.unique:
-            return f"d={d}: even-degree minimum not uniquely at a* = {a_star}"
-    else:
-        if res.k2_min <= bound:
-            return f"d={d}: odd-degree minimum fails to exceed -d(d-6)"
+            yield lambda: f"even-degree minimum not uniquely at a* = {a_star}"
+    elif res.k2_min <= bound:
+        yield lambda: "odd-degree minimum fails to exceed -d(d-6)"
     phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
     if phi(d, -m) != phi_lo:
-        return f"d={d}: phi(-m) != 8"
+        yield lambda: "phi(-m) != 8"
     if phi(d, -m + 1) != -9 * m + 17 - 3 * eps:
-        return f"d={d}: phi(-m+1) != -9m + 17 - 3e"
+        yield lambda: "phi(-m+1) != -9m + 17 - 3e"
     if phi(d, -m + 2) != 0:
-        return f"d={d}: phi(-m+2) != 0"
+        yield lambda: "phi(-m+2) != 0"
     if phi(d, 0) != (m - 2) * phi0:
-        return f"d={d}: phi(0) factorization fails"
+        yield lambda: "phi(0) factorization fails"
     if phi(d, 1) != (m - 1) * phi1:
-        return f"d={d}: phi(1) factorization fails"
+        yield lambda: "phi(1) factorization fails"
     if phi_derivative(d, 1) != dphi1:
-        return f"d={d}: phi'(1) != 2 - 26m + 6me"
+        yield lambda: "phi'(1) != 2 - 26m + 6me"
     if phi_derivative(d, -m + 2) != dphi_lo:
-        return f"d={d}: phi'(-m+2) != 18m + 6e - 42"
+        yield lambda: "phi'(-m+2) != 18m + 6e - 42"
     if phi_derivative(d, -1) != dphi_m1:
-        return f"d={d}: phi'(-1) != 10m + 6me - 12e - 18"
+        yield lambda: "phi'(-1) != 10m + 6me - 12e - 18"
     if min(rising, default=1) <= 0:
-        a = next(compress(count(rise_lo), map(le, rising, repeat(0))))
-        return f"d={d}: phi' not positive at a={a} in [-m+2, -1]"
+        a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
+        yield lambda: f"phi' not positive at a={a_rise} in [-m+2, -1]"
     if max(falling, default=-1) >= 0:
-        a = next(compress(count(1), map(ge, falling, repeat(0))))
-        return f"d={d}: phi' not negative at a={a} >= 1"
+        a_fall = next(compress(count(1), map(ge, falling, repeat(0))))
+        yield lambda: f"phi' not negative at a={a_fall} >= 1"
     if phi_derivative_discriminant(m, eps) <= 0:
-        return f"d={d}: phi' lacks two real roots"
-    return None
+        yield lambda: "phi' lacks two real roots"
+
+
+def _appendix_settled(d: int) -> bool:
+    """APPENDIX.min's decide at d: :func:`_appendix_faults` finds none without
+    the walks, and :func:`_phi_prime_settled` settles both phi' ranges."""
+    return all(_phi_prime_settled(d, *_split3(d))) and next(_appendix_faults(d, walk=False), None) is None
+
+
+def _appendix_check_one(d: int) -> str | None:
+    """APPENDIX.min's locate at d: the first fault, phi' walked, or None."""
+    return next((f"d={d}: {fault()}" for fault in _appendix_faults(d, walk=True)), None)
 
 
 def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
-    sign pattern of phi' that drive the minimization argument (decided from
-    phi' at its range ends and its curvature, walked only where unsettled)."""
+    sign pattern of phi' that drive the minimization argument. The sweep
+    decides that pattern from phi' at its range ends and its curvature;
+    locate walks both ranges at the last degree and at a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1039,6 +1044,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
+        _appendix_settled,
         _appendix_check_one,
     )
     return b.done({
@@ -1048,21 +1054,20 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     })
 
 
-def _sharpness_scan(d: int, target: int) -> tuple[int | None, list[int]]:
-    """Least K^2 over the degree-d classes alpha*H + (d - 3alpha)W with
-    1 <= alpha <= d/2, and the alphas attaining target = -d(d-6).
+def _sharpness_scan(d: int) -> list[int]:
+    """K^2 of the degree-d classes alpha*H + (d - 3alpha)W for alpha = 1,
+    ..., d // 2, in order.
 
     K^2 = (K_T + S)^2.S comes from the intersection ring, not from phi, so
     the two routes stay independent. It is cubic in alpha, so the scan walks
     it by forward differences (InconsistencyError if the walk goes wrong).
-    This O(d) walk is the oracle of the SHARPNESS sweep, run at its last
-    degree by :func:`_sharpness_ring_check`.
+    This O(d) walk is the locate of the SHARPNESS sweep,
+    :func:`_sharpness_ring_check`.
     """
-    k2s = forward_walk(lambda alpha: _k2_raw(DivisorClass(alpha, d - 3 * alpha)), 1, d // 2, 3)
-    return min(k2s, default=None), list(compress(count(1), map(eq, k2s, repeat(target))))
+    return forward_walk(lambda alpha: _k2_raw(DivisorClass(alpha, d - 3 * alpha)), 1, d // 2, 3)
 
 
-def _ring_mismatch(d: int) -> str | None:
+def _ring_mismatch(d: int) -> int | None:
     """The first of the classes alpha = 1, 2, 3, 4 and d // 2 where the
     intersection ring's K^2 differs from phi(d, alpha - m - 1), or None.
 
@@ -1072,77 +1077,67 @@ def _ring_mismatch(d: int) -> str | None:
     its attainers are those of phi over [-m, a*].
     """
     m = _split3(d)[0]
-    for alpha in (1, 2, 3, 4, d // 2):
-        ring, cubic = _k2_raw(DivisorClass(alpha, d - 3 * alpha)), phi(d, alpha - m - 1)
-        if ring != cubic:
-            return f"d={d}: the intersection ring gives K^2 = {ring} at alpha={alpha}, phi gives {cubic}"
-    return None
+    return next((alpha for alpha in (1, 2, 3, 4, d // 2)
+                 if _k2_raw(DivisorClass(alpha, d - 3 * alpha)) != phi(d, alpha - m - 1)), None)
 
 
-def _sharpness_verdict(d: int, target: int, best: int | None, only_at_half: bool,
-                       attainers: Callable[[], list[int]]) -> str | None:
-    """SHARPNESS at d from the least K^2 over the degree-d classes and
-    whether target = -d(d-6) is attained at alpha = d/2 alone; attainers()
-    lists the attaining alphas, for a failure only."""
+def _sharpness_ring_check(d: int) -> str | None:
+    """SHARPNESS's locate at d: its failure, with the least K^2 and its
+    attainers taken from the full ring walk of :func:`_sharpness_scan`."""
+    if (alpha := _ring_mismatch(d)) is not None:
+        ring, cubic = _k2_raw(DivisorClass(alpha, d - 3 * alpha)), phi(d, alpha - _split3(d)[0] - 1)
+        return f"d={d}: the intersection ring gives K^2 = {ring} at alpha={alpha}, phi gives {cubic}"
+    target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
+    try:
+        k2s = _sharpness_scan(d)
+    except InconsistencyError as exc:
+        return f"d={d}: {exc}"
+    best = min(k2s)
+    attained = list(compress(count(1), map(eq, k2s, repeat(target))))
     if d % 2 == 0:
         extremal_class(d)  # re-checks K^2 and genus through both routes
         if best != target:
             return f"d={d}: class minimum {best} != -d(d-6) = {target}"
-        if not only_at_half:
-            return f"d={d}: -d(d-6) attained at alpha in {attainers()}, not only d/2"
-    elif best is None or best <= target:
-        if attainers():
+        if attained != [d // 2]:
+            return f"d={d}: -d(d-6) attained at alpha in {attained}, not only d/2"
+    elif best <= target:
+        if attained:
             return f"d={d}: odd degree attains the even-degree minimum"
         return f"d={d}: odd-degree minimum {best} fails to exceed {target}"
     return None
 
 
-def _sharpness_ring_check(d: int) -> str | None:
-    """SHARPNESS at d with the least K^2 and its attainers taken from the
-    full ring walk of :func:`_sharpness_scan`: the oracle of the sweep."""
-    if (mismatch := _ring_mismatch(d)) is not None:
-        return mismatch
-    target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
-    try:
-        best, attained = _sharpness_scan(d, target)
-    except InconsistencyError as exc:
-        return f"d={d}: {exc}"
-    return _sharpness_verdict(d, target, best, attained == [d // 2], lambda: attained)
-
-
-def _sharpness_check_one(d: int) -> str | None:
-    """SHARPNESS at d on the frame minimum shared with APPENDIX.min, once
-    :func:`_ring_mismatch` has matched the ring with phi."""
-    if (mismatch := _ring_mismatch(d)) is not None:
-        return mismatch
+def _sharpness_check_one(d: int) -> bool:
+    """SHARPNESS's decide at d, on the frame minimum shared with APPENDIX.min
+    once :func:`_ring_mismatch` has matched the ring with phi."""
+    if _ring_mismatch(d) is not None:
+        return False
     target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     try:
         res = _minimum(d)
-    except InconsistencyError as exc:
-        return f"d={d}: {exc}"
-    only_at_half = res.unique and res.a_min + _split3(d)[0] + 1 == d // 2
-    return _sharpness_verdict(d, target, res.k2_min, only_at_half, partial(_attainers, d, target))
-
-
-def _attainers(d: int, target: int) -> list[int]:
-    """The alphas = a + m + 1 of the frame classes with K^2 = target."""
-    return list(compress(count(1), map(eq, frame_k2(d), repeat(target))))
+    except InconsistencyError:
+        return False
+    if d % 2:
+        return res.k2_min > target
+    extremal_class(d)  # re-checks K^2 and genus through both routes
+    return res.k2_min == target and res.unique and res.a_min + _split3(d)[0] + 1 == d // 2
 
 
 def verify_sharpness(d_from: int, d_to: int) -> Certificate:
     """Every admissible class of each degree in range: even degrees attain
     K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees never reach it.
 
-    Each degree reads its minimum from the frame scan of minimize_k2 (shared
-    with APPENDIX.min within verify_theorem, computed here when called
-    directly) once the intersection ring agrees with phi at five classes;
-    the full ring walk re-checks the sweep's last degree."""
+    Each degree is decided from the frame scan of minimize_k2 (shared with
+    APPENDIX.min within verify_theorem, computed here when called directly)
+    once the intersection ring agrees with phi at five classes. The full
+    ring walk locates the failure at a rejected degree and re-checks the
+    sweep's last degree."""
     b = _Builder("SHARPNESS", (d_from, d_to), 36)
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
         _sharpness_check_one,
-        oracle=_sharpness_ring_check,
+        _sharpness_ring_check,
     )
     ds = range(b.lo, b.hi + 1)
     evens = [d for d in ds if d % 2 == 0]

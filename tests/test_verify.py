@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kbound.bounds import (
+    HilbertProfile,
     chi_bound_poly,
     double_point_2k2,
     castelnuovo_bound,
@@ -386,22 +387,20 @@ def test_sharpness_certificate():
 def test_sharpness_scan_matches_naive_ring_scan():
     for d in list(range(4, 120)) + [500, 501, 1998, 1999]:
         k2s = [_k2_raw(DivisorClass(alpha, d - 3 * alpha)) for alpha in range(1, d // 2 + 1)]
-        best, attained = verify._sharpness_scan(d, -d * (d - 6))
-        assert best == min(k2s, default=None), d
-        assert attained == [
-            alpha for alpha, k2 in enumerate(k2s, 1) if k2 == -d * (d - 6)
-        ], d
+        assert verify._sharpness_scan(d) == k2s, d
 
 
 def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
-    # A K^2 route that is not cubic in alpha derails the ring walk, and the
-    # per-degree check finds it leaving phi at the first of its five classes
-    # (phi(-m) = 8); neither passes or crashes.
+    # A K^2 route that is not cubic in alpha derails the ring walk, and both
+    # routes find it leaving phi at the first of its five classes
+    # (phi(-m) = 8): decide rejects, locate names the class, and neither
+    # crashes.
     monkeypatch.setattr(verify, "_k2_raw", lambda c: c.alpha**4)
     with pytest.raises(InconsistencyError, match="^forward-difference walk"):
-        verify._sharpness_scan(40, -1360)
+        verify._sharpness_scan(40)
     failure = "the intersection ring gives K^2 = 1 at alpha=1, phi gives 8"
-    assert verify._sharpness_check_one(40) == f"d=40: {failure}"
+    assert verify._sharpness_check_one(40) is False
+    assert verify._sharpness_ring_check(40) == f"d=40: {failure}"
     cert = verify_sharpness(36, 40)
     assert cert.status == "counterexample"
     assert cert.witness["failure"] == f"d=36: {failure}"
@@ -413,36 +412,40 @@ def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
     assert failure.startswith("d=100: forward-difference walk")
 
 
-def doctor_walk(monkeypatch, lo, index, value):
-    """Make every verify.forward_walk from lo return value at index."""
+def doctor_walk(monkeypatch, d, lo, index, value):
+    """Make the verify.forward_walk of phi' at degree d from lo return value
+    at index; the walk is handed partial(phi_derivative, d)."""
     real = verify.forward_walk
 
     def walk(f, start, hi, degree):
         values = real(f, start, hi, degree)
-        if start == lo:
+        if getattr(f, "args", None) == (d,) and start == lo:
             values[index] = value
         return values
 
     monkeypatch.setattr(verify, "forward_walk", walk)
 
 
-def unsettle_phi_prime(monkeypatch):
-    """Give the O(1) sign test a zero curvature A, so that it settles
-    neither phi' range and both walks run."""
-    real = verify.phi_derivative_coefficients
-    monkeypatch.setattr(verify, "phi_derivative_coefficients", lambda m, e: (*real(m, e)[:2], 0))
+def unsettle_phi_prime(monkeypatch, d):
+    """Make the O(1) sign test settle neither phi' range at degree d."""
+    real = verify._phi_prime_settled
+    monkeypatch.setattr(
+        verify, "_phi_prime_settled", lambda n, m, e: (False, False) if n == d else real(n, m, e)
+    )
 
 
 # At d = 40 (m = 13, e = 0, a* = 6) phi' is walked over [-11, -1], where it
-# must be positive, and over [1, 7], where it must be negative. The ends and
-# the curvature settle both ranges on a passing degree, so each case also
-# unsettles them to reach the doctored walk.
+# must be positive, and over [1, 7], where it must be negative; d = 41 walks
+# the same ranges. The ends and the curvature settle both ranges on a
+# passing degree, so a sweep also unsettles them at d = 40 for decide to
+# reject it there.
 @pytest.mark.parametrize("index, a", [(0, -11), (4, -7), (10, -1)])
 def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
-    unsettle_phi_prime(monkeypatch)
-    doctor_walk(monkeypatch, -11, index, 0)
+    unsettle_phi_prime(monkeypatch, 40)
+    doctor_walk(monkeypatch, 40, -11, index, 0)
     failure = f"d=40: phi' not positive at a={a} in [-m+2, -1]"
     assert verify._appendix_check_one(40) == failure
+    assert verify._appendix_check_one(41) is None
     assert verify._appendix_check_one(43) is None  # m = 14: its walk starts at -12
     cert = verify_appendix(39, 41)
     assert cert.status == "counterexample"
@@ -451,8 +454,7 @@ def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
 
 @pytest.mark.parametrize("index, a", [(0, 1), (6, 7)])
 def test_appendix_reports_phi_prime_not_negative(monkeypatch, index, a):
-    unsettle_phi_prime(monkeypatch)
-    doctor_walk(monkeypatch, 1, index, 0)
+    doctor_walk(monkeypatch, 40, 1, index, 0)
     assert verify._appendix_check_one(40) == f"d=40: phi' not negative at a={a} >= 1"
 
 
@@ -492,14 +494,24 @@ def test_phi_prime_settled_is_sound_for_any_quadratic(monkeypatch, d):
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
-def test_passing_appendix_sweep_walks_no_phi_prime(monkeypatch):
-    # The frame scan goes through scroll, so on a passing sweep nothing
-    # calls verify.forward_walk: each phi' range is settled in O(1).
+def test_a_passing_appendix_sweep_walks_phi_prime_at_its_last_degree(monkeypatch):
+    # The frame scan goes through scroll, so on a passing sweep only locate
+    # calls verify.forward_walk: at d = hi, once per phi' sign range.
     calls = []
     real = verify.forward_walk
-    monkeypatch.setattr(verify, "forward_walk", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(
+        verify, "forward_walk",
+        lambda f, lo, hi, degree: calls.append((f.args, lo, hi)) or real(f, lo, hi, degree),
+    )
     assert verify_appendix(1500, 1519).status == "verified"
-    assert calls == []
+    m, eps = scroll._split3(1519)
+    assert calls == [((1519,), -m + 2, -1), ((1519,), 1, scroll._a_star(m, eps) + 1)]
+
+
+def test_appendix_decide_agrees_with_locate():
+    # decide settles phi' in O(1), locate walks it: one verdict at every degree
+    for d in range(18, 3001):
+        assert verify._appendix_settled(d) == (verify._appendix_check_one(d) is None), d
 
 
 # The certificates signed at one fixed residue, by label: the appendix_table
@@ -524,28 +536,34 @@ def test_appendix_worst_residues_come_from_the_frame_residues():
                 assert margin.ok, (cert.label, e)
 
 
-def doctor_frame(monkeypatch, d, index, value):
-    """Make the frame scan of phi at degree d, which minimize_k2 and the
-    attainer list both read, return value at index."""
-    real = scroll.frame_k2
+#: The K^2 lists of a degree's classes, alpha = 1, 2, ... at index 0, 1, ...:
+#: the frame scan of phi, which minimize_k2 reads for each decide, and the
+#: ring walk of SHARPNESS's locate.
+CLASS_SCANS = {"frame": (scroll, "frame_k2"), "ring": (verify, "_sharpness_scan")}
 
-    def scan(n):
-        values = real(n)
-        if n == d:
-            values[index] = value
-        return values
 
-    monkeypatch.setattr(scroll, "frame_k2", scan)
-    monkeypatch.setattr(verify, "frame_k2", scan)
+def doctor_scans(monkeypatch, d, index, value, scans=tuple(CLASS_SCANS)):
+    """Make each named K^2 list of degree d hold value at index."""
+    for name in scans:
+        module, attr = CLASS_SCANS[name]
+        real = getattr(module, attr)
+
+        def scan(n, real=real):
+            values = real(n)
+            if n == d:
+                values[index] = value
+            return values
+
+        monkeypatch.setattr(module, attr, scan)
 
 
 @pytest.mark.parametrize("index, attained", [(0, [1, 20]), (4, [5, 20])])
 def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
     # The frame of d = 40 is a = -13 .. 6, alpha = a + 14 = 1 .. 20: a second
-    # class with K^2 = -d(d-6) = -1360 in the shared minimum breaks the
-    # uniqueness. d = 40 is below the sweep's last degree, where the full
-    # ring walk re-checks the verdict.
-    doctor_frame(monkeypatch, 40, index, -1360)
+    # class with K^2 = -d(d-6) = -1360 breaks the uniqueness. d = 40 is below
+    # the sweep's last degree: decide rejects it on the shared minimum, and
+    # locate writes the failure from the ring walk, doctored alike.
+    doctor_scans(monkeypatch, 40, index, -1360)
     cert = verify_sharpness(39, 42)
     assert cert.status == "counterexample"
     assert cert.witness["failure"] == (
@@ -556,10 +574,12 @@ def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
 def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
     # d = 41 (frame a = -13 .. 6): a class reaching -d(d-6) = -1435, and one
     # below it without the even minimum reached
-    doctor_frame(monkeypatch, 41, 3, -1435)
-    assert verify._sharpness_check_one(41) == "d=41: odd degree attains the even-degree minimum"
-    doctor_frame(monkeypatch, 41, 3, -1436)
-    assert verify._sharpness_check_one(41) == "d=41: odd-degree minimum -1436 fails to exceed -1435"
+    doctor_scans(monkeypatch, 41, 3, -1435)
+    assert verify._sharpness_check_one(41) is False
+    assert verify._sharpness_ring_check(41) == "d=41: odd degree attains the even-degree minimum"
+    doctor_scans(monkeypatch, 41, 3, -1436)
+    assert verify._sharpness_check_one(41) is False
+    assert verify._sharpness_ring_check(41) == "d=41: odd-degree minimum -1436 fails to exceed -1435"
 
 
 @pytest.mark.parametrize("extra", [
@@ -607,8 +627,8 @@ def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
     assert calls == list(range(36, 101))  # APPENDIX.min's, then read by SHARPNESS
     assert verify._MINIMA.get() is None
     calls.clear()
-    # a builder called directly computes its own, once per degree: the
-    # oracle is compared with the map's result at d = 40, not a re-run
+    # a builder called directly computes its own, once per degree: locate
+    # at d = 40 walks the intersection ring, not the frame
     verify_sharpness(36, 40)
     assert calls == [36, 37, 38, 39, 40]
 
@@ -627,11 +647,16 @@ def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
 def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
     # A per-degree failure in a failure_at sweep is reported as the first
     # failing degree, under the check's label, and fails the claim. The
-    # integer check is handed G(5;d) = 0 at d = 40 and 45.
+    # integer check is handed G(5;d) = 0 at d = 40 and 45, and the scalar
+    # route G(5;40) = 0.
     real = verify._r5_abs_int_check
     monkeypatch.setattr(
         verify, "_r5_abs_int_check",
         lambda g4, g5, d: real(g4, (Poly.zero(),) * 4 if d in (40, 45) else g5, d),
+    )
+    scalar = verify.castelnuovo_bound
+    monkeypatch.setattr(
+        verify, "castelnuovo_bound", lambda r, d: SimpleNamespace(bound_int=0) if d == 40 else scalar(r, d)
     )
     cert = verify._r5_abs(36, 50)
     assert cert.status == "counterexample"
@@ -657,9 +682,16 @@ R5_PROFILE_LABEL = (
 def test_r5_profile_sweep_reports_a_dominated_value(monkeypatch, split, value):
     # At d = 40 the seed (4, 9, 16) propagates to 34 at i = 7; a profile
     # that rises above it there fails the claim. The doctored (n, v, w) split
-    # makes the G(4;d,5) profile 5i - 1 for i <= n, d - w at i = n + 1, then d.
+    # makes the G(4;d,5) profile 5i - 1 for i <= n, d - w at i = n + 1, then d,
+    # and the scalar route builds that profile.
+    n, _, w = split
     real = verify.pi2_split
     monkeypatch.setattr(verify, "pi2_split", lambda d: split if d == 40 else real(d))
+    built = verify.pi2_profile
+    monkeypatch.setattr(
+        verify, "pi2_profile",
+        lambda d: HilbertProfile("doctored", d, (*range(4, 5 * n, 5), d - w)) if d == 40 else built(d),
+    )
     cert = verify._r5_profile((4, 9, 16), 36, 50)
     assert cert.status == "counterexample"
     assert cert.witness == {
@@ -669,12 +701,15 @@ def test_r5_profile_sweep_reports_a_dominated_value(monkeypatch, split, value):
 
 
 def test_r5_profile_sweep_reports_a_genus_bound_above_pi2(monkeypatch):
-    # the integer check is handed G(4;d,5) = 0 at d = 40
+    # the integer check is handed G(4;d,5) = 0 at d = 40, and so is the
+    # scalar route
     real = verify._r5_profile_int_check
     monkeypatch.setattr(
         verify, "_r5_profile_int_check",
         lambda seed, g4, d: real(seed, (Poly.zero(),) * 5 if d == 40 else g4, d),
     )
+    scalar = verify.pi2_bound
+    monkeypatch.setattr(verify, "pi2_bound", lambda d: SimpleNamespace(bound_int=0) if d == 40 else scalar(d))
     cert = verify._r5_profile((4, 10, 19), 36, 50)
     assert cert.status == "counterexample"
     assert cert.witness == {
@@ -683,19 +718,19 @@ def test_r5_profile_sweep_reports_a_genus_bound_above_pi2(monkeypatch):
     }
 
 
-# the integer per-degree checks against the scalar route ------------------------
+# the fast route of each sweep (decide) against its slow route (locate) ---------
 
 G4 = pi2_polys()
 
 
 @pytest.mark.parametrize("seed", [(4, 9, 16), (4, 10, 19), (4, 8, 12), (4, 9, 15), (2, 3, 4)])
 def test_r5_profile_closed_form_matches_the_built_profiles(seed):
-    # failure strings included: the last three seeds fail at many degrees
+    # the last three seeds fail at many degrees
     failing = 0
     for d in range(31, 3001):
         closed = verify._r5_profile_int_check(seed, G4, d)
-        assert closed == verify._r5_profile_check_one(seed, d), d
-        failing += closed is not None
+        assert closed == (verify._r5_profile_check_one(seed, d) is None), d
+        failing += not closed
     assert (failing == 0) == (seed in ((4, 9, 16), (4, 10, 19)))
 
 
@@ -708,7 +743,7 @@ VALID_SEEDS = st.lists(st.integers(1, 40), min_size=3, max_size=3).map(sorted).f
 def test_r5_profile_closed_form_matches_for_any_valid_seed(seed, extra):
     # nondecreasing seeds with h3 >= 2, and d >= h3 so that no value exceeds d
     seed, d = tuple(seed), seed[2] + extra
-    assert verify._r5_profile_int_check(seed, G4, d) == verify._r5_profile_check_one(seed, d)
+    assert verify._r5_profile_int_check(seed, G4, d) == (verify._r5_profile_check_one(seed, d) is None)
 
 
 def test_r5_profile_closed_form_matches_on_every_small_seed():
@@ -716,20 +751,22 @@ def test_r5_profile_closed_form_matches_on_every_small_seed():
     seeds = [seed for seed in combinations_with_replacement(range(1, 13), 3) if seed[2] >= 2]
     for seed in seeds:
         for d in range(seed[2], 61):
-            assert verify._r5_profile_int_check(seed, G4, d) == verify._r5_profile_check_one(seed, d)
+            located = verify._r5_profile_check_one(seed, d)
+            assert verify._r5_profile_int_check(seed, G4, d) == (located is None)
 
 
 @given(VALID_SEEDS, st.integers(0, 400))
 def test_r5_profile_closed_form_genus_is_the_defect_sum(seed, extra):
-    # a dominating profile's genus never exceeds G(4;d,5), so the comparison
-    # is probed with G(4;d,5) set to the propagated defect sum and one below
+    # a dominating profile's genus never exceeds G(4;d,5), so both routes
+    # are probed with G(4;d,5) set to the propagated defect sum and one below
     seed, d = tuple(seed), seed[2] + extra
     genus = genus_from_profile(propagate_profile(seed, d))
-    if verify._r5_profile_int_check(seed, G4, d) is None:
-        assert verify._r5_profile_int_check(seed, (Poly.of(genus),) * 5, d) is None
-        assert verify._r5_profile_int_check(seed, (Poly.of(genus - 1),) * 5, d) == (
-            f"d={d}: propagated genus bound exceeds G(4;d,5)"
-        )
+    if verify._r5_profile_int_check(seed, G4, d):
+        for bound, failure in ((genus, None), (genus - 1, f"d={d}: propagated genus bound exceeds G(4;d,5)")):
+            assert verify._r5_profile_int_check(seed, (Poly.of(bound),) * 5, d) == (failure is None)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "pi2_bound", lambda n: SimpleNamespace(bound_int=bound))
+                assert verify._r5_profile_check_one(seed, d) == failure
 
 
 R4_MARGINS = {
@@ -746,20 +783,20 @@ def test_r4_integer_checks_match_the_scalar_ones(s):
     scalar = verify._r4_reduce_check_one if s == 5 else partial(verify._r4_s_check_one, s)
     ds = range(s * s - s + 1, 5001)
     results = [verify._r4_margin_int_check(R4_MARGINS[s], d) for d in ds]
-    assert results == list(map(scalar, ds))
-    assert any(results)
+    assert results == [scalar(d) is None for d in ds]
+    assert not all(results)
 
 
 def test_r5_abs_and_deg4_integer_checks_match_the_scalar_ones():
     ds = range(5, 5001)
     g5 = castelnuovo_polys(5)
     abs_results = [verify._r5_abs_int_check(G4, g5, d) for d in ds]
-    assert abs_results == list(map(verify._r5_abs_check_one, ds))
-    assert max(filter(None, abs_results)) == 18
+    assert abs_results == [verify._r5_abs_check_one(d) is None for d in ds]
+    assert max(d for d, ok in zip(ds, abs_results) if not ok) == 18
     deg4 = weighted_defect_polys(), pi1_polys()
     deg4_results = [verify._r5_deg4_int_check(*deg4, d) for d in ds]
-    assert deg4_results == list(map(verify._r5_deg4_check_one, ds))
-    assert any(deg4_results)
+    assert deg4_results == [verify._r5_deg4_check_one(d) is None for d in ds]
+    assert not all(deg4_results)
 
 
 def test_integer_checks_raise_on_a_non_integer_genus_bound():
@@ -778,15 +815,10 @@ def test_each_sweep_rechecks_its_last_degree_through_the_scalar_api(monkeypatch)
     assert seen == [(50, 5), (50, 2), (50, 3)]
 
 
-def flip_at(monkeypatch, name, hi):
-    """Make the integer check `name` report the opposite verdict at d = hi."""
+def flip_at(monkeypatch, name, d):
+    """Make the integer check `name` report the opposite verdict at d."""
     real = getattr(verify, name)
-
-    def wrong(*args):
-        got = real(*args)
-        return got if args[-1] != hi else "wrong" if got is None else None
-
-    monkeypatch.setattr(verify, name, wrong)
+    monkeypatch.setattr(verify, name, lambda *args: real(*args) != (args[-1] == d))
 
 
 @pytest.mark.parametrize("name, build, claim", [
@@ -798,13 +830,52 @@ def flip_at(monkeypatch, name, hi):
 ])
 def test_a_wrong_integer_check_at_the_last_degree_raises(monkeypatch, name, build, claim):
     flip_at(monkeypatch, name, 50)
-    with pytest.raises(InconsistencyError, match=f"^{claim} at d=50: the per-degree check gives"):
+    with pytest.raises(InconsistencyError, match=f"^{claim} at d=50: decide rejects, locate gives None$"):
         build()
 
 
-#: Each sweep with an oracle: its per-degree check, its oracle, a builder
-#: over [36, 50], and the witness key of a failure.
-ORACLE_SWEEPS = {
+def test_a_wrong_integer_check_below_the_last_degree_raises(monkeypatch):
+    # locate runs at the degree decide rejects, so a wrong rejection below
+    # the last degree is caught there
+    flip_at(monkeypatch, "_r5_deg4_int_check", 49)
+    with pytest.raises(
+        InconsistencyError, match="^R5.deg4.cubic at d=49: decide rejects, locate gives None$"
+    ):
+        verify._r5_deg4(36, 50)
+
+
+def test_an_integer_check_rejecting_alone_raises(monkeypatch):
+    # decide is handed G(5;d) = 0 at d = 40, locate is left alone
+    real = verify._r5_abs_int_check
+    monkeypatch.setattr(
+        verify, "_r5_abs_int_check", lambda g4, g5, d: real(g4, (Poly.zero(),) * 4 if d == 40 else g5, d)
+    )
+    with pytest.raises(InconsistencyError, match="^R5.abs at d=40: decide rejects, locate gives None$"):
+        verify._r5_abs(36, 50)
+
+
+def test_a_doctored_frame_alone_raises(monkeypatch):
+    # a second attainer at d = 40 in the frame scan that decide reads, none
+    # in the ring walk that locate reads
+    doctor_scans(monkeypatch, 40, 0, -1360, scans=("frame",))
+    with pytest.raises(InconsistencyError, match="^SHARPNESS at d=40: decide rejects, locate gives None$"):
+        verify_sharpness(39, 42)
+
+
+def test_a_doctored_phi_prime_walk_at_the_last_degree_alone_raises(monkeypatch):
+    # decide settles phi' at d = 41 in O(1); locate walks it there and finds
+    # the doctored value
+    doctor_walk(monkeypatch, 41, -11, 4, 0)
+    with pytest.raises(
+        InconsistencyError,
+        match="^APPENDIX.min at d=41: decide passes, locate gives \"d=41: phi' not positive at a=-7 in",
+    ):
+        verify_appendix(39, 41)
+
+
+#: Each sweep: its decide, its locate, a builder over [36, 50], and the
+#: witness key of a failure.
+SWEEPS = {
     "R4.reduce": ("_r4_margin_int_check", "_r4_reduce_check_one", lambda: verify._r4_reduce(36, 50), "failure_at"),
     "R4.s3": ("_r4_margin_int_check", "_r4_s_check_one", lambda: verify._r4_s(36, 50, 3), "failure_at"),
     "R5.abs": ("_r5_abs_int_check", "_r5_abs_check_one", lambda: verify._r5_abs(36, 50), "failure_at"),
@@ -812,50 +883,44 @@ ORACLE_SWEEPS = {
                    lambda: verify._r5_profile((4, 10, 19), 36, 50), "failure"),
     "R5.deg4": ("_r5_deg4_int_check", "_r5_deg4_check_one", lambda: verify._r5_deg4(36, 50), "failure_at"),
     "SHARPNESS": ("_sharpness_check_one", "_sharpness_ring_check", lambda: verify_sharpness(36, 50), "failure"),
+    "APPENDIX.min": ("_appendix_settled", "_appendix_check_one", lambda: verify_appendix(36, 50), "failure"),
 }
 
 
-def spy(monkeypatch, name, calls, fail_at=None):
-    """Record the degree of each call of `name`; report a failure at fail_at."""
+def spy(monkeypatch, name, calls, fail_at=None, failure=None):
+    """Record the degree of each call of `name`; give failure at fail_at."""
     real = getattr(verify, name)
 
     def recorded(*args):
         calls.append(args[-1])
-        return "wrong" if args[-1] == fail_at else real(*args)
+        return failure if args[-1] == fail_at else real(*args)
 
     monkeypatch.setattr(verify, name, recorded)
 
 
-@pytest.mark.parametrize("check, oracle, build, key", ORACLE_SWEEPS.values(), ids=ORACLE_SWEEPS)
-def test_a_passing_sweep_runs_each_degree_once(monkeypatch, check, oracle, build, key):
-    # no failure: the oracle at d = 50 is compared with the map's None there
-    checked, direct = [], []
-    spy(monkeypatch, check, checked)
-    spy(monkeypatch, oracle, direct)
+@pytest.mark.parametrize("decide, locate, build, key", SWEEPS.values(), ids=SWEEPS)
+def test_a_passing_sweep_runs_each_degree_once(monkeypatch, decide, locate, build, key):
+    # no failure: locate runs at d = 50 only, to agree with decide there
+    decided, located = [], []
+    spy(monkeypatch, decide, decided)
+    spy(monkeypatch, locate, located)
     assert build().status == "verified"
-    assert checked == list(range(36, 51))
-    assert direct == [50]
+    assert decided == list(range(36, 51))
+    assert located == [50]
 
 
-@pytest.mark.parametrize("check, oracle, build, key", ORACLE_SWEEPS.values(), ids=ORACLE_SWEEPS)
-def test_a_sweep_stops_at_its_first_failure(monkeypatch, check, oracle, build, key):
-    # the lazy map stops at d = 40; the check runs once more at d = 50 only
-    # to be compared with its oracle there
-    checked, direct = [], []
-    spy(monkeypatch, check, checked, fail_at=40)
-    spy(monkeypatch, oracle, direct)
+@pytest.mark.parametrize("decide, locate, build, key", SWEEPS.values(), ids=SWEEPS)
+def test_a_sweep_stops_at_its_first_failure(monkeypatch, decide, locate, build, key):
+    # the lazy map stops at d = 40, where locate writes the failure; both
+    # routes run once more at d = 50, to agree there
+    decided, located = [], []
+    spy(monkeypatch, decide, decided, fail_at=40, failure=False)
+    spy(monkeypatch, locate, located, fail_at=40, failure="wrong")
     cert = build()
     assert cert.status == "counterexample"
     assert cert.witness[key] == "wrong"
-    assert checked == [*range(36, 41), 50]
-    assert direct == [50]
-
-
-def test_a_wrong_integer_check_below_the_last_degree_is_a_counterexample(monkeypatch):
-    # the scalar route re-checks only d = hi: below it the sweep's own
-    # verdict is the claim's
-    flip_at(monkeypatch, "_r5_deg4_int_check", 49)
-    assert verify._r5_deg4(36, 50).witness["failure_at"] == "wrong"
+    assert decided == [*range(36, 41), 50]
+    assert located == [40, 50]
 
 
 # aggregate ----------------------------------------------------------------------
