@@ -16,7 +16,7 @@ import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, count, islice, repeat, zip_longest
+from itertools import accumulate, compress, count, repeat, zip_longest
 from operator import ge, gt, le, lt
 
 
@@ -32,12 +32,12 @@ class FrameRangeError(ValueError):
     """Divisor class or frame parameter outside the admissible range."""
 
 
-def rat_str(x: int | Fraction) -> str:
-    """Render an exact rational as ``num/den``, omitting ``/den`` when 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def rat_str(x: int | Fraction, den: int = 1) -> str:
+    """Render the exact rational x / den (den >= 1) as ``num/den`` in lowest
+    terms, omitting ``/den`` when 1; reduced with one gcd, no Fraction."""
+    num, den = x.numerator, x.denominator * den
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def as_int(x: int | Fraction, what: str = "value") -> int:
@@ -53,10 +53,10 @@ def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list
     most the given degree, by exact forward differences.
 
     f is evaluated directly only at ``lo, ..., lo + degree`` (the seed of the
-    difference table) and at ``hi``: every other value costs ``degree``
-    integer additions. The walked value at hi must equal f(hi), otherwise
-    InconsistencyError is raised, so a wrong degree or a broken walk cannot
-    go unnoticed. An empty range (hi < lo) gives an empty list.
+    difference table) and at ``hi``: every other value costs at most
+    ``degree`` integer additions. The walked value at hi must equal f(hi),
+    otherwise InconsistencyError is raised, so a wrong degree or a broken
+    walk cannot go unnoticed. An empty range (hi < lo) gives an empty list.
     """
     if hi < lo:
         return []
@@ -65,10 +65,19 @@ def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list
     while column:
         heads.append(column[0])
         column = [b - a for a, b in zip(column, column[1:])]
-    walk = repeat(heads.pop())  # the top difference is constant
+    n = hi - lo + 1
+    # The top difference is constant, so the row below it is a range. Each
+    # row above starts with its head, so these rows end at the n-th value.
+    top = heads.pop()
+    if heads and top:
+        head = heads.pop()
+        walk = range(head, head + (n - len(heads)) * top, top)
+    else:
+        walk = repeat(top, n - len(heads))
     for head in reversed(heads):
         walk = accumulate(walk, initial=head)
-    values = list(islice(walk, hi - lo + 1))
+    values = list(walk)
+    del values[n:]  # the heads alone outnumber a range shorter than the seed
     direct = f(hi)
     if values[-1] != direct:
         raise InconsistencyError(
@@ -142,7 +151,7 @@ class Poly(Frozen):
         num = list(num)
         while num and num[-1] == 0:
             num.pop()
-        g = math.gcd(den, *num)
+        g = math.gcd(den, *num) if den != 1 else 1
         if g != 1:
             num = [n // g for n in num]
             den //= g
@@ -185,7 +194,10 @@ class Poly(Frozen):
         return Fraction(self.num[-1], self.den)
 
     def __add__(self, other: "Poly | int | Fraction") -> "Poly":
-        other = _coerce(other)
+        if not isinstance(other, Poly):  # an int or Fraction, added in numerators
+            num = [x * other.denominator for x in self.num] or [0]
+            num[0] += other.numerator * self.den
+            return Poly(num, self.den * other.denominator)
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         return Poly([x * a + y * b for x, y in zip_longest(self.num, other.num, fillvalue=0)], den)
@@ -196,13 +208,14 @@ class Poly(Frozen):
         return Poly([-n for n in self.num], self.den)
 
     def __sub__(self, other: "Poly | int | Fraction") -> "Poly":
-        return self + (-_coerce(other))
+        return self + -other
 
     def __rsub__(self, other: "Poly | int | Fraction") -> "Poly":
-        return _coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
-        other = _coerce(other)
+        if not isinstance(other, Poly):
+            return Poly([x * other.numerator for x in self.num], self.den * other.denominator)
         out = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             if a:
@@ -216,7 +229,7 @@ class Poly(Frozen):
         """The exact value at x, or for a Poly x the composition self(x(t)),
         which restricts a polynomial to a residue class."""
         if isinstance(x, Poly):
-            acc = _coerce(_horner(self.num, x))  # the int 0 when self is zero
+            acc = _horner(self.num, x) or Poly.zero()  # the int 0 when self is zero
             return Poly(acc.num, acc.den * self.den)
         return Fraction(_horner(self.num, x), self.den)
 
@@ -243,23 +256,23 @@ class Poly(Frozen):
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if c == 0:
+        for i, n in reversed(list(enumerate(self.num))):  # den > 0 keeps the sign of n
+            if n == 0:
                 continue
-            mag = rat_str(abs(c))
+            mag = rat_str(abs(n), self.den)
             if i == 0:
                 term = mag
             else:
                 xi = var if i == 1 else f"{var}^{i}"
                 term = xi if mag == "1" else f"{mag}*{xi}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if n > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+                parts.append(f"+ {term}" if n > 0 else f"- {term}")
         return " ".join(parts)
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        return [rat_str(n, self.den) for n in self.num]
 
 
 def _horner(num: tuple[int, ...], x: "Poly | int | Fraction") -> "Poly | int | Fraction":
@@ -270,12 +283,6 @@ def _horner(num: tuple[int, ...], x: "Poly | int | Fraction") -> "Poly | int | F
     return acc
 
 
-def _coerce(x: "Poly | int | Fraction") -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly.of(x)
-
-
 #: Longest scan, in integers past ``start``, that :func:`sign_certificate` runs.
 MAX_SCAN = 2_000_000
 
@@ -283,8 +290,11 @@ MAX_SCAN = 2_000_000
 SCAN_BLOCK = 4096
 
 #: For each asserted sign, the operator ``op`` with ``op(v, 0)`` true exactly
-#: where the value v violates it.
-_SIGN_FAILS = {"positive": le, "nonnegative": lt, "negative": ge, "nonpositive": gt}
+#: where the value v violates it, and the extreme (min or max) of a block of
+#: values that violates it if any value does.
+_SIGN_FAILS = {
+    "positive": (le, min), "nonnegative": (lt, min), "negative": (ge, max), "nonpositive": (gt, max),
+}
 
 
 class SignCertificate(Record):
@@ -347,13 +357,15 @@ def sign_certificate(
     The scan walks the numerators ``p.num`` (dividing by the positive
     ``p.den`` keeps every sign) by exact forward differences, in
     blocks of at most :data:`SCAN_BLOCK` integers, each seeded and checked
-    at its end by direct evaluation (see :func:`forward_walk`).
+    at its end by direct evaluation (see :func:`forward_walk`). One min or
+    max decides a block; only a failing block is searched for its least
+    counterexample.
     """
     if asserted_sign not in _SIGN_FAILS:
         raise ValueError(f"unknown sign assertion: {asserted_sign!r}")
     if p.is_zero:
         raise ValueError("cannot certify the zero polynomial")
-    fails = _SIGN_FAILS[asserted_sign]
+    fails, extreme = _SIGN_FAILS[asserted_sign]
     tail = p.cauchy_tail_bound()
     scan_to = max(start, tail)
     if scan_to - start > MAX_SCAN:
@@ -364,8 +376,8 @@ def sign_certificate(
     counterexample: int | None = None
     for lo in range(start, scan_to + 1, SCAN_BLOCK):
         values = forward_walk(value_at, lo, min(lo + SCAN_BLOCK - 1, scan_to), p.degree)
-        counterexample = next(compress(count(lo), map(fails, values, repeat(0))), None)
-        if counterexample is not None:
+        if fails(extreme(values), 0):
+            counterexample = next(compress(count(lo), map(fails, values, repeat(0))))
             break
     if counterexample is None:
         lead = p.num[-1]

@@ -34,6 +34,7 @@ from .exact import (
     InconsistencyError,
     OutOfDomainError,
     Poly,
+    _horner,
     _set,
     forward_walk,
 )
@@ -240,8 +241,7 @@ def phi(d: int, a: int) -> int:
     :func:`k2_intersection` on every admissible class. Its third forward
     difference in a is the constant -36.
     """
-    c0, c1, c2, c3 = phi_coefficients(*_split3(d))
-    return ((c3 * a + c2) * a + c1) * a + c0
+    return _horner(phi_coefficients(*_split3(d)), a)
 
 
 def phi_derivative(d: int, a: int) -> int:
@@ -250,8 +250,7 @@ def phi_derivative(d: int, a: int) -> int:
 
     Its second forward difference in a is the constant -36.
     """
-    c0, c1, c2 = phi_derivative_coefficients(*_split3(d))
-    return (c2 * a + c1) * a + c0
+    return _horner(phi_derivative_coefficients(*_split3(d)), a)
 
 
 class KsqMinimum(Frozen):
@@ -297,11 +296,12 @@ def minimize_k2(d: int) -> KsqMinimum:
     """
     values = frame_k2(d)
     best = min(values)
+    first = values.index(best)
     return KsqMinimum(
         d=d,
-        a_min=-_split3(d)[0] + values.index(best),
+        a_min=-_split3(d)[0] + first,
         k2_min=best,
-        unique=values.count(best) == 1,
+        unique=best not in values[first + 1:],
     )
 
 

@@ -90,6 +90,7 @@ from .scroll import (
     k2_min_form,
     minimize_k2,
     phi,
+    phi_coefficients,
     phi_derivative,
     phi_derivative_coefficients,
     phi_derivative_discriminant,
@@ -921,14 +922,15 @@ def _minimum(d: int) -> KsqMinimum:
     return table[d]
 
 
-def _phi_prime_settled(d: int, m: int, eps: int) -> tuple[bool, bool]:
+def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
     """Whether phi' > 0 on [-m+2, -1] and phi' < 0 on every a >= 1 follow
     from phi'(-m+2), phi'(-1), phi'(1) and the coefficients (C, B, A): a
     concave quadratic (A < 0) is least at an end of an interval, and falls
     on a >= 1 once phi''(1) = 2A + B < 0. An empty range is settled."""
-    _, B, A = phi_derivative_coefficients(m, eps)
-    rises = -m + 2 > -1 or A < 0 < min(phi_derivative(d, -m + 2), phi_derivative(d, -1))
-    return rises, A < 0 and 2 * A + B < 0 and phi_derivative(d, 1) < 0
+    dphi = phi_derivative_coefficients(m, eps)
+    _, B, A = dphi
+    rises = -m + 2 > -1 or A < 0 < min(_horner(dphi, -m + 2), _horner(dphi, -1))
+    return rises, A < 0 and 2 * A + B < 0 and _horner(dphi, 1) < 0
 
 
 def _appendix_faults(d: int, walk: bool) -> Iterator[Callable[[], str]]:
@@ -956,21 +958,22 @@ def _appendix_faults(d: int, walk: bool) -> Iterator[Callable[[], str]]:
     elif res.k2_min <= bound:
         yield lambda: "odd-degree minimum fails to exceed -d(d-6)"
     phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
-    if phi(d, -m) != phi_lo:
+    cubic, dphi = phi_coefficients(m, eps), phi_derivative_coefficients(m, eps)
+    if _horner(cubic, -m) != phi_lo:
         yield lambda: "phi(-m) != 8"
-    if phi(d, -m + 1) != -9 * m + 17 - 3 * eps:
+    if _horner(cubic, -m + 1) != -9 * m + 17 - 3 * eps:
         yield lambda: "phi(-m+1) != -9m + 17 - 3e"
-    if phi(d, -m + 2) != 0:
+    if _horner(cubic, -m + 2) != 0:
         yield lambda: "phi(-m+2) != 0"
-    if phi(d, 0) != (m - 2) * phi0:
+    if _horner(cubic, 0) != (m - 2) * phi0:
         yield lambda: "phi(0) factorization fails"
-    if phi(d, 1) != (m - 1) * phi1:
+    if _horner(cubic, 1) != (m - 1) * phi1:
         yield lambda: "phi(1) factorization fails"
-    if phi_derivative(d, 1) != dphi1:
+    if _horner(dphi, 1) != dphi1:
         yield lambda: "phi'(1) != 2 - 26m + 6me"
-    if phi_derivative(d, -m + 2) != dphi_lo:
+    if _horner(dphi, -m + 2) != dphi_lo:
         yield lambda: "phi'(-m+2) != 18m + 6e - 42"
-    if phi_derivative(d, -1) != dphi_m1:
+    if _horner(dphi, -1) != dphi_m1:
         yield lambda: "phi'(-1) != 10m + 6me - 12e - 18"
     if min(rising, default=1) <= 0:
         a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
@@ -985,7 +988,7 @@ def _appendix_faults(d: int, walk: bool) -> Iterator[Callable[[], str]]:
 def _appendix_settled(d: int) -> bool:
     """APPENDIX.min's decide at d: :func:`_appendix_faults` finds none without
     the walks, and :func:`_phi_prime_settled` settles both phi' ranges."""
-    return all(_phi_prime_settled(d, *_split3(d))) and next(_appendix_faults(d, walk=False), None) is None
+    return all(_phi_prime_settled(*_split3(d))) and next(_appendix_faults(d, walk=False), None) is None
 
 
 def _appendix_check_one(d: int) -> str | None:
@@ -1076,9 +1079,10 @@ def _ring_mismatch(d: int) -> int | None:
     check of a walk. Then the ring's least K^2 over 1 <= alpha <= d/2 and
     its attainers are those of phi over [-m, a*].
     """
-    m = _split3(d)[0]
+    m, eps = _split3(d)
+    cubic = phi_coefficients(m, eps)
     return next((alpha for alpha in (1, 2, 3, 4, d // 2)
-                 if _k2_raw(DivisorClass(alpha, d - 3 * alpha)) != phi(d, alpha - m - 1)), None)
+                 if _k2_raw(DivisorClass(alpha, d - 3 * alpha)) != _horner(cubic, alpha - m - 1)), None)
 
 
 def _sharpness_ring_check(d: int) -> str | None:

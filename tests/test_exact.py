@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kbound import exact
@@ -29,6 +30,11 @@ def test_rat_serialization():
     assert rat_str(5) == "5"
     assert Fraction("22/7") == Fraction(22, 7)
     assert Fraction("-9") == Fraction(-9)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_rat_str_of_a_ratio_is_its_fraction_rendering(n, den):
+    assert rat_str(n, den) == str(Fraction(n, den)) == rat_str(Fraction(n, den))
 
 
 @given(rationals, rationals, rationals)
@@ -94,6 +100,40 @@ def test_poly_constructor_is_canonical():
 polys = st.lists(rationals, min_size=0, max_size=6).map(lambda cs: Poly.of(*cs))
 
 
+@given(polys, st.one_of(st.integers(-10**6, 10**6), rationals))
+def test_poly_arithmetic_with_a_number_matches_poly_of_it(p, c):
+    q = Poly.of(c)
+    assert p + c == p + q and c + p == q + p
+    assert p - c == p - q and c - p == q - p
+    assert p * c == p * q and c * p == q * p
+
+
+def fraction_text(p: Poly, var: str) -> str:
+    """Poly.text as rendered from the Fraction coefficients."""
+    parts = []
+    for i, c in reversed(list(enumerate(p.coeffs))):
+        if c == 0:
+            continue
+        mag = str(abs(c))
+        xi = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+        term = mag if not xi else xi if mag == "1" else f"{mag}*{xi}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"
+
+
+# numerators over a denominator, so that zero and negative numerators and a
+# denominator sharing a factor with only some of them all come up
+raw_polys = st.builds(Poly, st.lists(st.integers(-60, 60), max_size=6), st.integers(1, 36))
+
+
+@given(raw_polys, st.sampled_from(["d", "m", "r"]))
+@example(Poly((6, -4, 0, 3, -9, 1), 12), "d")
+def test_poly_renders_as_its_fraction_coefficients(p, var):
+    assert p.to_json() == [rat_str(c) for c in p.coeffs] == [str(c) for c in p.coeffs]
+    assert p.text(var) == fraction_text(p, var)
+
+
 @given(polys, polys, st.one_of(st.integers(-50, 50), rationals))
 def test_poly_eval_is_ring_homomorphism(p, q, x):
     assert p(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
@@ -136,15 +176,21 @@ def test_cauchy_bound_dominates_integer_roots(roots):
 # forward-difference walks ---------------------------------------------------
 
 @given(
-    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5),
+    st.integers(0, 4),
     st.integers(-300, 300),
     st.integers(-1, 200),
 )
-def test_forward_walk_matches_direct_evaluation(coeffs, lo, span):
-    p = Poly.of(*coeffs)
-    degree = max(p.degree, 0)
-    walked = forward_walk(lambda x: int(p(x)), lo, lo + span, degree)
-    assert walked == [p(x) for x in range(lo, lo + span + 1)]
+@example([5, 0, -3], 2, -7, 20)  # negative top difference
+@example([5, 0, -3], 4, -7, 20)  # zero top difference: a quadratic walked as a quartic
+@example([7], 0, 3, 5)
+def test_forward_walk_matches_direct_evaluation(coeffs, degree, lo, span):
+    # a walk of any degree in 0..4 at least the polynomial's own
+    def f(x):
+        return sum(c * x**i for i, c in enumerate(coeffs))
+
+    walked = forward_walk(f, lo, lo + span, max(degree, len(coeffs) - 1))
+    assert walked == [f(x) for x in range(lo, lo + span + 1)]
 
 
 def test_forward_walk_end_check_catches_a_wrong_degree():
@@ -301,6 +347,29 @@ def test_scan_walks_blocks_of_at_most_scan_block_integers(monkeypatch):
     assert sign_certificate(p, 0, "nonpositive").counterexample == 9001
     assert sign_certificate(p, 9001, "positive").ok
     assert sign_certificate(-p, 5, "positive").counterexample == 9000
+
+
+#: For each asserted sign, (s, c) with s * ((x - x0)^2 (x - x0 - 2)^2 - c)
+#: violating it exactly at x0 and x0 + 2.
+ISOLATED_FAILURES = {
+    "positive": (1, 0), "nonnegative": (1, 1), "negative": (-1, 0), "nonpositive": (-1, 1),
+}
+
+
+@pytest.mark.parametrize("sign", sorted(ISOLATED_FAILURES))
+@pytest.mark.parametrize("x0", [8, 11])  # the first and the last integer of the third block
+def test_a_block_decided_by_its_extreme_gives_the_least_counterexample(monkeypatch, sign, x0):
+    # Blocks of 4 from 0: [0, 3], [4, 7], [8, 11], ... The two blocks before
+    # pass on their min or max alone; only the failing block is searched.
+    monkeypatch.setattr(exact, "SCAN_BLOCK", 4)
+    searched = []
+    monkeypatch.setattr(exact, "compress", lambda data, flags: searched.append(data) or compress(data, flags))
+    s, c = ISOLATED_FAILURES[sign]
+    root = Poly.of(-x0, 1)
+    p = s * (root * root * (root - 2) * (root - 2) - c)
+    cert = sign_certificate(p, 0, sign)
+    assert cert.counterexample == fraction_scan_counterexample(p, 0, sign) == x0
+    assert len(searched) == 1
 
 
 def test_integer_scan_wrong_leading_sign():

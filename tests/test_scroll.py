@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kbound.scroll as scroll
 from kbound.exact import FrameRangeError, OutOfDomainError
 from kbound.scroll import (
     CANONICAL,
@@ -300,6 +301,24 @@ def test_minimize_matches_naive_scan():
         assert res.k2_min == best, d
         assert res.a_min == -m + values.index(best), d
         assert res.unique == (values.count(best) == 1), d
+
+
+@pytest.mark.parametrize("lows", [(0, 19), (3, 4), (18, 19), (5,)])
+def test_minimize_finds_the_least_a_of_a_repeated_minimum(monkeypatch, lows):
+    # d = 40 has the frame a = -13 .. 6: a doctored K^2 below the real
+    # minimum at each index in lows
+    real = scroll.frame_k2
+    low = min(real(40)) - 1
+
+    def frame(d):
+        values = real(d)
+        for i in lows:
+            values[i] = low
+        return values
+
+    monkeypatch.setattr(scroll, "frame_k2", frame)
+    res = minimize_k2(40)
+    assert (res.a_min, res.k2_min, res.unique) == (-13 + lows[0], low, len(lows) == 1)
 
 
 def test_minimize_below_asserted_range_is_flagged():

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
-from operator import le
+from operator import add, le
 from types import SimpleNamespace
 
 import pytest
@@ -428,9 +428,9 @@ def doctor_walk(monkeypatch, d, lo, index, value):
 
 def unsettle_phi_prime(monkeypatch, d):
     """Make the O(1) sign test settle neither phi' range at degree d."""
-    real = verify._phi_prime_settled
+    real, split = verify._phi_prime_settled, scroll._split3(d)
     monkeypatch.setattr(
-        verify, "_phi_prime_settled", lambda n, m, e: (False, False) if n == d else real(n, m, e)
+        verify, "_phi_prime_settled", lambda m, e: (False, False) if (m, e) == split else real(m, e)
     )
 
 
@@ -472,7 +472,7 @@ def test_phi_prime_settled_matches_both_walks():
     for d in range(4, 3001):
         m, eps = scroll._split3(d)
         walked = walked_phi_prime_signs(partial(scroll.phi_derivative, d), m, eps)
-        assert verify._phi_prime_settled(d, m, eps) == walked, d
+        assert verify._phi_prime_settled(m, eps) == walked, d
 
 
 @pytest.mark.parametrize("d", [7, 40, 41])
@@ -486,9 +486,8 @@ def test_phi_prime_settled_is_sound_for_any_quadratic(monkeypatch, d):
             return (A * a + B) * a + C
 
         monkeypatch.setattr(verify, "phi_derivative_coefficients", lambda m, e: (C, B, A))
-        monkeypatch.setattr(verify, "phi_derivative", dphi)
         walked = walked_phi_prime_signs(partial(dphi, d), m, eps)
-        settled = verify._phi_prime_settled(d, m, eps)
+        settled = verify._phi_prime_settled(m, eps)
         assert all(map(le, settled, walked)), (C, B, A)
         verdicts.update(zip(settled, walked))
     assert verdicts == {(True, True), (False, True), (False, False)}
@@ -600,13 +599,29 @@ def test_sharpness_fails_a_ring_route_that_leaves_phi(monkeypatch, extra):
     )
 
 
-@pytest.mark.parametrize("wrong", [lambda a: 1, lambda a: a])
+@pytest.mark.parametrize("wrong", [(1, 0, 0, 0), (0, 1, 0, 0)])  # phi + 1, phi + a
 def test_a_wrong_phi_fails_both_claims(monkeypatch, wrong):
-    real = scroll.phi
+    # phi, phi' and the per-degree checks all read phi_coefficients, so the
+    # doctoring goes there, wherever it is looked up
+    real = scroll.phi_coefficients
     for module in (scroll, verify):
-        monkeypatch.setattr(module, "phi", lambda d, a: real(d, a) + wrong(a))
+        monkeypatch.setattr(module, "phi_coefficients", lambda m, e: tuple(map(add, real(m, e), wrong)))
     verdict = verify_theorem(36, 60, cases=("appendix", "sharpness"))
     assert [c.status for c in verdict.certificates] == ["counterexample"] * 2
+    assert all(c.witness["failure"].startswith("d=36: ") for c in verdict.certificates)
+
+
+def test_serializing_a_run_builds_no_fraction(monkeypatch):
+    # Poly.to_json and Poly.text render each coefficient from its integer
+    # numerator and the denominator
+    verdict = verify_theorem(36, 60)
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args: built.append(args) or real(cls, *args))
+    verdict.to_json()
+    assert built == []
+    Fraction(1, 2)
+    assert built == [(1, 2)]  # the spy does see a Fraction being built
 
 
 def test_sharpness_certificate_alone_equals_the_full_runs():
