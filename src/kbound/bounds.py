@@ -132,10 +132,8 @@ class GenusBoundResult(Record):
 
 @cache
 def castelnuovo_polys(r: int) -> tuple[Poly, ...]:
-    """G(r;d) as a quadratic in d, entry eps on (d-1) mod (r-1) = eps."""
-    den = 2 * (r - 1)
-    quadratic = Poly.of(0, Fraction(-(r + 1), den), Fraction(1, den))
-    return tuple(quadratic + Fraction((r - eps) * (1 + eps), den) for eps in range(r - 1))
+    """G(r;d) over 2(r-1) as a quadratic in d, entry eps on (d-1) mod (r-1) = eps."""
+    return tuple(Poly(((r - eps) * (1 + eps), -(r + 1), 1), 2 * (r - 1)) for eps in range(r - 1))
 
 
 def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
@@ -176,9 +174,8 @@ def castelnuovo_profile(r: int, d: int) -> HilbertProfile:
 
 @cache
 def halphen_polys(s: int) -> tuple[Poly, ...]:
-    """G(3;d,s) as a quadratic in d, entry eps on (d-1) mod s = eps."""
-    quadratic = Poly.of(1, Fraction(s - 4, 2), Fraction(1, 2 * s))
-    return tuple(quadratic - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s) for eps in range(s))
+    """G(3;d,s) over 2s as a quadratic in d, entry eps on (d-1) mod s = eps."""
+    return tuple(Poly((2 * s - (s - 1 - eps) * (eps + 1) * (s - 1), s * (s - 4), 1), 2 * s) for eps in range(s))
 
 
 def halphen_bound(d: int, s: int) -> GenusBoundResult:
@@ -214,9 +211,8 @@ def pi2_w(v: int) -> int:
 @cache
 def pi2_polys() -> tuple[Poly, ...]:
     """G(4;d,5) = d^2/10 - 3d/10 + 1/5 + v/10 - v^2/10 + w, entry v on the
-    residue class (d-1) mod 5 = v."""
-    quadratic = Poly.of(0, Fraction(-3, 10), Fraction(1, 10))
-    return tuple(quadratic + Fraction(2 + v - v * v, 10) + pi2_w(v) for v in range(5))
+    residue class (d-1) mod 5 = v, over the denominator 10."""
+    return tuple(Poly((2 + v - v * v + 10 * pi2_w(v), -3, 1), 10) for v in range(5))
 
 
 def pi2_split(d: int) -> tuple[int, int, int]:
@@ -263,9 +259,8 @@ def pi1_t(q: int) -> int:
 @cache
 def pi1_polys() -> tuple[Poly, ...]:
     """G(4;d,4) = d^2/8 - d/2 + 3/8 + q/4 - q^2/8 + t, entry q on the
-    residue class (d-1) mod 4 = q."""
-    quadratic = Poly.of(0, Fraction(-1, 2), Fraction(1, 8))
-    return tuple(quadratic + Fraction(3 + 2 * q - q * q, 8) + pi1_t(q) for q in range(4))
+    residue class (d-1) mod 4 = q, over the denominator 8."""
+    return tuple(Poly((3 + 2 * q - q * q + 8 * pi1_t(q), -4, 1), 8) for q in range(4))
 
 
 def pi1_split(d: int) -> tuple[int, int, int]:
@@ -417,7 +412,7 @@ def chi_bound_poly(x) -> Poly:
     x = Fraction(x)
     if not 0 <= x <= 9:
         raise ValueError("x must lie in [0, 9]")
-    base = Poly.of(Fraction(-333, 16), Fraction(-5, 3), Fraction(-1, 16), Fraction(1, 96))
+    base = Poly((-1998, -160, -6, 1), 96)  # d^3/96 - d^2/16 - 5d/3 - 333/16
     return base - Fraction(9 - x, 8) * Poly.of(0, -3, 1)
 
 

@@ -42,7 +42,6 @@ def rat_str(x: int | Fraction, den: int = 1) -> str:
 
 def as_int(x: int | Fraction, what: str = "value") -> int:
     """Assert integrality of an exact rational and return it as an int."""
-    x = Fraction(x)
     if x.denominator != 1:
         raise InconsistencyError(f"{what} is not an integer: {rat_str(x)}")
     return x.numerator

@@ -308,9 +308,9 @@ def minimize_k2(d: int) -> KsqMinimum:
 #: K^2 = -d(d-6) of the extremal class, the bound the package certifies.
 EVEN_MINIMUM = Poly.of(0, 6, -1)
 #: min K^2 = -d^2/4 + d/2 + 35/4 over the classes of an odd degree d.
-ODD_MINIMUM = Poly.of(Fraction(35, 4), Fraction(1, 2), Fraction(-1, 4))
+ODD_MINIMUM = Poly((35, 2, -1), 4)
 #: Sectional genus d^2/8 - 3d/4 + 1 of the extremal class (d/2)(H - W).
-EXTREMAL_GENUS = Poly.of(1, Fraction(-3, 4), Fraction(1, 8))
+EXTREMAL_GENUS = Poly((8, -6, 1), 8)
 
 
 def k2_min_form(d: int) -> Poly:
@@ -355,8 +355,8 @@ def extremal_class(d: int) -> ExtremalSurface:
         raise InconsistencyError(f"extremal K^2 {k2} != -d(d-6) at d={d}")
     if not EXTREMAL_GENUS.has_value(d, g):
         raise InconsistencyError(f"extremal genus {g} != d^2/8 - 3d/4 + 1 at d={d}")
-    f = frame_from_class(c, d)
-    if f.a != f.a_star or f.q_parity != 0:
+    m, eps = _split3(d)
+    if c.alpha - m - 1 != _a_star(m, eps) or (m + eps - 1) % 2 != 0:
         raise InconsistencyError(f"extremal class not at a* with q=0 at d={d}")
     return ExtremalSurface(cls=c, k2=k2, genus=g)
 

@@ -36,7 +36,7 @@ scroll, general type), the certificate records the hypothesis in
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
@@ -320,9 +320,7 @@ def spanned_from_bounds_poly(r: int, eps: int) -> Poly:
 
 def psi_quoted_poly(r: int, eps: int) -> Poly:
     """psi(r,d) = ((r-5)/(r-1))(d^2 - 2d) - (4/(r-1))(-r + 2 - e - e^2 + er)."""
-    lead = Fraction(r - 5, r - 1)
-    const = Fraction(-4, r - 1) * (-r + 2 - eps - eps * eps + eps * r)
-    return Poly.of(const, -2 * lead, lead)
+    return Poly((4 * (r - 2 + eps + eps * eps - eps * r), -2 * (r - 5), r - 5), r - 1)
 
 
 def psi_from_bounds_poly(r: int, eps: int) -> Poly:
@@ -371,9 +369,7 @@ def r4_margin_poly(g: Poly | int, chi: Poly | int) -> Poly:
 # The r = 4 double point targets as the paper writes them out.
 REDUCE_RHS = Poly.of(0, -17, 3)  # 3d^2 - 17d
 REDUCE2_RHS = Poly.of(12, -17, 3)  # 3d^2 - 17d + 12
-S4_RHS_QUOTED = Poly.of(
-    Fraction(-999, 4), Fraction(-47, 2), Fraction(-9, 4), Fraction(1, 8)
-)
+S4_RHS_QUOTED = Poly((-1998, -188, -18, 1), 8)  # d^3/8 - 9d^2/4 - 47d/2 - 999/4
 
 
 #: r^3 - 10r^2 + 27r - 23, which (r-1)psi(r,r-1) reduces to for r >= 7 once
@@ -446,7 +442,7 @@ def _r4_reduce(d_from: int, d_to: int) -> Certificate:
         r4_margin_poly(1, 0),
         REDUCE_RHS,
     )
-    g_weak = Poly.of(1, Fraction(1, 2), Fraction(1, 10))  # d^2/10 + d/2 + 1
+    g_weak = Poly((10, 5, 1), 10)  # d^2/10 + d/2 + 1
     for eps, g in enumerate(halphen_polys(5)):
         gap = g_weak - g
         b.check(
@@ -474,7 +470,7 @@ def _r4_s_check_one(s: int, d: int) -> int | None:
 
 
 def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
-    weak = {2: Poly.of(1, -1, Fraction(1, 4)), 3: Poly.of(1, Fraction(-1, 2), Fraction(1, 6))}[s]
+    weak = {2: Poly((4, -4, 1), 4), 3: Poly((6, -3, 1), 6)}[s]  # d^2/4 - d + 1, d^2/6 - d/2 + 1
     asserted = {2: 13, 3: 8}[s]
     b = _Builder(f"R4.s{s}", (d_from, d_to), asserted)
     b.assume(f"S lies on an irreducible reduced hypersurface of degree {s}")
@@ -509,7 +505,7 @@ def _r4_s4_low(d_from: int, d_to: int) -> Certificate:
     b = _Builder("R4.s4.x<=6", (d_from, d_to), 36)
     b.assume("S lies on an irreducible reduced quartic hypersurface")
     b.assume("genus defect parameter x in [0, 6], so g <= d^2/8 - 3d/8 + 1")
-    weak = Poly.of(1, Fraction(-3, 8), Fraction(1, 8))
+    weak = Poly((8, -3, 1), 8)  # d^2/8 - 3d/8 + 1
     b.identity(
         "g bound at x = 6 equals d^2/8 - 3d/8 + 1",
         genus_defect_poly(Fraction(6)),
@@ -933,10 +929,9 @@ def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
     return rises, A < 0 and 2 * A + B < 0 and _horner(dphi, 1) < 0
 
 
-def _appendix_faults(d: int, walk: bool) -> Iterator[Callable[[], str]]:
-    """APPENDIX.min's failing checks at d, in order, each a thunk that
-    writes its failure. The two phi' sign ranges are walked by forward
-    differences only if walk is set."""
+def _appendix_fault(d: int, walk: bool) -> str | None:
+    """APPENDIX.min's first failing check at d, written out, or None. The two
+    phi' sign ranges are walked by forward differences only if walk is set."""
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
     rise_lo = -m + 2
@@ -945,55 +940,56 @@ def _appendix_faults(d: int, walk: bool) -> Iterator[Callable[[], str]]:
         rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if walk else ()
         falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if walk else ()
     except InconsistencyError as exc:
-        yield partial(str, exc)
-        return
+        return str(exc)
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
-        yield lambda: f"minimum {res.k2_min} below -d(d-6) = {bound}"
+        return f"minimum {res.k2_min} below -d(d-6) = {bound}"
     if not k2_min_form(d).has_value(d, res.k2_min):
-        yield lambda: f"minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
+        return f"minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
     if d % 2 == 0:
         if res.k2_min != bound or res.a_min != a_star or not res.unique:
-            yield lambda: f"even-degree minimum not uniquely at a* = {a_star}"
+            return f"even-degree minimum not uniquely at a* = {a_star}"
     elif res.k2_min <= bound:
-        yield lambda: "odd-degree minimum fails to exceed -d(d-6)"
+        return "odd-degree minimum fails to exceed -d(d-6)"
     phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
     cubic, dphi = phi_coefficients(m, eps), phi_derivative_coefficients(m, eps)
     if _horner(cubic, -m) != phi_lo:
-        yield lambda: "phi(-m) != 8"
+        return "phi(-m) != 8"
     if _horner(cubic, -m + 1) != -9 * m + 17 - 3 * eps:
-        yield lambda: "phi(-m+1) != -9m + 17 - 3e"
+        return "phi(-m+1) != -9m + 17 - 3e"
     if _horner(cubic, -m + 2) != 0:
-        yield lambda: "phi(-m+2) != 0"
+        return "phi(-m+2) != 0"
     if _horner(cubic, 0) != (m - 2) * phi0:
-        yield lambda: "phi(0) factorization fails"
+        return "phi(0) factorization fails"
     if _horner(cubic, 1) != (m - 1) * phi1:
-        yield lambda: "phi(1) factorization fails"
+        return "phi(1) factorization fails"
     if _horner(dphi, 1) != dphi1:
-        yield lambda: "phi'(1) != 2 - 26m + 6me"
+        return "phi'(1) != 2 - 26m + 6me"
     if _horner(dphi, -m + 2) != dphi_lo:
-        yield lambda: "phi'(-m+2) != 18m + 6e - 42"
+        return "phi'(-m+2) != 18m + 6e - 42"
     if _horner(dphi, -1) != dphi_m1:
-        yield lambda: "phi'(-1) != 10m + 6me - 12e - 18"
+        return "phi'(-1) != 10m + 6me - 12e - 18"
     if min(rising, default=1) <= 0:
         a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
-        yield lambda: f"phi' not positive at a={a_rise} in [-m+2, -1]"
+        return f"phi' not positive at a={a_rise} in [-m+2, -1]"
     if max(falling, default=-1) >= 0:
         a_fall = next(compress(count(1), map(ge, falling, repeat(0))))
-        yield lambda: f"phi' not negative at a={a_fall} >= 1"
+        return f"phi' not negative at a={a_fall} >= 1"
     if phi_derivative_discriminant(m, eps) <= 0:
-        yield lambda: "phi' lacks two real roots"
+        return "phi' lacks two real roots"
+    return None
 
 
 def _appendix_settled(d: int) -> bool:
-    """APPENDIX.min's decide at d: :func:`_appendix_faults` finds none without
+    """APPENDIX.min's decide at d: :func:`_appendix_fault` finds none without
     the walks, and :func:`_phi_prime_settled` settles both phi' ranges."""
-    return all(_phi_prime_settled(*_split3(d))) and next(_appendix_faults(d, walk=False), None) is None
+    return all(_phi_prime_settled(*_split3(d))) and _appendix_fault(d, walk=False) is None
 
 
 def _appendix_check_one(d: int) -> str | None:
     """APPENDIX.min's locate at d: the first fault, phi' walked, or None."""
-    return next((f"d={d}: {fault()}" for fault in _appendix_faults(d, walk=True)), None)
+    fault = _appendix_fault(d, walk=True)
+    return None if fault is None else f"d={d}: {fault}"
 
 
 def verify_appendix(d_from: int, d_to: int) -> Certificate:

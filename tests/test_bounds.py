@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kbound.bounds import (
     HilbertProfile,
     castelnuovo_bound,
+    castelnuovo_polys,
     castelnuovo_profile,
     chi_bound_poly,
     chi_lower_bound_s4,
@@ -14,10 +15,15 @@ from kbound.bounds import (
     double_point_k2,
     genus_from_profile,
     halphen_bound,
+    halphen_polys,
     pi1_bound,
+    pi1_polys,
     pi1_profile,
+    pi1_t,
     pi2_bound,
+    pi2_polys,
     pi2_profile,
+    pi2_w,
     propagate_profile,
     weighted_defect_closed_form,
     weighted_defect_direct,
@@ -82,6 +88,13 @@ def test_castelnuovo_closed_form_equals_profile_sum_everywhere():
                 castelnuovo_bound(r, d).bound_int
                 == genus_from_profile(castelnuovo_profile(r, d))
             ), (r, d)
+    # the numerators over 2(r-1) are the quadratic plus a Fraction per residue
+    for r in range(3, 41):
+        den = 2 * (r - 1)
+        quadratic = Poly.of(0, Fraction(-(r + 1), den), Fraction(1, den))
+        assert castelnuovo_polys(r) == tuple(
+            quadratic + Fraction((r - eps) * (1 + eps), den) for eps in range(r - 1)
+        ), r
 
 
 @given(st.integers(3, 12), st.integers(0, 500))
@@ -103,6 +116,12 @@ def test_halphen_examples():
     r = halphen_bound(13, 3)
     assert r.bound == Fraction(22)
     assert r.is_integer
+    # the numerators over 2s are the quadratic minus a Fraction per residue
+    for s in range(2, 41):
+        quadratic = Poly.of(1, Fraction(s - 4, 2), Fraction(1, 2 * s))
+        assert halphen_polys(s) == tuple(
+            quadratic - Fraction((s - 1 - eps) * (eps + 1) * (s - 1), 2 * s) for eps in range(s)
+        ), s
 
 
 def test_halphen_complete_intersection_family():
@@ -158,6 +177,11 @@ def test_profile_closed_form_agreement_sampled():
     for d in range(6, 1200):
         assert pi2_bound(d).bound_int == genus_from_profile(pi2_profile(d))
         assert pi1_bound(d).bound_int == genus_from_profile(pi1_profile(d))
+    # the numerators over 10 and 8 are the quadratic plus Fractions per residue
+    quadratic = Poly.of(0, Fraction(-3, 10), Fraction(1, 10))
+    assert pi2_polys() == tuple(quadratic + Fraction(2 + v - v * v, 10) + pi2_w(v) for v in range(5))
+    quadratic = Poly.of(0, Fraction(-1, 2), Fraction(1, 8))
+    assert pi1_polys() == tuple(quadratic + Fraction(3 + 2 * q - q * q, 8) + pi1_t(q) for q in range(4))
 
 
 def test_pi_bounds_monotone():
@@ -333,6 +357,11 @@ def test_chi_lower_bound_examples():
     assert chi_lower_bound_s4(d, 6) == weak == Fraction(-1941, 16)
     assert chi_lower_bound_s4(d, Fraction(13, 2)) > weak
     assert chi_lower_bound_s4(d, 0) == Fraction(-16197, 16)
+    # the fixed cubic over 96 is the bound's Fraction coefficients
+    base = Poly.of(Fraction(-333, 16), Fraction(-5, 3), Fraction(-1, 16), Fraction(1, 96))
+    assert chi_bound_poly(9) == base
+    for x in (0, 6, Fraction(13, 2), Fraction(15, 2)):
+        assert chi_bound_poly(x) == base - Fraction(9 - x, 8) * Poly.of(0, -3, 1), x
 
 
 def test_chi_lower_bound_domain():

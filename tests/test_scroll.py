@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kbound.scroll as scroll
-from kbound.exact import FrameRangeError, OutOfDomainError
+from kbound.exact import FrameRangeError, InconsistencyError, OutOfDomainError, Poly
 from kbound.scroll import (
     CANONICAL,
     DivisorClass,
@@ -275,6 +275,7 @@ def test_minimize_examples():
     res = minimize_k2(19)
     assert (res.a_min, res.k2_min, res.unique) == (2, -72, True)
     assert k2_min_closed_form(19) == Fraction(-19 * 19 + 2 * 19 + 35, 4) == -72
+    assert scroll.ODD_MINIMUM == Poly.of(Fraction(35, 4), Fraction(1, 2), Fraction(-1, 4))
     assert res.k2_min > -19 * 13 == -247
     res = minimize_k2(20)
     assert res.k2_min == -280 == -20 * 14
@@ -338,6 +339,7 @@ def test_extremal_examples():
     assert ext.cls == DivisorClass(4, -4) and ext.k2 == -16 and ext.genus == 3
     ext = extremal_class(36)
     assert ext.cls == DivisorClass(18, -18) and ext.k2 == -1080 and ext.genus == 136
+    assert scroll.EXTREMAL_GENUS == Poly.of(1, Fraction(-3, 4), Fraction(1, 8))
 
 
 def test_extremal_rejects_odd_degree():
@@ -351,6 +353,13 @@ def test_extremal_class_is_frame_endpoint():
         f = frame_from_class(ext.cls, d)
         assert f.a == f.a_star and f.q_parity == 0
         assert ext.k2 == phi(d, f.a)
+
+
+def test_extremal_class_checks_its_frame_endpoint(monkeypatch):
+    # a right endpoint one past the extremal class's index
+    monkeypatch.setattr(scroll, "_a_star", lambda m, eps: (m + eps - 1) // 2 + 1)
+    with pytest.raises(InconsistencyError, match=r"extremal class not at a\* with q=0 at d=18"):
+        extremal_class(18)
 
 
 def test_frame_scan_degree_identity():

@@ -143,6 +143,12 @@ def test_psi_identity_and_remark_constants():
     for r in range(6, 12):
         for eps in range(r - 1):
             assert psi_from_bounds_poly(r, eps) == psi_quoted_poly(r, eps)
+    # the numerators over r - 1 are the quoted Fraction coefficients
+    for r in range(5, 41):
+        for eps in range(r - 1):
+            lead = Fraction(r - 5, r - 1)
+            const = Fraction(-4, r - 1) * (-r + 2 - eps - eps * eps + eps * r)
+            assert psi_quoted_poly(r, eps) == Poly.of(const, -2 * lead, lead), (r, eps)
     # r = 5: psi collapses to the constant e^2 - 4e + 3
     for eps, value in ((0, 3), (1, 0), (2, -1), (3, 0)):
         assert psi_from_bounds_poly(5, eps) == Poly.of(value)
@@ -216,6 +222,19 @@ def test_r4_margin_poly_is_the_scalar_double_point_margin():
             assert margin(d) == double_point_2k2(d, g(d), chi(d)) + 2 * d * (d - 6), (g, chi, d)
     assert r4_margin_poly(1, 0) == verify.REDUCE_RHS
     assert r4_margin_poly(1, 1) == verify.REDUCE2_RHS
+    # the quoted forms over one denominator are the paper's Fraction coefficients
+    assert verify.S4_RHS_QUOTED == Poly.of(Fraction(-999, 4), Fraction(-47, 2), Fraction(-9, 4), Fraction(1, 8))
+    weak_bounds = {
+        "R4.reduce": Poly.of(1, Fraction(1, 2), Fraction(1, 10)),
+        "R4.s2": Poly.of(1, -1, Fraction(1, 4)),
+        "R4.s3": Poly.of(1, Fraction(-1, 2), Fraction(1, 6)),
+        "R4.s4.x<=6": weak,
+    }
+    for cert in verify_r4(36, 40):
+        if cert.claim_id in weak_bounds:
+            g = weak_bounds[cert.claim_id]
+            chi = 1 - g if cert.claim_id in ("R4.reduce", "R4.s4.x<=6") else 1
+            assert cert.sign_certificates[0].polynomial == r4_margin_poly(g, chi), cert.claim_id
 
 
 def test_r4_per_degree_checks_report_a_failing_degree(monkeypatch):
@@ -622,6 +641,26 @@ def test_serializing_a_run_builds_no_fraction(monkeypatch):
     assert built == []
     Fraction(1, 2)
     assert built == [(1, 2)]  # the spy does see a Fraction being built
+
+
+def test_building_the_closed_forms_makes_no_fraction(monkeypatch):
+    # each closed form is written as integer numerators over one denominator
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or real(cls, *args, **kw))
+    for polys in (castelnuovo_polys, halphen_polys, pi2_polys, pi1_polys):
+        polys.cache_clear()
+    for r in range(3, 13):
+        castelnuovo_polys(r)
+        halphen_polys(r)
+    pi2_polys()
+    pi1_polys()
+    for r in range(5, 13):
+        for eps in range(r - 1):
+            psi_quoted_poly(r, eps)
+    assert built == []
+    Fraction(1, 2)
+    assert built == [(1, 2)]
 
 
 def test_sharpness_certificate_alone_equals_the_full_runs():
