@@ -29,6 +29,7 @@ from . import bounds, scroll, verify
 from .exact import InconsistencyError, rat_str
 
 FORMATS = ("table", "json", "csv")
+COMMANDS = ("bound", "scroll", "verify")
 
 BOUNDS_CSV_HEADER = ["formula", "d", "bound", "floor", "is_integer", "params"]
 SCAN_CSV_HEADER = [
@@ -299,7 +300,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The kbound parser, listing every command; only the named one, or each
+    when command is None, gets its arguments and sub-commands."""
     parser = argparse.ArgumentParser(
         prog="kbound",
         description="Exact genus/K^2 bounds, scroll divisor classes, and"
@@ -308,53 +311,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bound", help="evaluate one of the genus bounds")
-    bsub = b.add_subparsers(dest="kind", required=True)
-    for kind in ("castelnuovo", "halphen", "pi1", "pi2", "propagate"):
-        bp = bsub.add_parser(kind)
-        bp.add_argument("--d", type=int, required=True)
-        bp.add_argument("--d-to", dest="d_to", type=int, default=None,
-                        help="sweep d..d-to and emit a (d, bound) table")
-        if kind == "castelnuovo":
-            bp.add_argument("--r", type=int, required=True)
-        if kind == "halphen":
-            bp.add_argument("--s", type=int, required=True)
-        if kind == "propagate":
-            bp.add_argument("--seed", required=True, help="three values, e.g. 4,9,16")
-        bp.add_argument("--floor", action="store_true", help="print the integer floor")
-        _add_common(bp)
-        bp.set_defaults(func=_cmd_bound)
+    if command in (None, "bound"):
+        bsub = b.add_subparsers(dest="kind", required=True)
+        for kind in ("castelnuovo", "halphen", "pi1", "pi2", "propagate"):
+            bp = bsub.add_parser(kind)
+            bp.add_argument("--d", type=int, required=True)
+            bp.add_argument("--d-to", dest="d_to", type=int, default=None,
+                            help="sweep d..d-to and emit a (d, bound) table")
+            if kind == "castelnuovo":
+                bp.add_argument("--r", type=int, required=True)
+            if kind == "halphen":
+                bp.add_argument("--s", type=int, required=True)
+            if kind == "propagate":
+                bp.add_argument("--seed", required=True, help="three values, e.g. 4,9,16")
+            bp.add_argument("--floor", action="store_true", help="print the integer floor")
+            _add_common(bp)
+            bp.set_defaults(func=_cmd_bound)
 
     s = sub.add_parser("scroll", help="divisor classes on the degree-3 scroll")
-    ssub = s.add_subparsers(dest="action", required=True)
-    sp = ssub.add_parser("scan")
-    sp.add_argument("--d", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_scroll)
-    sp = ssub.add_parser("class")
-    sp.add_argument("--alpha", type=int, required=True)
-    sp.add_argument("--beta", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_scroll)
-    for action in ("extremal", "minimize"):
-        sp = ssub.add_parser(action)
-        sp.add_argument("--d", type=int, required=True)
-        _add_common(sp)
-        sp.set_defaults(func=_cmd_scroll)
+    if command in (None, "scroll"):
+        ssub = s.add_subparsers(dest="action", required=True)
+        for action in ("scan", "class", "extremal", "minimize"):
+            sp = ssub.add_parser(action)
+            if action == "class":
+                sp.add_argument("--alpha", type=int, required=True)
+                sp.add_argument("--beta", type=int, required=True)
+            else:
+                sp.add_argument("--d", type=int, required=True)
+            _add_common(sp)
+            sp.set_defaults(func=_cmd_scroll)
 
     v = sub.add_parser("verify", help="produce certificates for the named case")
-    v.add_argument("case", choices=("all", *verify.CASES))
-    v.add_argument("--from", dest="d_from", type=int, default=36)
-    v.add_argument("--to", dest="d_to", type=int, default=500)
-    v.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field for byte-identical output")
-    _add_common(v)
-    v.set_defaults(func=_cmd_verify)
+    if command in (None, "verify"):
+        v.add_argument("case", choices=("all", *verify.CASES))
+        v.add_argument("--from", dest="d_from", type=int, default=36)
+        v.add_argument("--to", dest="d_to", type=int, default=500)
+        v.add_argument("--no-timestamp", action="store_true",
+                       help="omit the generated_at field for byte-identical output")
+        _add_common(v)
+        v.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as exc:

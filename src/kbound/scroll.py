@@ -26,7 +26,6 @@ the admissible classes of degree d are exactly
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .exact import (
     FrameRangeError,
@@ -213,9 +212,9 @@ def phi_coefficients(m: int | Poly, e: int) -> tuple:
     discriminant of phi' are all derived from these four coefficients.
     """
     return (
-        3 * m * m * m + m * m * (3 * e - 13) + m * (10 - 6 * e) + 8,
-        2 * m * (3 * e - 4) - 6 * e + 10,
-        -9 * m + 5 + 3 * e,
+        ((3 * m + (3 * e - 13)) * m + (10 - 6 * e)) * m + 8,
+        (6 * e - 8) * m + (10 - 6 * e),
+        -9 * m + (5 + 3 * e),
         -6,
     )
 
@@ -280,10 +279,11 @@ class KsqMinimum(Frozen):
 
 def frame_k2(d: int) -> list[int]:
     """[phi(d, -m), ..., phi(d, a*)], the K^2 of every admissible class of
-    degree d, by an exact forward-difference walk of the cubic phi that is
-    re-checked against phi at a* (InconsistencyError on a mismatch)."""
+    degree d, by an exact forward-difference walk of one phi_coefficients
+    tuple, re-checked against :func:`phi` at a* (InconsistencyError if not)."""
     m, eps = _split3(d)
-    return forward_walk(partial(phi, d), -m, _a_star(m, eps), 3)
+    a_star, cubic = _a_star(m, eps), phi_coefficients(m, eps)
+    return forward_walk(lambda a: phi(d, a) if a == a_star else _horner(cubic, a), -m, a_star, 3)
 
 
 def minimize_k2(d: int) -> KsqMinimum:
@@ -293,16 +293,16 @@ def minimize_k2(d: int) -> KsqMinimum:
     the trustworthy oracle against which the closed forms
     (-d(d-6) for even d, -d^2/4 + d/2 + 35/4 for odd d) are claims. The
     values are those of :func:`frame_k2`; a_min is the least minimizing a.
+    Where the last value, at a*, is below all others, one pass settles it.
     """
     values = frame_k2(d)
+    last, m = values.pop(), _split3(d)[0]
+    if last < min(values):
+        return KsqMinimum(d=d, a_min=len(values) - m, k2_min=last, unique=True)
+    values.append(last)
     best = min(values)
     first = values.index(best)
-    return KsqMinimum(
-        d=d,
-        a_min=-_split3(d)[0] + first,
-        k2_min=best,
-        unique=best not in values[first + 1:],
-    )
+    return KsqMinimum(d=d, a_min=first - m, k2_min=best, unique=best not in values[first + 1:])
 
 
 #: K^2 = -d(d-6) of the extremal class, the bound the package certifies.

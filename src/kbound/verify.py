@@ -894,11 +894,11 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
     ``m`` may be an int or a :class:`Poly` in m."""
     return (
         8,
-        3 * m * m - 7 * m + 3 * m * eps - 4,
-        3 * m * m - 10 * m + 3 * m * eps + 3 * eps - 17,
-        2 - 26 * m + 6 * m * eps,
-        18 * m + 6 * eps - 42,
-        10 * m + 6 * m * eps - 12 * eps - 18,
+        (3 * m + (3 * eps - 7)) * m - 4,
+        (3 * m + (3 * eps - 10)) * m + (3 * eps - 17),
+        (6 * eps - 26) * m + 2,
+        18 * m + (6 * eps - 42),
+        (6 * eps + 10) * m - (12 * eps + 18),
     )
 
 
@@ -929,7 +929,30 @@ def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
     return rises, A < 0 and 2 * A + B < 0 and _horner(dphi, 1) < 0
 
 
-def _appendix_fault(d: int, walk: bool) -> str | None:
+def _tabulated_fault(m: int, eps: int) -> str | None:
+    """APPENDIX.min's first failing tabulated identity in m at (m, eps), or None."""
+    phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
+    cubic, dphi = phi_coefficients(m, eps), phi_derivative_coefficients(m, eps)
+    if _horner(cubic, -m) != phi_lo:
+        return "phi(-m) != 8"
+    if _horner(cubic, -m + 1) != -9 * m + 17 - 3 * eps:
+        return "phi(-m+1) != -9m + 17 - 3e"
+    if _horner(cubic, -m + 2) != 0:
+        return "phi(-m+2) != 0"
+    if _horner(cubic, 0) != (m - 2) * phi0:
+        return "phi(0) factorization fails"
+    if _horner(cubic, 1) != (m - 1) * phi1:
+        return "phi(1) factorization fails"
+    if _horner(dphi, 1) != dphi1:
+        return "phi'(1) != 2 - 26m + 6me"
+    if _horner(dphi, -m + 2) != dphi_lo:
+        return "phi'(-m+2) != 18m + 6e - 42"
+    if _horner(dphi, -1) != dphi_m1:
+        return "phi'(-1) != 10m + 6me - 12e - 18"
+    return None
+
+
+def _appendix_fault(d: int, walk: bool, tabulated: bool = True) -> str | None:
     """APPENDIX.min's first failing check at d, written out, or None. The two
     phi' sign ranges are walked by forward differences only if walk is set."""
     m, eps = _split3(d)
@@ -951,24 +974,8 @@ def _appendix_fault(d: int, walk: bool) -> str | None:
             return f"even-degree minimum not uniquely at a* = {a_star}"
     elif res.k2_min <= bound:
         return "odd-degree minimum fails to exceed -d(d-6)"
-    phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
-    cubic, dphi = phi_coefficients(m, eps), phi_derivative_coefficients(m, eps)
-    if _horner(cubic, -m) != phi_lo:
-        return "phi(-m) != 8"
-    if _horner(cubic, -m + 1) != -9 * m + 17 - 3 * eps:
-        return "phi(-m+1) != -9m + 17 - 3e"
-    if _horner(cubic, -m + 2) != 0:
-        return "phi(-m+2) != 0"
-    if _horner(cubic, 0) != (m - 2) * phi0:
-        return "phi(0) factorization fails"
-    if _horner(cubic, 1) != (m - 1) * phi1:
-        return "phi(1) factorization fails"
-    if _horner(dphi, 1) != dphi1:
-        return "phi'(1) != 2 - 26m + 6me"
-    if _horner(dphi, -m + 2) != dphi_lo:
-        return "phi'(-m+2) != 18m + 6e - 42"
-    if _horner(dphi, -1) != dphi_m1:
-        return "phi'(-1) != 10m + 6me - 12e - 18"
+    if tabulated and (fault := _tabulated_fault(m, eps)):
+        return fault
     if min(rising, default=1) <= 0:
         a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
         return f"phi' not positive at a={a_rise} in [-m+2, -1]"
@@ -980,10 +987,29 @@ def _appendix_fault(d: int, walk: bool) -> str | None:
     return None
 
 
-def _appendix_settled(d: int) -> bool:
+def _proved(check: Callable[[int, int], object], eps: int, *coeffs: tuple, degree: int = 0) -> bool:
+    """Whether check(m, eps), which compares values of the given degree in m
+    with sums c_i x^i, x affine in m, over coeffs read from Poly.variable(),
+    finds nothing at any m: the degree is at most 3, and m = 1, 2, 3, 4 pass."""
+    degree = max(degree, *((c.degree if isinstance(c, Poly) else 0) + i for cs in coeffs for i, c in enumerate(cs)))
+    return degree <= 3 and all(check(m, eps) is None for m in (1, 2, 3, 4))
+
+
+def _tabulated_proof(tables: list[tuple]) -> tuple[bool, ...]:
+    """Per frame residue eps, whether :func:`_tabulated_fault` finds nothing
+    at any m, where tables[eps] = appendix_table(Poly.variable(), eps); the
+    factor (m - 2)*phi0 is the cubic (0, phi0) at x = m - 2."""
+    m = Poly.variable()
+    return tuple(_proved(_tabulated_fault, eps, phi_coefficients(m, eps), phi_derivative_coefficients(m, eps),
+                         *((0, entry) for entry in tables[eps])) for eps in FRAME_RESIDUES)
+
+
+def _appendix_settled(tabulated: tuple[bool, ...], d: int) -> bool:
     """APPENDIX.min's decide at d: :func:`_appendix_fault` finds none without
-    the walks, and :func:`_phi_prime_settled` settles both phi' ranges."""
-    return all(_phi_prime_settled(*_split3(d))) and _appendix_fault(d, walk=False) is None
+    the walks and, where tabulated[eps] proves them, the tabulated checks;
+    :func:`_phi_prime_settled` settles both phi' ranges."""
+    m, eps = _split3(d)
+    return all(_phi_prime_settled(m, eps)) and _appendix_fault(d, walk=False, tabulated=not tabulated[eps]) is None
 
 
 def _appendix_check_one(d: int) -> str | None:
@@ -996,8 +1022,9 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument. The sweep
-    decides that pattern from phi' at its range ends and its curvature;
-    locate walks both ranges at the last degree and at a rejected one."""
+    decides that pattern from phi' at its range ends and its curvature, and
+    skips tabulated checks proved per residue; locate runs every check and
+    walks both ranges, at the last degree and at a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1012,7 +1039,8 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sign(gap, 6, "positive", label="-d^2/4 + d/2 + 35/4 > -d(d-6) for d > 5")
     # Small-a comparisons feeding the argument.
     m = Poly.variable()
-    phi_lo, phi0, phi1, _, dphi_lo, dphi_m1 = appendix_table(m, 0)
+    tables = [appendix_table(m, eps) for eps in FRAME_RESIDUES]
+    phi_lo, phi0, phi1, _, dphi_lo, dphi_m1 = tables[0]
     b.sign(phi_lo - EVEN_MINIMUM, 5, "positive", label="phi(-m) = 8 > -d(d-6) for d > 4")
     b.sign(Poly.of(14, -9, 1), 8, "positive", label="-3(d-1) + 11 > -d(d-6) for d > 7 (covers phi(-m+1))")
     b.sign(-EVEN_MINIMUM, 7, "positive", label="phi(-m+2) = 0 > -d(d-6) for d > 6")
@@ -1023,7 +1051,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sign(phi1, 5, "positive", variable="m", label="3m^2 - 10m - 17 > 0 for m >= 5 (phi(1) factor, e = 0)")
     b.sign(dphi_lo, 3, "positive", variable="m", label="18m - 42 > 0 for m >= 3 (phi'(-m+2), e = 0)")
     b.sign(dphi_m1, 2, "positive", variable="m", label="10m - 18 > 0 for m >= 2 (phi'(-1); 6e(m-2) >= 0)")
-    b.sign(-appendix_table(m, 2)[3], 1, "positive", variable="m",
+    b.sign(-tables[2][3], 1, "positive", variable="m",
            label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
     for eps in FRAME_RESIDUES:
         b.sign(
@@ -1043,7 +1071,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
-        _appendix_settled,
+        partial(_appendix_settled, _tabulated_proof(tables)),
         _appendix_check_one,
     )
     return b.done({
@@ -1073,12 +1101,22 @@ def _ring_mismatch(d: int) -> int | None:
     For a fixed d both are cubic in alpha, so agreement at the four seeds
     makes them one cubic, and alpha = d // 2 (the frame's a*) is the end
     check of a walk. Then the ring's least K^2 over 1 <= alpha <= d/2 and
-    its attainers are those of phi over [-m, a*].
-    """
+    its attainers are those of phi over [-m, a*]. On a frame residue, each
+    seed's comparison is an identity in m, which :func:`_ring_proof` proves
+    from four values of m."""
     m, eps = _split3(d)
     cubic = phi_coefficients(m, eps)
     return next((alpha for alpha in (1, 2, 3, 4, d // 2)
                  if _k2_raw(DivisorClass(alpha, d - 3 * alpha)) != _horner(cubic, alpha - m - 1)), None)
+
+
+def _ring_proof() -> tuple[bool, ...]:
+    """Per frame residue eps, whether :func:`_ring_mismatch` finds nothing at
+    any d = 3m + eps + 1. At a fixed seed alpha the ring's K^2, trilinear in
+    a class affine in m, has degree 3 in m at most, and phi's degree is read;
+    matched seeds make the end check at d // 2 hold as well."""
+    return tuple(_proved(lambda m, eps: _ring_mismatch(len(FRAME_RESIDUES) * m + eps + 1), eps,
+                         phi_coefficients(Poly.variable(), eps), degree=3) for eps in FRAME_RESIDUES)
 
 
 def _sharpness_ring_check(d: int) -> str | None:
@@ -1107,10 +1145,10 @@ def _sharpness_ring_check(d: int) -> str | None:
     return None
 
 
-def _sharpness_check_one(d: int) -> bool:
+def _sharpness_check_one(ring: tuple[bool, ...], d: int) -> bool:
     """SHARPNESS's decide at d, on the frame minimum shared with APPENDIX.min
-    once :func:`_ring_mismatch` has matched the ring with phi."""
-    if _ring_mismatch(d) is not None:
+    once the ring matches phi: as ring[eps] proves, or by :func:`_ring_mismatch`."""
+    if not ring[_split3(d)[1]] and _ring_mismatch(d) is not None:
         return False
     target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     try:
@@ -1129,14 +1167,14 @@ def verify_sharpness(d_from: int, d_to: int) -> Certificate:
 
     Each degree is decided from the frame scan of minimize_k2 (shared with
     APPENDIX.min within verify_theorem, computed here when called directly)
-    once the intersection ring agrees with phi at five classes. The full
-    ring walk locates the failure at a rejected degree and re-checks the
-    sweep's last degree."""
+    once the intersection ring agrees with phi at five classes, as proved
+    per frame residue. The full ring walk locates the failure at a rejected
+    degree and re-checks the sweep's last degree."""
     b = _Builder("SHARPNESS", (d_from, d_to), 36)
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
-        _sharpness_check_one,
+        partial(_sharpness_check_one, _ring_proof()),
         _sharpness_ring_check,
     )
     ds = range(b.lo, b.hi + 1)

@@ -9,7 +9,7 @@ import pytest
 
 import kbound
 from kbound import bounds
-from kbound.cli import main
+from kbound.cli import build_parser, main
 
 #: sha256 of ``verify all --from 36 --to 2000 --format json --no-timestamp``,
 #: the behaviour contract that every speed-up and refactor must keep.
@@ -224,6 +224,33 @@ def test_verify_rejects_jobs(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --jobs 2" in captured.err
+
+
+PARSED_ARGVS = [
+    [], ["-h"], ["--format", "json"], ["nope"], ["verify"], ["verify", "-h"], ["verify", "r9"],
+    ["verify", "all", "--from", "36", "--to", "40", "--format", "csv", "--no-timestamp"],
+    ["verify", "r3", "--from", "x"], ["verify", "r3", "--jobs", "2"],
+    ["bound"], ["bound", "-h"], ["bound", "pi2", "-h"], ["bound", "pi2", "--d", "18", "--floor"],
+    ["bound", "castelnuovo", "--d", "18"], ["bound", "propagate", "--seed", "4,9,16", "--d", "20", "--d-to", "30"],
+    ["scroll"], ["scroll", "-h"], ["scroll", "class", "-h"], ["scroll", "class", "--alpha", "3", "--beta", "-3"],
+    ["scroll", "minimize", "--d", "40", "--format", "table", "--out", "o.txt"], ["scroll", "scan"],
+]
+
+
+def parsed(capsys, parser, argv):
+    """The namespace parser gives argv, or its exit code and output."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+def test_a_parser_built_for_the_command_parses_alike(capsys, argv):
+    # main builds only the command that argv names; the full tree must give
+    # the same namespace, or the same exit code, stdout and stderr
+    full = parsed(capsys, build_parser(), argv)
+    assert parsed(capsys, build_parser(argv[0] if argv else None), argv) == full
 
 
 def test_verify_run_loads_no_process_pool(tmp_path):

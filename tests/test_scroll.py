@@ -294,7 +294,7 @@ def test_minimize_matches_closed_form_sampled():
 
 
 def test_minimize_matches_naive_scan():
-    for d in range(4, 401):
+    for d in range(4, 3001):
         m, e = divmod(d - 1, 3)
         values = [phi(d, a) for a in range(-m, (m + e - 1) // 2 + 1)]
         best = min(values)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
@@ -31,7 +32,7 @@ from kbound.exact import InconsistencyError, Poly, rat_str, sign_certificate
 import kbound.bounds as bounds
 import kbound.scroll as scroll
 import kbound.verify as verify
-from kbound.scroll import DivisorClass, _k2_raw
+from kbound.scroll import DivisorClass, KsqMinimum, _k2_raw
 from kbound.verify import (
     CASES,
     CLAIM_ANCHORS,
@@ -418,7 +419,8 @@ def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
     with pytest.raises(InconsistencyError, match="^forward-difference walk"):
         verify._sharpness_scan(40)
     failure = "the intersection ring gives K^2 = 1 at alpha=1, phi gives 8"
-    assert verify._sharpness_check_one(40) is False
+    assert verify._ring_proof() == (False,) * 3  # so decide compares the routes at every degree
+    assert verify._sharpness_check_one(verify._ring_proof(), 40) is False
     assert verify._sharpness_ring_check(40) == f"d=40: {failure}"
     cert = verify_sharpness(36, 40)
     assert cert.status == "counterexample"
@@ -527,9 +529,12 @@ def test_a_passing_appendix_sweep_walks_phi_prime_at_its_last_degree(monkeypatch
 
 
 def test_appendix_decide_agrees_with_locate():
-    # decide settles phi' in O(1), locate walks it: one verdict at every degree
+    # decide settles phi' in O(1), locate walks it: one verdict at every
+    # degree, with the tabulated checks skipped as proved and run per degree
+    proved = verify._tabulated_proof([appendix_table(Poly.variable(), e) for e in scroll.FRAME_RESIDUES])
     for d in range(18, 3001):
-        assert verify._appendix_settled(d) == (verify._appendix_check_one(d) is None), d
+        located = verify._appendix_check_one(d) is None
+        assert verify._appendix_settled(proved, d) == verify._appendix_settled((False,) * 3, d) == located, d
 
 
 # The certificates signed at one fixed residue, by label: the appendix_table
@@ -593,10 +598,11 @@ def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
     # d = 41 (frame a = -13 .. 6): a class reaching -d(d-6) = -1435, and one
     # below it without the even minimum reached
     doctor_scans(monkeypatch, 41, 3, -1435)
-    assert verify._sharpness_check_one(41) is False
+    assert verify._ring_proof() == (True,) * 3  # the ring agrees with phi, the minimum does not pass
+    assert verify._sharpness_check_one(verify._ring_proof(), 41) is False
     assert verify._sharpness_ring_check(41) == "d=41: odd degree attains the even-degree minimum"
     doctor_scans(monkeypatch, 41, 3, -1436)
-    assert verify._sharpness_check_one(41) is False
+    assert verify._sharpness_check_one(verify._ring_proof(), 41) is False
     assert verify._sharpness_ring_check(41) == "d=41: odd-degree minimum -1436 fails to exceed -1435"
 
 
@@ -608,6 +614,7 @@ def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
 def test_sharpness_fails_a_ring_route_that_leaves_phi(monkeypatch, extra):
     real = verify._k2_raw
     monkeypatch.setattr(verify, "_k2_raw", lambda c: real(c) + extra(c.alpha))
+    assert verify._ring_proof() == (False,) * 3  # decide compares the routes at every degree
     cert = verify_sharpness(36, 60)
     assert cert.status == "counterexample"
     alpha = 18 if extra(4) == 0 else 4  # the first class where the routes differ
@@ -688,7 +695,7 @@ def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
 
 
 def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
-    def boom(d):
+    def boom(ring, d):
         assert verify._MINIMA.get()[d].d == d  # APPENDIX.min filled the table
         raise RuntimeError(f"check failed at d={d}")
 
@@ -770,6 +777,125 @@ def test_r5_profile_sweep_reports_a_genus_bound_above_pi2(monkeypatch):
         "failed_check": R5_PROFILE_LABEL,
         "failure": "d=40: propagated genus bound exceeds G(4;d,5)",
     }
+
+
+# the per-degree identities, proved once per claim from four values of m ---------
+
+M = Poly.variable()
+
+
+def m_degree(c):
+    return c.degree if isinstance(c, Poly) else 0
+
+
+@pytest.mark.parametrize("eps", scroll.FRAME_RESIDUES)
+def test_the_skipped_identities_have_degree_at_most_3_in_m(eps):
+    assert [m_degree(c) for c in scroll.phi_coefficients(M, eps)] == [3, 1, 1, 0]
+    assert [m_degree(c) for c in scroll.phi_derivative_coefficients(M, eps)] == [1, 1, 0]
+    assert [m_degree(c) for c in appendix_table(M, eps)] == [0, 2, 2, 1, 1, 1]
+    # the ring's K^2 is a trilinear triple product: cubic in m for a fixed
+    # frame index a, and of degree at most 3 for each fixed seed alpha
+    for a in range(4):
+        assert _k2_raw(DivisorClass(M + 1 + a, eps - 2 - 3 * a)).degree == 3
+    for alpha in (1, 2, 3, 4):
+        assert m_degree(_k2_raw(DivisorClass(alpha, 3 * M + eps + 1 - 3 * alpha))) <= 3
+
+
+def test_both_proofs_hold_on_every_residue():
+    # so no passing run checks a proved identity per degree
+    tables = [appendix_table(M, e) for e in scroll.FRAME_RESIDUES]
+    assert verify._tabulated_proof(tables) == verify._ring_proof() == (True,) * 3
+
+
+def test_proved_checks_run_at_the_four_points_and_at_the_last_degree(monkeypatch):
+    # On a passing run each claim checks its identities at the 12 degrees
+    # d = 3m + eps + 1 with m in 1..4, and locate checks all at d = hi.
+    tabulated, ring = [], []
+    real_tab, real_ring = verify._tabulated_fault, verify._ring_mismatch
+    monkeypatch.setattr(verify, "_tabulated_fault", lambda m, e: tabulated.append(3 * m + e + 1) or real_tab(m, e))
+    monkeypatch.setattr(verify, "_ring_mismatch", lambda d: ring.append(d) or real_ring(d))
+    assert verify_theorem(1500, 1699).overall
+    points = [4, 7, 10, 13, 5, 8, 11, 14, 6, 9, 12, 15]
+    assert tabulated == ring == [*points, 1699]
+
+
+APPENDIX_LABEL = (
+    "brute-force minimization over [-m, a*] matches the closed forms,"
+    " uniqueness and parity for every d in [18, 60]"
+)
+
+#: For each tabulated check, a change of degree at most 3 in m that breaks
+#: it alone: added to the appendix_table entries, or, as a cubic in a that
+#: vanishes where the earlier checks evaluate phi, to phi_coefficients as
+#: verify reads it (the frame and phi' read scroll's).
+TABULATED_BREAKS = {
+    "phi(-m) != 8": ("appendix_table", lambda m: (1, 0, 0, 0, 0, 0)),
+    "phi(-m+1) != -9m + 17 - 3e": ("phi_coefficients", lambda m: (m, 1, 0, 0)),  # + (a + m)
+    "phi(-m+2) != 0": ("phi_coefficients", lambda m: (m * m - m, 2 * m - 1, 1, 0)),  # + (a + m)(a + m - 1)
+    "phi(0) factorization fails": ("appendix_table", lambda m: (0, m, 0, 0, 0, 0)),
+    "phi(1) factorization fails": ("appendix_table", lambda m: (0, 0, m, 0, 0, 0)),
+    "phi'(1) != 2 - 26m + 6me": ("appendix_table", lambda m: (0, 0, 0, m, 0, 0)),
+    "phi'(-m+2) != 18m + 6e - 42": ("appendix_table", lambda m: (0, 0, 0, 0, m, 0)),
+    "phi'(-1) != 10m + 6me - 12e - 18": ("appendix_table", lambda m: (0, 0, 0, 0, 0, m)),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(TABULATED_BREAKS))
+def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, failure):
+    # the four points find the break on every residue, so decide runs the
+    # check per degree and the sweep stops at d = 18 with the failure
+    name, extra = TABULATED_BREAKS[failure]
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda m, e: tuple(map(add, real(m, e), extra(m))))
+    assert verify._tabulated_proof([verify.appendix_table(M, e) for e in scroll.FRAME_RESIDUES]) == (False,) * 3
+    cert = verify_appendix(18, 60)
+    assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": f"d=18: {failure}"}
+
+
+@pytest.mark.parametrize("extra, read_by_poly", [
+    (lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), True),
+    (lambda m: (m - 1) * (m - 3) * (m - 4), True),  # times m - 2 in the identity
+    (lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), False),
+])
+def test_a_break_vanishing_at_the_four_points(monkeypatch, extra, read_by_poly):
+    # Both breaks of phi(0) = (m - 2)*phi0 vanish at the four points. Read
+    # from a Poly in m, they raise the identity's degree to at least 4, so
+    # nothing is proved and the sweep fails at its first degree. Added for
+    # int m only, a break escapes the degree read: decide skips the check,
+    # and locate, which runs every check at the last degree, raises there.
+    real = verify.appendix_table
+
+    def wrong(m, eps):
+        values = list(real(m, eps))
+        if read_by_poly or isinstance(m, int):
+            values[1] += extra(m)
+        return tuple(values)
+
+    monkeypatch.setattr(verify, "appendix_table", wrong)
+    if read_by_poly:
+        cert = verify_appendix(18, 60)
+        assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": "d=18: phi(0) factorization fails"}
+    else:
+        with pytest.raises(InconsistencyError, match=re.escape(
+            "APPENDIX.min at d=60: decide passes, locate gives 'd=60: phi(0) factorization fails'"
+        )):
+            verify_appendix(18, 60)
+
+
+@pytest.mark.parametrize("index, value", [
+    (5, -1361),  # a minimum away from a*
+    (19, 0),  # a* raised above the rest
+    (5, -1360),  # the minimum repeated at a*
+    (18, -1360),
+])
+def test_minimize_k2_falls_back_to_three_passes(monkeypatch, index, value):
+    # d = 40 (frame a = -13 .. 6, minimum -1360 at a* = 6, index 19): where
+    # the last value is not below all the others, minimize_k2 is the first
+    # least value and whether it repeats
+    doctor_scans(monkeypatch, 40, index, value, scans=("frame",))
+    values = scroll.frame_k2(40)
+    best = min(values)
+    assert scroll.minimize_k2(40) == KsqMinimum(40, -13 + values.index(best), best, values.count(best) == 1)
 
 
 # the fast route of each sweep (decide) against its slow route (locate) ---------
