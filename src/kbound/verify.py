@@ -39,8 +39,9 @@ import json
 from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import compress, count, filterfalse, repeat
+from math import lcm
 from operator import eq, ge, le
 
 from .bounds import (
@@ -350,13 +351,18 @@ def deg4_excess_poly_in_k(q: int) -> Poly:
     return 96 * (-defects[q] + (dd - 4) * g44 - (dd - 3) * g_floor)
 
 
+def abs_period() -> int:
+    """The period M in d of G(4;d,5) - G(5;d): the lcm of both splits' moduli."""
+    return lcm(len(pi2_polys()), len(castelnuovo_polys(5)))
+
+
 def abs_diff_poly(c: int) -> tuple[Poly, int]:
-    """G(4;d,5) - G(5;d) restricted to d = 20k + c, as a polynomial in k,
-    plus the least k with 20k + c > 18."""
-    g4, g5 = pi2_polys(), castelnuovo_polys(5)
+    """G(4;d,5) - G(5;d) restricted to d = Mk + c, M = :func:`abs_period`,
+    as a polynomial in k, plus the least k >= 0 with Mk + c > 18."""
+    g4, g5, period = pi2_polys(), castelnuovo_polys(5), abs_period()
     diff = g4[(c - 1) % len(g4)] - g5[(c - 1) % len(g5)]
-    k_from = 0 if c >= 19 else 1
-    return diff(Poly.of(c, 20)), k_from
+    k_from = next(k for k in count() if period * k + c > 18)
+    return diff(Poly.of(c, period)), k_from
 
 
 def r4_margin_poly(g: Poly | int, chi: Poly | int) -> Poly:
@@ -426,47 +432,51 @@ def _r4_margin_int_check(margins: tuple[Poly, ...], d: int) -> bool:
     return _horner(margins[(d - 1) % len(margins)].num, d) > 0
 
 
-def _r4_reduce_check_one(d: int) -> int | None:
-    # the scalar route: r4_margin_poly > 0 at one degree, in ints and
-    # Fractions: 2K^2 > -2d(d-6)
-    g = halphen_bound(d, 5).bound
-    return None if double_point_2k2(d, g, 1 - g) > 2 * EVEN_MINIMUM(d) else d
+def _r4_check_one(s: int, chi: Callable, d: int) -> int | None:
+    # the scalar route, in ints and Fractions: 2K^2 > -2d(d-6) at g = G(3;d,s)
+    g = halphen_bound(d, s).bound
+    return None if double_point_2k2(d, g, chi(g)) > 2 * EVEN_MINIMUM(d) else d
+
+
+def _r4_halphen_margins(b: _Builder, s: int, weak: Poly, weak_text: str, chi: Callable) -> tuple[Poly, ...]:
+    """Checks G(3;d,s) <= weak by a constant gap on each residue of Halphen's
+    split d - 1 = ms + eps; returns each residue's r4_margin_poly(g, chi(g))."""
+    polys = halphen_polys(s)
+    if len(polys) != s:
+        raise InconsistencyError(f"halphen_polys({s}) has {len(polys)} entries, not one per residue of d - 1 mod {s}")
+    for eps, g in enumerate(polys):
+        gap = weak - g
+        b.check(
+            f"G(3;d,{s}) <= {weak_text} on residue eps={eps} (gap constant)",
+            gap.degree <= 0 and gap(0) >= 0,
+            gap=rat_str(gap(0)),
+        )
+    return tuple(r4_margin_poly(g, chi(g)) for g in polys)
 
 
 def _r4_reduce(d_from: int, d_to: int) -> Certificate:
     b = _Builder("R4.reduce", (d_from, d_to), 36)
     b.assume("S lies on no hypersurface of degree < 5 in P^4")
     b.assume("d > 14, so the general curve section lies on no surface of degree < 5 in P^3")
+    chi = lambda g: 1 - g  # chi(O_S) >= 1 - g
     b.identity(
         "d(d-5) + 2d(d-6) = 3d^2 - 17d (double point target)",
-        r4_margin_poly(1, 0),
+        r4_margin_poly(1, chi(1)),
         REDUCE_RHS,
     )
     g_weak = Poly((10, 5, 1), 10)  # d^2/10 + d/2 + 1
-    for eps, g in enumerate(halphen_polys(5)):
-        gap = g_weak - g
-        b.check(
-            f"G(3;d,5) <= d^2/10 + d/2 + 1 on residue eps={eps} (gap constant)",
-            gap.degree <= 0 and gap(0) >= 0,
-            gap=rat_str(gap(0)),
-        )
+    margins = _r4_halphen_margins(b, 5, g_weak, "d^2/10 + d/2 + 1", chi)
     b.sign(
-        r4_margin_poly(g_weak, 1 - g_weak),
+        r4_margin_poly(g_weak, chi(g_weak)),
         36,
         "positive",
         label="3d^2 - 17d - 22(d^2/10 + d/2) = 4d^2/5 - 28d > 0 for d > 35",
     )
-    margins = tuple(r4_margin_poly(g, 1 - g) for g in halphen_polys(5))
     b.sweep(
         f"22(G(3;d,5)-1) < 3d^2 - 17d for d in [{b.lo}, {b.hi}]",
-        partial(_r4_margin_int_check, margins), _r4_reduce_check_one, "failure_at",
+        partial(_r4_margin_int_check, margins), partial(_r4_check_one, 5, chi), "failure_at",
     )
     return b.done()
-
-
-def _r4_s_check_one(s: int, d: int) -> int | None:
-    # as _r4_reduce_check_one, with chi = 1
-    return None if double_point_2k2(d, halphen_bound(d, s).bound, 1) > 2 * EVEN_MINIMUM(d) else d
 
 
 def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
@@ -475,28 +485,22 @@ def _r4_s(d_from: int, d_to: int, s: int) -> Certificate:
     b = _Builder(f"R4.s{s}", (d_from, d_to), asserted)
     b.assume(f"S lies on an irreducible reduced hypersurface of degree {s}")
     b.assume("d > 12, so S is of general type and chi(O_S) >= 1")
+    chi = lambda g: 1  # chi(O_S) >= 1
     b.identity(
         "d(d-5) + 12 + 2d(d-6) = 3d^2 - 17d + 12",
-        r4_margin_poly(1, 1),
+        r4_margin_poly(1, chi(1)),
         REDUCE2_RHS,
     )
-    for eps, g in enumerate(halphen_polys(s)):
-        gap = weak - g
-        b.check(
-            f"G(3;d,{s}) <= weakened bound on residue eps={eps} (gap constant)",
-            gap.degree <= 0 and gap(0) >= 0,
-            gap=rat_str(gap(0)),
-        )
+    margins = _r4_halphen_margins(b, s, weak, "weakened bound", chi)
     b.sign(
-        r4_margin_poly(weak, 1),
+        r4_margin_poly(weak, chi(weak)),
         asserted,
         "positive",
         label=f"3d^2 - 17d + 12 - 10(g-1) > 0 with the s={s} genus bound",
     )
-    margins = tuple(r4_margin_poly(g, 1) for g in halphen_polys(s))
     b.sweep(
         f"10(G(3;d,{s})-1) < 3d^2 - 17d + 12 for d in [{b.lo}, {b.hi}]",
-        partial(_r4_margin_int_check, margins), partial(_r4_s_check_one, s), "failure_at",
+        partial(_r4_margin_int_check, margins), partial(_r4_check_one, s, chi), "failure_at",
     )
     return b.done()
 
@@ -730,14 +734,15 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
         "castelnuovo5": c18,
         "note": "equal at d = 18; the strict inequality is asserted only for d > 18",
     }
-    for c in range(20):
+    period = abs_period()
+    for c in range(period):
         poly_k, k_from = abs_diff_poly(c)
         b.sign(
             poly_k,
             k_from,
             "negative",
             variable="k",
-            label=f"G(4;d,5) - G(5;d) on d = 20k + {c} (all d > 18 in the class)",
+            label=f"G(4;d,5) - G(5;d) on d = {period}k + {c} (all d > 18 in the class)",
         )
     b.sweep(
         f"G(4;d,5) < G(5;d) for every integer d in [{b.lo}, {b.hi}]",
@@ -746,22 +751,22 @@ def _r5_abs(d_from: int, d_to: int) -> Certificate:
     return b.done()
 
 
-def _first_below(h: int, j: int, step: int, d: int, n: int, w: int) -> int | None:
-    """Least k >= 0 at which column j of a propagated profile, h + k*step at
-    i = 3k + j, falls below the G(4;d,5) profile value at i, or None."""
-    # i <= n, value 5i - 1: h + k*step < 15k + 5j - 1, that is k(15 - step) > h - 5j + 1
-    a, b = 15 - step, h - 5 * j + 1
-    k = 0 if b < 0 else b // a + 1 if a > 0 else None
-    if k is not None and 3 * k + j <= n:
-        return k
+def _column_dominates(h: int, j: int, step: int, d: int, n: int, w: int) -> bool:
+    """Whether column j of a propagated profile, h + k*step at i = 3k + j,
+    stays at or above the G(4;d,5) profile value at every i."""
+    # i <= n, value 5i - 1: the gap (h - 5j + 1) + k(step - 15) is linear in
+    # k, so it is least at k = 0 or at the last k with 3k + j <= n
+    gap, last = h - 5 * j + 1, (n - j) // 3
+    if last >= 0 and min(gap, gap + last * (step - 15)) < 0:
+        return False
     # i = n + 1, value d - w; i > n + 1, value d, which the growing column
     # can fall below only at its first index there
-    k = max(0, -((j - n - 1) // 3))  # least k with 3k + j >= n + 1
+    k = last + 1  # the least k with 3k + j > n
     if 3 * k + j == n + 1:
         if h + k * step < d - w:
-            return k
+            return False
         k += 1
-    return k if h + k * step < d else None
+    return h + k * step >= d
 
 
 def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: int) -> bool:
@@ -773,7 +778,7 @@ def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: i
     column's defect sum, an arithmetic series."""
     n, v, w = pi2_split(d)
     step = seed[2] - 1
-    if any(_first_below(h, j, step, d, n, w) is not None for j, h in enumerate(seed, 1)):
+    if not all(_column_dominates(h, j, step, d, n, w) for j, h in enumerate(seed, 1)):
         return False
     genus = 0
     for h in seed:
@@ -890,10 +895,11 @@ def verify_r5_exclusion(d_from: int, d_to: int) -> list[Certificate]:
 
 def appendix_table(m: int | Poly, eps: int) -> tuple:
     """The values the appendix tabulates for the frame d - 1 = 3m + eps:
-    phi(-m), phi(0)/(m-2), phi(1)/(m-1), phi'(1), phi'(-m+2) and phi'(-1).
-    ``m`` may be an int or a :class:`Poly` in m."""
+    phi(-m), phi(-m+1), phi(0)/(m-2), phi(1)/(m-1), phi'(1), phi'(-m+2) and
+    phi'(-1). ``m`` may be an int or a :class:`Poly` in m."""
     return (
         8,
+        -9 * m + (17 - 3 * eps),
         (3 * m + (3 * eps - 7)) * m - 4,
         (3 * m + (3 * eps - 10)) * m + (3 * eps - 17),
         (6 * eps - 26) * m + 2,
@@ -902,20 +908,14 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
     )
 
 
-#: Within verify_theorem, the minimize_k2 result of each degree this run has
-#: computed, so that APPENDIX.min and SHARPNESS share one frame scan per
-#: degree; None outside a run, where each check computes its own.
-_MINIMA: ContextVar[dict[int, KsqMinimum] | None] = ContextVar("_MINIMA", default=None)
+#: minimize_k2 cached for one verify_theorem call, so that APPENDIX.min and
+#: SHARPNESS share one frame scan per degree; None outside a run.
+_MINIMA: ContextVar[Callable[[int], KsqMinimum] | None] = ContextVar("_MINIMA", default=None)
 
 
 def _minimum(d: int) -> KsqMinimum:
     """minimize_k2(d), computed at most once per verify_theorem call."""
-    table = _MINIMA.get()
-    if table is None:
-        return minimize_k2(d)
-    if d not in table:
-        table[d] = minimize_k2(d)
-    return table[d]
+    return (_MINIMA.get() or minimize_k2)(d)
 
 
 def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
@@ -931,11 +931,11 @@ def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
 
 def _tabulated_fault(m: int, eps: int) -> str | None:
     """APPENDIX.min's first failing tabulated identity in m at (m, eps), or None."""
-    phi_lo, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
+    phi_lo, phi_lo1, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
     cubic, dphi = phi_coefficients(m, eps), phi_derivative_coefficients(m, eps)
     if _horner(cubic, -m) != phi_lo:
         return "phi(-m) != 8"
-    if _horner(cubic, -m + 1) != -9 * m + 17 - 3 * eps:
+    if _horner(cubic, -m + 1) != phi_lo1:
         return "phi(-m+1) != -9m + 17 - 3e"
     if _horner(cubic, -m + 2) != 0:
         return "phi(-m+2) != 0"
@@ -952,16 +952,16 @@ def _tabulated_fault(m: int, eps: int) -> str | None:
     return None
 
 
-def _appendix_fault(d: int, walk: bool, tabulated: bool = True) -> str | None:
-    """APPENDIX.min's first failing check at d, written out, or None. The two
-    phi' sign ranges are walked by forward differences only if walk is set."""
+def _appendix_fault(d: int, locate: bool) -> str | None:
+    """APPENDIX.min's first failing check at d, written out, or None; only
+    locate runs the tabulated checks and walks both phi' sign ranges."""
     m, eps = _split3(d)
     a_star = _a_star(m, eps)
     rise_lo = -m + 2
     try:
         res = _minimum(d)
-        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if walk else ()
-        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if walk else ()
+        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if locate else ()
+        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if locate else ()
     except InconsistencyError as exc:
         return str(exc)
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
@@ -974,7 +974,7 @@ def _appendix_fault(d: int, walk: bool, tabulated: bool = True) -> str | None:
             return f"even-degree minimum not uniquely at a* = {a_star}"
     elif res.k2_min <= bound:
         return "odd-degree minimum fails to exceed -d(d-6)"
-    if tabulated and (fault := _tabulated_fault(m, eps)):
+    if locate and (fault := _tabulated_fault(m, eps)):
         return fault
     if min(rising, default=1) <= 0:
         a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
@@ -1005,16 +1005,16 @@ def _tabulated_proof(tables: list[tuple]) -> tuple[bool, ...]:
 
 
 def _appendix_settled(tabulated: tuple[bool, ...], d: int) -> bool:
-    """APPENDIX.min's decide at d: :func:`_appendix_fault` finds none without
-    the walks and, where tabulated[eps] proves them, the tabulated checks;
-    :func:`_phi_prime_settled` settles both phi' ranges."""
+    """APPENDIX.min's decide at d: both phi' ranges settled, no fault outside
+    locate, and the tabulated checks proved by tabulated[eps] or passed here."""
     m, eps = _split3(d)
-    return all(_phi_prime_settled(m, eps)) and _appendix_fault(d, walk=False, tabulated=not tabulated[eps]) is None
+    return (all(_phi_prime_settled(m, eps)) and _appendix_fault(d, locate=False) is None
+            and (tabulated[eps] or _tabulated_fault(m, eps) is None))
 
 
 def _appendix_check_one(d: int) -> str | None:
     """APPENDIX.min's locate at d: the first fault, phi' walked, or None."""
-    fault = _appendix_fault(d, walk=True)
+    fault = _appendix_fault(d, locate=True)
     return None if fault is None else f"d={d}: {fault}"
 
 
@@ -1040,7 +1040,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     # Small-a comparisons feeding the argument.
     m = Poly.variable()
     tables = [appendix_table(m, eps) for eps in FRAME_RESIDUES]
-    phi_lo, phi0, phi1, _, dphi_lo, dphi_m1 = tables[0]
+    phi_lo, _, phi0, phi1, _, dphi_lo, dphi_m1 = tables[0]
     b.sign(phi_lo - EVEN_MINIMUM, 5, "positive", label="phi(-m) = 8 > -d(d-6) for d > 4")
     b.sign(Poly.of(14, -9, 1), 8, "positive", label="-3(d-1) + 11 > -d(d-6) for d > 7 (covers phi(-m+1))")
     b.sign(-EVEN_MINIMUM, 7, "positive", label="phi(-m+2) = 0 > -d(d-6) for d > 6")
@@ -1051,7 +1051,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sign(phi1, 5, "positive", variable="m", label="3m^2 - 10m - 17 > 0 for m >= 5 (phi(1) factor, e = 0)")
     b.sign(dphi_lo, 3, "positive", variable="m", label="18m - 42 > 0 for m >= 3 (phi'(-m+2), e = 0)")
     b.sign(dphi_m1, 2, "positive", variable="m", label="10m - 18 > 0 for m >= 2 (phi'(-1); 6e(m-2) >= 0)")
-    b.sign(-tables[2][3], 1, "positive", variable="m",
+    b.sign(-tables[2][4], 1, "positive", variable="m",
            label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
     for eps in FRAME_RESIDUES:
         b.sign(
@@ -1251,7 +1251,7 @@ def verify_theorem(d_from: int, d_to: int, *, cases: Iterable[str] = CASES) -> C
     """
     if d_from > d_to:
         raise ValueError("empty degree range")
-    minima = _MINIMA.set({})
+    minima = _MINIMA.set(cache(minimize_k2))
     try:
         certs = sorted((c for case in cases for c in CASES[case](d_from, d_to)), key=Certificate.sort_key)
     finally:

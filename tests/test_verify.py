@@ -99,17 +99,10 @@ def resized(t, by):
     return t[:by] if by < 0 else t + t[:by]
 
 
-HALPHEN_GAP = pytest.mark.xfail(
-    strict=True,
-    reason="coverage is not checked yet (ROADMAP item 9): with a Halphen residue"
-    " dropped or repeated, every R4 certificate stays verified",
-)
-
-
 @pytest.mark.parametrize("by", [-1, 1], ids=["shortened", "lengthened"])
 @pytest.mark.parametrize("name", [
     "castelnuovo_polys",
-    pytest.param("halphen_polys", marks=HALPHEN_GAP),
+    "halphen_polys",
     "pi2_polys",
     "pi1_polys",
     "weighted_defect_polys",
@@ -238,6 +231,11 @@ def test_r4_margin_poly_is_the_scalar_double_point_margin():
             assert cert.sign_certificates[0].polynomial == r4_margin_poly(g, chi), cert.claim_id
 
 
+#: Each r = 4 chain's chi(O_S) bound in terms of the genus bound g, by s:
+#: 1 - g for R4.reduce (s = 5), 1 for R4.s2 and R4.s3.
+R4_CHI = {5: lambda g: 1 - g, 2: lambda g: 1, 3: lambda g: 1}
+
+
 def test_r4_per_degree_checks_report_a_failing_degree(monkeypatch):
     # the scalar per-degree checks must see the genus bound: a bound far above
     # Halphen's at one degree makes 2K^2 too small there
@@ -246,10 +244,10 @@ def test_r4_per_degree_checks_report_a_failing_degree(monkeypatch):
         verify, "halphen_bound",
         lambda d, s: SimpleNamespace(bound=d * d) if d == 44 else real(d, s),
     )
-    assert verify._r4_reduce_check_one(43) is None
-    assert verify._r4_reduce_check_one(44) == 44
-    assert verify._r4_s_check_one(2, 44) == 44
-    assert verify._r4_s_check_one(3, 45) is None
+    assert verify._r4_check_one(5, R4_CHI[5], 43) is None
+    assert verify._r4_check_one(5, R4_CHI[5], 44) == 44
+    assert verify._r4_check_one(2, R4_CHI[2], 44) == 44
+    assert verify._r4_check_one(3, R4_CHI[3], 45) is None
 
 
 def test_r6_spanned_certificates():
@@ -327,7 +325,7 @@ TABLE_PERTURBATIONS = {
 }
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(7))
 @pytest.mark.parametrize("change", sorted(TABLE_PERTURBATIONS))
 def test_appendix_catches_a_wrong_tabulated_value(monkeypatch, index, change):
     # the per-degree checks and the sign certificates read one appendix_table,
@@ -342,7 +340,7 @@ def test_appendix_catches_a_wrong_tabulated_value(monkeypatch, index, change):
     monkeypatch.setattr(verify, "appendix_table", wrong)
     cert = verify_appendix(18, 60)
     assert cert.status == "counterexample"
-    if (index, change) == (1, "+1"):
+    if (index, change) == (2, "+1"):
         assert cert.witness["failure"] == "d=18: phi(0) factorization fails"
 
 
@@ -540,8 +538,8 @@ def test_appendix_decide_agrees_with_locate():
 # The certificates signed at one fixed residue, by label: the appendix_table
 # entry each carries and the sign it is carried with.
 WORST_RESIDUE_ENTRIES = {
-    "(phi(0) factor": (1, 1), "(phi(1) factor": (2, 1), "(phi'(-m+2)": (4, 1),
-    "(phi'(-1)": (5, 1), "(phi'(1)": (3, -1),
+    "(phi(0) factor": (2, 1), "(phi(1) factor": (3, 1), "(phi'(-m+2)": (5, 1),
+    "(phi'(-1)": (6, 1), "(phi'(1)": (4, -1),
 }
 
 
@@ -695,8 +693,14 @@ def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
 
 
 def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
+    calls = []
+    real = verify.minimize_k2
+    monkeypatch.setattr(verify, "minimize_k2", lambda d: calls.append(d) or real(d))
+
     def boom(ring, d):
-        assert verify._MINIMA.get()[d].d == d  # APPENDIX.min filled the table
+        # APPENDIX.min scanned d, and the run's cache answers without a second scan
+        assert verify._MINIMA.get()(d).d == d
+        assert calls == list(range(36, 41))
         raise RuntimeError(f"check failed at d={d}")
 
     monkeypatch.setattr(verify, "_sharpness_check_one", boom)
@@ -792,7 +796,7 @@ def m_degree(c):
 def test_the_skipped_identities_have_degree_at_most_3_in_m(eps):
     assert [m_degree(c) for c in scroll.phi_coefficients(M, eps)] == [3, 1, 1, 0]
     assert [m_degree(c) for c in scroll.phi_derivative_coefficients(M, eps)] == [1, 1, 0]
-    assert [m_degree(c) for c in appendix_table(M, eps)] == [0, 2, 2, 1, 1, 1]
+    assert [m_degree(c) for c in appendix_table(M, eps)] == [0, 1, 2, 2, 1, 1, 1]
     # the ring's K^2 is a trilinear triple product: cubic in m for a fixed
     # frame index a, and of degree at most 3 for each fixed seed alpha
     for a in range(4):
@@ -829,14 +833,14 @@ APPENDIX_LABEL = (
 #: vanishes where the earlier checks evaluate phi, to phi_coefficients as
 #: verify reads it (the frame and phi' read scroll's).
 TABULATED_BREAKS = {
-    "phi(-m) != 8": ("appendix_table", lambda m: (1, 0, 0, 0, 0, 0)),
+    "phi(-m) != 8": ("appendix_table", lambda m: (1, 0, 0, 0, 0, 0, 0)),
     "phi(-m+1) != -9m + 17 - 3e": ("phi_coefficients", lambda m: (m, 1, 0, 0)),  # + (a + m)
     "phi(-m+2) != 0": ("phi_coefficients", lambda m: (m * m - m, 2 * m - 1, 1, 0)),  # + (a + m)(a + m - 1)
-    "phi(0) factorization fails": ("appendix_table", lambda m: (0, m, 0, 0, 0, 0)),
-    "phi(1) factorization fails": ("appendix_table", lambda m: (0, 0, m, 0, 0, 0)),
-    "phi'(1) != 2 - 26m + 6me": ("appendix_table", lambda m: (0, 0, 0, m, 0, 0)),
-    "phi'(-m+2) != 18m + 6e - 42": ("appendix_table", lambda m: (0, 0, 0, 0, m, 0)),
-    "phi'(-1) != 10m + 6me - 12e - 18": ("appendix_table", lambda m: (0, 0, 0, 0, 0, m)),
+    "phi(0) factorization fails": ("appendix_table", lambda m: (0, 0, m, 0, 0, 0, 0)),
+    "phi(1) factorization fails": ("appendix_table", lambda m: (0, 0, 0, m, 0, 0, 0)),
+    "phi'(1) != 2 - 26m + 6me": ("appendix_table", lambda m: (0, 0, 0, 0, m, 0, 0)),
+    "phi'(-m+2) != 18m + 6e - 42": ("appendix_table", lambda m: (0, 0, 0, 0, 0, m, 0)),
+    "phi'(-1) != 10m + 6me - 12e - 18": ("appendix_table", lambda m: (0, 0, 0, 0, 0, 0, m)),
 }
 
 
@@ -852,32 +856,35 @@ def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, fail
     assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": f"d=18: {failure}"}
 
 
-@pytest.mark.parametrize("extra, read_by_poly", [
-    (lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), True),
-    (lambda m: (m - 1) * (m - 3) * (m - 4), True),  # times m - 2 in the identity
-    (lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), False),
+@pytest.mark.parametrize("index, extra, read_by_poly", [
+    (2, lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), True),
+    (2, lambda m: (m - 1) * (m - 3) * (m - 4), True),  # times m - 2 in the identity
+    (1, lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), True),
+    (2, lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), False),
 ])
-def test_a_break_vanishing_at_the_four_points(monkeypatch, extra, read_by_poly):
-    # Both breaks of phi(0) = (m - 2)*phi0 vanish at the four points. Read
-    # from a Poly in m, they raise the identity's degree to at least 4, so
-    # nothing is proved and the sweep fails at its first degree. Added for
-    # int m only, a break escapes the degree read: decide skips the check,
-    # and locate, which runs every check at the last degree, raises there.
+def test_a_break_vanishing_at_the_four_points(monkeypatch, index, extra, read_by_poly):
+    # The breaks of phi(0) = (m - 2)*phi0 and of phi(-m+1)'s entry vanish at
+    # the four points. Read from a Poly in m, they raise the identity's
+    # degree to at least 4, so nothing is proved and the sweep fails at its
+    # first degree. Added for int m only, a break escapes the degree read:
+    # decide skips the check, and locate, which runs every check at the last
+    # degree, raises there.
     real = verify.appendix_table
+    failure = {1: "phi(-m+1) != -9m + 17 - 3e", 2: "phi(0) factorization fails"}[index]
 
     def wrong(m, eps):
         values = list(real(m, eps))
         if read_by_poly or isinstance(m, int):
-            values[1] += extra(m)
+            values[index] += extra(m)
         return tuple(values)
 
     monkeypatch.setattr(verify, "appendix_table", wrong)
     if read_by_poly:
         cert = verify_appendix(18, 60)
-        assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": "d=18: phi(0) factorization fails"}
+        assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": f"d=18: {failure}"}
     else:
         with pytest.raises(InconsistencyError, match=re.escape(
-            "APPENDIX.min at d=60: decide passes, locate gives 'd=60: phi(0) factorization fails'"
+            f"APPENDIX.min at d=60: decide passes, locate gives 'd=60: {failure}'"
         )):
             verify_appendix(18, 60)
 
@@ -949,18 +956,14 @@ def test_r5_profile_closed_form_genus_is_the_defect_sum(seed, extra):
                 assert verify._r5_profile_check_one(seed, d) == failure
 
 
-R4_MARGINS = {
-    5: tuple(r4_margin_poly(g, 1 - g) for g in halphen_polys(5)),
-    2: tuple(r4_margin_poly(g, 1) for g in halphen_polys(2)),
-    3: tuple(r4_margin_poly(g, 1) for g in halphen_polys(3)),
-}
+R4_MARGINS = {s: tuple(r4_margin_poly(g, chi(g)) for g in halphen_polys(s)) for s, chi in R4_CHI.items()}
 
 
 @pytest.mark.parametrize("s", [5, 2, 3])
 def test_r4_integer_checks_match_the_scalar_ones(s):
     # from the first degree Halphen's bound is asserted for, so that the
     # range holds failing degrees too
-    scalar = verify._r4_reduce_check_one if s == 5 else partial(verify._r4_s_check_one, s)
+    scalar = partial(verify._r4_check_one, s, R4_CHI[s])
     ds = range(s * s - s + 1, 5001)
     results = [verify._r4_margin_int_check(R4_MARGINS[s], d) for d in ds]
     assert results == [scalar(d) is None for d in ds]
@@ -1056,8 +1059,8 @@ def test_a_doctored_phi_prime_walk_at_the_last_degree_alone_raises(monkeypatch):
 #: Each sweep: its decide, its locate, a builder over [36, 50], and the
 #: witness key of a failure.
 SWEEPS = {
-    "R4.reduce": ("_r4_margin_int_check", "_r4_reduce_check_one", lambda: verify._r4_reduce(36, 50), "failure_at"),
-    "R4.s3": ("_r4_margin_int_check", "_r4_s_check_one", lambda: verify._r4_s(36, 50, 3), "failure_at"),
+    "R4.reduce": ("_r4_margin_int_check", "_r4_check_one", lambda: verify._r4_reduce(36, 50), "failure_at"),
+    "R4.s3": ("_r4_margin_int_check", "_r4_check_one", lambda: verify._r4_s(36, 50, 3), "failure_at"),
     "R5.abs": ("_r5_abs_int_check", "_r5_abs_check_one", lambda: verify._r5_abs(36, 50), "failure_at"),
     "R5.profile": ("_r5_profile_int_check", "_r5_profile_check_one",
                    lambda: verify._r5_profile((4, 10, 19), 36, 50), "failure"),
