@@ -351,16 +351,11 @@ def weighted_defect_direct(d: int) -> int:
 @cache
 def weighted_defect_polys() -> tuple[Poly, ...]:
     """C(p,2)*d - 8*C(p+1,3) + t*p, the closed form of the weighted sum, as
-    a cubic in p, entry q on the residue class d = 4p + q + 1 of
-    :func:`pi1_polys`."""
-    p = Poly.variable()
+    a cubic in p, entry q on the residue class d = kp + q + 1 (k = 4) of
+    :func:`pi1_polys`: over 6 it is 3p(p-1)(kp + q + 1) - 8(p+1)p(p-1) + 6tp
+    = (3k - 8)p^3 + 3(q + 1 - k)p^2 + (5 - 3q + 6t)p."""
     k = len(pi1_polys())
-    return tuple(
-        Fraction(1, 2) * (p * (p - 1)) * Poly.of(q + 1, k)
-        - Fraction(8, 6) * ((p + 1) * p * (p - 1))
-        + pi1_t(q) * p
-        for q in range(k)
-    )
+    return tuple(Poly((0, 5 - 3 * q + 6 * pi1_t(q), 3 * (q + 1 - k), 3 * k - 8), 6) for q in range(k))
 
 
 def weighted_defect_closed_form(d: int) -> int:
@@ -399,7 +394,7 @@ def double_point_k2(d: int, g: int, chi: int) -> int:
     return num // 2
 
 
-def chi_bound_poly(x) -> Poly:
+def chi_bound_poly(x: int | Fraction) -> Poly:
     """Euler characteristic lower bound for a degree-d surface on an
     irreducible quartic hypersurface of P^4, as a cubic in d, in terms of
     the rational genus-defect parameter 0 <= x <= 9
@@ -409,11 +404,11 @@ def chi_bound_poly(x) -> Poly:
 
     The constant -333/16 is an external input to this package.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 9:
+    a, b = x.as_integer_ratio()  # x = a/b, b > 0
+    if not 0 <= a <= 9 * b:
         raise ValueError("x must lie in [0, 9]")
     base = Poly((-1998, -160, -6, 1), 96)  # d^3/96 - d^2/16 - 5d/3 - 333/16
-    return base - Fraction(9 - x, 8) * Poly.of(0, -3, 1)
+    return base - Poly((0, -3 * (9 * b - a), 9 * b - a), 8 * b)  # (9 - x)/8 * (d^2 - 3d)
 
 
 def chi_lower_bound_s4(d: int, x) -> Fraction:

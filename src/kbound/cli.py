@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from fractions import Fraction
 
 from . import bounds, scroll, verify
-from .exact import InconsistencyError, rat_str
+from .exact import InconsistencyError, dumps, rat_str
 
 FORMATS = ("table", "json", "csv")
 COMMANDS = ("bound", "scroll", "verify")
@@ -89,7 +88,7 @@ def _kv_table(pairs: list[tuple[str, object]]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return dumps(obj, indent=True) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -270,8 +269,7 @@ def _cmd_verify(args) -> int:
         text = verdict.to_json(None if args.no_timestamp else _utc_now())
     elif args.format == "csv":
         rows = [
-            [c.claim_id, c.status, json.dumps(c.params, sort_keys=True),
-             json.dumps(c.witness, sort_keys=True)]
+            [c.claim_id, c.status, dumps(c.params), dumps(c.witness)]
             for c in verdict.certificates
         ]
         text = _csv_text(VERIFY_CSV_HEADER, rows)

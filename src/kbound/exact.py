@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, compress, count, repeat, zip_longest
 from operator import ge, gt, le, lt
 
@@ -38,6 +38,51 @@ def rat_str(x: int | Fraction, den: int = 1) -> str:
     num, den = x.numerator, x.denominator * den
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def dumps(obj, indent: bool = False) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True)``, or with indent of
+    ``json.dumps(obj, indent=2, sort_keys=True)``, for dicts with str keys,
+    lists, tuples, str, int, bool and None; TypeError for anything else."""
+    out: list[str] = []
+    emit, quote = out.append, cache(_quote)  # keys and most strings repeat
+
+    def dump(obj, nl: str) -> None:  # nl: the newline and indent before a closing bracket
+        t = type(obj)
+        if t is str:
+            emit(quote(obj))
+        elif t is dict or t is list or t is tuple:
+            inner = nl and nl + "  "
+            lead, sep = inner, "," + inner if nl else ", "
+            emit("{" if t is dict else "[")
+            for key, item in sorted(obj.items()) if t is dict else enumerate(obj):
+                emit(f"{lead}{quote(key)}: " if t is dict else lead)
+                lead = sep
+                dump(item, inner)
+            emit((nl if obj else "") + ("}" if t is dict else "]"))
+        elif obj is None or obj is True or obj is False:
+            emit("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, int):
+            emit(int.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    dump(obj, "\n" if indent else "")
+    return "".join(out)
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string with json's ensure_ascii escapes; TypeError unless s is a str."""
+    if str.isascii(s) and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+def _escape(c: str) -> str:
+    if (i := '"\\\n\r\t\b\f'.find(c)) >= 0:
+        return "\\" + '"\\nrtbf'[i]
+    units = c.encode("utf-16-be", "surrogatepass").hex()  # a surrogate pair above U+FFFF
+    return c if " " <= c <= "~" else "".join("\\u" + units[k:k + 4] for k in range(0, len(units), 4))
 
 
 def as_int(x: int | Fraction, what: str = "value") -> int:
@@ -258,7 +303,7 @@ class Poly(Frozen):
         for i, n in reversed(list(enumerate(self.num))):  # den > 0 keeps the sign of n
             if n == 0:
                 continue
-            mag = rat_str(abs(n), self.den)
+            mag = str(abs(n)) if self.den == 1 else rat_str(abs(n), self.den)
             if i == 0:
                 term = mag
             else:
@@ -271,7 +316,7 @@ class Poly(Frozen):
         return " ".join(parts)
 
     def to_json(self) -> list[str]:
-        return [rat_str(n, self.den) for n in self.num]
+        return list(map(str, self.num)) if self.den == 1 else [rat_str(n, self.den) for n in self.num]
 
 
 def _horner(num: tuple[int, ...], x: "Poly | int | Fraction") -> "Poly | int | Fraction":

@@ -131,6 +131,11 @@ def sectional_genus(c: DivisorClass) -> int:
     computed on T as (K_T + S + H).S.H."""
     if not is_admissible(c):
         raise OutOfDomainError(f"class {c.text()} is not admissible")
+    return _genus_raw(c)
+
+
+def _genus_raw(c: DivisorClass) -> int:
+    """:func:`sectional_genus` with no admissibility gate."""
     t = triple_product(c + CANONICAL + HYPERPLANE, c, HYPERPLANE)
     if t % 2 != 0:
         raise InconsistencyError(f"odd 2g - 2 = {t} for class {c.text()}")
@@ -221,13 +226,19 @@ def phi_coefficients(m: int | Poly, e: int) -> tuple:
 
 def phi_derivative_coefficients(m: int | Poly, e: int) -> tuple:
     """Coefficients (C, B, A) of phi' = A*a^2 + B*a + C (A = -18)."""
-    _, c1, c2, c3 = phi_coefficients(m, e)
+    return derivative(phi_coefficients(m, e))
+
+
+def derivative(cubic: tuple) -> tuple:
+    """The derivative (c1, 2*c2, 3*c3) of the cubic (c0, c1, c2, c3)."""
+    _, c1, c2, c3 = cubic
     return c1, 2 * c2, 3 * c3
 
 
-def phi_derivative_discriminant(m: int | Poly, e: int) -> int | Poly:
-    """B^2 - 4AC of phi'; an int, or a Poly in m when m is one."""
-    C, B, A = phi_derivative_coefficients(m, e)
+def discriminant(quadratic: tuple) -> int | Poly:
+    """B^2 - 4AC of the quadratic (C, B, A), such as phi''s; an int, or a
+    Poly in m when the coefficients are."""
+    C, B, A = quadratic
     return B * B - 4 * A * C
 
 
@@ -347,10 +358,9 @@ def extremal_class(d: int) -> ExtremalSurface:
     if d < 4:
         raise OutOfDomainError("extremal_class needs even d >= 4")
     c = DivisorClass(d // 2, -d // 2)
-    if not is_extremal(c):
+    if not is_extremal(c):  # admissible, so the ungated K^2 and genus apply
         raise InconsistencyError(f"extremal class {c.text()} is not admissible")
-    k2 = k2_intersection(c)
-    g = sectional_genus(c)
+    k2, g = _k2_raw(c), _genus_raw(c)
     if not EVEN_MINIMUM.has_value(d, k2):
         raise InconsistencyError(f"extremal K^2 {k2} != -d(d-6) at d={d}")
     if not EXTREMAL_GENUS.has_value(d, g):

@@ -35,7 +35,6 @@ scroll, general type), the certificate records the hypothesis in
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from fractions import Fraction
@@ -71,6 +70,7 @@ from .exact import (
     SignCertificate,
     _horner,
     as_int,
+    dumps,
     forward_walk,
     rat_str,
     sign_certificate,
@@ -86,6 +86,8 @@ from .scroll import (
     _a_star,
     _k2_raw,
     _split3,
+    derivative,
+    discriminant,
     extremal_class,
     k2_min_closed_form,
     k2_min_form,
@@ -94,7 +96,6 @@ from .scroll import (
     phi_coefficients,
     phi_derivative,
     phi_derivative_coefficients,
-    phi_derivative_discriminant,
 )
 
 CLAIM_ANCHORS = {
@@ -190,7 +191,7 @@ class Certificate(Record):
         return CLAIM_ANCHORS[self.claim_id]
 
     def sort_key(self) -> tuple:
-        return (self.claim_id, json.dumps(self.params, sort_keys=True))
+        return (self.claim_id, dumps(self.params))
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,9 +384,10 @@ S4_RHS_QUOTED = Poly((-1998, -188, -18, 1), 8)  # d^3/8 - 9d^2/4 - 47d/2 - 999/4
 SCROLL_CUBIC = Poly.of(-23, 27, -10, 1)
 
 
-def genus_defect_poly(x: Fraction) -> Poly:
-    """g = d^2/8 + d(x-9)/8 + 1 for the defect parameter x."""
-    return Poly.of(1, Fraction(x - 9, 8), Fraction(1, 8))
+def genus_defect_poly(x: int | Fraction) -> Poly:
+    """g = d^2/8 + d(x-9)/8 + 1 for the defect parameter x = a/b."""
+    a, b = x.as_integer_ratio()
+    return Poly((8 * b, a - 9 * b, b), 8 * b)
 
 
 # Fixed sample points, recorded in the certificates: distinct x in (6, 9]
@@ -446,10 +448,10 @@ def _r4_halphen_margins(b: _Builder, s: int, weak: Poly, weak_text: str, chi: Ca
         raise InconsistencyError(f"halphen_polys({s}) has {len(polys)} entries, not one per residue of d - 1 mod {s}")
     for eps, g in enumerate(polys):
         gap = weak - g
-        b.check(
+        b.check(  # the value at 0, in integers: its numerator over gap.den > 0
             f"G(3;d,{s}) <= {weak_text} on residue eps={eps} (gap constant)",
-            gap.degree <= 0 and gap(0) >= 0,
-            gap=rat_str(gap(0)),
+            gap.degree <= 0 and _horner(gap.num, 0) >= 0,
+            gap=rat_str(_horner(gap.num, 0), gap.den),
         )
     return tuple(r4_margin_poly(g, chi(g)) for g in polys)
 
@@ -512,7 +514,7 @@ def _r4_s4_low(d_from: int, d_to: int) -> Certificate:
     weak = Poly((8, -3, 1), 8)  # d^2/8 - 3d/8 + 1
     b.identity(
         "g bound at x = 6 equals d^2/8 - 3d/8 + 1",
-        genus_defect_poly(Fraction(6)),
+        genus_defect_poly(6),
         weak,
     )
     b.sign(
@@ -537,7 +539,7 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
         r4_margin_poly(1, chi_bound_poly(6)),
         S4_RHS_QUOTED,
     )
-    main = r4_margin_poly(genus_defect_poly(Fraction(9)), chi_bound_poly(6))
+    main = r4_margin_poly(genus_defect_poly(9), chi_bound_poly(6))
     b.sign(
         main,
         start,
@@ -552,7 +554,7 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     # Symbolic-x route: for fixed rational x the exact genus and chi bound
     # combine into a cubic that must be positive from d = start. x = 9 is the
     # weakest point of the chi bound; x -> 6+ is the branch boundary.
-    xs = [Fraction(9), Fraction(6), *X_SAMPLES]
+    xs = [9, 6, *X_SAMPLES]
     b.params["x_samples"] = [rat_str(x) for x in xs]
     for x in xs:
         p_x = r4_margin_poly(genus_defect_poly(x), chi_bound_poly(x))
@@ -908,6 +910,11 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
     )
 
 
+#: The factors m - 2 of phi(0) and m - 1 of phi(1) that :func:`appendix_table`
+#: divides out, as coefficient tuples in m, lowest power first.
+PHI_FACTORS = ((-2, 1), (-1, 1))
+
+
 #: minimize_k2 cached for one verify_theorem call, so that APPENDIX.min and
 #: SHARPNESS share one frame scan per degree; None outside a run.
 _MINIMA: ContextVar[Callable[[int], KsqMinimum] | None] = ContextVar("_MINIMA", default=None)
@@ -918,12 +925,11 @@ def _minimum(d: int) -> KsqMinimum:
     return (_MINIMA.get() or minimize_k2)(d)
 
 
-def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
+def _phi_prime_settled(m: int, dphi: tuple) -> tuple[bool, bool]:
     """Whether phi' > 0 on [-m+2, -1] and phi' < 0 on every a >= 1 follow
-    from phi'(-m+2), phi'(-1), phi'(1) and the coefficients (C, B, A): a
-    concave quadratic (A < 0) is least at an end of an interval, and falls
+    from phi'(-m+2), phi'(-1), phi'(1) and its coefficients dphi = (C, B, A):
+    a concave quadratic (A < 0) is least at an end of an interval, and falls
     on a >= 1 once phi''(1) = 2A + B < 0. An empty range is settled."""
-    dphi = phi_derivative_coefficients(m, eps)
     _, B, A = dphi
     rises = -m + 2 > -1 or A < 0 < min(_horner(dphi, -m + 2), _horner(dphi, -1))
     return rises, A < 0 and 2 * A + B < 0 and _horner(dphi, 1) < 0
@@ -932,16 +938,17 @@ def _phi_prime_settled(m: int, eps: int) -> tuple[bool, bool]:
 def _tabulated_fault(m: int, eps: int) -> str | None:
     """APPENDIX.min's first failing tabulated identity in m at (m, eps), or None."""
     phi_lo, phi_lo1, phi0, phi1, dphi1, dphi_lo, dphi_m1 = appendix_table(m, eps)
-    cubic, dphi = phi_coefficients(m, eps), phi_derivative_coefficients(m, eps)
+    cubic = phi_coefficients(m, eps)
+    dphi, (f0, f1) = derivative(cubic), (_horner(f, m) for f in PHI_FACTORS)
     if _horner(cubic, -m) != phi_lo:
         return "phi(-m) != 8"
     if _horner(cubic, -m + 1) != phi_lo1:
         return "phi(-m+1) != -9m + 17 - 3e"
     if _horner(cubic, -m + 2) != 0:
         return "phi(-m+2) != 0"
-    if _horner(cubic, 0) != (m - 2) * phi0:
+    if _horner(cubic, 0) != f0 * phi0:
         return "phi(0) factorization fails"
-    if _horner(cubic, 1) != (m - 1) * phi1:
+    if _horner(cubic, 1) != f1 * phi1:
         return "phi(1) factorization fails"
     if _horner(dphi, 1) != dphi1:
         return "phi'(1) != 2 - 26m + 6me"
@@ -952,10 +959,10 @@ def _tabulated_fault(m: int, eps: int) -> str | None:
     return None
 
 
-def _appendix_fault(d: int, locate: bool) -> str | None:
-    """APPENDIX.min's first failing check at d, written out, or None; only
-    locate runs the tabulated checks and walks both phi' sign ranges."""
-    m, eps = _split3(d)
+def _appendix_fault(d: int, m: int, eps: int, dphi: tuple, locate: bool) -> str | None:
+    """APPENDIX.min's first failing check at d = 3m + eps + 1, where phi' has
+    the coefficients dphi, written out, or None; only locate runs the
+    tabulated checks and walks both phi' sign ranges."""
     a_star = _a_star(m, eps)
     rise_lo = -m + 2
     try:
@@ -982,7 +989,7 @@ def _appendix_fault(d: int, locate: bool) -> str | None:
     if max(falling, default=-1) >= 0:
         a_fall = next(compress(count(1), map(ge, falling, repeat(0))))
         return f"phi' not negative at a={a_fall} >= 1"
-    if phi_derivative_discriminant(m, eps) <= 0:
+    if discriminant(dphi) <= 0:
         return "phi' lacks two real roots"
     return None
 
@@ -995,26 +1002,29 @@ def _proved(check: Callable[[int, int], object], eps: int, *coeffs: tuple, degre
     return degree <= 3 and all(check(m, eps) is None for m in (1, 2, 3, 4))
 
 
-def _tabulated_proof(tables: list[tuple]) -> tuple[bool, ...]:
+def _tabulated_proof(tables: list[tuple], cubics: list[tuple]) -> tuple[bool, ...]:
     """Per frame residue eps, whether :func:`_tabulated_fault` finds nothing
-    at any m, where tables[eps] = appendix_table(Poly.variable(), eps); the
-    factor (m - 2)*phi0 is the cubic (0, phi0) at x = m - 2."""
-    m = Poly.variable()
-    return tuple(_proved(_tabulated_fault, eps, phi_coefficients(m, eps), phi_derivative_coefficients(m, eps),
-                         *((0, entry) for entry in tables[eps])) for eps in FRAME_RESIDUES)
+    at any m, where tables[eps] = appendix_table(m, eps) and cubics[eps] =
+    phi_coefficients(m, eps) for m = Poly.variable(). phi' is read as phi,
+    whose derivative it is, and phi0 and phi1 times their PHI_FACTORS."""
+    return tuple(_proved(_tabulated_fault, eps, cubic, *((entry,) for entry in table),
+                         *(tuple(c * table[k] for c in f) for k, f in zip((2, 3), PHI_FACTORS)))
+                 for eps, (table, cubic) in enumerate(zip(tables, cubics)))
 
 
 def _appendix_settled(tabulated: tuple[bool, ...], d: int) -> bool:
     """APPENDIX.min's decide at d: both phi' ranges settled, no fault outside
     locate, and the tabulated checks proved by tabulated[eps] or passed here."""
     m, eps = _split3(d)
-    return (all(_phi_prime_settled(m, eps)) and _appendix_fault(d, locate=False) is None
+    dphi = phi_derivative_coefficients(m, eps)
+    return (all(_phi_prime_settled(m, dphi)) and _appendix_fault(d, m, eps, dphi, locate=False) is None
             and (tabulated[eps] or _tabulated_fault(m, eps) is None))
 
 
 def _appendix_check_one(d: int) -> str | None:
     """APPENDIX.min's locate at d: the first fault, phi' walked, or None."""
-    fault = _appendix_fault(d, locate=True)
+    m, eps = _split3(d)
+    fault = _appendix_fault(d, m, eps, phi_derivative_coefficients(m, eps), locate=True)
     return None if fault is None else f"d={d}: {fault}"
 
 
@@ -1040,6 +1050,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     # Small-a comparisons feeding the argument.
     m = Poly.variable()
     tables = [appendix_table(m, eps) for eps in FRAME_RESIDUES]
+    cubics = [phi_coefficients(m, eps) for eps in FRAME_RESIDUES]
     phi_lo, _, phi0, phi1, _, dphi_lo, dphi_m1 = tables[0]
     b.sign(phi_lo - EVEN_MINIMUM, 5, "positive", label="phi(-m) = 8 > -d(d-6) for d > 4")
     b.sign(Poly.of(14, -9, 1), 8, "positive", label="-3(d-1) + 11 > -d(d-6) for d > 7 (covers phi(-m+1))")
@@ -1055,7 +1066,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
            label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
     for eps in FRAME_RESIDUES:
         b.sign(
-            phi_derivative_discriminant(m, eps),
+            discriminant(derivative(cubics[eps])),
             1,
             "positive",
             variable="m",
@@ -1071,7 +1082,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
-        partial(_appendix_settled, _tabulated_proof(tables)),
+        partial(_appendix_settled, _tabulated_proof(tables, cubics)),
         _appendix_check_one,
     )
     return b.done({
@@ -1148,7 +1159,8 @@ def _sharpness_ring_check(d: int) -> str | None:
 def _sharpness_check_one(ring: tuple[bool, ...], d: int) -> bool:
     """SHARPNESS's decide at d, on the frame minimum shared with APPENDIX.min
     once the ring matches phi: as ring[eps] proves, or by :func:`_ring_mismatch`."""
-    if not ring[_split3(d)[1]] and _ring_mismatch(d) is not None:
+    m, eps = _split3(d)
+    if not ring[eps] and _ring_mismatch(d) is not None:
         return False
     target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     try:
@@ -1158,7 +1170,7 @@ def _sharpness_check_one(ring: tuple[bool, ...], d: int) -> bool:
     if d % 2:
         return res.k2_min > target
     extremal_class(d)  # re-checks K^2 and genus through both routes
-    return res.k2_min == target and res.unique and res.a_min + _split3(d)[0] + 1 == d // 2
+    return res.k2_min == target and res.unique and res.a_min + m + 1 == d // 2
 
 
 def verify_sharpness(d_from: int, d_to: int) -> Certificate:
@@ -1217,7 +1229,7 @@ class CaseVerdict(Record):
         return out
 
     def to_json(self, timestamp: str | None = None) -> str:
-        return json.dumps(self.to_json_dict(timestamp), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_json_dict(timestamp), indent=True) + "\n"
 
 
 #: The proof's case split, keyed by the CLI case name: each entry maps
@@ -1247,13 +1259,16 @@ def verify_theorem(d_from: int, d_to: int, *, cases: Iterable[str] = CASES) -> C
     The theorem's own hypothesis is d > 35; certificates whose asserted
     range does not meet the requested one are marked out-of-asserted-range
     rather than asserted. The merge is keyed by (claim_id, params), which is
-    unique, so it does not depend on the order the certificates are made in.
+    unique, so it does not depend on the order the certificates are made in;
+    the params are rendered only where a claim id is made more than once.
     """
     if d_from > d_to:
         raise ValueError("empty degree range")
     minima = _MINIMA.set(cache(minimize_k2))
     try:
-        certs = sorted((c for case in cases for c in CASES[case](d_from, d_to)), key=Certificate.sort_key)
+        made = [c for case in cases for c in CASES[case](d_from, d_to)]
     finally:
         _MINIMA.reset(minima)
+    ids = [c.claim_id for c in made]
+    certs = sorted(made, key=lambda c: c.sort_key() if ids.count(c.claim_id) > 1 else (c.claim_id,))
     return CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from kbound import exact
 from kbound.exact import (
     InconsistencyError,
     Poly,
+    dumps,
     forward_walk,
     rat_str,
     sign_certificate,
@@ -409,3 +411,36 @@ def test_sign_certificate_json_shape():
     assert payload["asserted_sign"] == "positive"
     assert payload["counterexample"] is None
     assert payload["polynomial"] == ["-1", "0", "1"]
+
+
+# the JSON writer ---------------------------------------------------------------
+
+#: Text with json's escapes: quotes, backslashes, control characters, DEL,
+#: non-ASCII and astral characters, and lone surrogates.
+json_texts = st.text(st.one_of(
+    st.sampled_from('"\\\n\r\t\b\f\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800\udfff'),
+    st.characters(exclude_categories=()),
+))
+json_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**100, 10**100), json_texts),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_texts, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_documents)
+@example({"": [], "a": {}, "b": (), "c": [True, False, None, -10**99, 10**99], "\x7f": "\ud83d"})
+def test_dumps_is_json_dumps_with_sorted_keys(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True)
+    assert dumps(doc, True) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, {1, 2}, {1: "one"}, [0.0], {"a": {2: "two"}}])
+def test_dumps_refuses_floats_sets_and_non_str_keys(doc):
+    for indent in (False, True):
+        with pytest.raises(TypeError):
+            dumps(doc, indent)

@@ -186,11 +186,32 @@ def test_hilbert_profile_names_the_first_bad_value(d, prefix, message):
     assert str(info.value) == message
 
 
-def test_cli_import_loads_no_dataclasses_inspect_csv_datetime_random_tempfile_or_shutil():
+def test_cli_import_loads_no_dataclasses_inspect_csv_datetime_random_tempfile_shutil_or_json():
     # -S: no site module, whose .pth files may import any of these first.
     src = Path(__file__).resolve().parents[1] / "src"
-    deferred = {"typing", "dataclasses", "inspect", "csv", "datetime", "random", "tempfile", "shutil"}
+    deferred = {"typing", "dataclasses", "inspect", "csv", "datetime", "random", "tempfile", "shutil", "json"}
     code = f"import sys, kbound.cli; print(sorted(set(sys.modules) & {deferred!r}))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_verify_runs_load_no_json():
+    # exact.dumps writes the JSON document and the CSV params and witness
+    # columns; -S as above
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from kbound import cli\n"
+        "for fmt in ('json', 'csv'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['verify', 'all', '--from', '36', '--to', '40',"
+        " '--format', fmt, '--no-timestamp']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('json', '_json')))"
+    )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},

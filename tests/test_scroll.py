@@ -14,6 +14,7 @@ from kbound.scroll import (
     RULING,
     ScrollFrame,
     class_from_frame,
+    discriminant,
     extremal_class,
     frame_from_class,
     frame_scan,
@@ -24,7 +25,6 @@ from kbound.scroll import (
     phi,
     phi_derivative,
     phi_derivative_coefficients,
-    phi_derivative_discriminant,
     sectional_genus,
     triple_product,
 )
@@ -209,7 +209,7 @@ def test_phi_derivative_examples():
     assert phi_derivative(18, 1) == -68 == 2 - 26 * 5 + 6 * 5 * 2
     # the exact discriminant 324m^2 - 936m + 216me + 36e^2 - 312e + 820 of
     # phi' at d = 18 (m = 5, e = 2)
-    assert phi_derivative_discriminant(5, 2) == 8100 - 4680 + 2160 + 144 - 624 + 820 == 5920 > 0
+    assert discriminant(phi_derivative_coefficients(5, 2)) == 8100 - 4680 + 2160 + 144 - 624 + 820 == 5920 > 0
     # the tabulated variant 324m^2 - 936m + 216me + 110 + 114e + 36e^2 is
     # also positive here (m = 5, e = 2)
     assert 324 * 25 - 936 * 5 + 216 * 10 + 110 + 228 + 144 == 6062 > 0
@@ -223,7 +223,7 @@ def test_phi_derivative_positive_between_its_two_real_roots():
         m, e = divmod(d - 1, 3)
         C, B, A = phi_derivative_coefficients(m, e)
         assert A == -18
-        disc = phi_derivative_discriminant(m, e)
+        disc = discriminant((C, B, A))
         assert disc > 0, d
         s = isqrt(disc)
         lo1, hi1 = Fraction(B - s - 1, 36), Fraction(B - s, 36)

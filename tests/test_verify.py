@@ -447,9 +447,10 @@ def doctor_walk(monkeypatch, d, lo, index, value):
 
 def unsettle_phi_prime(monkeypatch, d):
     """Make the O(1) sign test settle neither phi' range at degree d."""
-    real, split = verify._phi_prime_settled, scroll._split3(d)
+    real, m = verify._phi_prime_settled, scroll._split3(d)[0]
+    at_d = (m, scroll.phi_derivative_coefficients(*scroll._split3(d)))
     monkeypatch.setattr(
-        verify, "_phi_prime_settled", lambda m, e: (False, False) if (m, e) == split else real(m, e)
+        verify, "_phi_prime_settled", lambda m, dphi: (False, False) if (m, dphi) == at_d else real(m, dphi)
     )
 
 
@@ -491,11 +492,11 @@ def test_phi_prime_settled_matches_both_walks():
     for d in range(4, 3001):
         m, eps = scroll._split3(d)
         walked = walked_phi_prime_signs(partial(scroll.phi_derivative, d), m, eps)
-        assert verify._phi_prime_settled(m, eps) == walked, d
+        assert verify._phi_prime_settled(m, scroll.phi_derivative_coefficients(m, eps)) == walked, d
 
 
 @pytest.mark.parametrize("d", [7, 40, 41])
-def test_phi_prime_settled_is_sound_for_any_quadratic(monkeypatch, d):
+def test_phi_prime_settled_is_sound_for_any_quadratic(d):
     # On every small quadratic (C, B, A), convex and linear ones included, a
     # range that the O(1) test settles passes its walk.
     m, eps = scroll._split3(d)
@@ -504,9 +505,8 @@ def test_phi_prime_settled_is_sound_for_any_quadratic(monkeypatch, d):
         def dphi(d, a):
             return (A * a + B) * a + C
 
-        monkeypatch.setattr(verify, "phi_derivative_coefficients", lambda m, e: (C, B, A))
         walked = walked_phi_prime_signs(partial(dphi, d), m, eps)
-        settled = verify._phi_prime_settled(m, eps)
+        settled = verify._phi_prime_settled(m, (C, B, A))
         assert all(map(le, settled, walked)), (C, B, A)
         verdicts.update(zip(settled, walked))
     assert verdicts == {(True, True), (False, True), (False, False)}
@@ -529,7 +529,7 @@ def test_a_passing_appendix_sweep_walks_phi_prime_at_its_last_degree(monkeypatch
 def test_appendix_decide_agrees_with_locate():
     # decide settles phi' in O(1), locate walks it: one verdict at every
     # degree, with the tabulated checks skipped as proved and run per degree
-    proved = verify._tabulated_proof([appendix_table(Poly.variable(), e) for e in scroll.FRAME_RESIDUES])
+    proved = tabulated_proof()
     for d in range(18, 3001):
         located = verify._appendix_check_one(d) is None
         assert verify._appendix_settled(proved, d) == verify._appendix_settled((False,) * 3, d) == located, d
@@ -805,10 +805,17 @@ def test_the_skipped_identities_have_degree_at_most_3_in_m(eps):
         assert m_degree(_k2_raw(DivisorClass(alpha, 3 * M + eps + 1 - 3 * alpha))) <= 3
 
 
+def tabulated_proof():
+    """verify._tabulated_proof on the tables and phi tuples in m that
+    verify_appendix hands it, looked up in verify as verify_appendix does."""
+    residues = scroll.FRAME_RESIDUES
+    return verify._tabulated_proof([verify.appendix_table(M, e) for e in residues],
+                                   [verify.phi_coefficients(M, e) for e in residues])
+
+
 def test_both_proofs_hold_on_every_residue():
     # so no passing run checks a proved identity per degree
-    tables = [appendix_table(M, e) for e in scroll.FRAME_RESIDUES]
-    assert verify._tabulated_proof(tables) == verify._ring_proof() == (True,) * 3
+    assert tabulated_proof() == verify._ring_proof() == (True,) * 3
 
 
 def test_proved_checks_run_at_the_four_points_and_at_the_last_degree(monkeypatch):
@@ -851,7 +858,7 @@ def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, fail
     name, extra = TABULATED_BREAKS[failure]
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda m, e: tuple(map(add, real(m, e), extra(m))))
-    assert verify._tabulated_proof([verify.appendix_table(M, e) for e in scroll.FRAME_RESIDUES]) == (False,) * 3
+    assert tabulated_proof() == (False,) * 3
     cert = verify_appendix(18, 60)
     assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": f"d=18: {failure}"}
 
@@ -861,16 +868,17 @@ def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, fail
     (2, lambda m: (m - 1) * (m - 3) * (m - 4), True),  # times m - 2 in the identity
     (1, lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), True),
     (2, lambda m: (m - 1) * (m - 2) * (m - 3) * (m - 4), False),
+    ("factor", (24, -50, 35, -10, 1), True),  # (m-1)(m-2)(m-3)(m-4) added to m - 2
 ])
 def test_a_break_vanishing_at_the_four_points(monkeypatch, index, extra, read_by_poly):
-    # The breaks of phi(0) = (m - 2)*phi0 and of phi(-m+1)'s entry vanish at
-    # the four points. Read from a Poly in m, they raise the identity's
-    # degree to at least 4, so nothing is proved and the sweep fails at its
-    # first degree. Added for int m only, a break escapes the degree read:
-    # decide skips the check, and locate, which runs every check at the last
-    # degree, raises there.
+    # The breaks of phi(0) = (m - 2)*phi0, of its factor m - 2 and of
+    # phi(-m+1)'s entry vanish at the four points. Read from a Poly in m,
+    # they raise the identity's degree to at least 4, so nothing is proved
+    # and the sweep fails at its first degree. Added for int m only, a break
+    # escapes the degree read: decide skips the check, and locate, which
+    # runs every check at the last degree, raises there.
     real = verify.appendix_table
-    failure = {1: "phi(-m+1) != -9m + 17 - 3e", 2: "phi(0) factorization fails"}[index]
+    failure = {1: "phi(-m+1) != -9m + 17 - 3e"}.get(index, "phi(0) factorization fails")
 
     def wrong(m, eps):
         values = list(real(m, eps))
@@ -878,7 +886,11 @@ def test_a_break_vanishing_at_the_four_points(monkeypatch, index, extra, read_by
             values[index] += extra(m)
         return tuple(values)
 
-    monkeypatch.setattr(verify, "appendix_table", wrong)
+    if index == "factor":
+        factor = tuple(map(add, verify.PHI_FACTORS[0] + (0, 0, 0), extra))
+        monkeypatch.setattr(verify, "PHI_FACTORS", (factor, verify.PHI_FACTORS[1]))
+    else:
+        monkeypatch.setattr(verify, "appendix_table", wrong)
     if read_by_poly:
         cert = verify_appendix(18, 60)
         assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": f"d=18: {failure}"}
@@ -1143,6 +1155,15 @@ def test_claim_map_is_complete_and_uniquely_generated():
     # order in which the cases are generated
     keys = [c.sort_key() for c in certs]
     assert len(set(keys)) == len(keys) == 21
+
+
+def test_certificates_of_one_claim_id_are_ordered_by_their_params(monkeypatch):
+    # R6's claim ids are made once per r, and their params break the tie in
+    # the merge, whatever order the cases and their certificates come in
+    want = verify_theorem(36, 60).to_json()
+    real = CASES["r6"]
+    monkeypatch.setitem(CASES, "r6", lambda d_from, d_to: real(d_from, d_to)[::-1])
+    assert verify_theorem(36, 60, cases=reversed(tuple(CASES))).to_json() == want
 
 
 def test_case_table_partitions_the_claims():
