@@ -18,11 +18,11 @@ arguments or out-of-domain inputs, 3 I/O failure.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bounds, scroll, verify
 from .exact import InconsistencyError, dumps, rat_str
@@ -35,6 +35,19 @@ SCAN_CSV_HEADER = [
     "d", "a", "alpha", "beta", "degree", "k2", "genus", "admissible", "extremal",
 ]
 VERIFY_CSV_HEADER = ["claim_id", "status", "params", "witness"]
+
+#: argparse keywords by flag, for build_parser and _verify_args; COMMON_OPTIONS end every command.
+COMMON_OPTIONS = {
+    "--format": {"dest": "format", "choices": FORMATS, "default": "table"},
+    "--out": {"dest": "out", "default": None, "help": "write output to this path instead of stdout"},
+}
+VERIFY_OPTIONS = {
+    "--from": {"dest": "d_from", "type": int, "default": 36},
+    "--to": {"dest": "d_to", "type": int, "default": 500},
+    "--no-timestamp": {"dest": "no_timestamp", "action": "store_true", "default": False,
+                       "help": "omit the generated_at field for byte-identical output"},
+    **COMMON_OPTIONS,
+}
 
 
 def _passes_through_dev(path: str) -> bool:
@@ -293,14 +306,16 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+def _add_options(p, options: dict, func) -> None:
+    for flag, keywords in options.items():
+        p.add_argument(flag, **keywords)
+    p.set_defaults(func=func)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The kbound parser, listing every command; only the named one, or each
     when command is None, gets its arguments and sub-commands."""
+    import argparse  # with gettext and locale, a cost that a plain verify run skips
     parser = argparse.ArgumentParser(
         prog="kbound",
         description="Exact genus/K^2 bounds, scroll divisor classes, and"
@@ -323,8 +338,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             if kind == "propagate":
                 bp.add_argument("--seed", required=True, help="three values, e.g. 4,9,16")
             bp.add_argument("--floor", action="store_true", help="print the integer floor")
-            _add_common(bp)
-            bp.set_defaults(func=_cmd_bound)
+            _add_options(bp, COMMON_OPTIONS, _cmd_bound)
 
     s = sub.add_parser("scroll", help="divisor classes on the degree-3 scroll")
     if command in (None, "scroll"):
@@ -336,25 +350,40 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 sp.add_argument("--beta", type=int, required=True)
             else:
                 sp.add_argument("--d", type=int, required=True)
-            _add_common(sp)
-            sp.set_defaults(func=_cmd_scroll)
+            _add_options(sp, COMMON_OPTIONS, _cmd_scroll)
 
     v = sub.add_parser("verify", help="produce certificates for the named case")
     if command in (None, "verify"):
         v.add_argument("case", choices=("all", *verify.CASES))
-        v.add_argument("--from", dest="d_from", type=int, default=36)
-        v.add_argument("--to", dest="d_to", type=int, default=500)
-        v.add_argument("--no-timestamp", action="store_true",
-                       help="omit the generated_at field for byte-identical output")
-        _add_common(v)
-        v.set_defaults(func=_cmd_verify)
+        _add_options(v, VERIFY_OPTIONS, _cmd_verify)
 
     return parser
 
 
+def _verify_args(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for ``verify CASE`` then whole VERIFY_OPTIONS pairs and switches;
+    None for argparse on ``-h``, ``--fr``, ``--to=40``, a bad value or one starting "-"."""
+    if len(argv) < 2 or argv[0] != "verify" or argv[1] not in ("all", *verify.CASES):
+        return None
+    values, tokens = {spec["dest"]: spec["default"] for spec in VERIFY_OPTIONS.values()}, iter(argv[2:])
+    try:
+        for flag in tokens:
+            spec = VERIFY_OPTIONS[flag]
+            if "action" in spec:  # store_true
+                values[spec["dest"]] = True
+            elif (value := next(tokens)).startswith("-") or value not in spec.get("choices", [value]):
+                return None
+            else:
+                values[spec["dest"]] = spec.get("type", str)(value)
+    except (KeyError, StopIteration, ValueError):  # not a flag, no value, not an int
+        return None
+    return SimpleNamespace(command="verify", case=argv[1], **values, func=_cmd_verify)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _verify_args(argv) or build_parser(
+        argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as exc:

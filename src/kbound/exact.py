@@ -237,13 +237,13 @@ class Poly(Frozen):
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.num[-1], self.den)
 
-    def __add__(self, other: "Poly | int | Fraction") -> "Poly":
-        if not isinstance(other, Poly):  # an int or Fraction, added in numerators
-            num = [x * other.denominator for x in self.num] or [0]
-            num[0] += other.numerator * self.den
+    def __add__(self, other: "Poly | int | Fraction", sign: int = 1, own: int = 1) -> "Poly":
+        if not isinstance(other, Poly):  # own * self + sign * other, each sign 1 or -1
+            num = [own * x * other.denominator for x in self.num] or [0]
+            num[0] += sign * other.numerator * self.den
             return Poly(num, self.den * other.denominator)
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
+        a, b = own * den // self.den, sign * den // other.den
         return Poly([x * a + y * b for x, y in zip_longest(self.num, other.num, fillvalue=0)], den)
 
     __radd__ = __add__
@@ -252,10 +252,10 @@ class Poly(Frozen):
         return Poly([-n for n in self.num], self.den)
 
     def __sub__(self, other: "Poly | int | Fraction") -> "Poly":
-        return self + -other
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: "Poly | int | Fraction") -> "Poly":
-        return -self + other
+        return self.__add__(other, 1, -1)
 
     def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
         if not isinstance(other, Poly):

@@ -72,6 +72,7 @@ class DivisorClass(Frozen):
 HYPERPLANE = DivisorClass(1, 0)
 RULING = DivisorClass(0, 1)
 CANONICAL = DivisorClass(-3, 1)  # K_T = -3H + W
+CANONICAL_HYPERPLANE = CANONICAL + HYPERPLANE  # K_T + H, added once for _genus_raw
 
 
 def triple_product(c1: DivisorClass, c2: DivisorClass, c3: DivisorClass) -> int:
@@ -136,7 +137,7 @@ def sectional_genus(c: DivisorClass) -> int:
 
 def _genus_raw(c: DivisorClass) -> int:
     """:func:`sectional_genus` with no admissibility gate."""
-    t = triple_product(c + CANONICAL + HYPERPLANE, c, HYPERPLANE)
+    t = triple_product(c + CANONICAL_HYPERPLANE, c, HYPERPLANE)
     if t % 2 != 0:
         raise InconsistencyError(f"odd 2g - 2 = {t} for class {c.text()}")
     g = (t + 2) // 2

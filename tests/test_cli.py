@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kbound
-from kbound import bounds
-from kbound.cli import build_parser, main
+from kbound import bounds, cli, verify
+from kbound.cli import VERIFY_OPTIONS, _verify_args, build_parser, main
 
 #: sha256 of ``verify all --from 36 --to 2000 --format json --no-timestamp``,
 #: the behaviour contract that every speed-up and refactor must keep.
@@ -229,7 +231,11 @@ def test_verify_rejects_jobs(capsys):
 PARSED_ARGVS = [
     [], ["-h"], ["--format", "json"], ["nope"], ["verify"], ["verify", "-h"], ["verify", "r9"],
     ["verify", "all", "--from", "36", "--to", "40", "--format", "csv", "--no-timestamp"],
-    ["verify", "r3", "--from", "x"], ["verify", "r3", "--jobs", "2"],
+    ["verify", "r3", "--from", "x"], ["verify", "r3", "--jobs", "2"], ["verify", "r3", "--fr", "36"],
+    ["verify", "r3", "--to=40"], ["verify", "--to", "40", "r3"], ["verify", "r3", "--from", "-5"],
+    ["verify", "r3", "--out"], ["verify", "r6", "--to", "80", "--no-timestamp", "--to", "90"],
+    ["verify", "r3", "--format", "xml"], ["verify", "r3", "--out", "-x"], ["verify", "r3", "--", "36"],
+    ["verify", "r3", "--out", "--no-timestamp"],
     ["bound"], ["bound", "-h"], ["bound", "pi2", "-h"], ["bound", "pi2", "--d", "18", "--floor"],
     ["bound", "castelnuovo", "--d", "18"], ["bound", "propagate", "--seed", "4,9,16", "--d", "20", "--d-to", "30"],
     ["scroll"], ["scroll", "-h"], ["scroll", "class", "-h"], ["scroll", "class", "--alpha", "3", "--beta", "-3"],
@@ -251,6 +257,70 @@ def test_a_parser_built_for_the_command_parses_alike(capsys, argv):
     # the same namespace, or the same exit code, stdout and stderr
     full = parsed(capsys, build_parser(), argv)
     assert parsed(capsys, build_parser(argv[0] if argv else None), argv) == full
+
+
+def argparse_reads(argv):
+    """vars() of the namespace the full parser gives argv, or its exit code."""
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+def test_the_verify_reader_gives_argparses_namespace_or_none(capsys, argv):
+    args = _verify_args(argv)
+    assert args is None or vars(args) == argparse_reads(argv)
+
+
+def _declared_option(flag):
+    """flag spelled as declared, with a value that it takes."""
+    spec = VERIFY_OPTIONS[flag]
+    if "action" in spec:
+        return st.just((flag,))
+    if "choices" in spec:
+        return st.tuples(st.just(flag), st.sampled_from(spec["choices"]))
+    values = st.integers(0, 3000).map(str) if spec.get("type") is int else st.sampled_from(["o.txt", "", "r3"])
+    return st.tuples(st.just(flag), values)
+
+
+DECLARED_OPTION = st.sampled_from(list(VERIFY_OPTIONS)).flatmap(_declared_option)
+#: Tokens that argparse alone takes or refuses: abbreviations, "=", help, "--",
+#: an unknown flag, and values that are negative, not numbers or not choices.
+ODD_FLAGS = ["--fr", "--t", "--form", "--no-time", "--o", "--from=40", "--format=csv",
+             "-h", "--help", "--", "--jobs"]
+ODD_VALUES = ["+37", " 38", "3_9", "-5", "-x", "x", "", "1e3", "xml", "-", "all", "--to"]
+ODD_OPTION = st.one_of(
+    st.tuples(st.sampled_from(list(VERIFY_OPTIONS)), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.sampled_from(ODD_FLAGS), st.sampled_from(["36", *ODD_VALUES])),
+    st.tuples(st.sampled_from([*VERIFY_OPTIONS, *ODD_FLAGS])),  # alone, or missing its value
+)
+
+
+@given(
+    case=st.sampled_from(["all", *verify.CASES, "r9"]),
+    options=st.lists(DECLARED_OPTION, max_size=6),  # a repeated flag takes the last value
+    odd=st.none() | st.tuples(st.integers(1, 14), ODD_OPTION),  # index 1 is before the case
+)
+def test_the_verify_reader_agrees_with_argparse(case, options, odd):
+    # the reader either declines (None) or gives exactly argparse's namespace,
+    # so argparse accepts every argv that the reader accepts
+    argv = ["verify", case, *(t for option in options for t in option)]
+    if odd is not None:
+        argv[odd[0]:odd[0]] = odd[1]  # past the end, a trailing token
+    args = _verify_args(argv)
+    assert args is None or vars(args) == argparse_reads(argv)
+
+
+def test_a_plain_verify_argv_is_read_without_argparse(capsys, monkeypatch):
+    def refuse(command=None):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run_cli(capsys, "verify", "r3", "--from", "36", "--to", "40", "--no-timestamp",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("R3.direct,verified,")
 
 
 def test_verify_run_loads_no_process_pool(tmp_path):

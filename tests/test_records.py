@@ -186,10 +186,11 @@ def test_hilbert_profile_names_the_first_bad_value(d, prefix, message):
     assert str(info.value) == message
 
 
-def test_cli_import_loads_no_dataclasses_inspect_csv_datetime_random_tempfile_shutil_or_json():
+def test_cli_import_loads_no_dataclasses_inspect_csv_datetime_random_tempfile_shutil_json_or_argparse():
     # -S: no site module, whose .pth files may import any of these first.
     src = Path(__file__).resolve().parents[1] / "src"
-    deferred = {"typing", "dataclasses", "inspect", "csv", "datetime", "random", "tempfile", "shutil", "json"}
+    deferred = {"typing", "dataclasses", "inspect", "csv", "datetime", "random", "tempfile", "shutil", "json",
+                "argparse", "gettext", "locale"}
     code = f"import sys, kbound.cli; print(sorted(set(sys.modules) & {deferred!r}))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -199,18 +200,20 @@ def test_cli_import_loads_no_dataclasses_inspect_csv_datetime_random_tempfile_sh
     assert out.stdout == "[]\n"
 
 
-def test_verify_runs_load_no_json():
+def test_verify_runs_load_no_json_or_argparse():
     # exact.dumps writes the JSON document and the CSV params and witness
-    # columns; -S as above
+    # columns, and cli reads a plain verify argv without argparse (which
+    # brings gettext and locale); -S as above
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import contextlib, io, sys\n"
         "from kbound import cli\n"
-        "for fmt in ('json', 'csv'):\n"
+        "for fmt in ('json', 'csv', 'table'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(['verify', 'all', '--from', '36', '--to', '40',"
         " '--format', fmt, '--no-timestamp']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('json', '_json')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0]"
+        " in ('json', '_json', 'argparse', 'gettext', 'locale')))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
