@@ -25,7 +25,10 @@ the admissible classes of degree d are exactly
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count
+from operator import add
 
 from .exact import (
     FrameRangeError,
@@ -298,23 +301,47 @@ def frame_k2(d: int) -> list[int]:
     return forward_walk(lambda a: phi(d, a) if a == a_star else _horner(cubic, a), -m, a_star, 3)
 
 
-def minimize_k2(d: int) -> KsqMinimum:
-    """Brute-force minimum of phi over every integer a in [-m, a*].
+def k2_step(alpha: int) -> int:
+    """K^2 of alpha*H + (d + 1 - 3alpha)W less that of alpha*H + (d - 3alpha)W:
+    K^2 = (K_T + S)^2.S is linear in beta, with this slope."""
+    return 3 * (alpha - 1) * (alpha - 3)
 
-    The range has O(d) points and the arithmetic is exact, which makes this
-    the trustworthy oracle against which the closed forms
-    (-d(d-6) for even d, -d^2/4 + d/2 + 35/4 for odd d) are claims. The
-    values are those of :func:`frame_k2`; a_min is the least minimizing a.
-    Where the last value, at a*, is below all others, one pass settles it.
-    """
-    values = frame_k2(d)
+
+def frame_walk(lo: int) -> Iterator[list[int]]:
+    """:func:`frame_k2` of d = lo, lo + 1, ...: the first by frame_k2, then
+    each class alpha = m + 1 + a moves by k2_step(alpha), and phi gives the
+    class entering at a* as d // 2 grows. The last walked value is
+    re-checked against :func:`phi` at each degree (InconsistencyError)."""
+    frame, steps = frame_k2(lo), list(map(k2_step, range(1, lo // 2 + 1)))
+    for d in count(lo + 1):
+        yield frame
+        frame, m = list(map(add, frame, steps)), _split3(d)[0]
+        if frame[-1] != (direct := phi(d, len(frame) - 1 - m)):
+            raise InconsistencyError(f"frame walk gives {frame[-1]} at d={d}, direct evaluation {direct}")
+        if d % 2 == 0:  # d // 2 grew
+            frame.append(phi(d, len(frame) - m))
+            steps.append(k2_step(len(frame)))
+
+
+def frame_minimum(d: int, values: list[int]) -> KsqMinimum:
+    """The least of d's frame values, its least a and whether it is unique,
+    in one pass where the last value, at a*, is below all others."""
     last, m = values.pop(), _split3(d)[0]
-    if last < min(values):
-        return KsqMinimum(d=d, a_min=len(values) - m, k2_min=last, unique=True)
-    values.append(last)
+    below = last < min(values)
+    values.append(last)  # as it was, for a walk to go on from
+    if below:
+        return KsqMinimum(d=d, a_min=len(values) - 1 - m, k2_min=last, unique=True)
     best = min(values)
     first = values.index(best)
     return KsqMinimum(d=d, a_min=first - m, k2_min=best, unique=best not in values[first + 1:])
+
+
+def minimize_k2(d: int) -> KsqMinimum:
+    """Brute-force minimum of phi over every integer a in [-m, a*], from
+    :func:`frame_k2`: O(d) exact points, the trustworthy oracle against
+    which the closed forms (-d(d-6) for even d, -d^2/4 + d/2 + 35/4 for odd
+    d) are claims."""
+    return frame_minimum(d, frame_k2(d))
 
 
 #: K^2 = -d(d-6) of the extremal class, the bound the package certifies.

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import compress, count, filterfalse, repeat
 from math import lcm
 from operator import eq, ge, le
@@ -89,8 +89,11 @@ from .scroll import (
     derivative,
     discriminant,
     extremal_class,
+    frame_minimum,
+    frame_walk,
     k2_min_closed_form,
     k2_min_form,
+    k2_step,
     minimize_k2,
     phi,
     phi_coefficients,
@@ -398,12 +401,12 @@ X_SAMPLES = (Fraction(17, 2), Fraction(49, 8), Fraction(51, 8))
 SQUARE_COMPLETION_SAMPLES = ((55, 22), (51, 20), (55, 49), (28, 12), (22, 4), (10, 2))
 
 
-def _int_at(p: Poly, x: int, what: str) -> int:
+def _int_at(p: Poly, x: int, what: str, *args) -> int:
     """p(x) as an int: the value of the numerators divided by the positive
-    denominator, with InconsistencyError if that leaves a remainder."""
+    denominator, with InconsistencyError naming what.format(*args) if not."""
     value, rem = divmod(_horner(p.num, x), p.den)
     if rem:
-        raise InconsistencyError(f"{what} is not an integer: {rat_str(p(x))}")
+        raise InconsistencyError(f"{what.format(*args)} is not an integer: {rat_str(p(x))}")
     return value
 
 
@@ -718,8 +721,8 @@ def verify_r5_remark() -> Certificate:
 
 def _r5_abs_int_check(g4: tuple[Poly, ...], g5: tuple[Poly, ...], d: int) -> bool:
     # g4[v] is G(4;d,5) on (d - 1) mod 5 = v, g5[e] is G(5;d) on (d - 1) mod 4 = e
-    lhs = _int_at(g4[(d - 1) % len(g4)], d, f"G(4;{d},5)")
-    return lhs < _int_at(g5[(d - 1) % len(g5)], d, f"G(5;{d})")
+    lhs = _int_at(g4[(d - 1) % len(g4)], d, "G(4;{},5)", d)
+    return lhs < _int_at(g5[(d - 1) % len(g5)], d, "G(5;{})", d)
 
 
 def _r5_abs_check_one(d: int) -> int | None:
@@ -786,7 +789,7 @@ def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: i
     for h in seed:
         c = -((h - d) // step)  # the column's values below d: h + k*step for k < c
         genus += c * (d - h) - step * c * (c - 1) // 2
-    return genus <= _int_at(g4[v], d, f"G(4;{d},5)")
+    return genus <= _int_at(g4[v], d, "G(4;{},5)", d)
 
 
 def _r5_profile_check_one(seed: tuple[int, int, int], d: int) -> str | None:
@@ -835,8 +838,8 @@ def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int)
     # polynomial in p and g44[q] is G(4;d,4); EXTREMAL_GENUS has a positive
     # denominator, which multiplies the right side
     p, q = divmod(d - 1, len(defects))
-    w = _int_at(defects[q], p, f"weighted defect sum at d={d}")
-    rhs = -w + (d - 4) * _int_at(g44[(d - 1) % len(g44)], d, f"G(4;{d},4)")
+    w = _int_at(defects[q], p, "weighted defect sum at d={}", d)
+    rhs = -w + (d - 4) * _int_at(g44[(d - 1) % len(g44)], d, "G(4;{},4)", d)
     return (d - 3) * _horner(EXTREMAL_GENUS.num, d) > rhs * EXTREMAL_GENUS.den
 
 
@@ -915,14 +918,44 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
 PHI_FACTORS = ((-2, 1), (-1, 1))
 
 
-#: minimize_k2 cached for one verify_theorem call, so that APPENDIX.min and
-#: SHARPNESS share one frame scan per degree; None outside a run.
+#: The frame minima of one verify_theorem call, shared by APPENDIX.min and
+#: SHARPNESS; None outside a run and where :func:`_step_proof` fails.
 _MINIMA: ContextVar[Callable[[int], KsqMinimum] | None] = ContextVar("_MINIMA", default=None)
 
 
+def _walked_minima() -> Callable[[int], KsqMinimum]:
+    """minimize_k2's values, memoized and read off frame_walk: a new degree
+    one past the walk's last advances it, any other starts a new walk."""
+    memo, walks = {}, {}  # walks holds the live walk under its next degree
+    def minimum(d: int) -> KsqMinimum:
+        if d not in memo:
+            walk = walks.pop(d, None) or frame_walk(d)
+            walks.clear()
+            memo[d] = frame_minimum(d, next(walk))
+            walks[d + 1] = walk
+        return memo[d]
+    return minimum
+
+
 def _minimum(d: int) -> KsqMinimum:
-    """minimize_k2(d), computed at most once per verify_theorem call."""
+    """minimize_k2(d), or within a verify_theorem call the run's walked one."""
     return (_MINIMA.get() or minimize_k2)(d)
+
+
+def _step_proof() -> tuple[bool, ...]:
+    """Per frame residue eps, whether phi(d + 1, alpha - m' - 1) - phi(d,
+    alpha - m - 1) = k2_step(alpha) at every d = 3m + eps + 1. In m the move
+    has the degree read from phi at eps and eps + 1, in alpha at most 3 (phi
+    is cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle it."""
+    x = Poly.variable()
+    cubics = [phi_coefficients(x, eps) for eps in FRAME_RESIDUES]
+    def fault(m: int, eps: int) -> int | None:
+        m1, e1 = _split3(len(FRAME_RESIDUES) * m + eps + 2)
+        here, there = phi_coefficients(m, eps), phi_coefficients(m1, e1)
+        return next((alpha for alpha in (1, 2, 3, 4)
+                     if _horner(there, alpha - m1 - 1) - _horner(here, alpha - m - 1) != k2_step(alpha)), None)
+    return tuple(k2_step(x).degree <= 3 and _proved(fault, eps, cubics[eps], cubics[(eps + 1) % len(cubics)])
+                 for eps in FRAME_RESIDUES)
 
 
 def _phi_prime_settled(m: int, dphi: tuple) -> tuple[bool, bool]:
@@ -962,15 +995,18 @@ def _tabulated_fault(m: int, eps: int) -> str | None:
 def _appendix_fault(d: int, m: int, eps: int, dphi: tuple, locate: bool) -> str | None:
     """APPENDIX.min's first failing check at d = 3m + eps + 1, where phi' has
     the coefficients dphi, written out, or None; only locate runs the
-    tabulated checks and walks both phi' sign ranges."""
+    tabulated checks and minimize_k2 (InconsistencyError if it differs from
+    the run's minimum) and walks both phi' sign ranges."""
     a_star = _a_star(m, eps)
     rise_lo = -m + 2
     try:
-        res = _minimum(d)
+        res = minimize_k2(d) if locate else _minimum(d)
         rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if locate else ()
         falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if locate else ()
     except InconsistencyError as exc:
         return str(exc)
+    if locate and (walked := _MINIMA.get()) and walked(d) != res:
+        raise InconsistencyError(f"d={d}: the run's frame minimum {walked(d)!r} differs from {res!r}")
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
         return f"minimum {res.k2_min} below -d(d-6) = {bound}"
@@ -1034,7 +1070,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     sign pattern of phi' that drive the minimization argument. The sweep
     decides that pattern from phi' at its range ends and its curvature, and
     skips tabulated checks proved per residue; locate runs every check and
-    walks both ranges, at the last degree and at a rejected one."""
+    minimize_k2 and walks both ranges, at the last degree and at a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1158,7 +1194,7 @@ def _sharpness_ring_check(d: int) -> str | None:
 
 def _sharpness_check_one(ring: tuple[bool, ...], d: int) -> bool:
     """SHARPNESS's decide at d, on the frame minimum shared with APPENDIX.min
-    once the ring matches phi: as ring[eps] proves, or by :func:`_ring_mismatch`."""
+    in a run, once the ring matches phi: as ring[eps] proves, or by :func:`_ring_mismatch`."""
     m, eps = _split3(d)
     if not ring[eps] and _ring_mismatch(d) is not None:
         return False
@@ -1177,11 +1213,11 @@ def verify_sharpness(d_from: int, d_to: int) -> Certificate:
     """Every admissible class of each degree in range: even degrees attain
     K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees never reach it.
 
-    Each degree is decided from the frame scan of minimize_k2 (shared with
-    APPENDIX.min within verify_theorem, computed here when called directly)
-    once the intersection ring agrees with phi at five classes, as proved
-    per frame residue. The full ring walk locates the failure at a rejected
-    degree and re-checks the sweep's last degree."""
+    Each degree is decided from its frame minimum (within verify_theorem,
+    walked across degrees and shared with APPENDIX.min; minimize_k2 when
+    called directly) once the intersection ring agrees with phi at five
+    classes, as proved per frame residue. The full ring walk locates the
+    failure at a rejected degree and re-checks the sweep's last degree."""
     b = _Builder("SHARPNESS", (d_from, d_to), 36)
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
@@ -1264,7 +1300,7 @@ def verify_theorem(d_from: int, d_to: int, *, cases: Iterable[str] = CASES) -> C
     """
     if d_from > d_to:
         raise ValueError("empty degree range")
-    minima = _MINIMA.set(cache(minimize_k2))
+    minima = _MINIMA.set(_walked_minima() if all(_step_proof()) else None)
     try:
         made = [c for case in cases for c in CASES[case](d_from, d_to)]
     finally:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -320,6 +321,52 @@ def test_minimize_finds_the_least_a_of_a_repeated_minimum(monkeypatch, lows):
     monkeypatch.setattr(scroll, "frame_k2", frame)
     res = minimize_k2(40)
     assert (res.a_min, res.k2_min, res.unique) == (-13 + lows[0], low, len(lows) == 1)
+
+
+def test_k2_moves_by_the_step_at_a_fixed_alpha():
+    # the class alpha*H + (d - 3alpha)W against the oracle, and against phi
+    # across a change of frame residue
+    for alpha in range(-3, 30):
+        for d in range(4, 60):
+            step = k2_oracle(alpha, d + 1 - 3 * alpha) - k2_oracle(alpha, d - 3 * alpha)
+            assert scroll.k2_step(alpha) == step, (alpha, d)
+            m, m1 = (d - 1) // 3, d // 3
+            assert phi(d + 1, alpha - m1 - 1) - phi(d, alpha - m - 1) == step, (alpha, d)
+
+
+@pytest.fixture(scope="module")
+def minima():
+    return {d: minimize_k2(d) for d in range(4, 3001)}
+
+
+@pytest.mark.parametrize("lo", [4, 5, 6, 18, 36])
+def test_the_frame_walk_gives_minimize_k2s_minimum_at_every_degree(minima, lo):
+    walk = scroll.frame_walk(lo)
+    for d in range(lo, 3001):
+        frame = next(walk)
+        if d <= 400:
+            assert frame == scroll.frame_k2(d), d
+        assert scroll.frame_minimum(d, frame) == minima[d], d
+
+
+def test_frame_minimum_leaves_its_values_as_they_were():
+    for d in (5, 6, 40):  # three passes below d = 10, one from there on
+        values = scroll.frame_k2(d)
+        scroll.frame_minimum(d, values)
+        assert values == scroll.frame_k2(d)
+
+
+@pytest.mark.parametrize("d", [40, 41])
+def test_a_doctored_frame_mid_walk_fails_the_next_degrees_end_check(d):
+    # from d = 40 to 41 the frame keeps its 20 classes and the last walked
+    # value is checked against phi at a*; from 41 to 42 a class enters at
+    # a*, and the last walked value is checked against phi at a* - 1
+    walk = scroll.frame_walk(36)
+    frame = next(islice(walk, d - 36, None))
+    assert frame == scroll.frame_k2(d)
+    frame[-1] += 1
+    with pytest.raises(InconsistencyError, match=f"^frame walk gives .* at d={d + 1}, direct evaluation"):
+        next(walk)
 
 
 def test_minimize_below_asserted_range_is_flagged():

@@ -678,35 +678,125 @@ def test_sharpness_certificate_alone_equals_the_full_runs():
     assert alone == verify_sharpness(36, 400).to_json_dict()
 
 
+def spy_minima(monkeypatch) -> dict[str, list]:
+    """Records the degrees of every frame_k2 and every minimize_k2 that
+    verify calls, and each frame walk as [its first degree, frames read]."""
+    calls = {"frame_k2": [], "minimize_k2": [], "walks": []}
+    real_frame, real_minimize, real_walk = scroll.frame_k2, verify.minimize_k2, verify.frame_walk
+
+    def walk(lo):
+        calls["walks"].append(record := [lo, 0])
+        for frame in real_walk(lo):
+            record[1] += 1
+            yield frame
+
+    monkeypatch.setattr(scroll, "frame_k2", lambda d: calls["frame_k2"].append(d) or real_frame(d))
+    monkeypatch.setattr(verify, "minimize_k2", lambda d: calls["minimize_k2"].append(d) or real_minimize(d))
+    monkeypatch.setattr(verify, "frame_walk", walk)
+    return calls
+
+
 def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
-    calls = []
-    real = verify.minimize_k2
-    monkeypatch.setattr(verify, "minimize_k2", lambda d: calls.append(d) or real(d))
+    calls = spy_minima(monkeypatch)
     verify_theorem(36, 100)
-    assert calls == list(range(36, 101))  # APPENDIX.min's, then read by SHARPNESS
+    # APPENDIX.min's decide walks 36 .. 100 from one frame_k2, SHARPNESS
+    # reads every degree off the run's memo, and APPENDIX.min's locate
+    # minimizes the last degree itself
+    assert calls == {"frame_k2": [36, 100], "minimize_k2": [100], "walks": [[36, 65]]}
     assert verify._MINIMA.get() is None
-    calls.clear()
     # a builder called directly computes its own, once per degree: locate
     # at d = 40 walks the intersection ring, not the frame
+    calls = spy_minima(monkeypatch)
     verify_sharpness(36, 40)
-    assert calls == [36, 37, 38, 39, 40]
+    assert calls == {"frame_k2": [36, 37, 38, 39, 40], "minimize_k2": [36, 37, 38, 39, 40], "walks": []}
 
 
 def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
-    calls = []
-    real = verify.minimize_k2
-    monkeypatch.setattr(verify, "minimize_k2", lambda d: calls.append(d) or real(d))
+    calls = spy_minima(monkeypatch)
 
     def boom(ring, d):
-        # APPENDIX.min scanned d, and the run's cache answers without a second scan
+        # APPENDIX.min walked 36 .. 40, and the run's memo answers without
+        # another walk
         assert verify._MINIMA.get()(d).d == d
-        assert calls == list(range(36, 41))
+        assert calls == {"frame_k2": [36, 40], "minimize_k2": [40], "walks": [[36, 5]]}
         raise RuntimeError(f"check failed at d={d}")
 
     monkeypatch.setattr(verify, "_sharpness_check_one", boom)
     with pytest.raises(RuntimeError, match="d=36"):
         verify_theorem(36, 40, cases=["appendix", "sharpness"])
     assert verify._MINIMA.get() is None
+
+
+def test_the_run_memo_advances_its_walk_only_to_the_next_degree(monkeypatch):
+    calls = spy_minima(monkeypatch)
+    minimum = verify._walked_minima()
+    for d in (40, 41, 100, 41, 101, 42, 43):
+        assert minimum(d) == scroll.minimize_k2(d), d
+    # 41 is remembered; 42 is not 101's successor, so a walk starts there
+    assert calls["walks"] == [[40, 2], [100, 2], [42, 2]]
+
+
+def test_the_run_memo_restarts_a_walk_that_raised(monkeypatch):
+    # the step of the class alpha = 20 is off by one from d = 40 to 41,
+    # which the walk's end check at d = 41 finds
+    real = scroll.k2_step
+    monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
+    minimum = verify._walked_minima()
+    assert minimum(40) == scroll.minimize_k2(40)
+    with pytest.raises(InconsistencyError, match="^frame walk gives .* at d=41"):
+        minimum(41)
+    assert minimum(41) == scroll.minimize_k2(41)  # from a new walk
+
+
+def test_a_walk_that_breaks_mid_run_makes_the_routes_disagree(monkeypatch):
+    # the walk alone takes a wrong step for the class alpha = 20, which
+    # enters at d = 40; the proof reads verify's k2_step and holds, so the
+    # end check at d = 41 rejects there, and locate, on minimize_k2, passes
+    real = scroll.k2_step
+    monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
+    assert verify._step_proof() == (True,) * 3
+    with pytest.raises(InconsistencyError, match="^APPENDIX.min at d=41: decide rejects, locate gives None$"):
+        verify_theorem(36, 60, cases=("appendix",))
+    assert verify._MINIMA.get() is None
+
+
+STEP_DOCTORS = {
+    "step off at alpha = 2": (lambda alpha: (alpha == 2), None, (False,) * 3),
+    "step off past alpha = 4": (lambda alpha: (alpha - 1) * (alpha - 2) * (alpha - 3) * (alpha - 4), None, (False,) * 3),
+    "phi + a": (lambda alpha: 0, (0, 1, 0, 0), (True, True, False)),  # breaks only where m moves
+}
+
+
+@pytest.mark.parametrize("name", STEP_DOCTORS)
+def test_a_broken_step_identity_leaves_each_degree_to_minimize_k2(monkeypatch, name):
+    extra, wrong, proof = STEP_DOCTORS[name]
+    expected = verify_theorem(36, 60, cases=("appendix", "sharpness")).to_json_dict()
+    real_step, real_phi = scroll.k2_step, scroll.phi_coefficients
+    for module in (scroll, verify):
+        monkeypatch.setattr(module, "k2_step", lambda alpha: real_step(alpha) + extra(alpha))
+        if wrong:
+            monkeypatch.setattr(module, "phi_coefficients", lambda m, e: tuple(map(add, real_phi(m, e), wrong)))
+    assert verify._step_proof() == proof
+    calls = spy_minima(monkeypatch)
+    verdict = verify_theorem(36, 60, cases=("appendix", "sharpness"))
+    assert calls["walks"] == [] and 36 in calls["minimize_k2"]
+    if not wrong:  # a wrong step alone leaves the claims as they were
+        assert calls["minimize_k2"] == [*range(36, 61), 60, *range(36, 61)]
+        assert verdict.to_json_dict() == expected
+
+
+def test_appendix_locate_raises_where_the_runs_minimum_differs(monkeypatch):
+    # the run's minimum at d = 101 claims a second attainer, which no odd
+    # degree's decide reads; locate's own minimize_k2 does not
+    real = verify.frame_minimum
+
+    def frame_minimum(d, values):
+        res = real(d, values)
+        return KsqMinimum(d, res.a_min, res.k2_min, res.unique and d != 101)
+
+    monkeypatch.setattr(verify, "frame_minimum", frame_minimum)
+    with pytest.raises(InconsistencyError, match=r"^d=101: the run's frame minimum KsqMinimum\(d=101, .*unique=False\) differs"):
+        verify_theorem(100, 101, cases=("appendix",))
 
 
 def test_sweep_failure_is_recorded_at_its_degree(monkeypatch):
@@ -1000,6 +1090,21 @@ def test_integer_checks_raise_on_a_non_integer_genus_bound():
         verify._r5_abs_int_check(G4, (half,) * 4, 41)
     with pytest.raises(InconsistencyError, match=r"G\(4;41,5\) is not an integer"):
         verify._r5_profile_int_check((4, 9, 16), (half,) * 5, 41)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda half: verify._r5_abs_int_check((half,) * 5, castelnuovo_polys(5), 41), "G(4;41,5)"),
+    (lambda half: verify._r5_abs_int_check(G4, (half,) * 4, 41), "G(5;41)"),
+    (lambda half: verify._r5_profile_int_check((4, 9, 16), (half,) * 5, 41), "G(4;41,5)"),
+    (lambda half: verify._r5_deg4_int_check((half,) * 4, pi1_polys(), 41), "weighted defect sum at d=41"),
+    (lambda half: verify._r5_deg4_int_check(weighted_defect_polys(), (half,) * 4, 41), "G(4;41,4)"),
+    (lambda half: verify._int_at(half, 41, "-d(d-6)"), "-d(d-6)"),
+])
+def test_a_non_integer_value_is_named_in_full(check, message):
+    # each decide hands _int_at its label as a format and the degree
+    with pytest.raises(InconsistencyError) as exc:
+        check(Poly.of(Fraction(1, 2)))
+    assert str(exc.value) == f"{message} is not an integer: 1/2"
 
 
 def test_each_sweep_rechecks_its_last_degree_through_the_scalar_api(monkeypatch):
