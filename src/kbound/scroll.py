@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count
-from operator import add
+from operator import mul, sub
 
 from .exact import (
     FrameRangeError,
@@ -307,20 +307,81 @@ def k2_step(alpha: int) -> int:
     return 3 * (alpha - 1) * (alpha - 3)
 
 
-def frame_walk(lo: int) -> Iterator[list[int]]:
-    """:func:`frame_k2` of d = lo, lo + 1, ...: the first by frame_k2, then
-    each class alpha = m + 1 + a moves by k2_step(alpha), and phi gives the
-    class entering at a* as d // 2 grows. The last walked value is
-    re-checked against :func:`phi` at each degree (InconsistencyError)."""
-    frame, steps = frame_k2(lo), list(map(k2_step, range(1, lo // 2 + 1)))
-    for d in count(lo + 1):
-        yield frame
-        frame, m = list(map(add, frame, steps)), _split3(d)[0]
-        if frame[-1] != (direct := phi(d, len(frame) - 1 - m)):
-            raise InconsistencyError(f"frame walk gives {frame[-1]} at d={d}, direct evaluation {direct}")
-        if d % 2 == 0:  # d // 2 grew
-            frame.append(phi(d, len(frame) - m))
-            steps.append(k2_step(len(frame)))
+def _cubic_sum(cubic: tuple, lo: int, hi: int) -> int:
+    """The sum of the cubic (c0, c1, c2, c3) over [lo, hi], from the sums of
+    a^k over 1 <= a <= x, k <= 3: polynomials in x, true at every integer x."""
+    def power_sums(x: int) -> tuple[int, int, int, int]:
+        t = x * (x + 1) // 2
+        return x, t, t * (2 * x + 1) // 3, t * t
+    return sum(map(mul, cubic, map(sub, power_sums(hi), power_sums(lo - 1))))
+
+
+def frame_sum(d: int) -> int:
+    """sum(frame_k2(d)), the sum of phi(d, a) over [-m, a*], in closed form."""
+    m, eps = _split3(d)
+    return _cubic_sum(phi_coefficients(m, eps), -m, _a_star(m, eps))
+
+
+def _lane_width(lanes: list[int]) -> int:
+    """The least multiple of 8, w, with each of lanes + 2^(w - 2) below a w-bit lane's guard bit w - 1."""
+    return (max(max(lanes), ~min(lanes)).bit_length() + 9) // 8 * 8
+
+
+def unpack_frame(packed: int, w: int, n: int) -> list[int]:
+    """The n lanes of a :func:`frame_walk` frame packed in w-bit lanes."""
+    raw, k = packed.to_bytes(n * w // 8, "little"), w // 8
+    return [int.from_bytes(raw[i:i + k], "little") - (1 << w - 2) for i in range(0, len(raw), k)]
+
+
+def _packed_frame(values: list[int], w: int) -> tuple[int, int, int, int, int]:
+    """(w', frame, steps, guards, ones): values and their classes' k2_step,
+    each + 2^(w' - 2) in a lane of the least width w' from w up that holds
+    both, and the lanes' guard bits w' - 1 and bits 0."""
+    n, steps = len(values), list(map(k2_step, range(1, len(values) + 1)))
+    lanes, w = values + steps, max(w, _lane_width(values + steps))
+    while min(lanes) < -(bias := 1 << w - 2) or max(lanes) >= bias:  # whatever _lane_width says
+        w += 8
+    both = int.from_bytes(b"".join((x + bias).to_bytes(w // 8, "little") for x in lanes), "little")
+    ones = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * n, "little")
+    return w, both & (1 << w * n) - 1, (both >> w * n) - bias * ones, ones << w - 1, ones
+
+
+def frame_walk(lo: int) -> Iterator[tuple[KsqMinimum, int, int]]:
+    """For d = lo, lo + 1, ...: d's :class:`KsqMinimum`, its frame packed in
+    w-bit lanes (:func:`unpack_frame`), and w. Each degree adds every class's
+    k2_step to frame_k2(lo) in one integer addition; phi gives the class
+    entering at a*. A lane leaving its range sets its guard bit, and the step
+    is taken back and the lanes widen. Each degree checks the last walked
+    value against phi and the lanes' sum against :func:`frame_sum` (InconsistencyError)."""
+    values = frame_k2(lo)
+    n, (w, frame, steps, guards, ones) = len(values), _packed_frame(values, 8)
+    for d in count(lo):
+        m, eps = _split3(d)
+        if d > lo:
+            cubic, frame = phi_coefficients(m, eps), frame + steps  # phi(d, a) is _horner(cubic, a)
+            while frame & guards:  # a lane left its range
+                w, frame, steps, guards, ones = _packed_frame(unpack_frame(frame - steps, w, n), w + 8)
+                frame += steps
+            if (walked := (frame >> w * (n - 1)) - (1 << w - 2)) != (direct := _horner(cubic, n - 1 - m)):
+                raise InconsistencyError(f"frame walk gives {walked} at d={d}, direct evaluation {direct}")
+            if d % 2 == 0:  # d // 2 grew: class n + 1 enters at a*
+                value, step, bias = _horner(cubic, n - m), k2_step(n + 1), 1 << w - 2
+                if -bias <= min(value, step) and max(value, step) < bias:
+                    frame, steps = frame | value + bias << w * n, steps + (step << w * n)
+                    ones, guards = ones | 1 << w * n, guards | 1 << w * n + w - 1
+                else:
+                    w, frame, steps, guards, ones = _packed_frame(unpack_frame(frame, w, n) + [value], w)
+                n += 1
+            total, folded = _cubic_sum(cubic, -m, n - 1 - m) + n * (1 << w - 2), frame  # frame_sum(d), biased
+            while (size := folded.bit_length()) > 64 * w:  # folded in halves, as 2^w = 1 mod 2^w - 1
+                folded = (folded >> (half := size // (2 * w) * w)) + (folded & (1 << half) - 1)
+            if folded % ((1 << w) - 1) != total % ((1 << w) - 1):  # below 64 lanes % is the cheaper
+                raise InconsistencyError(f"frame walk's lanes do not sum to {total} mod 2^{w} - 1 at d={d}")
+        last = (frame >> w * (n - 1)) - (bias := 1 << w - 2)  # one pass: a guard set where K^2 > last
+        if ((frame + guards - (last + 1 + bias) * ones) & guards).bit_count() == n - 1:
+            yield KsqMinimum(d, n - 1 - m, last, True), frame, w
+        else:
+            yield frame_minimum(d, unpack_frame(frame, w, n)), frame, w
 
 
 def frame_minimum(d: int, values: list[int]) -> KsqMinimum:
@@ -328,7 +389,7 @@ def frame_minimum(d: int, values: list[int]) -> KsqMinimum:
     in one pass where the last value, at a*, is below all others."""
     last, m = values.pop(), _split3(d)[0]
     below = last < min(values)
-    values.append(last)  # as it was, for a walk to go on from
+    values.append(last)  # as it was
     if below:
         return KsqMinimum(d=d, a_min=len(values) - 1 - m, k2_min=last, unique=True)
     best = min(values)

@@ -89,7 +89,6 @@ from .scroll import (
     derivative,
     discriminant,
     extremal_class,
-    frame_minimum,
     frame_walk,
     k2_min_closed_form,
     k2_min_form,
@@ -931,7 +930,7 @@ def _walked_minima() -> Callable[[int], KsqMinimum]:
         if d not in memo:
             walk = walks.pop(d, None) or frame_walk(d)
             walks.clear()
-            memo[d] = frame_minimum(d, next(walk))
+            memo[d] = next(walk)[0]
             walks[d + 1] = walk
         return memo[d]
     return minimum

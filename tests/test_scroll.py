@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import islice
 from math import isqrt
 
 import pytest
@@ -12,6 +11,7 @@ from kbound.scroll import (
     CANONICAL,
     DivisorClass,
     HYPERPLANE,
+    KsqMinimum,
     RULING,
     ScrollFrame,
     class_from_frame,
@@ -341,12 +341,15 @@ def minima():
 
 @pytest.mark.parametrize("lo", [4, 5, 6, 18, 36])
 def test_the_frame_walk_gives_minimize_k2s_minimum_at_every_degree(minima, lo):
-    walk = scroll.frame_walk(lo)
-    for d in range(lo, 3001):
-        frame = next(walk)
+    for d, (res, frame, w) in zip(range(lo, 3001), scroll.frame_walk(lo)):
         if d <= 400:
-            assert frame == scroll.frame_k2(d), d
-        assert scroll.frame_minimum(d, frame) == minima[d], d
+            assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
+        assert res == minima[d], d
+
+
+def test_frame_sum_is_the_sum_of_the_frame():
+    for d in range(4, 3001):
+        assert scroll.frame_sum(d) == sum(scroll.frame_k2(d)), d
 
 
 def test_frame_minimum_leaves_its_values_as_they_were():
@@ -356,17 +359,112 @@ def test_frame_minimum_leaves_its_values_as_they_were():
         assert values == scroll.frame_k2(d)
 
 
+def wrong_step(monkeypatch, alpha):
+    """The walk alone moves the class alpha by one more than k2_step."""
+    real = scroll.k2_step
+    monkeypatch.setattr(scroll, "k2_step", lambda a: real(a) + (a == alpha))
+
+
 @pytest.mark.parametrize("d", [40, 41])
-def test_a_doctored_frame_mid_walk_fails_the_next_degrees_end_check(d):
-    # from d = 40 to 41 the frame keeps its 20 classes and the last walked
-    # value is checked against phi at a*; from 41 to 42 a class enters at
-    # a*, and the last walked value is checked against phi at a* - 1
-    walk = scroll.frame_walk(36)
-    frame = next(islice(walk, d - 36, None))
-    assert frame == scroll.frame_k2(d)
-    frame[-1] += 1
+def test_a_doctored_frame_mid_walk_fails_the_next_degrees_end_check(monkeypatch, d):
+    # the packed frame is an int, so the class at a*, alpha = 20, is doctored
+    # through its step from d on: from d = 40 to 41 the frame keeps its 20
+    # classes and the last walked value is checked against phi at a*; from
+    # 41 to 42 a class enters at a*, and the last walked value is checked
+    # against phi at a* - 1
+    wrong_step(monkeypatch, 20)
+    walk = scroll.frame_walk(d)
+    res, frame, w = next(walk)
+    assert scroll.unpack_frame(frame, w, 20) == scroll.frame_k2(d)
     with pytest.raises(InconsistencyError, match=f"^frame walk gives .* at d={d + 1}, direct evaluation"):
         next(walk)
+
+
+def test_a_wrong_interior_step_fails_the_next_degrees_lane_sum(monkeypatch):
+    # the end check reads only the class at a*; the lanes' sum reads every class
+    wrong_step(monkeypatch, 5)
+    walk = scroll.frame_walk(40)
+    res, frame, w = next(walk)
+    assert scroll.unpack_frame(frame, w, 20) == scroll.frame_k2(40)
+    with pytest.raises(InconsistencyError, match=r"^frame walk's lanes do not sum to .* at d=41$"):
+        next(walk)
+
+
+def seeded_walk(monkeypatch, values):
+    """The first degree of a walk from d = 40 whose frame_k2 gives values."""
+    monkeypatch.setattr(scroll, "frame_k2", lambda d: list(values))
+    return next(scroll.frame_walk(40))
+
+
+@pytest.mark.parametrize("index", [0, 5, 18])
+def test_an_interior_lane_equal_to_the_last_takes_three_passes(monkeypatch, index):
+    # d = 40: a = -13 .. 6, the minimum -1360 at a* = 6 (index 19)
+    values = scroll.frame_k2(40)
+    values[index] = values[-1]
+    res, frame, w = seeded_walk(monkeypatch, values)
+    assert res == KsqMinimum(40, -13 + index, -1360, False)
+
+
+@pytest.mark.parametrize("index", [0, 5, 18])
+def test_an_interior_lane_one_above_the_last_takes_one_pass(monkeypatch, index):
+    values = scroll.frame_k2(40)
+    values[index] = values[-1] + 1
+    monkeypatch.setattr(scroll, "frame_minimum", None)  # the three passes are not taken
+    res, frame, w = seeded_walk(monkeypatch, values)
+    assert res == KsqMinimum(40, 6, -1360, True)
+
+
+@pytest.mark.parametrize("w", [8, 16, 24, 32, 40, 48])
+def test_lanes_hold_the_edges_of_the_bias(w):
+    # the classes alpha = 1 .. 6 have steps 0, -3, 0, 9, 24 and 45
+    bias = 1 << w - 2
+    lanes = [-bias, bias - 1, 0, -1, -bias, bias - 1]
+    assert scroll._lane_width(lanes) == w
+    assert scroll._lane_width([-bias - 1]) == scroll._lane_width([bias]) == w + 8
+    packed_w, frame, steps, guards, ones = scroll._packed_frame(lanes, w)
+    assert packed_w == w and scroll.unpack_frame(frame, w, 6) == lanes
+    assert frame & guards == 0 and frame < 1 << 6 * w and guards == ones << w - 1
+    assert steps == sum(scroll.k2_step(alpha) << w * (alpha - 1) for alpha in range(1, 7))
+
+
+def test_the_walk_reads_a_frame_at_the_edges_of_its_lanes(monkeypatch):
+    # d = 40 packs in 16-bit lanes: K^2 lies in [-2^14, 2^14) and the
+    # lanes' K^2 + 2^14 in [0, 2^15)
+    values = scroll.frame_k2(40)
+    values[0], values[1] = -(1 << 14), (1 << 14) - 1
+    res, frame, w = seeded_walk(monkeypatch, values)
+    assert w == 16 and scroll.unpack_frame(frame, w, 20) == values
+    assert res == KsqMinimum(40, -13, -(1 << 14), True)
+
+
+def test_a_walk_started_a_byte_too_narrow_widens(monkeypatch, minima):
+    real, calls = scroll._lane_width, []
+
+    def narrow(lanes):
+        calls.append(real(lanes))
+        return real(lanes) - 8 * (len(calls) == 1)
+
+    monkeypatch.setattr(scroll, "_lane_width", narrow)
+    ds, widths = [], []
+    for d, (res, frame, w) in zip(range(36, 401), scroll.frame_walk(36)):
+        ds.append(res.d)
+        widths.append(w)
+        assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
+        assert res == minima[d], d
+    assert ds == list(range(36, 401))
+    assert calls[0] == widths[0] == 16 and sorted(set(widths)) == [16, 24, 32]
+
+
+def test_the_walk_from_4_crosses_lane_widths(minima):
+    # each class's K^2 reaches 3m^3 or so at a = 0, so the lanes widen by a
+    # byte each time d grows about 6.3-fold
+    first = {}
+    for d, (res, frame, w) in zip(range(4, 3001), scroll.frame_walk(4)):
+        if w not in first:
+            first[w] = d
+            assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
+            assert res == minima[d], d
+    assert first == {8: 4, 16: 12, 24: 59, 32: 341, 40: 2136}
 
 
 def test_minimize_below_asserted_range_is_flagged():

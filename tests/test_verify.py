@@ -686,9 +686,9 @@ def spy_minima(monkeypatch) -> dict[str, list]:
 
     def walk(lo):
         calls["walks"].append(record := [lo, 0])
-        for frame in real_walk(lo):
+        for degree in real_walk(lo):
             record[1] += 1
-            yield frame
+            yield degree
 
     monkeypatch.setattr(scroll, "frame_k2", lambda d: calls["frame_k2"].append(d) or real_frame(d))
     monkeypatch.setattr(verify, "minimize_k2", lambda d: calls["minimize_k2"].append(d) or real_minimize(d))
@@ -786,15 +786,15 @@ def test_a_broken_step_identity_leaves_each_degree_to_minimize_k2(monkeypatch, n
 
 
 def test_appendix_locate_raises_where_the_runs_minimum_differs(monkeypatch):
-    # the run's minimum at d = 101 claims a second attainer, which no odd
+    # the run's walk claims a second attainer at d = 101, which no odd
     # degree's decide reads; locate's own minimize_k2 does not
-    real = verify.frame_minimum
+    real = verify.frame_walk
 
-    def frame_minimum(d, values):
-        res = real(d, values)
-        return KsqMinimum(d, res.a_min, res.k2_min, res.unique and d != 101)
+    def frame_walk(lo):
+        for res, frame, w in real(lo):
+            yield KsqMinimum(res.d, res.a_min, res.k2_min, res.unique and res.d != 101), frame, w
 
-    monkeypatch.setattr(verify, "frame_minimum", frame_minimum)
+    monkeypatch.setattr(verify, "frame_walk", frame_walk)
     with pytest.raises(InconsistencyError, match=r"^d=101: the run's frame minimum KsqMinimum\(d=101, .*unique=False\) differs"):
         verify_theorem(100, 101, cases=("appendix",))
 
