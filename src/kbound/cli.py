@@ -397,5 +397,14 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> int:
+    """The process entry: main, then gc.freeze(), so that the dying interpreter
+    skips collecting kbound's heap. main, the in-process API, never freezes."""
+    code = main(argv)
+    import gc  # imported here, so that `import kbound.cli` does not load it
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -478,3 +481,99 @@ def test_cli_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "40" in proc.stdout
+
+
+# the process entry --------------------------------------------------------------
+
+def _module_run(*argv, prelude=""):
+    """``python -m kbound ARGV`` through runpy, after the lines of prelude."""
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    code = (
+        f"import runpy, sys\n{prelude}"
+        f"sys.argv = ['kbound', *{list(argv)!r}]\n"
+        "runpy.run_module('kbound', run_name='__main__', alter_sys=True)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+
+
+def test_main_never_freezes_the_heap(capsys):
+    # main is called hundreds of times in one process (tests, the tracer, the
+    # pins): a frozen heap there would never be collected.
+    before = gc.get_freeze_count()
+    assert main(["verify", "r4", "--from", "36", "--to", "60", "--no-timestamp"]) == 0
+    assert main(["verify", "r3", "--from", "50", "--to", "40"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_after_main():
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    code = (
+        "import gc, sys, kbound.cli\n"
+        "code = kbound.cli.run(['bound', 'pi1', '--d', '33'])\n"
+        "sys.stderr.write(f'{code} {gc.get_freeze_count() > 0}\\n')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stderr == "0 True\n"
+
+
+def test_every_process_entry_calls_run():
+    package = Path(kbound.__file__).resolve().parent
+    assert (package / "__main__.py").read_text() == "from .cli import run\n\nraise SystemExit(run())\n"
+    assert (package / "cli.py").read_text().endswith(
+        'if __name__ == "__main__":\n    raise SystemExit(run())\n'
+    )
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert '[project.scripts]\nkbound = "kbound.cli:run"\n' in text
+    else:
+        assert tomllib.loads(text)["project"]["scripts"] == {"kbound": "kbound.cli:run"}
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stderr",
+    [
+        (["verify", "r4", "--from", "36", "--to", "60", "--no-timestamp"], 0, ""),
+        (["verify", "r4", "--from", "50", "--to", "40"], 2, "error: empty degree range\n"),
+        (["verify", "r4", "--out", "/nonexistent/dir/r.json"], 3,
+         "i/o error: [Errno 2] No such file or directory: '/nonexistent/dir/.tmp'\n"),
+    ],
+)
+def test_a_process_exits_as_main_returns(capsys, argv, exit_code, stderr):
+    # The interpreter's own flush writes stdout, so the bytes equal main's;
+    # stderr may differ only in the name mkstemp picked for --out's temp file.
+    code, out, err = run_cli(capsys, *argv)
+    proc = _module_run(*argv)
+    assert (proc.returncode, code) == (exit_code, exit_code)
+    assert proc.stdout == out.encode()
+    temp_name = re.compile(r"tmp\w+(?=\.tmp')")
+    assert temp_name.sub("", proc.stderr.decode()) == temp_name.sub("", err) == stderr
+
+
+def test_a_process_runs_its_atexit_handlers():
+    # Fails if the process entry ends the interpreter with os._exit.
+    prelude = "import atexit\natexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+    proc = _module_run("verify", "r3", "--from", "36", "--to", "40", "--no-timestamp", prelude=prelude)
+    assert proc.returncode == 0
+    assert proc.stderr == b"atexit ran\n"
+    assert proc.stdout.endswith(b"overall: verified\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_leaves_no_unclosed_file(tmp_path, capsys, fmt):
+    # A process frozen at exit no longer reports a file that only a reference
+    # cycle holds, so the --out path is checked here, in a process that collects.
+    target = tmp_path / "r.out"
+    target.write_text("earlier report\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "verify", "all", "--from", "36", "--to", "60",
+                               "--format", fmt, "--no-timestamp", "--out", str(target))
+        gc.collect()
+    assert (code, out) == (0, "")
+    assert target.read_text() != "earlier report\n"
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
