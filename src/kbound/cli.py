@@ -79,7 +79,10 @@ def _emit(text: str, out_path: str | None) -> None:
     import tempfile  # only --out needs these two; importing them costs start-up time
 
     target = os.path.realpath(out_path)  # through a symlink, replace the file it names
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:  # name the path the user gave, not mkstemp's random one
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -36,7 +36,6 @@ scroll, general type), the certificate records the hypothesis in
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count, filterfalse, repeat
@@ -917,11 +916,6 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
 PHI_FACTORS = ((-2, 1), (-1, 1))
 
 
-#: The frame minima of one verify_theorem call, shared by APPENDIX.min and
-#: SHARPNESS; None outside a run and where :func:`_step_proof` fails.
-_MINIMA: ContextVar[Callable[[int], KsqMinimum] | None] = ContextVar("_MINIMA", default=None)
-
-
 def _walked_minima() -> Callable[[int], KsqMinimum]:
     """minimize_k2's values, memoized and read off frame_walk: a new degree
     one past the walk's last advances it, any other starts a new walk."""
@@ -936,25 +930,19 @@ def _walked_minima() -> Callable[[int], KsqMinimum]:
     return minimum
 
 
-def _minimum(d: int) -> KsqMinimum:
-    """minimize_k2(d), or within a verify_theorem call the run's walked one."""
-    return (_MINIMA.get() or minimize_k2)(d)
-
-
-def _step_proof() -> tuple[bool, ...]:
+def _step_proof(cubics: list[tuple]) -> tuple[bool, ...]:
     """Per frame residue eps, whether phi(d + 1, alpha - m' - 1) - phi(d,
-    alpha - m - 1) = k2_step(alpha) at every d = 3m + eps + 1. In m the move
-    has the degree read from phi at eps and eps + 1, in alpha at most 3 (phi
-    is cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle it."""
-    x = Poly.variable()
-    cubics = [phi_coefficients(x, eps) for eps in FRAME_RESIDUES]
+    alpha - m - 1) = k2_step(alpha) at every d = 3m + eps + 1, where
+    cubics[eps] = phi_coefficients(m, eps) for m = Poly.variable(). In m the
+    move has the degree read from phi at eps and eps + 1, in alpha at most 3
+    (phi is cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle it."""
     def fault(m: int, eps: int) -> int | None:
         m1, e1 = _split3(len(FRAME_RESIDUES) * m + eps + 2)
         here, there = phi_coefficients(m, eps), phi_coefficients(m1, e1)
         return next((alpha for alpha in (1, 2, 3, 4)
                      if _horner(there, alpha - m1 - 1) - _horner(here, alpha - m - 1) != k2_step(alpha)), None)
-    return tuple(k2_step(x).degree <= 3 and _proved(fault, eps, cubics[eps], cubics[(eps + 1) % len(cubics)])
-                 for eps in FRAME_RESIDUES)
+    return tuple(k2_step(Poly.variable()).degree <= 3
+                 and _proved(fault, eps, cubics[eps], cubics[(eps + 1) % len(cubics)]) for eps in FRAME_RESIDUES)
 
 
 def _phi_prime_settled(m: int, dphi: tuple) -> tuple[bool, bool]:
@@ -991,21 +979,22 @@ def _tabulated_fault(m: int, eps: int) -> str | None:
     return None
 
 
-def _appendix_fault(d: int, m: int, eps: int, dphi: tuple, locate: bool) -> str | None:
+def _appendix_fault(minimum: Callable[[int], KsqMinimum], d: int, m: int, eps: int, dphi: tuple,
+                    locate: bool) -> str | None:
     """APPENDIX.min's first failing check at d = 3m + eps + 1, where phi' has
-    the coefficients dphi, written out, or None; only locate runs the
-    tabulated checks and minimize_k2 (InconsistencyError if it differs from
-    the run's minimum) and walks both phi' sign ranges."""
+    the coefficients dphi, written out, or None; decide reads minimum(d),
+    and only locate runs the tabulated checks and minimize_k2
+    (InconsistencyError if it differs from minimum) and walks both phi' sign ranges."""
     a_star = _a_star(m, eps)
     rise_lo = -m + 2
     try:
-        res = minimize_k2(d) if locate else _minimum(d)
+        res = minimize_k2(d) if locate else minimum(d)
         rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if locate else ()
         falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if locate else ()
     except InconsistencyError as exc:
         return str(exc)
-    if locate and (walked := _MINIMA.get()) and walked(d) != res:
-        raise InconsistencyError(f"d={d}: the run's frame minimum {walked(d)!r} differs from {res!r}")
+    if locate and minimum is not minimize_k2 and minimum(d) != res:
+        raise InconsistencyError(f"d={d}: the run's frame minimum {minimum(d)!r} differs from {res!r}")
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
         return f"minimum {res.k2_min} below -d(d-6) = {bound}"
@@ -1047,19 +1036,19 @@ def _tabulated_proof(tables: list[tuple], cubics: list[tuple]) -> tuple[bool, ..
                  for eps, (table, cubic) in enumerate(zip(tables, cubics)))
 
 
-def _appendix_settled(tabulated: tuple[bool, ...], d: int) -> bool:
+def _appendix_settled(tabulated: tuple[bool, ...], minimum: Callable[[int], KsqMinimum], d: int) -> bool:
     """APPENDIX.min's decide at d: both phi' ranges settled, no fault outside
     locate, and the tabulated checks proved by tabulated[eps] or passed here."""
     m, eps = _split3(d)
     dphi = phi_derivative_coefficients(m, eps)
-    return (all(_phi_prime_settled(m, dphi)) and _appendix_fault(d, m, eps, dphi, locate=False) is None
+    return (all(_phi_prime_settled(m, dphi)) and _appendix_fault(minimum, d, m, eps, dphi, locate=False) is None
             and (tabulated[eps] or _tabulated_fault(m, eps) is None))
 
 
-def _appendix_check_one(d: int) -> str | None:
+def _appendix_check_one(minimum: Callable[[int], KsqMinimum], d: int) -> str | None:
     """APPENDIX.min's locate at d: the first fault, phi' walked, or None."""
     m, eps = _split3(d)
-    fault = _appendix_fault(d, m, eps, phi_derivative_coefficients(m, eps), locate=True)
+    fault = _appendix_fault(minimum, d, m, eps, phi_derivative_coefficients(m, eps), locate=True)
     return None if fault is None else f"d={d}: {fault}"
 
 
@@ -1067,9 +1056,11 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument. The sweep
-    decides that pattern from phi' at its range ends and its curvature, and
-    skips tabulated checks proved per residue; locate runs every check and
-    minimize_k2 and walks both ranges, at the last degree and at a rejected one."""
+    reads each minimum off one frame walk across degrees where the walk's
+    step is proved, decides the sign pattern from phi' at its range ends and
+    its curvature, and skips tabulated checks proved per residue; locate
+    runs every check and minimize_k2 and walks both ranges, at the last
+    degree and at a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1114,11 +1105,12 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
             variable="m",
             label=f"tabulated discriminant variant is positive for m >= 3, eps={eps}",
         )
+    minimum = _walked_minima() if all(_step_proof(cubics)) else minimize_k2
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
-        partial(_appendix_settled, _tabulated_proof(tables, cubics)),
-        _appendix_check_one,
+        partial(_appendix_settled, _tabulated_proof(tables, cubics), minimum),
+        partial(_appendix_check_one, minimum),
     )
     return b.done({
         "checked_range": [b.lo, b.hi],
@@ -1165,6 +1157,20 @@ def _ring_proof() -> tuple[bool, ...]:
                          phi_coefficients(Poly.variable(), eps), degree=3) for eps in FRAME_RESIDUES)
 
 
+def _sharpness_proof() -> bool:
+    """Whether the class sH + (u - s)W of degree d = 2s + u has
+    K^2 + d(d-6) = u(3s^2 - 8s + 3 + u), the second factor positive for
+    s >= 1 once d >= 36. On alpha = s in [1, d // 2], u >= 0 is 0 only at
+    alpha = d/2 of an even d, so -d(d-6) is attained there alone. K^2,
+    trilinear in a class affine in u, has degree 3 in u at most, so
+    u = 0..3 settle the identity, each compared in s."""
+    s, quad = Poly.variable(), Poly.of(3, -8, 3)
+    # 3s^2 - 8s + 3 > 0 for s >= 3, where its shift to s + 3 has positive
+    # coefficients; at s = 1, 2 it is at least -2, and d >= 36 makes u >= 32
+    return (min(quad(s + 3).num) > 0 and min(quad(1), quad(2)) + 32 > 0
+            and all(_k2_raw(DivisorClass(s, u - s)) - EVEN_MINIMUM(2 * s + u) == u * (quad + u) for u in range(4)))
+
+
 def _sharpness_ring_check(d: int) -> str | None:
     """SHARPNESS's locate at d: its failure, with the least K^2 and its
     attainers taken from the full ring walk of :func:`_sharpness_scan`."""
@@ -1191,37 +1197,27 @@ def _sharpness_ring_check(d: int) -> str | None:
     return None
 
 
-def _sharpness_check_one(ring: tuple[bool, ...], d: int) -> bool:
-    """SHARPNESS's decide at d, on the frame minimum shared with APPENDIX.min
-    in a run, once the ring matches phi: as ring[eps] proves, or by :func:`_ring_mismatch`."""
-    m, eps = _split3(d)
-    if not ring[eps] and _ring_mismatch(d) is not None:
+def _sharpness_check_one(proved: bool, ring: tuple[bool, ...], d: int) -> bool:
+    """SHARPNESS's decide at d: the factorization proved by :func:`_sharpness_proof`,
+    and the ring matching phi, as ring[eps] proves or :func:`_ring_mismatch` finds."""
+    if not proved or not (ring[_split3(d)[1]] or _ring_mismatch(d) is None):
         return False
-    target = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
-    try:
-        res = _minimum(d)
-    except InconsistencyError:
-        return False
-    if d % 2:
-        return res.k2_min > target
-    extremal_class(d)  # re-checks K^2 and genus through both routes
-    return res.k2_min == target and res.unique and res.a_min + m + 1 == d // 2
+    if d % 2 == 0:
+        extremal_class(d)  # re-checks K^2 and genus through both routes
+    return True
 
 
 def verify_sharpness(d_from: int, d_to: int) -> Certificate:
     """Every admissible class of each degree in range: even degrees attain
     K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees never reach it.
 
-    Each degree is decided from its frame minimum (within verify_theorem,
-    walked across degrees and shared with APPENDIX.min; minimize_k2 when
-    called directly) once the intersection ring agrees with phi at five
-    classes, as proved per frame residue. The full ring walk locates the
-    failure at a rejected degree and re-checks the sweep's last degree."""
+    Each degree is decided by the ring's factorization, once the ring
+    agrees with phi; the full ring walk locates a failure."""
     b = _Builder("SHARPNESS", (d_from, d_to), 36)
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
-        partial(_sharpness_check_one, _ring_proof()),
+        partial(_sharpness_check_one, _sharpness_proof(), _ring_proof()),
         _sharpness_ring_check,
     )
     ds = range(b.lo, b.hi + 1)
@@ -1288,22 +1284,14 @@ CASES: dict[str, Callable[[int, int], list[Certificate]]] = {
 
 
 def verify_theorem(d_from: int, d_to: int, *, cases: Iterable[str] = CASES) -> CaseVerdict:
-    """Aggregate the certificates of the named cases (by default the whole
-    case split) over [d_from, d_to].
-
-    The theorem's own hypothesis is d > 35; certificates whose asserted
-    range does not meet the requested one are marked out-of-asserted-range
-    rather than asserted. The merge is keyed by (claim_id, params), which is
-    unique, so it does not depend on the order the certificates are made in;
-    the params are rendered only where a claim id is made more than once.
-    """
+    """The certificates of the named cases (by default the whole case split)
+    over [d_from, d_to]; one whose asserted range misses the requested one
+    is out-of-asserted-range. The merge key (claim_id, params) is unique, so
+    the order the cases run in does not matter; params are rendered only
+    where a claim id repeats."""
     if d_from > d_to:
         raise ValueError("empty degree range")
-    minima = _MINIMA.set(_walked_minima() if all(_step_proof()) else None)
-    try:
-        made = [c for case in cases for c in CASES[case](d_from, d_to)]
-    finally:
-        _MINIMA.reset(minima)
+    made = [c for case in cases for c in CASES[case](d_from, d_to)]
     ids = [c.claim_id for c in made]
     certs = sorted(made, key=lambda c: c.sort_key() if ids.count(c.claim_id) > 1 else (c.claim_id,))
     return CaseVerdict(d_from=d_from, d_to=d_to, certificates=certs)

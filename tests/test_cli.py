@@ -2,7 +2,6 @@ import gc
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -540,18 +539,16 @@ def test_every_process_entry_calls_run():
         (["verify", "r4", "--from", "36", "--to", "60", "--no-timestamp"], 0, ""),
         (["verify", "r4", "--from", "50", "--to", "40"], 2, "error: empty degree range\n"),
         (["verify", "r4", "--out", "/nonexistent/dir/r.json"], 3,
-         "i/o error: [Errno 2] No such file or directory: '/nonexistent/dir/.tmp'\n"),
+         "i/o error: [Errno 2] No such file or directory: '/nonexistent/dir/r.json'\n"),
     ],
 )
 def test_a_process_exits_as_main_returns(capsys, argv, exit_code, stderr):
-    # The interpreter's own flush writes stdout, so the bytes equal main's;
-    # stderr may differ only in the name mkstemp picked for --out's temp file.
+    # The interpreter's own flush writes stdout, so the bytes equal main's.
     code, out, err = run_cli(capsys, *argv)
     proc = _module_run(*argv)
     assert (proc.returncode, code) == (exit_code, exit_code)
     assert proc.stdout == out.encode()
-    temp_name = re.compile(r"tmp\w+(?=\.tmp')")
-    assert temp_name.sub("", proc.stderr.decode()) == temp_name.sub("", err) == stderr
+    assert proc.stderr.decode() == err == stderr
 
 
 def test_a_process_runs_its_atexit_handlers():

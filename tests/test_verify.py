@@ -409,16 +409,17 @@ def test_sharpness_scan_matches_naive_ring_scan():
 
 
 def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
-    # A K^2 route that is not cubic in alpha derails the ring walk, and both
-    # routes find it leaving phi at the first of its five classes
+    # A K^2 route that is not cubic in alpha derails the ring walk, fails
+    # the factorization, and leaves phi at the first of its five classes
     # (phi(-m) = 8): decide rejects, locate names the class, and neither
     # crashes.
-    monkeypatch.setattr(verify, "_k2_raw", lambda c: c.alpha**4)
+    monkeypatch.setattr(verify, "_k2_raw", lambda c: c.alpha * c.alpha * c.alpha * c.alpha)
     with pytest.raises(InconsistencyError, match="^forward-difference walk"):
         verify._sharpness_scan(40)
     failure = "the intersection ring gives K^2 = 1 at alpha=1, phi gives 8"
+    assert verify._sharpness_proof() is False
     assert verify._ring_proof() == (False,) * 3  # so decide compares the routes at every degree
-    assert verify._sharpness_check_one(verify._ring_proof(), 40) is False
+    assert verify._sharpness_check_one(verify._sharpness_proof(), verify._ring_proof(), 40) is False
     assert verify._sharpness_ring_check(40) == f"d=40: {failure}"
     cert = verify_sharpness(36, 40)
     assert cert.status == "counterexample"
@@ -427,7 +428,7 @@ def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
 
 def test_phi_prime_walk_mismatch_is_reported(monkeypatch):
     monkeypatch.setattr(verify, "phi_derivative", lambda d, a: a**3 - 1000)
-    failure = verify._appendix_check_one(100)
+    failure = verify._appendix_check_one(verify.minimize_k2, 100)
     assert failure.startswith("d=100: forward-difference walk")
 
 
@@ -464,9 +465,9 @@ def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
     unsettle_phi_prime(monkeypatch, 40)
     doctor_walk(monkeypatch, 40, -11, index, 0)
     failure = f"d=40: phi' not positive at a={a} in [-m+2, -1]"
-    assert verify._appendix_check_one(40) == failure
-    assert verify._appendix_check_one(41) is None
-    assert verify._appendix_check_one(43) is None  # m = 14: its walk starts at -12
+    assert verify._appendix_check_one(verify.minimize_k2, 40) == failure
+    assert verify._appendix_check_one(verify.minimize_k2, 41) is None
+    assert verify._appendix_check_one(verify.minimize_k2, 43) is None  # m = 14: its walk starts at -12
     cert = verify_appendix(39, 41)
     assert cert.status == "counterexample"
     assert cert.witness["failure"] == failure
@@ -475,7 +476,7 @@ def test_appendix_reports_phi_prime_not_positive(monkeypatch, index, a):
 @pytest.mark.parametrize("index, a", [(0, 1), (6, 7)])
 def test_appendix_reports_phi_prime_not_negative(monkeypatch, index, a):
     doctor_walk(monkeypatch, 40, 1, index, 0)
-    assert verify._appendix_check_one(40) == f"d=40: phi' not negative at a={a} >= 1"
+    assert verify._appendix_check_one(verify.minimize_k2, 40) == f"d=40: phi' not negative at a={a} >= 1"
 
 
 def walked_phi_prime_signs(dphi, m, eps):
@@ -531,8 +532,9 @@ def test_appendix_decide_agrees_with_locate():
     # degree, with the tabulated checks skipped as proved and run per degree
     proved = tabulated_proof()
     for d in range(18, 3001):
-        located = verify._appendix_check_one(d) is None
-        assert verify._appendix_settled(proved, d) == verify._appendix_settled((False,) * 3, d) == located, d
+        located = verify._appendix_check_one(scroll.minimize_k2, d) is None
+        settled = (verify._appendix_settled(p, scroll.minimize_k2, d) for p in (proved, (False,) * 3))
+        assert [*settled, located] == [located] * 3, d
 
 
 # The certificates signed at one fixed residue, by label: the appendix_table
@@ -558,12 +560,12 @@ def test_appendix_worst_residues_come_from_the_frame_residues():
 
 
 #: The K^2 lists of a degree's classes, alpha = 1, 2, ... at index 0, 1, ...:
-#: the frame scan of phi, which minimize_k2 reads for each decide, and the
-#: ring walk of SHARPNESS's locate.
+#: the frame scan of phi, which minimize_k2 reads, and the ring walk of
+#: SHARPNESS's locate.
 CLASS_SCANS = {"frame": (scroll, "frame_k2"), "ring": (verify, "_sharpness_scan")}
 
 
-def doctor_scans(monkeypatch, d, index, value, scans=tuple(CLASS_SCANS)):
+def doctor_scans(monkeypatch, d, index, value, scans):
     """Make each named K^2 list of degree d hold value at index."""
     for name in scans:
         module, attr = CLASS_SCANS[name]
@@ -581,27 +583,32 @@ def doctor_scans(monkeypatch, d, index, value, scans=tuple(CLASS_SCANS)):
 @pytest.mark.parametrize("index, attained", [(0, [1, 20]), (4, [5, 20])])
 def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
     # The frame of d = 40 is a = -13 .. 6, alpha = a + 14 = 1 .. 20: a second
-    # class with K^2 = -d(d-6) = -1360 breaks the uniqueness. d = 40 is below
-    # the sweep's last degree: decide rejects it on the shared minimum, and
-    # locate writes the failure from the ring walk, doctored alike.
-    doctor_scans(monkeypatch, 40, index, -1360)
-    cert = verify_sharpness(39, 42)
+    # class with K^2 = -d(d-6) = -1360 in the ring walk breaks the
+    # uniqueness. The factorization rules such a class out, so a sweep's
+    # decide rejects d = 40 only once the proof fails; locate writes the
+    # failure there.
+    doctor_scans(monkeypatch, 40, index, -1360, scans=("ring",))
+    failure = f"d=40: -d(d-6) attained at alpha in {attained}, not only d/2"
+    assert verify._sharpness_ring_check(40) == failure
+    monkeypatch.setattr(verify, "_sharpness_proof", lambda: False)
+    cert = verify_sharpness(40, 40)
     assert cert.status == "counterexample"
-    assert cert.witness["failure"] == (
-        f"d=40: -d(d-6) attained at alpha in {attained}, not only d/2"
-    )
+    assert cert.witness["failure"] == failure
 
 
 def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
     # d = 41 (frame a = -13 .. 6): a class reaching -d(d-6) = -1435, and one
     # below it without the even minimum reached
-    doctor_scans(monkeypatch, 41, 3, -1435)
-    assert verify._ring_proof() == (True,) * 3  # the ring agrees with phi, the minimum does not pass
-    assert verify._sharpness_check_one(verify._ring_proof(), 41) is False
+    doctor_scans(monkeypatch, 41, 3, -1435, scans=("ring",))
     assert verify._sharpness_ring_check(41) == "d=41: odd degree attains the even-degree minimum"
-    doctor_scans(monkeypatch, 41, 3, -1436)
-    assert verify._sharpness_check_one(verify._ring_proof(), 41) is False
-    assert verify._sharpness_ring_check(41) == "d=41: odd-degree minimum -1436 fails to exceed -1435"
+    doctor_scans(monkeypatch, 41, 3, -1436, scans=("ring",))
+    failure = "d=41: odd-degree minimum -1436 fails to exceed -1435"
+    assert verify._sharpness_ring_check(41) == failure
+    monkeypatch.setattr(verify, "_sharpness_proof", lambda: False)
+    assert verify._sharpness_check_one(verify._sharpness_proof(), verify._ring_proof(), 41) is False
+    cert = verify_sharpness(41, 41)
+    assert cert.status == "counterexample"
+    assert cert.witness["failure"] == failure
 
 
 @pytest.mark.parametrize("extra", [
@@ -621,6 +628,35 @@ def test_sharpness_fails_a_ring_route_that_leaves_phi(monkeypatch, extra):
         f"d=36: the intersection ring gives K^2 = {ring} at alpha={alpha},"
         f" phi gives {ring - extra(alpha)}"
     )
+
+
+def test_the_ring_factors_at_every_class():
+    # the identity _sharpness_proof settles from u = 0..3, at every class
+    # alpha = s = 1 .. d // 2 of every degree d in [8, 400], u = d - 2s
+    for d in range(8, 401):
+        for s in range(1, d // 2 + 1):
+            u = d - 2 * s
+            assert _k2_raw(DivisorClass(s, d - 3 * s)) + d * (d - 6) == u * (3 * s * s - 8 * s + 3 + u), (d, s)
+
+
+def test_sharpness_decide_agrees_with_locate():
+    proof, ring = verify._sharpness_proof(), verify._ring_proof()
+    assert proof is True
+    for d in range(36, 3001):
+        assert verify._sharpness_check_one(proof, ring, d) == (verify._sharpness_ring_check(d) is None), d
+
+
+@pytest.mark.parametrize("module, name, doctor", [
+    (scroll, "H2W", lambda real: real + 1),
+    (scroll, "CANONICAL", lambda real: real + scroll.RULING),
+    (verify, "_k2_raw", lambda real: lambda c: real(c) + c.alpha * c.alpha * c.alpha * c.alpha),
+], ids=["H2W + 1", "K_T + W", "K^2 + alpha^4"])
+def test_a_wrong_ring_fails_the_factorization(monkeypatch, module, name, doctor):
+    monkeypatch.setattr(module, name, doctor(getattr(module, name)))
+    assert verify._sharpness_proof() is False
+    cert = verify_sharpness(36, 60)
+    assert cert.status == "counterexample"
+    assert cert.witness["failure"].startswith("d=36: the intersection ring gives K^2 = ")
 
 
 @pytest.mark.parametrize("wrong", [(1, 0, 0, 0), (0, 1, 0, 0)])  # phi + 1, phi + a
@@ -699,32 +735,14 @@ def spy_minima(monkeypatch) -> dict[str, list]:
 def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
     calls = spy_minima(monkeypatch)
     verify_theorem(36, 100)
-    # APPENDIX.min's decide walks 36 .. 100 from one frame_k2, SHARPNESS
-    # reads every degree off the run's memo, and APPENDIX.min's locate
-    # minimizes the last degree itself
+    # APPENDIX.min's decide walks 36 .. 100 from one frame_k2, and its
+    # locate minimizes the last degree itself
     assert calls == {"frame_k2": [36, 100], "minimize_k2": [100], "walks": [[36, 65]]}
-    assert verify._MINIMA.get() is None
-    # a builder called directly computes its own, once per degree: locate
-    # at d = 40 walks the intersection ring, not the frame
+    # SHARPNESS reads no minimum: its decide rests on the factorization,
+    # and locate at d = 40 walks the intersection ring, not the frame
     calls = spy_minima(monkeypatch)
     verify_sharpness(36, 40)
-    assert calls == {"frame_k2": [36, 37, 38, 39, 40], "minimize_k2": [36, 37, 38, 39, 40], "walks": []}
-
-
-def test_frame_minima_are_dropped_when_a_run_raises(monkeypatch):
-    calls = spy_minima(monkeypatch)
-
-    def boom(ring, d):
-        # APPENDIX.min walked 36 .. 40, and the run's memo answers without
-        # another walk
-        assert verify._MINIMA.get()(d).d == d
-        assert calls == {"frame_k2": [36, 40], "minimize_k2": [40], "walks": [[36, 5]]}
-        raise RuntimeError(f"check failed at d={d}")
-
-    monkeypatch.setattr(verify, "_sharpness_check_one", boom)
-    with pytest.raises(RuntimeError, match="d=36"):
-        verify_theorem(36, 40, cases=["appendix", "sharpness"])
-    assert verify._MINIMA.get() is None
+    assert calls == {"frame_k2": [], "minimize_k2": [], "walks": []}
 
 
 def test_the_run_memo_advances_its_walk_only_to_the_next_degree(monkeypatch):
@@ -748,16 +766,21 @@ def test_the_run_memo_restarts_a_walk_that_raised(monkeypatch):
     assert minimum(41) == scroll.minimize_k2(41)  # from a new walk
 
 
+def step_proof():
+    """verify._step_proof on the phi tuples in m that verify_appendix hands
+    it, looked up in verify as verify_appendix does."""
+    return verify._step_proof([verify.phi_coefficients(M, e) for e in scroll.FRAME_RESIDUES])
+
+
 def test_a_walk_that_breaks_mid_run_makes_the_routes_disagree(monkeypatch):
     # the walk alone takes a wrong step for the class alpha = 20, which
     # enters at d = 40; the proof reads verify's k2_step and holds, so the
     # end check at d = 41 rejects there, and locate, on minimize_k2, passes
     real = scroll.k2_step
     monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
-    assert verify._step_proof() == (True,) * 3
+    assert step_proof() == (True,) * 3
     with pytest.raises(InconsistencyError, match="^APPENDIX.min at d=41: decide rejects, locate gives None$"):
         verify_theorem(36, 60, cases=("appendix",))
-    assert verify._MINIMA.get() is None
 
 
 STEP_DOCTORS = {
@@ -776,12 +799,12 @@ def test_a_broken_step_identity_leaves_each_degree_to_minimize_k2(monkeypatch, n
         monkeypatch.setattr(module, "k2_step", lambda alpha: real_step(alpha) + extra(alpha))
         if wrong:
             monkeypatch.setattr(module, "phi_coefficients", lambda m, e: tuple(map(add, real_phi(m, e), wrong)))
-    assert verify._step_proof() == proof
+    assert step_proof() == proof
     calls = spy_minima(monkeypatch)
     verdict = verify_theorem(36, 60, cases=("appendix", "sharpness"))
     assert calls["walks"] == [] and 36 in calls["minimize_k2"]
     if not wrong:  # a wrong step alone leaves the claims as they were
-        assert calls["minimize_k2"] == [*range(36, 61), 60, *range(36, 61)]
+        assert calls["minimize_k2"] == [*range(36, 61), 60]
         assert verdict.to_json_dict() == expected
 
 
@@ -1154,11 +1177,14 @@ def test_an_integer_check_rejecting_alone_raises(monkeypatch):
         verify._r5_abs(36, 50)
 
 
-def test_a_doctored_frame_alone_raises(monkeypatch):
-    # a second attainer at d = 40 in the frame scan that decide reads, none
-    # in the ring walk that locate reads
-    doctor_scans(monkeypatch, 40, 0, -1360, scans=("frame",))
-    with pytest.raises(InconsistencyError, match="^SHARPNESS at d=40: decide rejects, locate gives None$"):
+def test_a_doctored_ring_walk_at_the_last_degree_alone_raises(monkeypatch):
+    # a second attainer at d = 42 in the ring walk that locate reads, which
+    # the factorization that decide rests on rules out
+    doctor_scans(monkeypatch, 42, 0, -1512, scans=("ring",))
+    with pytest.raises(
+        InconsistencyError,
+        match=r"^SHARPNESS at d=42: decide passes, locate gives 'd=42: -d\(d-6\) attained at alpha in \[1, 21\]",
+    ):
         verify_sharpness(39, 42)
 
 
