@@ -429,9 +429,10 @@ def verify_r3() -> Certificate:
 # r = 4
 
 def _r4_margin_int_check(margins: tuple[Poly, ...], d: int) -> bool:
-    # margins[e] is an r4_margin_poly on the residue (d - 1) mod s = e, with
-    # s = len(margins); its positive denominator leaves the sign to the
-    # numerators, so the check is one integer Horner evaluation
+    """R4's decide at d, where margins[e] is an r4_margin_poly on the residue
+    (d - 1) mod s = e, with s = len(margins). It rests on the residue's
+    polynomial having a positive denominator, which leaves the sign to its
+    integer numerators: the check is one integer Horner evaluation."""
     return _horner(margins[(d - 1) % len(margins)].num, d) > 0
 
 
@@ -718,7 +719,9 @@ def verify_r5_remark() -> Certificate:
 # r = 5 exclusion chain
 
 def _r5_abs_int_check(g4: tuple[Poly, ...], g5: tuple[Poly, ...], d: int) -> bool:
-    # g4[v] is G(4;d,5) on (d - 1) mod 5 = v, g5[e] is G(5;d) on (d - 1) mod 4 = e
+    """R5.abs's decide at d, where g4[v] is G(4;d,5) on (d - 1) mod 5 = v and
+    g5[e] is G(5;d) on (d - 1) mod 4 = e. It rests on each residue's polynomial
+    having a positive denominator, which leaves each side to its integer numerators."""
     lhs = _int_at(g4[(d - 1) % len(g4)], d, "G(4;{},5)", d)
     return lhs < _int_at(g5[(d - 1) % len(g5)], d, "G(5;{})", d)
 
@@ -773,12 +776,13 @@ def _column_dominates(h: int, j: int, step: int, d: int, n: int, w: int) -> bool
 
 
 def _r5_profile_int_check(seed: tuple[int, int, int], g4: tuple[Poly, ...], d: int) -> bool:
-    """Whether :func:`_r5_profile_check_one` passes, in O(1) integer steps,
-    for any valid seed. Column j = 1, 2, 3 of the propagated profile is
-    h(3k + j) = min(d, seed_j + k*step) with step = seed_3 - 1 >= 1, and the
-    G(4;d,5) profile is 5i - 1 for i <= n, d - w at i = n + 1 and d after:
-    no column may fall below it in any segment, and the genus bound is each
-    column's defect sum, an arithmetic series."""
+    """R5.profile's decide: whether :func:`_r5_profile_check_one` passes, in
+    O(1) integer steps, for any valid seed. Column j = 1, 2, 3 of the propagated
+    profile is h(3k + j) = min(d, seed_j + k*step) with step = seed_3 - 1 >= 1,
+    and the G(4;d,5) profile is 5i - 1 for i <= n, d - w at i = n + 1 and d
+    after: no column may fall below it in any segment, which rests on the gap
+    to 5i - 1 being linear in k (:func:`_column_dominates`), and the genus
+    bound is each column's defect sum, an arithmetic series."""
     n, v, w = pi2_split(d)
     step = seed[2] - 1
     if not all(_column_dominates(h, j, step, d, n, w) for j, h in enumerate(seed, 1)):
@@ -832,9 +836,10 @@ def _r5_profile(seed: tuple[int, int, int], d_from: int, d_to: int) -> Certifica
 
 
 def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int) -> bool:
-    # on d = 4p + q + 1, defects[q] is the weighted defect sum W as a
-    # polynomial in p and g44[q] is G(4;d,4); EXTREMAL_GENUS has a positive
-    # denominator, which multiplies the right side
+    """R5.deg4.cubic's decide at d = 4p + q + 1, where defects[q] is the
+    weighted defect sum W in p and g44[q] is G(4;d,4). It rests on each residue's polynomial
+    having a positive denominator, which leaves each value to its integer
+    numerators; EXTREMAL_GENUS's, also positive, multiplies the right side."""
     p, q = divmod(d - 1, len(defects))
     w = _int_at(defects[q], p, "weighted defect sum at d={}", d)
     rhs = -w + (d - 4) * _int_at(g44[(d - 1) % len(g44)], d, "G(4;{},4)", d)
@@ -1037,8 +1042,9 @@ def _tabulated_proof(tables: list[tuple], cubics: list[tuple]) -> tuple[bool, ..
 
 
 def _appendix_settled(tabulated: tuple[bool, ...], minimum: Callable[[int], KsqMinimum], d: int) -> bool:
-    """APPENDIX.min's decide at d: both phi' ranges settled, no fault outside
-    locate, and the tabulated checks proved by tabulated[eps] or passed here."""
+    """APPENDIX.min's decide at d: both phi' ranges settled, which rests on
+    phi' being concave (:func:`_phi_prime_settled`), no fault outside locate,
+    and the tabulated checks proved by tabulated[eps] or passed here."""
     m, eps = _split3(d)
     dphi = phi_derivative_coefficients(m, eps)
     return (all(_phi_prime_settled(m, dphi)) and _appendix_fault(minimum, d, m, eps, dphi, locate=False) is None
@@ -1198,8 +1204,9 @@ def _sharpness_ring_check(d: int) -> str | None:
 
 
 def _sharpness_check_one(proved: bool, ring: tuple[bool, ...], d: int) -> bool:
-    """SHARPNESS's decide at d: the factorization proved by :func:`_sharpness_proof`,
-    and the ring matching phi, as ring[eps] proves or :func:`_ring_mismatch` finds."""
+    """SHARPNESS's decide at d. It rests on the ring's factorization K^2 + d(d-6)
+    = u(3s^2 - 8s + 3 + u), proved by :func:`_sharpness_proof`, and on the ring
+    matching phi, as ring[eps] proves or :func:`_ring_mismatch` finds."""
     if not proved or not (ring[_split3(d)[1]] or _ring_mismatch(d) is None):
         return False
     if d % 2 == 0:

@@ -294,17 +294,6 @@ def test_minimize_matches_closed_form_sampled():
             assert res.k2_min > -d * (d - 6)
 
 
-def test_minimize_matches_naive_scan():
-    for d in range(4, 3001):
-        m, e = divmod(d - 1, 3)
-        values = [phi(d, a) for a in range(-m, (m + e - 1) // 2 + 1)]
-        best = min(values)
-        res = minimize_k2(d)
-        assert res.k2_min == best, d
-        assert res.a_min == -m + values.index(best), d
-        assert res.unique == (values.count(best) == 1), d
-
-
 @pytest.mark.parametrize("lows", [(0, 19), (3, 4), (18, 19), (5,)])
 def test_minimize_finds_the_least_a_of_a_repeated_minimum(monkeypatch, lows):
     # d = 40 has the frame a = -13 .. 6: a doctored K^2 below the real

@@ -57,6 +57,7 @@ from kbound.verify import (
     verify_sharpness,
     verify_theorem,
 )
+from test_routes import walked_phi_prime_signs
 
 
 # symbolic building blocks match independent oracles ---------------------------
@@ -479,23 +480,6 @@ def test_appendix_reports_phi_prime_not_negative(monkeypatch, index, a):
     assert verify._appendix_check_one(verify.minimize_k2, 40) == f"d=40: phi' not negative at a={a} >= 1"
 
 
-def walked_phi_prime_signs(dphi, m, eps):
-    """The verdicts of _appendix_check_one's two walks of phi' = dphi(a):
-    positive on [-m+2, -1], negative on [1, max(a*, 1) + 1]."""
-    rising = verify.forward_walk(dphi, -m + 2, -1, 2)
-    falling = verify.forward_walk(dphi, 1, max(scroll._a_star(m, eps), 1) + 1, 2)
-    return min(rising, default=1) > 0, max(falling) < 0
-
-
-def test_phi_prime_settled_matches_both_walks():
-    # The O(1) decision for each phi' range is the verdict of that range's
-    # walk at every degree, the empty rising ranges of m < 3 included.
-    for d in range(4, 3001):
-        m, eps = scroll._split3(d)
-        walked = walked_phi_prime_signs(partial(scroll.phi_derivative, d), m, eps)
-        assert verify._phi_prime_settled(m, scroll.phi_derivative_coefficients(m, eps)) == walked, d
-
-
 @pytest.mark.parametrize("d", [7, 40, 41])
 def test_phi_prime_settled_is_sound_for_any_quadratic(d):
     # On every small quadratic (C, B, A), convex and linear ones included, a
@@ -525,16 +509,6 @@ def test_a_passing_appendix_sweep_walks_phi_prime_at_its_last_degree(monkeypatch
     assert verify_appendix(1500, 1519).status == "verified"
     m, eps = scroll._split3(1519)
     assert calls == [((1519,), -m + 2, -1), ((1519,), 1, scroll._a_star(m, eps) + 1)]
-
-
-def test_appendix_decide_agrees_with_locate():
-    # decide settles phi' in O(1), locate walks it: one verdict at every
-    # degree, with the tabulated checks skipped as proved and run per degree
-    proved = tabulated_proof()
-    for d in range(18, 3001):
-        located = verify._appendix_check_one(scroll.minimize_k2, d) is None
-        settled = (verify._appendix_settled(p, scroll.minimize_k2, d) for p in (proved, (False,) * 3))
-        assert [*settled, located] == [located] * 3, d
 
 
 # The certificates signed at one fixed residue, by label: the appendix_table
@@ -637,13 +611,6 @@ def test_the_ring_factors_at_every_class():
         for s in range(1, d // 2 + 1):
             u = d - 2 * s
             assert _k2_raw(DivisorClass(s, d - 3 * s)) + d * (d - 6) == u * (3 * s * s - 8 * s + 3 + u), (d, s)
-
-
-def test_sharpness_decide_agrees_with_locate():
-    proof, ring = verify._sharpness_proof(), verify._ring_proof()
-    assert proof is True
-    for d in range(36, 3001):
-        assert verify._sharpness_check_one(proof, ring, d) == (verify._sharpness_ring_check(d) is None), d
 
 
 @pytest.mark.parametrize("module, name, doctor", [
@@ -1035,15 +1002,16 @@ def test_minimize_k2_falls_back_to_three_passes(monkeypatch, index, value):
 G4 = pi2_polys()
 
 
-@pytest.mark.parametrize("seed", [(4, 9, 16), (4, 10, 19), (4, 8, 12), (4, 9, 15), (2, 3, 4)])
+@pytest.mark.parametrize("seed", [(4, 8, 12), (4, 9, 15), (2, 3, 4)])
 def test_r5_profile_closed_form_matches_the_built_profiles(seed):
-    # the last three seeds fail at many degrees
+    # seeds that fail at many degrees; tests/test_routes.py compares the
+    # two valid seeds that R5.profile sweeps
     failing = 0
     for d in range(31, 3001):
         closed = verify._r5_profile_int_check(seed, G4, d)
         assert closed == (verify._r5_profile_check_one(seed, d) is None), d
         failing += not closed
-    assert (failing == 0) == (seed in ((4, 9, 16), (4, 10, 19)))
+    assert failing > 0
 
 
 VALID_SEEDS = st.lists(st.integers(1, 40), min_size=3, max_size=3).map(sorted).filter(
@@ -1079,32 +1047,6 @@ def test_r5_profile_closed_form_genus_is_the_defect_sum(seed, extra):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(verify, "pi2_bound", lambda n: SimpleNamespace(bound_int=bound))
                 assert verify._r5_profile_check_one(seed, d) == failure
-
-
-R4_MARGINS = {s: tuple(r4_margin_poly(g, chi(g)) for g in halphen_polys(s)) for s, chi in R4_CHI.items()}
-
-
-@pytest.mark.parametrize("s", [5, 2, 3])
-def test_r4_integer_checks_match_the_scalar_ones(s):
-    # from the first degree Halphen's bound is asserted for, so that the
-    # range holds failing degrees too
-    scalar = partial(verify._r4_check_one, s, R4_CHI[s])
-    ds = range(s * s - s + 1, 5001)
-    results = [verify._r4_margin_int_check(R4_MARGINS[s], d) for d in ds]
-    assert results == [scalar(d) is None for d in ds]
-    assert not all(results)
-
-
-def test_r5_abs_and_deg4_integer_checks_match_the_scalar_ones():
-    ds = range(5, 5001)
-    g5 = castelnuovo_polys(5)
-    abs_results = [verify._r5_abs_int_check(G4, g5, d) for d in ds]
-    assert abs_results == [verify._r5_abs_check_one(d) is None for d in ds]
-    assert max(d for d, ok in zip(ds, abs_results) if not ok) == 18
-    deg4 = weighted_defect_polys(), pi1_polys()
-    deg4_results = [verify._r5_deg4_int_check(*deg4, d) for d in ds]
-    assert deg4_results == [verify._r5_deg4_check_one(d) is None for d in ds]
-    assert not all(deg4_results)
 
 
 def test_integer_checks_raise_on_a_non_integer_genus_bound():
