@@ -998,7 +998,7 @@ def _appendix_fault(minimum: Callable[[int], KsqMinimum], d: int, m: int, eps: i
         falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if locate else ()
     except InconsistencyError as exc:
         return str(exc)
-    if locate and minimum is not minimize_k2 and minimum(d) != res:
+    if locate and minimum(d) != res:
         raise InconsistencyError(f"d={d}: the run's frame minimum {minimum(d)!r} differs from {res!r}")
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
@@ -1025,7 +1025,7 @@ def _appendix_fault(minimum: Callable[[int], KsqMinimum], d: int, m: int, eps: i
 
 def _proved(check: Callable[[int, int], object], eps: int, *coeffs: tuple, degree: int = 0) -> bool:
     """Whether check(m, eps), which compares values of the given degree in m
-    with sums c_i x^i, x affine in m, over coeffs read from Poly.variable(),
+    with sums c_i x^i, x affine in m, over coeffs of ints and Polys in m,
     finds nothing at any m: the degree is at most 3, and m = 1, 2, 3, 4 pass."""
     degree = max(degree, *((c.degree if isinstance(c, Poly) else 0) + i for cs in coeffs for i, c in enumerate(cs)))
     return degree <= 3 and all(check(m, eps) is None for m in (1, 2, 3, 4))
@@ -1041,14 +1041,14 @@ def _tabulated_proof(tables: list[tuple], cubics: list[tuple]) -> tuple[bool, ..
                  for eps, (table, cubic) in enumerate(zip(tables, cubics)))
 
 
-def _appendix_settled(tabulated: tuple[bool, ...], minimum: Callable[[int], KsqMinimum], d: int) -> bool:
-    """APPENDIX.min's decide at d: both phi' ranges settled, which rests on
-    phi' being concave (:func:`_phi_prime_settled`), no fault outside locate,
-    and the tabulated checks proved by tabulated[eps] or passed here."""
+def _appendix_settled(proved: tuple[bool, ...], minimum: Callable[[int], KsqMinimum], d: int) -> bool:
+    """APPENDIX.min's decide at d: False on a residue where proved[eps], the
+    walk's step and the tabulated checks, fails; else both phi' ranges settled
+    (phi' is concave, :func:`_phi_prime_settled`) and no fault outside locate."""
     m, eps = _split3(d)
     dphi = phi_derivative_coefficients(m, eps)
-    return (all(_phi_prime_settled(m, dphi)) and _appendix_fault(minimum, d, m, eps, dphi, locate=False) is None
-            and (tabulated[eps] or _tabulated_fault(m, eps) is None))
+    return (proved[eps] and all(_phi_prime_settled(m, dphi))
+            and _appendix_fault(minimum, d, m, eps, dphi, locate=False) is None)
 
 
 def _appendix_check_one(minimum: Callable[[int], KsqMinimum], d: int) -> str | None:
@@ -1062,11 +1062,11 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument. The sweep
-    reads each minimum off one frame walk across degrees where the walk's
-    step is proved, decides the sign pattern from phi' at its range ends and
-    its curvature, and skips tabulated checks proved per residue; locate
-    runs every check and minimize_k2 and walks both ranges, at the last
-    degree and at a rejected one."""
+    reads each minimum off one frame walk across degrees and decides the
+    sign pattern from phi' at its range ends and its curvature; it rejects
+    every degree of a residue where the walk's step or the tabulated checks
+    are not proved. Locate runs every check and minimize_k2 and walks both
+    ranges, at the last degree and at a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1111,11 +1111,11 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
             variable="m",
             label=f"tabulated discriminant variant is positive for m >= 3, eps={eps}",
         )
-    minimum = _walked_minima() if all(_step_proof(cubics)) else minimize_k2
+    stepped, minimum = all(_step_proof(cubics)), _walked_minima()
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
-        partial(_appendix_settled, _tabulated_proof(tables, cubics), minimum),
+        partial(_appendix_settled, tuple(stepped and t for t in _tabulated_proof(tables, cubics)), minimum),
         partial(_appendix_check_one, minimum),
     )
     return b.done({
@@ -1168,13 +1168,15 @@ def _sharpness_proof() -> bool:
     K^2 + d(d-6) = u(3s^2 - 8s + 3 + u), the second factor positive for
     s >= 1 once d >= 36. On alpha = s in [1, d // 2], u >= 0 is 0 only at
     alpha = d/2 of an even d, so -d(d-6) is attained there alone. K^2,
-    trilinear in a class affine in u, has degree 3 in u at most, so
-    u = 0..3 settle the identity, each compared in s."""
-    s, quad = Poly.variable(), Poly.of(3, -8, 3)
-    # 3s^2 - 8s + 3 > 0 for s >= 3, where its shift to s + 3 has positive
-    # coefficients; at s = 1, 2 it is at least -2, and d >= 36 makes u >= 32
-    return (min(quad(s + 3).num) > 0 and min(quad(1), quad(2)) + 32 > 0
-            and all(_k2_raw(DivisorClass(s, u - s)) - EVEN_MINIMUM(2 * s + u) == u * (quad + u) for u in range(4)))
+    trilinear in a class affine in s and u, has degree at most 3 in each,
+    so s = 1..4 at each u = 0..3 settle the identity."""
+    quad = (3, -8, 3)
+    def fault(s: int, u: int) -> int | None:
+        k2 = _k2_raw(DivisorClass(s, u - s))
+        return None if EVEN_MINIMUM.has_value(2 * s + u, k2 - u * (_horner(quad, s) + u)) else s
+    # quad(s) > 0 for s >= 3 (quad(s + 3) has positive coefficients); at s = 1, 2, u = d - 2s >= 32 > -quad(s)
+    return (min(_horner(quad, Poly.of(3, 1)).num) > 0 and min(_horner(quad, 1), _horner(quad, 2)) + 32 > 0
+            and all(_proved(fault, u, quad, degree=3) for u in range(4)))
 
 
 def _sharpness_ring_check(d: int) -> str | None:
@@ -1203,15 +1205,13 @@ def _sharpness_ring_check(d: int) -> str | None:
     return None
 
 
-def _sharpness_check_one(proved: bool, ring: tuple[bool, ...], d: int) -> bool:
-    """SHARPNESS's decide at d. It rests on the ring's factorization K^2 + d(d-6)
-    = u(3s^2 - 8s + 3 + u), proved by :func:`_sharpness_proof`, and on the ring
-    matching phi, as ring[eps] proves or :func:`_ring_mismatch` finds."""
-    if not proved or not (ring[_split3(d)[1]] or _ring_mismatch(d) is None):
-        return False
-    if d % 2 == 0:
+def _sharpness_check_one(proved: tuple[bool, ...], d: int) -> bool:
+    """SHARPNESS's decide at d: False on a residue where proved[eps] fails,
+    that is the ring's factorization K^2 + d(d-6) = u(3s^2 - 8s + 3 + u)
+    (:func:`_sharpness_proof`) or its match with phi (:func:`_ring_proof`)."""
+    if (passed := proved[_split3(d)[1]]) and d % 2 == 0:
         extremal_class(d)  # re-checks K^2 and genus through both routes
-    return True
+    return passed
 
 
 def verify_sharpness(d_from: int, d_to: int) -> Certificate:
@@ -1220,11 +1220,11 @@ def verify_sharpness(d_from: int, d_to: int) -> Certificate:
 
     Each degree is decided by the ring's factorization, once the ring
     agrees with phi; the full ring walk locates a failure."""
-    b = _Builder("SHARPNESS", (d_from, d_to), 36)
+    b, factored = _Builder("SHARPNESS", (d_from, d_to), 36), _sharpness_proof()
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
-        partial(_sharpness_check_one, _sharpness_proof(), _ring_proof()),
+        partial(_sharpness_check_one, tuple(factored and ring for ring in _ring_proof())),
         _sharpness_ring_check,
     )
     ds = range(b.lo, b.hi + 1)

@@ -174,9 +174,6 @@ def test_pi1_examples():
 
 
 def test_profile_closed_form_agreement_sampled():
-    for d in range(6, 1200):
-        assert pi2_bound(d).bound_int == genus_from_profile(pi2_profile(d))
-        assert pi1_bound(d).bound_int == genus_from_profile(pi1_profile(d))
     # the numerators over 10 and 8 are the quadratic plus Fractions per residue
     quadratic = Poly.of(0, Fraction(-3, 10), Fraction(1, 10))
     assert pi2_polys() == tuple(quadratic + Fraction(2 + v - v * v, 10) + pi2_w(v) for v in range(5))
@@ -189,11 +186,6 @@ def test_pi_bounds_monotone():
     p1 = [pi1_bound(d).bound_int for d in range(6, 800)]
     assert all(a <= b for a, b in zip(p2, p2[1:]))
     assert all(a <= b for a, b in zip(p1, p1[1:]))
-
-
-def test_abs_inequality_sampled():
-    for d in range(19, 2000):
-        assert pi2_bound(d).bound_int < castelnuovo_bound(5, d).bound_int
 
 
 # profiles --------------------------------------------------------------------

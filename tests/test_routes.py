@@ -65,7 +65,8 @@ def disagreements(hi: int) -> list[tuple[str, int | None]]:
     - from d = 4, the O(1) phi' decision against both phi' walks, and
       minimize_k2 against three passes over the ring's K^2 of the frame;
     - from d = 18, the tabulated identities and the ring's match with phi,
-      which the decides skip where the four-point proofs hold."""
+      which no decide runs: each rests on its four-point proof, and a
+      failed proof rejects every degree of its residue."""
     cubics = [scroll.phi_coefficients(Poly.variable(), e) for e in scroll.FRAME_RESIDUES]
     tables = [verify.appendix_table(Poly.variable(), e) for e in scroll.FRAME_RESIDUES]
     proofs = {

@@ -245,17 +245,6 @@ def test_phi_derivative_is_the_derivative_of_phi(d, a):
     assert phi(d, a + 1) - phi(d, a - 1) == 2 * phi_derivative(d, a) - 12
 
 
-def test_appendix_value_table_full_range():
-    for d in range(12, 2001):
-        m, e = divmod(d - 1, 3)
-        assert phi(d, -m) == 8
-        assert phi(d, -m + 1) == -9 * m + 17 - 3 * e
-        assert phi(d, -m + 2) == 0
-        assert phi(d, 0) == (m - 2) * (3 * m * m - 7 * m + 3 * m * e - 4)
-        assert phi(d, 1) == (m - 1) * (3 * m * m - 10 * m + 3 * m * e + 3 * e - 17)
-        assert phi_derivative(d, 1) == 2 - 26 * m + 6 * m * e
-
-
 def test_monotone_shape_full_range():
     for d in range(18, 2001):
         m, e = divmod(d - 1, 3)
@@ -282,16 +271,6 @@ def test_minimize_examples():
     assert res.k2_min == -280 == -20 * 14
     f = ScrollFrame(20, res.a_min)
     assert res.a_min == f.a_star
-
-
-def test_minimize_matches_closed_form_sampled():
-    for d in range(18, 600):
-        res = minimize_k2(d)
-        assert Fraction(res.k2_min) == k2_min_closed_form(d), d
-        if d % 2 == 0:
-            assert res.k2_min == -d * (d - 6) and res.unique
-        else:
-            assert res.k2_min > -d * (d - 6)
 
 
 @pytest.mark.parametrize("lows", [(0, 19), (3, 4), (18, 19), (5,)])

@@ -419,8 +419,7 @@ def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
         verify._sharpness_scan(40)
     failure = "the intersection ring gives K^2 = 1 at alpha=1, phi gives 8"
     assert verify._sharpness_proof() is False
-    assert verify._ring_proof() == (False,) * 3  # so decide compares the routes at every degree
-    assert verify._sharpness_check_one(verify._sharpness_proof(), verify._ring_proof(), 40) is False
+    assert verify._ring_proof() == (False,) * 3  # so decide rejects every degree
     assert verify._sharpness_ring_check(40) == f"d=40: {failure}"
     cert = verify_sharpness(36, 40)
     assert cert.status == "counterexample"
@@ -579,7 +578,6 @@ def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
     failure = "d=41: odd-degree minimum -1436 fails to exceed -1435"
     assert verify._sharpness_ring_check(41) == failure
     monkeypatch.setattr(verify, "_sharpness_proof", lambda: False)
-    assert verify._sharpness_check_one(verify._sharpness_proof(), verify._ring_proof(), 41) is False
     cert = verify_sharpness(41, 41)
     assert cert.status == "counterexample"
     assert cert.witness["failure"] == failure
@@ -593,7 +591,7 @@ def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
 def test_sharpness_fails_a_ring_route_that_leaves_phi(monkeypatch, extra):
     real = verify._k2_raw
     monkeypatch.setattr(verify, "_k2_raw", lambda c: real(c) + extra(c.alpha))
-    assert verify._ring_proof() == (False,) * 3  # decide compares the routes at every degree
+    assert verify._ring_proof() == (False,) * 3  # so decide rejects every degree
     cert = verify_sharpness(36, 60)
     assert cert.status == "counterexample"
     alpha = 18 if extra(4) == 0 else 4  # the first class where the routes differ
@@ -758,9 +756,11 @@ STEP_DOCTORS = {
 
 
 @pytest.mark.parametrize("name", STEP_DOCTORS)
-def test_a_broken_step_identity_leaves_each_degree_to_minimize_k2(monkeypatch, name):
+def test_a_broken_step_identity_rejects_every_degree(monkeypatch, name):
+    # decide rejects d = 36 and 60 before any walk, and each locate reads a
+    # new walk's first frame: a wrong step alone leaves d = 36 passing, and
+    # the run raises there; a wrong phi fails both claims there
     extra, wrong, proof = STEP_DOCTORS[name]
-    expected = verify_theorem(36, 60, cases=("appendix", "sharpness")).to_json_dict()
     real_step, real_phi = scroll.k2_step, scroll.phi_coefficients
     for module in (scroll, verify):
         monkeypatch.setattr(module, "k2_step", lambda alpha: real_step(alpha) + extra(alpha))
@@ -768,11 +768,26 @@ def test_a_broken_step_identity_leaves_each_degree_to_minimize_k2(monkeypatch, n
             monkeypatch.setattr(module, "phi_coefficients", lambda m, e: tuple(map(add, real_phi(m, e), wrong)))
     assert step_proof() == proof
     calls = spy_minima(monkeypatch)
-    verdict = verify_theorem(36, 60, cases=("appendix", "sharpness"))
-    assert calls["walks"] == [] and 36 in calls["minimize_k2"]
-    if not wrong:  # a wrong step alone leaves the claims as they were
-        assert calls["minimize_k2"] == [*range(36, 61), 60]
-        assert verdict.to_json_dict() == expected
+    if not wrong:
+        with pytest.raises(InconsistencyError, match="^APPENDIX.min at d=36: decide rejects, locate gives None$"):
+            verify_theorem(36, 60, cases=("appendix", "sharpness"))
+    else:
+        appendix, sharpness = verify_theorem(36, 60, cases=("appendix", "sharpness")).certificates
+        assert appendix.witness["failure"] == "d=36: minimum -1074 != closed form -1080"
+        assert sharpness.witness["failure"].startswith("d=36: the intersection ring gives K^2 = ")
+    assert calls["walks"] == [[36, 1], [60, 1]]
+
+
+@pytest.mark.parametrize("claim, proof, build", [
+    ("SHARPNESS", "_ring_proof", lambda: verify_sharpness(36, 60)),
+    ("APPENDIX.min", "_tabulated_proof", lambda: verify_appendix(36, 60)),
+])
+def test_a_proof_failing_on_one_residue_rejects_its_degrees(monkeypatch, claim, proof, build):
+    # residue 1 first holds d = 38 (d - 1 = 3*12 + 1); nothing is wrong
+    # there, so locate passes it and the sweep raises
+    monkeypatch.setattr(verify, proof, lambda *args: (True, False, True))
+    with pytest.raises(InconsistencyError, match=f"^{re.escape(claim)} at d=38: decide rejects, locate gives None$"):
+        build()
 
 
 def test_appendix_locate_raises_where_the_runs_minimum_differs(monkeypatch):
@@ -894,8 +909,19 @@ def tabulated_proof():
 
 
 def test_both_proofs_hold_on_every_residue():
-    # so no passing run checks a proved identity per degree
-    assert tabulated_proof() == verify._ring_proof() == (True,) * 3
+    # the two per-residue proofs, the step's and the factorization, so no
+    # degree of a run is rejected for a failed proof
+    assert tabulated_proof() == verify._ring_proof() == step_proof() == (True,) * 3
+    assert verify._sharpness_proof() is True
+
+
+def test_the_factorization_is_checked_on_integer_classes(monkeypatch):
+    # the 16 classes of s = 1..4 and u = 0..3, none with Poly coordinates
+    built, real = [], verify.DivisorClass
+    monkeypatch.setattr(verify, "DivisorClass", lambda alpha, beta: built.append((alpha, beta)) or real(alpha, beta))
+    assert verify._sharpness_proof() is True
+    assert sorted(built) == sorted((s, u - s) for s in range(1, 5) for u in range(4))
+    assert {type(x) for pair in built for x in pair} == {int}
 
 
 def test_proved_checks_run_at_the_four_points_and_at_the_last_degree(monkeypatch):
@@ -933,8 +959,8 @@ TABULATED_BREAKS = {
 
 @pytest.mark.parametrize("failure", sorted(TABULATED_BREAKS))
 def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, failure):
-    # the four points find the break on every residue, so decide runs the
-    # check per degree and the sweep stops at d = 18 with the failure
+    # the four points find the break on every residue, so decide rejects
+    # every degree, and locate names the failure at the first, d = 18
     name, extra = TABULATED_BREAKS[failure]
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda m, e: tuple(map(add, real(m, e), extra(m))))
@@ -953,10 +979,11 @@ def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, fail
 def test_a_break_vanishing_at_the_four_points(monkeypatch, index, extra, read_by_poly):
     # The breaks of phi(0) = (m - 2)*phi0, of its factor m - 2 and of
     # phi(-m+1)'s entry vanish at the four points. Read from a Poly in m,
-    # they raise the identity's degree to at least 4, so nothing is proved
-    # and the sweep fails at its first degree. Added for int m only, a break
-    # escapes the degree read: decide skips the check, and locate, which
-    # runs every check at the last degree, raises there.
+    # they raise the identity's degree to at least 4, so nothing is proved,
+    # decide rejects every degree and the sweep fails at its first. Added
+    # for int m only, a break escapes the degree read: decide skips the
+    # check, and locate, which runs every check at the last degree, raises
+    # there.
     real = verify.appendix_table
     failure = {1: "phi(-m+1) != -9m + 17 - 3e"}.get(index, "phi(0) factorization fails")
 
