@@ -322,11 +322,6 @@ def frame_sum(d: int) -> int:
     return _cubic_sum(phi_coefficients(m, eps), -m, _a_star(m, eps))
 
 
-def _lane_width(lanes: list[int]) -> int:
-    """The least multiple of 8, w, with each of lanes + 2^(w - 2) below a w-bit lane's guard bit w - 1."""
-    return (max(max(lanes), ~min(lanes)).bit_length() + 9) // 8 * 8
-
-
 def unpack_frame(packed: int, w: int, n: int) -> list[int]:
     """The n lanes of a :func:`frame_walk` frame packed in w-bit lanes."""
     raw, k = packed.to_bytes(n * w // 8, "little"), w // 8
@@ -335,11 +330,11 @@ def unpack_frame(packed: int, w: int, n: int) -> list[int]:
 
 def _packed_frame(values: list[int], w: int) -> tuple[int, int, int, int, int]:
     """(w', frame, steps, guards, ones): values and their classes' k2_step,
-    each + 2^(w' - 2) in a lane of the least width w' from w up that holds
-    both, and the lanes' guard bits w' - 1 and bits 0."""
-    n, steps = len(values), list(map(k2_step, range(1, len(values) + 1)))
-    lanes, w = values + steps, max(w, _lane_width(values + steps))
-    while min(lanes) < -(bias := 1 << w - 2) or max(lanes) >= bias:  # whatever _lane_width says
+    each + 2^(w' - 2) below its guard bit w' - 1 in a lane of the least width
+    w' = w + 8k that holds both, and the lanes' guard bits and bits 0."""
+    n, lanes = len(values), values + list(map(k2_step, range(1, len(values) + 1)))
+    lo, hi = min(lanes), max(lanes)
+    while lo < -(bias := 1 << w - 2) or hi >= bias:
         w += 8
     both = int.from_bytes(b"".join((x + bias).to_bytes(w // 8, "little") for x in lanes), "little")
     ones = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * n, "little")
@@ -385,16 +380,10 @@ def frame_walk(lo: int) -> Iterator[tuple[KsqMinimum, int, int]]:
 
 
 def frame_minimum(d: int, values: list[int]) -> KsqMinimum:
-    """The least of d's frame values, its least a and whether it is unique,
-    in one pass where the last value, at a*, is below all others."""
-    last, m = values.pop(), _split3(d)[0]
-    below = last < min(values)
-    values.append(last)  # as it was
-    if below:
-        return KsqMinimum(d=d, a_min=len(values) - 1 - m, k2_min=last, unique=True)
+    """The least of d's frame values, its least a and whether it is unique."""
     best = min(values)
     first = values.index(best)
-    return KsqMinimum(d=d, a_min=first - m, k2_min=best, unique=best not in values[first + 1:])
+    return KsqMinimum(d=d, a_min=first - _split3(d)[0], k2_min=best, unique=best not in values[first + 1:])
 
 
 def minimize_k2(d: int) -> KsqMinimum:

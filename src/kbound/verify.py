@@ -984,22 +984,9 @@ def _tabulated_fault(m: int, eps: int) -> str | None:
     return None
 
 
-def _appendix_fault(minimum: Callable[[int], KsqMinimum], d: int, m: int, eps: int, dphi: tuple,
-                    locate: bool) -> str | None:
-    """APPENDIX.min's first failing check at d = 3m + eps + 1, where phi' has
-    the coefficients dphi, written out, or None; decide reads minimum(d),
-    and only locate runs the tabulated checks and minimize_k2
-    (InconsistencyError if it differs from minimum) and walks both phi' sign ranges."""
-    a_star = _a_star(m, eps)
-    rise_lo = -m + 2
-    try:
-        res = minimize_k2(d) if locate else minimum(d)
-        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2) if locate else ()
-        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2) if locate else ()
-    except InconsistencyError as exc:
-        return str(exc)
-    if locate and minimum(d) != res:
-        raise InconsistencyError(f"d={d}: the run's frame minimum {minimum(d)!r} differs from {res!r}")
+def _minimum_fault(res: KsqMinimum, d: int, a_star: int) -> str | None:
+    """The first check that d's frame minimum res fails, written out, or None:
+    not below -d(d-6), the closed form, then at a* alone (even d) or above -d(d-6) (odd d)."""
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
         return f"minimum {res.k2_min} below -d(d-6) = {bound}"
@@ -1010,16 +997,6 @@ def _appendix_fault(minimum: Callable[[int], KsqMinimum], d: int, m: int, eps: i
             return f"even-degree minimum not uniquely at a* = {a_star}"
     elif res.k2_min <= bound:
         return "odd-degree minimum fails to exceed -d(d-6)"
-    if locate and (fault := _tabulated_fault(m, eps)):
-        return fault
-    if min(rising, default=1) <= 0:
-        a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
-        return f"phi' not positive at a={a_rise} in [-m+2, -1]"
-    if max(falling, default=-1) >= 0:
-        a_fall = next(compress(count(1), map(ge, falling, repeat(0))))
-        return f"phi' not negative at a={a_fall} >= 1"
-    if discriminant(dphi) <= 0:
-        return "phi' lacks two real roots"
     return None
 
 
@@ -1042,20 +1019,40 @@ def _tabulated_proof(tables: list[tuple], cubics: list[tuple]) -> tuple[bool, ..
 
 
 def _appendix_settled(proved: tuple[bool, ...], minimum: Callable[[int], KsqMinimum], d: int) -> bool:
-    """APPENDIX.min's decide at d: False on a residue where proved[eps], the
-    walk's step and the tabulated checks, fails; else both phi' ranges settled
-    (phi' is concave, :func:`_phi_prime_settled`) and no fault outside locate."""
+    """APPENDIX.min's decide at d: proved[eps], the walk's step and the tabulated
+    checks, both phi' ranges settled (:func:`_phi_prime_settled`), two real roots
+    and no _minimum_fault in minimum(d); a fault of the frame walk raises."""
     m, eps = _split3(d)
     dphi = phi_derivative_coefficients(m, eps)
-    return (proved[eps] and all(_phi_prime_settled(m, dphi))
-            and _appendix_fault(minimum, d, m, eps, dphi, locate=False) is None)
+    return (proved[eps] and all(_phi_prime_settled(m, dphi)) and discriminant(dphi) > 0
+            and _minimum_fault(minimum(d), d, _a_star(m, eps)) is None)
 
 
 def _appendix_check_one(minimum: Callable[[int], KsqMinimum], d: int) -> str | None:
-    """APPENDIX.min's locate at d: the first fault, phi' walked, or None."""
+    """APPENDIX.min's locate at d: its first failing check, written out, or
+    None. It runs minimize_k2 (InconsistencyError if the run's minimum(d)
+    differs) and the tabulated checks, and walks both phi' sign ranges."""
     m, eps = _split3(d)
-    fault = _appendix_fault(minimum, d, m, eps, phi_derivative_coefficients(m, eps), locate=True)
-    return None if fault is None else f"d={d}: {fault}"
+    a_star, rise_lo = _a_star(m, eps), -m + 2
+    try:
+        res = minimize_k2(d)
+        rising = forward_walk(partial(phi_derivative, d), rise_lo, -1, 2)
+        falling = forward_walk(partial(phi_derivative, d), 1, max(a_star, 1) + 1, 2)
+    except InconsistencyError as exc:
+        return f"d={d}: {exc}"
+    if minimum(d) != res:
+        raise InconsistencyError(f"d={d}: the run's frame minimum {minimum(d)!r} differs from {res!r}")
+    if fault := _minimum_fault(res, d, a_star) or _tabulated_fault(m, eps):
+        return f"d={d}: {fault}"
+    if min(rising, default=1) <= 0:
+        a_rise = next(compress(count(rise_lo), map(le, rising, repeat(0))))
+        return f"d={d}: phi' not positive at a={a_rise} in [-m+2, -1]"
+    if max(falling, default=-1) >= 0:
+        a_fall = next(compress(count(1), map(ge, falling, repeat(0))))
+        return f"d={d}: phi' not negative at a={a_fall} >= 1"
+    if discriminant(phi_derivative_coefficients(m, eps)) <= 0:
+        return f"d={d}: phi' lacks two real roots"
+    return None
 
 
 def verify_appendix(d_from: int, d_to: int) -> Certificate:
@@ -1065,8 +1062,8 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     reads each minimum off one frame walk across degrees and decides the
     sign pattern from phi' at its range ends and its curvature; it rejects
     every degree of a residue where the walk's step or the tabulated checks
-    are not proved. Locate runs every check and minimize_k2 and walks both
-    ranges, at the last degree and at a rejected one."""
+    are not proved, and a fault of the walk raises. Locate runs every check
+    and minimize_k2 and walks both ranges, at the last degree and a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")

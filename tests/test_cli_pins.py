@@ -1,12 +1,17 @@
-"""Byte pins for the ``bound`` and ``scroll`` subcommands.
+"""Byte pins for the ``bound`` and ``scroll`` subcommands, and for every
+operation of the benchmark.
 
 Each invocation runs in all three formats and its stdout must hash to the
 sha256 recorded before the closed forms were given one definition each, so
 a refactor of ``bounds``/``scroll`` cannot change a printed byte unnoticed.
-``verify`` output is pinned separately by ``test_verify_all_fingerprint``.
+``verify`` output is pinned separately by ``test_verify_all_fingerprint``,
+and each benchmark operation by ``perfbench/pins.json``.
 """
 
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +93,17 @@ def test_cli_output_bytes_are_pinned(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINS[command]
+
+
+def test_benchmark_operations_give_their_pinned_bytes(tmp_path):
+    # every operation of perfbench/workloads.py's catalogue, run in this
+    # process, against the sha256 of its output in perfbench/pins.json
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pins, out = json.loads((bench / "pins.json").read_text())["sha256"], tmp_path / "out"
+    differ = [workloads.op_key(argv) for argv in workloads.catalogue()
+              if main([*argv, "--out", str(out)]) != 0
+              or hashlib.sha256(out.read_bytes()).hexdigest() != pins.get(workloads.op_key(argv))]
+    assert differ == []

@@ -66,7 +66,11 @@ def disagreements(hi: int) -> list[tuple[str, int | None]]:
       minimize_k2 against three passes over the ring's K^2 of the frame;
     - from d = 18, the tabulated identities and the ring's match with phi,
       which no decide runs: each rests on its four-point proof, and a
-      failed proof rejects every degree of its residue."""
+      failed proof rejects every degree of its residue.
+
+    A fault in a route's own machinery is not listed but raised out of
+    here: an InconsistencyError of APPENDIX.min's frame walk raises from its
+    decide, as _int_at's does from the R5 decides."""
     cubics = [scroll.phi_coefficients(Poly.variable(), e) for e in scroll.FRAME_RESIDUES]
     tables = [verify.appendix_table(Poly.variable(), e) for e in scroll.FRAME_RESIDUES]
     proofs = {

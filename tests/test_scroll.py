@@ -320,13 +320,6 @@ def test_frame_sum_is_the_sum_of_the_frame():
         assert scroll.frame_sum(d) == sum(scroll.frame_k2(d)), d
 
 
-def test_frame_minimum_leaves_its_values_as_they_were():
-    for d in (5, 6, 40):  # three passes below d = 10, one from there on
-        values = scroll.frame_k2(d)
-        scroll.frame_minimum(d, values)
-        assert values == scroll.frame_k2(d)
-
-
 def wrong_step(monkeypatch, alpha):
     """The walk alone moves the class alpha by one more than k2_step."""
     real = scroll.k2_step
@@ -384,13 +377,13 @@ def test_an_interior_lane_one_above_the_last_takes_one_pass(monkeypatch, index):
 
 @pytest.mark.parametrize("w", [8, 16, 24, 32, 40, 48])
 def test_lanes_hold_the_edges_of_the_bias(w):
-    # the classes alpha = 1 .. 6 have steps 0, -3, 0, 9, 24 and 45
+    # the classes alpha = 1 .. 6 have steps 0, -3, 0, 9, 24 and 45; packed
+    # from 8 bits up, the lanes take the least width that holds every value
     bias = 1 << w - 2
     lanes = [-bias, bias - 1, 0, -1, -bias, bias - 1]
-    assert scroll._lane_width(lanes) == w
-    assert scroll._lane_width([-bias - 1]) == scroll._lane_width([bias]) == w + 8
-    packed_w, frame, steps, guards, ones = scroll._packed_frame(lanes, w)
+    packed_w, frame, steps, guards, ones = scroll._packed_frame(lanes, 8)
     assert packed_w == w and scroll.unpack_frame(frame, w, 6) == lanes
+    assert scroll._packed_frame([-bias - 1], 8)[0] == scroll._packed_frame([bias], 8)[0] == w + 8
     assert frame & guards == 0 and frame < 1 << 6 * w and guards == ones << w - 1
     assert steps == sum(scroll.k2_step(alpha) << w * (alpha - 1) for alpha in range(1, 7))
 
@@ -405,27 +398,14 @@ def test_the_walk_reads_a_frame_at_the_edges_of_its_lanes(monkeypatch):
     assert res == KsqMinimum(40, -13, -(1 << 14), True)
 
 
-def test_a_walk_started_a_byte_too_narrow_widens(monkeypatch, minima):
-    real, calls = scroll._lane_width, []
-
-    def narrow(lanes):
-        calls.append(real(lanes))
-        return real(lanes) - 8 * (len(calls) == 1)
-
-    monkeypatch.setattr(scroll, "_lane_width", narrow)
-    ds, widths = [], []
-    for d, (res, frame, w) in zip(range(36, 401), scroll.frame_walk(36)):
-        ds.append(res.d)
-        widths.append(w)
-        assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
-        assert res == minima[d], d
-    assert ds == list(range(36, 401))
-    assert calls[0] == widths[0] == 16 and sorted(set(widths)) == [16, 24, 32]
-
-
-def test_the_walk_from_4_crosses_lane_widths(minima):
+def test_the_walk_from_4_crosses_lane_widths(monkeypatch, minima):
     # each class's K^2 reaches 3m^3 or so at a = 0, so the lanes widen by a
-    # byte each time d grows about 6.3-fold
+    # byte each time d grows about 6.3-fold: at d = 12 the class entering at
+    # a* does not fit, and from d = 59 on a step sets a guard bit, the step
+    # is taken back and the d // 2 lanes are repacked a byte wider
+    real, packs = scroll._packed_frame, []
+    monkeypatch.setattr(scroll, "_packed_frame",
+                        lambda values, w: packs.append((len(values), w)) or real(values, w))
     first = {}
     for d, (res, frame, w) in zip(range(4, 3001), scroll.frame_walk(4)):
         if w not in first:
@@ -433,6 +413,7 @@ def test_the_walk_from_4_crosses_lane_widths(minima):
             assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
             assert res == minima[d], d
     assert first == {8: 4, 16: 12, 24: 59, 32: 341, 40: 2136}
+    assert packs == [(2, 8), (6, 8), (29, 16 + 8), (170, 24 + 8), (1067, 32 + 8)]
 
 
 def test_minimize_below_asserted_range_is_flagged():

@@ -30,6 +30,7 @@ from kbound.bounds import (
 )
 from kbound.exact import InconsistencyError, Poly, rat_str, sign_certificate
 import kbound.bounds as bounds
+import kbound.cli as cli
 import kbound.scroll as scroll
 import kbound.verify as verify
 from kbound.scroll import DivisorClass, KsqMinimum, _k2_raw
@@ -737,15 +738,18 @@ def step_proof():
     return verify._step_proof([verify.phi_coefficients(M, e) for e in scroll.FRAME_RESIDUES])
 
 
-def test_a_walk_that_breaks_mid_run_makes_the_routes_disagree(monkeypatch):
+def test_a_walk_that_breaks_mid_run_raises_its_own_fault(monkeypatch, capsys):
     # the walk alone takes a wrong step for the class alpha = 20, which
     # enters at d = 40; the proof reads verify's k2_step and holds, so the
-    # end check at d = 41 rejects there, and locate, on minimize_k2, passes
+    # end check at d = 41 raises out of decide, and the run exits 1
     real = scroll.k2_step
     monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
     assert step_proof() == (True,) * 3
-    with pytest.raises(InconsistencyError, match="^APPENDIX.min at d=41: decide rejects, locate gives None$"):
+    message = "frame walk gives -390 at d=41, direct evaluation -391"
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
         verify_theorem(36, 60, cases=("appendix",))
+    assert cli.main(["verify", "appendix", "--from", "36", "--to", "60"]) == 1
+    assert capsys.readouterr().err == f"inconsistency: {message}\n"
 
 
 STEP_DOCTORS = {
@@ -1014,7 +1018,7 @@ def test_a_break_vanishing_at_the_four_points(monkeypatch, index, extra, read_by
     (5, -1360),  # the minimum repeated at a*
     (18, -1360),
 ])
-def test_minimize_k2_falls_back_to_three_passes(monkeypatch, index, value):
+def test_minimize_k2_is_the_first_least_value_and_whether_it_repeats(monkeypatch, index, value):
     # d = 40 (frame a = -13 .. 6, minimum -1360 at a* = 6, index 19): where
     # the last value is not below all the others, minimize_k2 is the first
     # least value and whether it repeats
@@ -1107,45 +1111,6 @@ def test_each_sweep_rechecks_its_last_degree_through_the_scalar_api(monkeypatch)
     assert seen == [(50, 5), (50, 2), (50, 3)]
 
 
-def flip_at(monkeypatch, name, d):
-    """Make the integer check `name` report the opposite verdict at d."""
-    real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: real(*args) != (args[-1] == d))
-
-
-@pytest.mark.parametrize("name, build, claim", [
-    ("_r4_margin_int_check", lambda: verify._r4_reduce(36, 50), "R4.reduce"),
-    ("_r4_margin_int_check", lambda: verify._r4_s(36, 50, 3), "R4.s3"),
-    ("_r5_abs_int_check", lambda: verify._r5_abs(36, 50), "R5.abs"),
-    ("_r5_profile_int_check", lambda: verify._r5_profile((4, 10, 19), 36, 50), "R5.profile.seed-4-10-19"),
-    ("_r5_deg4_int_check", lambda: verify._r5_deg4(36, 50), "R5.deg4.cubic"),
-])
-def test_a_wrong_integer_check_at_the_last_degree_raises(monkeypatch, name, build, claim):
-    flip_at(monkeypatch, name, 50)
-    with pytest.raises(InconsistencyError, match=f"^{claim} at d=50: decide rejects, locate gives None$"):
-        build()
-
-
-def test_a_wrong_integer_check_below_the_last_degree_raises(monkeypatch):
-    # locate runs at the degree decide rejects, so a wrong rejection below
-    # the last degree is caught there
-    flip_at(monkeypatch, "_r5_deg4_int_check", 49)
-    with pytest.raises(
-        InconsistencyError, match="^R5.deg4.cubic at d=49: decide rejects, locate gives None$"
-    ):
-        verify._r5_deg4(36, 50)
-
-
-def test_an_integer_check_rejecting_alone_raises(monkeypatch):
-    # decide is handed G(5;d) = 0 at d = 40, locate is left alone
-    real = verify._r5_abs_int_check
-    monkeypatch.setattr(
-        verify, "_r5_abs_int_check", lambda g4, g5, d: real(g4, (Poly.zero(),) * 4 if d == 40 else g5, d)
-    )
-    with pytest.raises(InconsistencyError, match="^R5.abs at d=40: decide rejects, locate gives None$"):
-        verify._r5_abs(36, 50)
-
-
 def test_a_doctored_ring_walk_at_the_last_degree_alone_raises(monkeypatch):
     # a second attainer at d = 42 in the ring walk that locate reads, which
     # the factorization that decide rests on rules out
@@ -1168,15 +1133,15 @@ def test_a_doctored_phi_prime_walk_at_the_last_degree_alone_raises(monkeypatch):
         verify_appendix(39, 41)
 
 
-#: Each sweep: its decide, its locate, a builder over [36, 50], and the
-#: witness key of a failure.
+#: Each sweep by claim id: its decide, its locate, a builder over [36, 50],
+#: and the witness key of a failure.
 SWEEPS = {
     "R4.reduce": ("_r4_margin_int_check", "_r4_check_one", lambda: verify._r4_reduce(36, 50), "failure_at"),
     "R4.s3": ("_r4_margin_int_check", "_r4_check_one", lambda: verify._r4_s(36, 50, 3), "failure_at"),
     "R5.abs": ("_r5_abs_int_check", "_r5_abs_check_one", lambda: verify._r5_abs(36, 50), "failure_at"),
-    "R5.profile": ("_r5_profile_int_check", "_r5_profile_check_one",
-                   lambda: verify._r5_profile((4, 10, 19), 36, 50), "failure"),
-    "R5.deg4": ("_r5_deg4_int_check", "_r5_deg4_check_one", lambda: verify._r5_deg4(36, 50), "failure_at"),
+    "R5.profile.seed-4-10-19": ("_r5_profile_int_check", "_r5_profile_check_one",
+                                lambda: verify._r5_profile((4, 10, 19), 36, 50), "failure"),
+    "R5.deg4.cubic": ("_r5_deg4_int_check", "_r5_deg4_check_one", lambda: verify._r5_deg4(36, 50), "failure_at"),
     "SHARPNESS": ("_sharpness_check_one", "_sharpness_ring_check", lambda: verify_sharpness(36, 50), "failure"),
     "APPENDIX.min": ("_appendix_settled", "_appendix_check_one", lambda: verify_appendix(36, 50), "failure"),
 }
@@ -1216,6 +1181,18 @@ def test_a_sweep_stops_at_its_first_failure(monkeypatch, decide, locate, build, 
     assert cert.witness[key] == "wrong"
     assert decided == [*range(36, 41), 50]
     assert located == [40, 50]
+
+
+@pytest.mark.parametrize("route, d, failure, disagreement", [
+    (0, 50, False, "decide rejects, locate gives None"),
+    (0, 40, False, "decide rejects, locate gives None"),  # locate runs where decide rejects
+    (1, 50, "wrong", "decide passes, locate gives 'wrong'"),
+])
+@pytest.mark.parametrize("claim", SWEEPS)
+def test_a_route_failing_alone_raises_at_its_degree(monkeypatch, claim, route, d, failure, disagreement):
+    spy(monkeypatch, SWEEPS[claim][route], [], fail_at=d, failure=failure)
+    with pytest.raises(InconsistencyError, match=f"^{re.escape(claim)} at d={d}: {disagreement}$"):
+        SWEEPS[claim][2]()
 
 
 # aggregate ----------------------------------------------------------------------
