@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count
-from operator import mul, sub
 
 from .exact import (
     FrameRangeError,
@@ -292,13 +290,14 @@ class KsqMinimum(Frozen):
         }
 
 
-def frame_k2(d: int) -> list[int]:
-    """[phi(d, -m), ..., phi(d, a*)], the K^2 of every admissible class of
-    degree d, by an exact forward-difference walk of one phi_coefficients
-    tuple, re-checked against :func:`phi` at a* (InconsistencyError if not)."""
+def frame_k2(d: int, n: int = 0) -> list[int]:
+    """[phi(d, -m), ..., phi(d, a*)], the K^2 of every admissible class
+    alpha = 1 .. d // 2 of degree d, or of alpha = 1 .. n for n > 0, by an
+    exact forward-difference walk of one phi_coefficients tuple, re-checked
+    against :func:`phi` at its last a (InconsistencyError if not)."""
     m, eps = _split3(d)
-    a_star, cubic = _a_star(m, eps), phi_coefficients(m, eps)
-    return forward_walk(lambda a: phi(d, a) if a == a_star else _horner(cubic, a), -m, a_star, 3)
+    last, cubic = (n or d // 2) - 1 - m, phi_coefficients(m, eps)
+    return forward_walk(lambda a: phi(d, a) if a == last else _horner(cubic, a), -m, last, 3)
 
 
 def k2_step(alpha: int) -> int:
@@ -308,18 +307,12 @@ def k2_step(alpha: int) -> int:
 
 
 def _cubic_sum(cubic: tuple, lo: int, hi: int) -> int:
-    """The sum of the cubic (c0, c1, c2, c3) over [lo, hi], from the sums of
-    a^k over 1 <= a <= x, k <= 3: polynomials in x, true at every integer x."""
-    def power_sums(x: int) -> tuple[int, int, int, int]:
-        t = x * (x + 1) // 2
-        return x, t, t * (2 * x + 1) // 3, t * t
-    return sum(map(mul, cubic, map(sub, power_sums(hi), power_sums(lo - 1))))
-
-
-def frame_sum(d: int) -> int:
-    """sum(frame_k2(d)), the sum of phi(d, a) over [-m, a*], in closed form."""
-    m, eps = _split3(d)
-    return _cubic_sum(phi_coefficients(m, eps), -m, _a_star(m, eps))
+    """The sum of the cubic (c0, c1, c2, c3) over [lo, hi], from the sums x,
+    t = x(x + 1)/2, t(2x + 1)/3 and t^2 of a^k over 1 <= a <= x, k <= 3:
+    polynomials in x, true at every integer x, here at hi and lo - 1."""
+    c0, c1, c2, c3 = cubic
+    t, s = hi * (hi + 1) // 2, lo * (lo - 1) // 2
+    return c0 * (hi - lo + 1) + c1 * (t - s) + c2 * (t * (2 * hi + 1) - s * (2 * lo - 1)) // 3 + c3 * (t * t - s * s)
 
 
 def unpack_frame(packed: int, w: int, n: int) -> list[int]:
@@ -328,55 +321,51 @@ def unpack_frame(packed: int, w: int, n: int) -> list[int]:
     return [int.from_bytes(raw[i:i + k], "little") - (1 << w - 2) for i in range(0, len(raw), k)]
 
 
-def _packed_frame(values: list[int], w: int) -> tuple[int, int, int, int, int]:
-    """(w', frame, steps, guards, ones): values and their classes' k2_step,
-    each + 2^(w' - 2) below its guard bit w' - 1 in a lane of the least width
-    w' = w + 8k that holds both, and the lanes' guard bits and bits 0."""
-    n, lanes = len(values), values + list(map(k2_step, range(1, len(values) + 1)))
-    lo, hi = min(lanes), max(lanes)
-    while lo < -(bias := 1 << w - 2) or hi >= bias:
-        w += 8
-    both = int.from_bytes(b"".join((x + bias).to_bytes(w // 8, "little") for x in lanes), "little")
+def _packed_frame(values: list[int], span: int) -> tuple[int, int, int, int, int]:
+    """(w, frame, steps, guards, ones): values and their classes' k2_step,
+    each + 2^(w - 2) below its guard bit w - 1 in a lane of the least width
+    w = 8k that holds both and every value moved span steps on, and the
+    lanes' guard bits and bits 0."""
+    steps = list(map(k2_step, range(1, len(values) + 1)))
+    lanes = values + steps + [v + span * step for v, step in zip(values, steps)]
+    w = (max(-min(lanes) - 1, max(lanes)).bit_length() + 9) // 8 * 8
+    bias, n = 1 << w - 2, len(values)
+    both = int.from_bytes(b"".join((x + bias).to_bytes(w // 8, "little") for x in lanes[:2 * n]), "little")
     ones = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * n, "little")
     return w, both & (1 << w * n) - 1, (both >> w * n) - bias * ones, ones << w - 1, ones
 
 
-def frame_walk(lo: int) -> Iterator[tuple[KsqMinimum, int, int]]:
-    """For d = lo, lo + 1, ...: d's :class:`KsqMinimum`, its frame packed in
-    w-bit lanes (:func:`unpack_frame`), and w. Each degree adds every class's
-    k2_step to frame_k2(lo) in one integer addition; phi gives the class
-    entering at a*. A lane leaving its range sets its guard bit, and the step
-    is taken back and the lanes widen. Each degree checks the last walked
-    value against phi and the lanes' sum against :func:`frame_sum` (InconsistencyError)."""
-    values = frame_k2(lo)
-    n, (w, frame, steps, guards, ones) = len(values), _packed_frame(values, 8)
-    for d in count(lo):
+def frame_walk(lo: int, hi: int) -> Iterator[tuple[KsqMinimum, int, int, int]]:
+    """For d = lo, ..., hi: d's :class:`KsqMinimum`, its frame packed in
+    w-bit lanes (:func:`unpack_frame`), w and the frame's residue mod
+    2^w - 1. The frame holds every class alpha = 1 .. hi // 2 from lo on,
+    admissible or not yet, in one lane width: at a fixed alpha K^2 is affine
+    in d, so its extremes over the window lie at lo and hi. Each degree adds
+    every class's k2_step in one integer addition, and the residue by the
+    steps' residue. A set guard bit, a class at a* other than phi, or a lanes'
+    sum other than _cubic_sum's mod 2^w - 1 raises InconsistencyError."""
+    n, cap = lo // 2, hi // 2  # the admissible classes of d, and all of the window's
+    w, frame, steps, guards, ones = _packed_frame(frame_k2(lo, cap), hi - lo)
+    bias, mod = 1 << w - 2, (1 << w) - 1  # mod is also one lane's bits
+    below = guards & (1 << w * n - w) - 1  # the guard bits of the lanes below a*'s
+    residue, moved, last = frame % mod, steps % mod, (frame >> w * (n - 1) & mod) - bias
+    for d in range(lo, hi + 1):
         m, eps = _split3(d)
         if d > lo:
-            cubic, frame = phi_coefficients(m, eps), frame + steps  # phi(d, a) is _horner(cubic, a)
-            while frame & guards:  # a lane left its range
-                w, frame, steps, guards, ones = _packed_frame(unpack_frame(frame - steps, w, n), w + 8)
-                frame += steps
-            if (walked := (frame >> w * (n - 1)) - (1 << w - 2)) != (direct := _horner(cubic, n - 1 - m)):
-                raise InconsistencyError(f"frame walk gives {walked} at d={d}, direct evaluation {direct}")
-            if d % 2 == 0:  # d // 2 grew: class n + 1 enters at a*
-                value, step, bias = _horner(cubic, n - m), k2_step(n + 1), 1 << w - 2
-                if -bias <= min(value, step) and max(value, step) < bias:
-                    frame, steps = frame | value + bias << w * n, steps + (step << w * n)
-                    ones, guards = ones | 1 << w * n, guards | 1 << w * n + w - 1
-                else:
-                    w, frame, steps, guards, ones = _packed_frame(unpack_frame(frame, w, n) + [value], w)
-                n += 1
-            total, folded = _cubic_sum(cubic, -m, n - 1 - m) + n * (1 << w - 2), frame  # frame_sum(d), biased
-            while (size := folded.bit_length()) > 64 * w:  # folded in halves, as 2^w = 1 mod 2^w - 1
-                folded = (folded >> (half := size // (2 * w) * w)) + (folded & (1 << half) - 1)
-            if folded % ((1 << w) - 1) != total % ((1 << w) - 1):  # below 64 lanes % is the cheaper
+            cubic, frame, residue = phi_coefficients(m, eps), frame + steps, (residue + moved) % mod
+            if frame & guards:
+                raise InconsistencyError(f"frame walk leaves its {w}-bit lanes at d={d}")
+            if d % 2 == 0:  # d // 2 grew: the class n + 1 is admissible, and n's lane is below a*'s
+                below, n = below | 1 << w * n - 1, n + 1
+            if (last := (frame >> w * (n - 1) & mod) - bias) != (direct := _horner(cubic, n - 1 - m)):
+                raise InconsistencyError(f"frame walk gives {last} at d={d}, direct evaluation {direct}")
+            if residue != ((total := _cubic_sum(cubic, -m, cap - 1 - m)) + cap * bias) % mod:
                 raise InconsistencyError(f"frame walk's lanes do not sum to {total} mod 2^{w} - 1 at d={d}")
-        last = (frame >> w * (n - 1)) - (bias := 1 << w - 2)  # one pass: a guard set where K^2 > last
-        if ((frame + guards - (last + 1 + bias) * ones) & guards).bit_count() == n - 1:
-            yield KsqMinimum(d, n - 1 - m, last, True), frame, w
+        # one pass: each lane holds K^2 - last - 1 + 2^(w-1), its guard bit set where K^2 > last
+        if (frame + (bias - 1 - last) * ones) & below == below:
+            yield KsqMinimum(d, n - 1 - m, last, True), frame, w, residue
         else:
-            yield frame_minimum(d, unpack_frame(frame, w, n)), frame, w
+            yield frame_minimum(d, unpack_frame(frame, w, cap)[:n]), frame, w, residue
 
 
 def frame_minimum(d: int, values: list[int]) -> KsqMinimum:

@@ -35,10 +35,10 @@ scroll, general type), the certificate records the hypothesis in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count, filterfalse, repeat
+from itertools import compress, count, repeat
 from math import lcm
 from operator import eq, ge, le
 
@@ -265,7 +265,7 @@ class _Builder:
         first failure is recorded under ``key``, and only locate writes it."""
         if self.lo > self.hi:
             return
-        rejected = next(filterfalse(decide, range(self.lo, self.hi + 1)), None)
+        rejected = next((d for d in range(self.lo, self.hi + 1) if not decide(d)), None)  # a StopIteration raises (PEP 479)
         verdicts = {self.hi: True} if rejected is None else {rejected: False}
         if self.hi not in verdicts:
             verdicts[self.hi] = decide(self.hi)
@@ -921,13 +921,21 @@ def appendix_table(m: int | Poly, eps: int) -> tuple:
 PHI_FACTORS = ((-2, 1), (-1, 1))
 
 
-def _walked_minima() -> Callable[[int], KsqMinimum]:
-    """minimize_k2's values, memoized and read off frame_walk: a new degree
-    one past the walk's last advances it, any other starts a new walk."""
-    memo, walks = {}, {}  # walks holds the live walk under its next degree
+def _walked_minima(hi: int) -> Callable[[int], KsqMinimum]:
+    """minimize_k2's values, memoized and read off a chain of frame_walk
+    windows: a new degree one past the chain's last advances it, any other
+    starts a new chain. A window from d runs max(d // 4, 16) degrees on, cut
+    at the sweep's last degree hi unless d is past it."""
+    memo, walks = {}, {}  # walks holds the live chain under its next degree
+    def chain(d: int) -> Iterator[tuple]:
+        while True:
+            end = d + max(d // 4, 16)
+            end = min(end, hi) if d <= hi else end
+            yield from frame_walk(d, end)
+            d = end + 1
     def minimum(d: int) -> KsqMinimum:
         if d not in memo:
-            walk = walks.pop(d, None) or frame_walk(d)
+            walk = walks.pop(d, None) or chain(d)
             walks.clear()
             memo[d] = next(walk)[0]
             walks[d + 1] = walk
@@ -940,7 +948,9 @@ def _step_proof(cubics: list[tuple]) -> tuple[bool, ...]:
     alpha - m - 1) = k2_step(alpha) at every d = 3m + eps + 1, where
     cubics[eps] = phi_coefficients(m, eps) for m = Poly.variable(). In m the
     move has the degree read from phi at eps and eps + 1, in alpha at most 3
-    (phi is cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle it."""
+    (phi is cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle
+    it for every alpha: the classes a frame_walk window walks before they are
+    admissible, alpha > d // 2, as well."""
     def fault(m: int, eps: int) -> int | None:
         m1, e1 = _split3(len(FRAME_RESIDUES) * m + eps + 2)
         here, there = phi_coefficients(m, eps), phi_coefficients(m1, e1)
@@ -1059,11 +1069,12 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     """Exhaustive minimization of phi over [-m, a*] for every d in range,
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument. The sweep
-    reads each minimum off one frame walk across degrees and decides the
-    sign pattern from phi' at its range ends and its curvature; it rejects
-    every degree of a residue where the walk's step or the tabulated checks
-    are not proved, and a fault of the walk raises. Locate runs every check
-    and minimize_k2 and walks both ranges, at the last degree and a rejected one."""
+    reads each minimum off a chain of fixed-width frame_walk windows and
+    decides the sign pattern from phi' at its range ends and its curvature;
+    it rejects every degree of a residue where the walk's step or the
+    tabulated checks are not proved, and a fault of the walk raises. Locate
+    runs every check and minimize_k2 and walks both ranges, at the last
+    degree and a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1108,7 +1119,7 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
             variable="m",
             label=f"tabulated discriminant variant is positive for m >= 3, eps={eps}",
         )
-    stepped, minimum = all(_step_proof(cubics)), _walked_minima()
+    stepped, minimum = all(_step_proof(cubics)), _walked_minima(b.hi)
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",

@@ -309,15 +309,58 @@ def minima():
 
 @pytest.mark.parametrize("lo", [4, 5, 6, 18, 36])
 def test_the_frame_walk_gives_minimize_k2s_minimum_at_every_degree(minima, lo):
-    for d, (res, frame, w) in zip(range(lo, 3001), scroll.frame_walk(lo)):
-        if d <= 400:
-            assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
-        assert res == minima[d], d
+    # one window to d = 3000 packs every class alpha = 1 .. 1500 at lo, each
+    # not yet admissible one walked by the same step, in 40-bit lanes throughout
+    for d, (res, frame, w, residue) in zip(range(lo, 3001), scroll.frame_walk(lo, 3000)):
+        if d <= 100:
+            assert scroll.unpack_frame(frame, w, 1500) == scroll.frame_k2(d, 1500), d
+        assert res == minima[d] and w == 40, d
+
+
+def test_the_running_residue_is_the_frames_at_every_degree():
+    # the lanes' sum is read mod 2^w - 1 off a residue that each degree's
+    # addition moves, never off the frame
+    for res, frame, w, residue in scroll.frame_walk(36, 3000):
+        assert residue == frame % ((1 << w) - 1), res.d
+
+
+@pytest.mark.parametrize("lo, w", [(40, 16), (59, 24), (341, 32), (2136, 40), (13531, 48), (90000, 56)])
+def test_a_window_in_each_lane_width_gives_minimize_k2s_minimum(lo, w):
+    # the width is chosen once, from K^2 at the window's ends
+    walk = list(scroll.frame_walk(lo, lo + 8))
+    assert [width for *_, width, _ in walk] == [w] * 9
+    assert [res for res, *_ in walk] == [minimize_k2(d) for d in range(lo, lo + 9)]
+
+
+def test_a_window_with_a_lane_at_the_edge_of_its_bias():
+    # [9, 11] packs alpha = 1 .. 5, and the class 5H - 6W, admissible from
+    # d = 10 on, has K^2 = -64 = -2^(8 - 2) at d = 9: the least an 8-bit lane holds
+    assert scroll.frame_k2(9, 5)[-1] == -64
+    walk = list(scroll.frame_walk(9, 11))
+    assert [w for *_, w, _ in walk] == [8] * 3
+    assert scroll.unpack_frame(walk[0][1], 8, 5) == scroll.frame_k2(9, 5)
+    assert [res for res, *_ in walk] == [minimize_k2(d) for d in (9, 10, 11)]
+
+
+def test_a_lane_leaving_its_width_raises(monkeypatch):
+    # [52, 59] needs 24-bit lanes by d = 59; packed for its first degree
+    # alone, in 16-bit lanes, a lane sets its guard bit there and the walk
+    # raises rather than widen
+    real = scroll._packed_frame
+    monkeypatch.setattr(scroll, "_packed_frame", lambda values, span: real(values, 0))
+    walk = scroll.frame_walk(52, 59)
+    assert [w for _, (*_, w, _) in zip(range(52, 59), walk)] == [16] * 7
+    with pytest.raises(InconsistencyError, match="^frame walk leaves its 16-bit lanes at d=59$"):
+        next(walk)
 
 
 def test_frame_sum_is_the_sum_of_the_frame():
-    for d in range(4, 3001):
-        assert scroll.frame_sum(d) == sum(scroll.frame_k2(d)), d
+    # the closed form a window's lanes sum to: the classes alpha = 1 .. n of
+    # degree d, admissible (n = d // 2) or not yet
+    for d in range(4, 1001):
+        m, eps = scroll._split3(d)
+        for n in (d // 2, d // 2 + 1, d // 2 + d // 8 + 1):
+            assert scroll._cubic_sum(scroll.phi_coefficients(m, eps), -m, n - 1 - m) == sum(scroll.frame_k2(d, n)), d
 
 
 def wrong_step(monkeypatch, alpha):
@@ -328,33 +371,35 @@ def wrong_step(monkeypatch, alpha):
 
 @pytest.mark.parametrize("d", [40, 41])
 def test_a_doctored_frame_mid_walk_fails_the_next_degrees_end_check(monkeypatch, d):
-    # the packed frame is an int, so the class at a*, alpha = 20, is doctored
-    # through its step from d on: from d = 40 to 41 the frame keeps its 20
-    # classes and the last walked value is checked against phi at a*; from
-    # 41 to 42 a class enters at a*, and the last walked value is checked
-    # against phi at a* - 1
-    wrong_step(monkeypatch, 20)
-    walk = scroll.frame_walk(d)
-    res, frame, w = next(walk)
-    assert scroll.unpack_frame(frame, w, 20) == scroll.frame_k2(d)
+    # the packed frame is an int, so the class at a* of d + 1 is doctored
+    # through its step from d on: alpha = 20, at a* from d = 40 already, or
+    # alpha = 21, the class 21H - 22W at d = 41, admissible from 42 on and
+    # walked there; the end check reads it before the lanes' sum
+    wrong_step(monkeypatch, (d + 1) // 2)
+    walk = scroll.frame_walk(d, 60)
+    res, frame, w, residue = next(walk)
+    assert scroll.unpack_frame(frame, w, 30) == scroll.frame_k2(d, 30)
     with pytest.raises(InconsistencyError, match=f"^frame walk gives .* at d={d + 1}, direct evaluation"):
         next(walk)
 
 
-def test_a_wrong_interior_step_fails_the_next_degrees_lane_sum(monkeypatch):
-    # the end check reads only the class at a*; the lanes' sum reads every class
-    wrong_step(monkeypatch, 5)
-    walk = scroll.frame_walk(40)
-    res, frame, w = next(walk)
-    assert scroll.unpack_frame(frame, w, 20) == scroll.frame_k2(40)
-    with pytest.raises(InconsistencyError, match=r"^frame walk's lanes do not sum to .* at d=41$"):
-        next(walk)
+def test_a_wrong_interior_step_fails_the_next_degrees_lane_sum():
+    # the end check reads only the class at a*; the lanes' sum reads every
+    # class, alpha = 5 admissible and alpha = 25 not until d = 50
+    for alpha in (5, 25):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            wrong_step(monkeypatch, alpha)
+            walk = scroll.frame_walk(40, 60)
+            res, frame, w, residue = next(walk)
+            assert scroll.unpack_frame(frame, w, 30) == scroll.frame_k2(40, 30)
+            with pytest.raises(InconsistencyError, match=r"^frame walk's lanes do not sum to .* at d=41$"):
+                next(walk)
 
 
 def seeded_walk(monkeypatch, values):
-    """The first degree of a walk from d = 40 whose frame_k2 gives values."""
-    monkeypatch.setattr(scroll, "frame_k2", lambda d: list(values))
-    return next(scroll.frame_walk(40))
+    """The one degree of the window [40, 40] whose frame_k2 gives values."""
+    monkeypatch.setattr(scroll, "frame_k2", lambda d, n: list(values))
+    return next(scroll.frame_walk(40, 40))
 
 
 @pytest.mark.parametrize("index", [0, 5, 18])
@@ -362,7 +407,7 @@ def test_an_interior_lane_equal_to_the_last_takes_three_passes(monkeypatch, inde
     # d = 40: a = -13 .. 6, the minimum -1360 at a* = 6 (index 19)
     values = scroll.frame_k2(40)
     values[index] = values[-1]
-    res, frame, w = seeded_walk(monkeypatch, values)
+    res, frame, w, residue = seeded_walk(monkeypatch, values)
     assert res == KsqMinimum(40, -13 + index, -1360, False)
 
 
@@ -371,19 +416,21 @@ def test_an_interior_lane_one_above_the_last_takes_one_pass(monkeypatch, index):
     values = scroll.frame_k2(40)
     values[index] = values[-1] + 1
     monkeypatch.setattr(scroll, "frame_minimum", None)  # the three passes are not taken
-    res, frame, w = seeded_walk(monkeypatch, values)
+    res, frame, w, residue = seeded_walk(monkeypatch, values)
     assert res == KsqMinimum(40, 6, -1360, True)
 
 
 @pytest.mark.parametrize("w", [8, 16, 24, 32, 40, 48])
 def test_lanes_hold_the_edges_of_the_bias(w):
-    # the classes alpha = 1 .. 6 have steps 0, -3, 0, 9, 24 and 45; packed
-    # from 8 bits up, the lanes take the least width that holds every value
+    # the classes alpha = 1 .. 6 have steps 0, -3, 0, 9, 24 and 45; the
+    # lanes take the least width that holds every value, moved span steps on
     bias = 1 << w - 2
     lanes = [-bias, bias - 1, 0, -1, -bias, bias - 1]
-    packed_w, frame, steps, guards, ones = scroll._packed_frame(lanes, 8)
+    packed_w, frame, steps, guards, ones = scroll._packed_frame(lanes, 0)
     assert packed_w == w and scroll.unpack_frame(frame, w, 6) == lanes
-    assert scroll._packed_frame([-bias - 1], 8)[0] == scroll._packed_frame([bias], 8)[0] == w + 8
+    assert scroll._packed_frame([-bias - 1], 0)[0] == scroll._packed_frame([bias], 0)[0] == w + 8
+    assert scroll._packed_frame(lanes, 1)[0] == w + 8  # alpha = 6 reaches bias + 44
+    assert scroll._packed_frame(lanes[:5] + [bias - 46], 1)[0] == w
     assert frame & guards == 0 and frame < 1 << 6 * w and guards == ones << w - 1
     assert steps == sum(scroll.k2_step(alpha) << w * (alpha - 1) for alpha in range(1, 7))
 
@@ -393,27 +440,9 @@ def test_the_walk_reads_a_frame_at_the_edges_of_its_lanes(monkeypatch):
     # lanes' K^2 + 2^14 in [0, 2^15)
     values = scroll.frame_k2(40)
     values[0], values[1] = -(1 << 14), (1 << 14) - 1
-    res, frame, w = seeded_walk(monkeypatch, values)
+    res, frame, w, residue = seeded_walk(monkeypatch, values)
     assert w == 16 and scroll.unpack_frame(frame, w, 20) == values
     assert res == KsqMinimum(40, -13, -(1 << 14), True)
-
-
-def test_the_walk_from_4_crosses_lane_widths(monkeypatch, minima):
-    # each class's K^2 reaches 3m^3 or so at a = 0, so the lanes widen by a
-    # byte each time d grows about 6.3-fold: at d = 12 the class entering at
-    # a* does not fit, and from d = 59 on a step sets a guard bit, the step
-    # is taken back and the d // 2 lanes are repacked a byte wider
-    real, packs = scroll._packed_frame, []
-    monkeypatch.setattr(scroll, "_packed_frame",
-                        lambda values, w: packs.append((len(values), w)) or real(values, w))
-    first = {}
-    for d, (res, frame, w) in zip(range(4, 3001), scroll.frame_walk(4)):
-        if w not in first:
-            first[w] = d
-            assert scroll.unpack_frame(frame, w, d // 2) == scroll.frame_k2(d), d
-            assert res == minima[d], d
-    assert first == {8: 4, 16: 12, 24: 59, 32: 341, 40: 2136}
-    assert packs == [(2, 8), (6, 8), (29, 16 + 8), (170, 24 + 8), (1067, 32 + 8)]
 
 
 def test_minimize_below_asserted_range_is_flagged():

@@ -682,17 +682,17 @@ def test_sharpness_certificate_alone_equals_the_full_runs():
 
 def spy_minima(monkeypatch) -> dict[str, list]:
     """Records the degrees of every frame_k2 and every minimize_k2 that
-    verify calls, and each frame walk as [its first degree, frames read]."""
+    verify calls, and each frame walk window as [lo, hi, frames read]."""
     calls = {"frame_k2": [], "minimize_k2": [], "walks": []}
     real_frame, real_minimize, real_walk = scroll.frame_k2, verify.minimize_k2, verify.frame_walk
 
-    def walk(lo):
-        calls["walks"].append(record := [lo, 0])
-        for degree in real_walk(lo):
-            record[1] += 1
+    def walk(lo, hi):
+        calls["walks"].append(record := [lo, hi, 0])
+        for degree in real_walk(lo, hi):
+            record[2] += 1
             yield degree
 
-    monkeypatch.setattr(scroll, "frame_k2", lambda d: calls["frame_k2"].append(d) or real_frame(d))
+    monkeypatch.setattr(scroll, "frame_k2", lambda d, n=0: calls["frame_k2"].append(d) or real_frame(d, n))
     monkeypatch.setattr(verify, "minimize_k2", lambda d: calls["minimize_k2"].append(d) or real_minimize(d))
     monkeypatch.setattr(verify, "frame_walk", walk)
     return calls
@@ -701,9 +701,11 @@ def spy_minima(monkeypatch) -> dict[str, list]:
 def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
     calls = spy_minima(monkeypatch)
     verify_theorem(36, 100)
-    # APPENDIX.min's decide walks 36 .. 100 from one frame_k2, and its
-    # locate minimizes the last degree itself
-    assert calls == {"frame_k2": [36, 100], "minimize_k2": [100], "walks": [[36, 65]]}
+    # APPENDIX.min's decide walks 36 .. 100 in a chain of windows, each of
+    # max(d // 4, 16) degrees on from its first degree d and packed from one
+    # frame_k2 there, the last cut at 100; its locate minimizes 100 itself
+    assert calls == {"frame_k2": [36, 53, 70, 88, 100], "minimize_k2": [100],
+                     "walks": [[36, 52, 17], [53, 69, 17], [70, 87, 18], [88, 100, 13]]}
     # SHARPNESS reads no minimum: its decide rests on the factorization,
     # and locate at d = 40 walks the intersection ring, not the frame
     calls = spy_minima(monkeypatch)
@@ -713,23 +715,28 @@ def test_one_frame_minimum_per_degree_in_a_run(monkeypatch):
 
 def test_the_run_memo_advances_its_walk_only_to_the_next_degree(monkeypatch):
     calls = spy_minima(monkeypatch)
-    minimum = verify._walked_minima()
-    for d in (40, 41, 100, 41, 101, 42, 43):
+    minimum = verify._walked_minima(100)
+    for d in (*range(40, 60), 41, 100, 101, 45, 60, 102):
         assert minimum(d) == scroll.minimize_k2(d), d
-    # 41 is remembered; 42 is not 101's successor, so a walk starts there
-    assert calls["walks"] == [[40, 2], [100, 2], [42, 2]]
+    # 40 .. 59 cross from the window [40, 56] into the next, and 41 and 45
+    # are remembered; 100 starts a chain whose window ends at the sweep's
+    # last degree, and 101, past it, moves the chain into a window of
+    # 101 // 4 degrees on; 60 is not 101's successor, nor 102 60's
+    assert calls["walks"] == [[40, 56, 17], [57, 73, 3], [100, 100, 1], [101, 126, 1], [60, 76, 1], [102, 127, 1]]
 
 
 def test_the_run_memo_restarts_a_walk_that_raised(monkeypatch):
     # the step of the class alpha = 20 is off by one from d = 40 to 41,
-    # which the walk's end check at d = 41 finds
+    # which the window's end check at d = 41 finds
     real = scroll.k2_step
     monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
-    minimum = verify._walked_minima()
+    calls = spy_minima(monkeypatch)
+    minimum = verify._walked_minima(60)
     assert minimum(40) == scroll.minimize_k2(40)
     with pytest.raises(InconsistencyError, match="^frame walk gives .* at d=41"):
         minimum(41)
-    assert minimum(41) == scroll.minimize_k2(41)  # from a new walk
+    assert minimum(41) == scroll.minimize_k2(41)  # the first degree of a new window
+    assert calls["walks"] == [[40, 56, 1], [41, 57, 1]]
 
 
 def step_proof():
@@ -739,14 +746,15 @@ def step_proof():
 
 
 def test_a_walk_that_breaks_mid_run_raises_its_own_fault(monkeypatch, capsys):
-    # the walk alone takes a wrong step for the class alpha = 20, which
-    # enters at d = 40; the proof reads verify's k2_step and holds, so the
-    # end check at d = 41 raises out of decide, and the run exits 1
+    # the walk alone takes a wrong step for the class alpha = 20, which is
+    # admissible from d = 40 on but walked from the window's first degree
+    # 36; the proof reads verify's k2_step and holds, so the lanes' sum at
+    # d = 37 raises out of decide, and the run exits 1
     real = scroll.k2_step
     monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
     assert step_proof() == (True,) * 3
-    message = "frame walk gives -390 at d=41, direct evaluation -391"
-    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+    message = "frame walk's lanes do not sum to -76167 mod 2^24 - 1 at d=37"
+    with pytest.raises(InconsistencyError, match=f"^{re.escape(message)}$"):
         verify_theorem(36, 60, cases=("appendix",))
     assert cli.main(["verify", "appendix", "--from", "36", "--to", "60"]) == 1
     assert capsys.readouterr().err == f"inconsistency: {message}\n"
@@ -762,8 +770,9 @@ STEP_DOCTORS = {
 @pytest.mark.parametrize("name", STEP_DOCTORS)
 def test_a_broken_step_identity_rejects_every_degree(monkeypatch, name):
     # decide rejects d = 36 and 60 before any walk, and each locate reads a
-    # new walk's first frame: a wrong step alone leaves d = 36 passing, and
-    # the run raises there; a wrong phi fails both claims there
+    # new window's first frame, the one at 60 cut there: a wrong step alone
+    # leaves d = 36 passing, and the run raises there; a wrong phi fails
+    # both claims there
     extra, wrong, proof = STEP_DOCTORS[name]
     real_step, real_phi = scroll.k2_step, scroll.phi_coefficients
     for module in (scroll, verify):
@@ -779,7 +788,7 @@ def test_a_broken_step_identity_rejects_every_degree(monkeypatch, name):
         appendix, sharpness = verify_theorem(36, 60, cases=("appendix", "sharpness")).certificates
         assert appendix.witness["failure"] == "d=36: minimum -1074 != closed form -1080"
         assert sharpness.witness["failure"].startswith("d=36: the intersection ring gives K^2 = ")
-    assert calls["walks"] == [[36, 1], [60, 1]]
+    assert calls["walks"] == [[36, 52, 1], [60, 60, 1]]
 
 
 @pytest.mark.parametrize("claim, proof, build", [
@@ -799,9 +808,9 @@ def test_appendix_locate_raises_where_the_runs_minimum_differs(monkeypatch):
     # degree's decide reads; locate's own minimize_k2 does not
     real = verify.frame_walk
 
-    def frame_walk(lo):
-        for res, frame, w in real(lo):
-            yield KsqMinimum(res.d, res.a_min, res.k2_min, res.unique and res.d != 101), frame, w
+    def frame_walk(lo, hi):
+        for res, *frame in real(lo, hi):
+            yield KsqMinimum(res.d, res.a_min, res.k2_min, res.unique and res.d != 101), *frame
 
     monkeypatch.setattr(verify, "frame_walk", frame_walk)
     with pytest.raises(InconsistencyError, match=r"^d=101: the run's frame minimum KsqMinimum\(d=101, .*unique=False\) differs"):
@@ -1181,6 +1190,20 @@ def test_a_sweep_stops_at_its_first_failure(monkeypatch, decide, locate, build, 
     assert cert.witness[key] == "wrong"
     assert decided == [*range(36, 41), 50]
     assert located == [40, 50]
+
+
+def test_a_decide_raising_stop_iteration_raises_out_of_the_sweep():
+    # a StopIteration from decide at d = 50 must not end the sweep's scan
+    # there, which would pass d = 55 unchecked and verify the claim
+    def decide(d):
+        if d == 50:
+            next(iter(()))
+        return d != 55
+
+    b = verify._Builder("SHARPNESS", (36, 100), 36)
+    with pytest.raises(RuntimeError, match="StopIteration"):
+        b.sweep("every degree", decide, lambda d: "wrong" if d == 55 else None)
+    assert "checks" not in b.params
 
 
 @pytest.mark.parametrize("route, d, failure, disagreement", [
