@@ -29,7 +29,6 @@ is built: d - 1 = (r-1)m + eps, d - 1 = 5n + v, d - 1 = 4p + q.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache
 
 from .exact import (
@@ -38,8 +37,9 @@ from .exact import (
     OutOfDomainError,
     Poly,
     Record,
+    _horner,
+    _int_at,
     _set,
-    as_int,
     rat_str,
 )
 
@@ -97,33 +97,44 @@ class HilbertProfile(Frozen):
 
 
 class GenusBoundResult(Record):
-    """Exact value of one named genus bound plus its split parameters."""
+    """Exact value of one named genus bound, given as bound / den, plus its
+    split parameters. It is kept as a constant Poly, ``_value``, which the
+    field ``bound`` reads as a Fraction."""
 
-    __slots__ = ("formula_id", "d", "bound", "params")
+    __slots__ = ("formula_id", "d", "params", "_value")
+    _fields = ("formula_id", "d", "bound", "params")
 
-    def __init__(self, formula_id: str, d: int, bound: Fraction, params: dict):
+    def __init__(self, formula_id: str, d: int, bound: int | Fraction, params: dict, den: int = 1):
         self.formula_id = formula_id
         self.d = d
-        self.bound = bound
+        self._value = Poly((bound.numerator,), bound.denominator * den)
         self.params = params
 
     @property
+    def bound(self) -> Fraction:
+        return self._value(0)
+
+    @bound.setter
+    def bound(self, value: int | Fraction) -> None:
+        self._value = Poly((value.numerator,), value.denominator)
+
+    @property
     def is_integer(self) -> bool:
-        return self.bound.denominator == 1
+        return self._value.den == 1
 
     @property
     def bound_int(self) -> int:
-        return as_int(self.bound, f"{self.formula_id}({self.d})")
+        return _int_at(self._value, 0, "{}({})", self.formula_id, self.d)
 
     @property
     def floor(self) -> int:
-        return self.bound.numerator // self.bound.denominator
+        return _horner(self._value.num, 0) // self._value.den
 
     def to_json_dict(self) -> dict:
         return {
             "formula_id": self.formula_id,
             "d": self.d,
-            "bound": rat_str(self.bound),
+            "bound": rat_str(_horner(self._value.num, 0), self._value.den),
             "floor": self.floor,
             "is_integer": self.is_integer,
             "params": dict(self.params),
@@ -150,8 +161,7 @@ def castelnuovo_bound(r: int, d: int) -> GenusBoundResult:
     if d < r:
         raise OutOfDomainError(f"no nondegenerate degree-{d} curve in P^{r}")
     m, eps = divmod(d - 1, len(castelnuovo_polys(r)))
-    bound = castelnuovo_polys(r)[eps](d)
-    as_int(bound, f"G({r};{d})")
+    bound = _int_at(castelnuovo_polys(r)[eps], d, "G({};{})", r, d)
     return GenusBoundResult(
         formula_id="castelnuovo",
         d=d,
@@ -194,12 +204,12 @@ def halphen_bound(d: int, s: int) -> GenusBoundResult:
     if d <= s * s - s:
         raise OutOfDomainError(f"Halphen bound asserted only for d > {s * s - s}")
     m, eps = divmod(d - 1, len(halphen_polys(s)))
-    bound = halphen_polys(s)[eps](d)
     return GenusBoundResult(
         formula_id="halphen",
         d=d,
-        bound=bound,
+        bound=_horner(halphen_polys(s)[eps].num, d),
         params={"s": s, "m": m, "eps": eps},
+        den=halphen_polys(s)[eps].den,
     )
 
 
@@ -230,8 +240,7 @@ def pi2_bound(d: int) -> GenusBoundResult:
     if d < 2:
         raise OutOfDomainError("pi2_bound needs d >= 2")
     n, v, w = pi2_split(d)
-    bound = pi2_polys()[v](d)
-    as_int(bound, f"G(4;{d},5)")
+    bound = _int_at(pi2_polys()[v], d, "G(4;{},5)", d)
     return GenusBoundResult(
         formula_id="pi2",
         d=d,
@@ -274,8 +283,7 @@ def pi1_bound(d: int) -> GenusBoundResult:
     if d < 2:
         raise OutOfDomainError("pi1_bound needs d >= 2")
     p, q, t = pi1_split(d)
-    bound = pi1_polys()[q](d)
-    as_int(bound, f"G(4;{d},4)")
+    bound = _int_at(pi1_polys()[q], d, "G(4;{},4)", d)
     return GenusBoundResult(
         formula_id="pi1",
         d=d,
@@ -363,7 +371,7 @@ def weighted_defect_closed_form(d: int) -> int:
     if d < 5:
         raise OutOfDomainError("weighted defect sum needs d >= 5")
     p, q = divmod(d - 1, len(weighted_defect_polys()))
-    return as_int(weighted_defect_polys()[q](p), f"weighted defect sum at d={d}")
+    return _int_at(weighted_defect_polys()[q], p, "weighted defect sum at d={}", d)
 
 
 def double_point_2k2(d, g, chi):
@@ -394,17 +402,17 @@ def double_point_k2(d: int, g: int, chi: int) -> int:
     return num // 2
 
 
-def chi_bound_poly(x: int | Fraction) -> Poly:
+def chi_bound_poly(x: int | Fraction, den: int = 1) -> Poly:
     """Euler characteristic lower bound for a degree-d surface on an
     irreducible quartic hypersurface of P^4, as a cubic in d, in terms of
-    the rational genus-defect parameter 0 <= x <= 9
+    the rational genus-defect parameter 0 <= x <= 9, here x / den
     (g = d^2/8 + d(x-9)/8 + 1):
 
         chi >= d^3/96 - d^2/16 - 5d/3 - 333/16 - (d-3)d(9-x)/8.
 
     The constant -333/16 is an external input to this package.
     """
-    a, b = x.as_integer_ratio()  # x = a/b, b > 0
+    a, b = x.numerator, x.denominator * den  # x / den = a/b, b > 0
     if not 0 <= a <= 9 * b:
         raise ValueError("x must lie in [0, 9]")
     base = Poly((-1998, -160, -6, 1), 96)  # d^3/96 - d^2/16 - 5d/3 - 333/16

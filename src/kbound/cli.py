@@ -21,7 +21,6 @@ from __future__ import annotations
 import io
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import bounds, scroll, verify
@@ -150,13 +149,16 @@ def _bound_one(args, d: int, with_profile: bool = False):
         if with_profile:
             profile = bounds.pi2_profile(d)
     else:  # propagate: the genus comes from the profile
-        seed = [int(v) for v in args.seed.split(",")]
+        try:
+            seed = [int(v) for v in args.seed.split(",")]
+        except ValueError:
+            raise ValueError(f"--seed must be three comma-separated integers, got {args.seed!r}") from None
         profile = bounds.propagate_profile(seed, d)
         g = bounds.genus_from_profile(profile)
         result = bounds.GenusBoundResult(
             formula_id="propagated",
             d=d,
-            bound=Fraction(g),
+            bound=g,
             params={"seed": args.seed},
         )
     return result, profile

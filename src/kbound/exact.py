@@ -3,18 +3,17 @@ forward-difference walks and tail-bounded sign certificates.
 
 Everything in this module is exact; no floating point is ever used. A
 :class:`Poly` stores integer numerators over one positive denominator, in
-lowest terms, and computes in ints; single rational values are
-``fractions.Fraction``. A :class:`SignCertificate` proves a polynomial
-inequality on the whole integer ray ``[start, +oo)`` by combining a finite
-exact scan with a Cauchy root bound for the tail, so "for all d > N" claims
-are genuinely quantified over an infinite range rather than sampled.
+lowest terms, and computes in ints; only the calls that return a rational
+value import ``fractions.Fraction``. A :class:`SignCertificate` proves a
+polynomial inequality on the whole integer ray ``[start, +oo)`` by combining
+a finite exact scan with a Cauchy root bound for the tail, so "for all d > N"
+claims are genuinely quantified over an infinite range rather than sampled.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, compress, count, repeat, zip_longest
 from operator import ge, gt, le, lt
@@ -131,16 +130,17 @@ def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list
 
 
 class Record:
-    """Base of kbound's value classes. The fields are the public names in
-    ``__slots__``, in order: ``==``, ``repr`` (``Name(field=value, ...)``)
-    and pickling read them. A record equals only records of its own class,
-    and is unhashable unless it is :class:`Frozen`."""
+    """Base of kbound's value classes. The fields are ``_fields``, by default
+    the public names in ``__slots__``, in order: ``==``, ``repr``
+    (``Name(field=value, ...)``) and pickling read them. A record equals
+    only records of its own class, and is unhashable unless it is :class:`Frozen`."""
 
     __slots__ = ()
     __hash__ = None
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -176,6 +176,15 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _int_at(p: "Poly", x: int, what: str, *args) -> int:
+    """p(x) as an int: the value of the numerators divided by the positive
+    denominator, with InconsistencyError naming what.format(*args) if not."""
+    value, rem = divmod(_horner(p.num, x), p.den)
+    if rem:
+        raise InconsistencyError(f"{what.format(*args)} is not an integer: {rat_str(_horner(p.num, x), p.den)}")
+    return value
 
 
 class Poly(Frozen):
@@ -220,6 +229,7 @@ class Poly(Frozen):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients, lowest power first."""
+        from fractions import Fraction
         return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
@@ -235,7 +245,7 @@ class Poly(Frozen):
     def leading(self) -> Fraction:
         if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
+        return self.coeffs[-1]
 
     def __add__(self, other: "Poly | int | Fraction", sign: int = 1, own: int = 1) -> "Poly":
         if not isinstance(other, Poly):  # own * self + sign * other, each sign 1 or -1
@@ -275,6 +285,7 @@ class Poly(Frozen):
         if isinstance(x, Poly):
             acc = _horner(self.num, x) or Poly.zero()  # the int 0 when self is zero
             return Poly(acc.num, acc.den * self.den)
+        from fractions import Fraction
         return Fraction(_horner(self.num, x), self.den)
 
     def has_value(self, x: int, value: int) -> bool:

@@ -26,7 +26,6 @@ the admissible classes of degree d are exactly
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .exact import (
     FrameRangeError,

@@ -36,7 +36,6 @@ scroll, general type), the certificate records the hypothesis in
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import partial
 from itertools import compress, count, repeat
 from math import lcm
@@ -68,7 +67,7 @@ from .exact import (
     Record,
     SignCertificate,
     _horner,
-    as_int,
+    _int_at,
     dumps,
     forward_walk,
     rat_str,
@@ -385,27 +384,18 @@ S4_RHS_QUOTED = Poly((-1998, -188, -18, 1), 8)  # d^3/8 - 9d^2/4 - 47d/2 - 999/4
 SCROLL_CUBIC = Poly.of(-23, 27, -10, 1)
 
 
-def genus_defect_poly(x: int | Fraction) -> Poly:
-    """g = d^2/8 + d(x-9)/8 + 1 for the defect parameter x = a/b."""
-    a, b = x.as_integer_ratio()
+def genus_defect_poly(x: int | Fraction, den: int = 1) -> Poly:
+    """g = d^2/8 + d(x-9)/8 + 1 for the defect parameter x / den = a/b."""
+    a, b = x.numerator, x.denominator * den
     return Poly((8 * b, a - 9 * b, b), 8 * b)
 
 
-# Fixed sample points, recorded in the certificates: distinct x in (6, 9]
-# with denominators in {2, 4, 8, 16} for R4.s4.x>6, and (r, e) with
+# Fixed sample points, recorded in the certificates: distinct x = a/b in
+# (6, 9], as pairs (a, b) with b in {2, 4, 8, 16}, for R4.s4.x>6, and (r, e) with
 # 7 <= r < 60, 0 <= e < r - 1 for R6.scroll.psi. The general claims rest on
 # the sign certificates; the samples are spot checks.
-X_SAMPLES = (Fraction(17, 2), Fraction(49, 8), Fraction(51, 8))
+X_SAMPLES = ((17, 2), (49, 8), (51, 8))
 SQUARE_COMPLETION_SAMPLES = ((55, 22), (51, 20), (55, 49), (28, 12), (22, 4), (10, 2))
-
-
-def _int_at(p: Poly, x: int, what: str, *args) -> int:
-    """p(x) as an int: the value of the numerators divided by the positive
-    denominator, with InconsistencyError naming what.format(*args) if not."""
-    value, rem = divmod(_horner(p.num, x), p.den)
-    if rem:
-        raise InconsistencyError(f"{what.format(*args)} is not an integer: {rat_str(p(x))}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +403,7 @@ def _int_at(p: Poly, x: int, what: str, *args) -> int:
 
 def verify_r2() -> Certificate:
     b = _Builder("R2.base")
-    b.check("K^2 = 9 > 5 = -d(d-6) at d = 1", 9 > as_int(EVEN_MINIMUM(1)), k2=9, bound=5)
+    b.check("K^2 = 9 > 5 = -d(d-6) at d = 1", 9 > _int_at(EVEN_MINIMUM, 1, "-d(d-6)"), k2=9, bound=5)
     return b.done()
 
 
@@ -437,9 +427,10 @@ def _r4_margin_int_check(margins: tuple[Poly, ...], d: int) -> bool:
 
 
 def _r4_check_one(s: int, chi: Callable, d: int) -> int | None:
-    # the scalar route, in ints and Fractions: 2K^2 > -2d(d-6) at g = G(3;d,s)
-    g = halphen_bound(d, s).bound
-    return None if double_point_2k2(d, g, chi(g)) > 2 * EVEN_MINIMUM(d) else d
+    # the scalar route: 2K^2 > -2d(d-6) at g = G(3;d,s), held as a constant Poly
+    g = halphen_bound(d, s)._value
+    margin = double_point_2k2(d, g, chi(g)) - 2 * _int_at(EVEN_MINIMUM, d, "-d(d-6)")
+    return None if _horner(margin.num, 0) > 0 else d  # the numerator, over margin.den > 0
 
 
 def _r4_halphen_margins(b: _Builder, s: int, weak: Poly, weak_text: str, chi: Callable) -> tuple[Poly, ...]:
@@ -550,20 +541,20 @@ def _r4_s4_high(d_from: int, d_to: int) -> Certificate:
     )
     b.check(
         f"the same polynomial is negative at d = {tight}, so the threshold d > {tight} is tight",
-        main(tight) < 0,
-        **{f"value_at_{tight}": rat_str(main(tight))},
+        _horner(main.num, tight) < 0,  # the numerator, over main.den > 0
+        **{f"value_at_{tight}": rat_str(_horner(main.num, tight), main.den)},
     )
     # Symbolic-x route: for fixed rational x the exact genus and chi bound
     # combine into a cubic that must be positive from d = start. x = 9 is the
     # weakest point of the chi bound; x -> 6+ is the branch boundary.
-    xs = [9, 6, *X_SAMPLES]
-    b.params["x_samples"] = [rat_str(x) for x in xs]
+    xs = [(9, 1), (6, 1), *X_SAMPLES]
+    b.params["x_samples"] = [rat_str(*x) for x in xs]
     for x in xs:
-        p_x = r4_margin_poly(genus_defect_poly(x), chi_bound_poly(x))
-        b.sign(p_x, start, "positive", label=f"exact chain at x = {rat_str(x)}")
-        if x > 6:
-            b.sign(chi_bound_poly(x) - chi_bound_poly(6), 4, "positive",
-                   label=f"chi bound at x = {rat_str(x)} strictly beats the weak bound")
+        p_x = r4_margin_poly(genus_defect_poly(*x), chi_bound_poly(*x))
+        b.sign(p_x, start, "positive", label=f"exact chain at x = {rat_str(*x)}")
+        if x[0] > 6 * x[1]:
+            b.sign(chi_bound_poly(*x) - chi_bound_poly(6), 4, "positive",
+                   label=f"chi bound at x = {rat_str(*x)} strictly beats the weak bound")
     return b.done()
 
 
@@ -664,16 +655,13 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
             )
     else:
         cubic = SCROLL_CUBIC
-        b.check(
-            f"r^3 - 10r^2 + 27r - 23 = {cubic(r)} > 0 at r = {r}",
-            cubic(r) > 0,
-            value=rat_str(cubic(r)),
-        )
+        at_r = _int_at(cubic, r, "r^3 - 10r^2 + 27r - 23")
+        b.check(f"r^3 - 10r^2 + 27r - 23 = {at_r} > 0 at r = {r}", at_r > 0, value=str(at_r))
         for rr, ee in SQUARE_COMPLETION_SAMPLES:
             lhs = rr**3 - 9 * rr * rr + 27 * rr - 23 + 4 * ee * ee - 4 * ee * rr
-            rhs = as_int(cubic(rr)) + (rr - 2 * ee) ** 2
+            rhs = _int_at(cubic, rr, "r^3 - 10r^2 + 27r - 23") + (rr - 2 * ee) ** 2
             b.check(f"square completion at (r,e)=({rr},{ee})", lhs == rhs, lhs=lhs, rhs=rhs)
-            psi_min = (rr - 1) * psi_quoted_poly(rr, ee)(rr - 1)
+            psi_min = _int_at((rr - 1) * psi_quoted_poly(rr, ee), rr - 1, "(r-1)psi(r,r-1)")
             b.check(
                 f"(r-1)*psi(r,r-1) = r^3 - 9r^2 + 27r - 23 + 4e + 4e^2 - 4er"
                 f" at (r,e)=({rr},{ee})",
@@ -684,7 +672,7 @@ def verify_r_ge6_scroll(r: int) -> Certificate:
         b.params["covers"] = "every r >= 7"
         b.sign(cubic, 7, "positive", variable="r", label="r^3 - 10r^2 + 27r - 23 > 0 for all r >= 7")
         psi = psi_quoted_poly(r, 0)
-        q = (psi - psi(0)) * (1 / psi.leading)  # d^2 - 2d, the d-part of psi
+        q = Poly((0, *psi.num[1:]), psi.num[-1])  # d^2 - 2d, the d-part of psi over its leading coefficient
         b.sign(
             q(D + 1) - q,
             1,
@@ -847,10 +835,10 @@ def _r5_deg4_int_check(defects: tuple[Poly, ...], g44: tuple[Poly, ...], d: int)
 
 
 def _r5_deg4_check_one(d: int) -> int | None:
-    # the scalar route
-    lhs = (d - 3) * EXTREMAL_GENUS(d)
-    rhs = -weighted_defect_closed_form(d) + (d - 4) * pi1_bound(d).bound
-    return None if lhs > rhs else d
+    # the scalar route, times EXTREMAL_GENUS's positive denominator
+    lhs = (d - 3) * _horner(EXTREMAL_GENUS.num, d)
+    rhs = -weighted_defect_closed_form(d) + (d - 4) * pi1_bound(d).bound_int
+    return None if lhs > rhs * EXTREMAL_GENUS.den else d
 
 
 def _r5_deg4(d_from: int, d_to: int) -> Certificate:

@@ -71,6 +71,13 @@ def test_bound_propagate(capsys):
     assert payload["profile"]["prefix"][:4] == [4, 9, 16, 19]
 
 
+@pytest.mark.parametrize("seed", ["a,b,c", "4,9,x", "4;9;16", ""])
+def test_bound_propagate_names_a_seed_that_is_not_integers(capsys, seed):
+    code, out, err = run_cli(capsys, "bound", "propagate", "--seed", seed, "--d", "20")
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed must be three comma-separated integers, got {seed!r}\n"
+
+
 def test_bound_out_of_domain_exit_code(capsys):
     code, _, err = run_cli(capsys, "bound", "halphen", "--d", "6", "--s", "3")
     assert code == 2
@@ -326,14 +333,18 @@ def test_a_plain_verify_argv_is_read_without_argparse(capsys, monkeypatch):
 
 
 def test_verify_run_loads_no_process_pool(tmp_path):
-    # -S: no site module, whose .pth files may import either module first.
+    # -S: no site module, whose .pth files may import any of these modules
+    # first. Each case of the short workload runs once in each format, and
+    # none loads a process pool or fractions, with its decimal and numbers.
     src = str(Path(kbound.__file__).resolve().parents[1])
-    argv = ["verify", "all", "--from", "36", "--to", "60", "--no-timestamp",
-            "--out", str(tmp_path / "r.txt")]
+    runs = [["verify", case, "--from", "36", "--to", "120", "--format", fmt, "--no-timestamp",
+             "--out", str(tmp_path / f"{case}.{fmt}")]
+            for case in ("all", "r4", "r5", "r6", "appendix", "sharpness") for fmt in ("json", "csv", "table")]
     code = (
         "import sys, kbound.cli\n"
-        f"assert kbound.cli.main({argv!r}) == 0\n"
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        f"assert [kbound.cli.main(argv) for argv in {runs!r}] == [0] * {len(runs)}\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'fractions', 'decimal', 'numbers'}"
+        " & set(sys.modules)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -12,9 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from kbound.bounds import GenusBoundResult, HilbertProfile
-from kbound.exact import Poly, SignCertificate
-from kbound.scroll import HYPERPLANE, DivisorClass, ExtremalSurface, KsqMinimum, ScrollFrame
+from kbound.bounds import (
+    GenusBoundResult,
+    HilbertProfile,
+    castelnuovo_bound,
+    chi_lower_bound_s4,
+    halphen_bound,
+    pi1_bound,
+    pi2_bound,
+)
+from kbound.exact import InconsistencyError, Poly, SignCertificate
+from kbound.scroll import HYPERPLANE, DivisorClass, ExtremalSurface, KsqMinimum, ScrollFrame, k2_min_closed_form
 from kbound.verify import CLAIM_ANCHORS, CaseVerdict, Certificate
 
 POLY = Poly((-2, 0, 1), 2)  # x^2/2 - 1
@@ -167,6 +175,60 @@ def test_poly_stores_numerators_over_one_denominator():
         p.coeffs = ()
     # equal polynomials have equal fields, so == and hash agree on any input
     assert p == Poly((3, 18, 0), 6) and hash(p) == hash(Poly((3, 18, 0), 6))
+
+
+def test_the_calls_that_return_one_rational_return_a_fraction():
+    # kbound computes in integer numerators; these calls hand their values
+    # to the caller as Fractions, at today's values
+    p = Poly((-2, 0, 1), 2)  # x^2/2 - 1
+    values = [
+        (p(3), Fraction(7, 2)),
+        (p(Fraction(1, 2)), Fraction(-7, 8)),
+        (p.leading, Fraction(1, 2)),
+        *zip(p.coeffs, (Fraction(-1), Fraction(0), Fraction(1, 2)), strict=True),
+        (castelnuovo_bound(5, 18).bound, Fraction(28)),
+        (halphen_bound(22, 5).bound, Fraction(58)),
+        (pi1_bound(33).bound, Fraction(120)),
+        (pi2_bound(31).bound, Fraction(87)),
+        (chi_lower_bound_s4(36, 6), Fraction(-1941, 16)),
+        (chi_lower_bound_s4(36, Fraction(15, 2)), Fraction(1623, 16)),
+        (k2_min_closed_form(19), Fraction(-72)),
+        (k2_min_closed_form(20), Fraction(-280)),
+    ]
+    for value, expected in values:
+        assert type(value) is Fraction and value == expected, (value, expected)
+
+
+@pytest.mark.parametrize("result, text", [
+    (halphen_bound(22, 5),
+     "GenusBoundResult(formula_id='halphen', d=22, bound=Fraction(58, 1), params={'s': 5, 'm': 4, 'eps': 1})"),
+    (pi2_bound(31),
+     "GenusBoundResult(formula_id='pi2', d=31, bound=Fraction(87, 1),"
+     " params={'n': 6, 'v': 0, 'w': 0, 'genus_bound_asserted_for': 'd > 143'})"),
+    (GenusBoundResult("propagated", 20, 7, {}), "GenusBoundResult(formula_id='propagated', d=20, bound=Fraction(7, 1), params={})"),
+    (GenusBoundResult("h", 9, Fraction(7, 2), {"s": 2}),
+     "GenusBoundResult(formula_id='h', d=9, bound=Fraction(7, 2), params={'s': 2})"),
+], ids=["halphen", "pi2", "int", "fraction"])
+def test_a_genus_bound_result_keeps_its_repr_equality_and_pickling(result, text):
+    # the bound is kept in integers and built as a Fraction on its first read,
+    # which neither repr, == nor pickling can tell
+    fresh = pickle.loads(pickle.dumps(result))
+    assert fresh == result and result == fresh
+    assert repr(fresh) == repr(result) == text
+    assert GenusBoundResult(result.formula_id, result.d, result.bound, result.params) == result
+    assert result != GenusBoundResult(result.formula_id, result.d, result.bound + 1, result.params)
+    assert GenusBoundResult._fields == ("formula_id", "d", "bound", "params")
+    with pytest.raises(TypeError):
+        hash(result)
+
+
+def test_an_assigned_bound_is_the_one_each_derived_value_reads():
+    result = halphen_bound(22, 5)
+    result.bound = Fraction(9, 2)
+    assert (result.bound, result.floor, result.is_integer) == (Fraction(9, 2), 4, False)
+    assert result.to_json_dict()["bound"] == "9/2"
+    with pytest.raises(InconsistencyError, match=r"^halphen\(22\) is not an integer: 9/2$"):
+        result.bound_int
 
 
 @pytest.mark.parametrize(

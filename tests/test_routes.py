@@ -19,7 +19,7 @@ import pytest
 
 import kbound.scroll as scroll
 import kbound.verify as verify
-from kbound.bounds import double_point_2k2, pi1_bound, pi2_polys
+from kbound.bounds import GenusBoundResult, double_point_2k2, pi1_bound, pi2_polys
 from kbound.exact import Poly
 
 #: The first compared degree of each sweep whose decide rejects below its
@@ -140,7 +140,7 @@ def r4_margin(monkeypatch, k, d=40):
     chi = lambda g: 1 - g
     margin = lambda g: double_point_2k2(d, g, chi(g)) + 2 * d * (d - 6)
     g = Fraction(k - margin(0), margin(1) - margin(0))
-    monkeypatch.setattr(verify, "halphen_bound", lambda d, s: SimpleNamespace(bound=g))
+    monkeypatch.setattr(verify, "halphen_bound", lambda d, s: GenusBoundResult("halphen", d, g, {}))
     margins = (verify.r4_margin_poly(Poly.of(g), chi(Poly.of(g))),) * 5
     return verify._r4_margin_int_check(margins, d), verify._r4_check_one(5, chi, d)
 

@@ -201,9 +201,9 @@ def test_r4_s4_high_tightness_point_is_one_below_the_certified_start():
 
 
 def test_sample_tables_keep_the_sampling_ranges():
-    xs = verify.X_SAMPLES
-    assert len(set(xs)) == len(xs)
-    assert all(6 < x <= 9 and x.denominator in (2, 4, 8, 16) for x in xs)
+    xs = verify.X_SAMPLES  # x = a/b as the integer pairs (a, b)
+    assert len({Fraction(a, b) for a, b in xs}) == len(xs)
+    assert all(type(a) is type(b) is int and 6 * b < a <= 9 * b and b in (2, 4, 8, 16) for a, b in xs)
     assert all(7 <= r < 60 and 0 <= e < r - 1 for r, e in verify.SQUARE_COMPLETION_SAMPLES)
 
 
@@ -244,7 +244,7 @@ def test_r4_per_degree_checks_report_a_failing_degree(monkeypatch):
     real = verify.halphen_bound
     monkeypatch.setattr(
         verify, "halphen_bound",
-        lambda d, s: SimpleNamespace(bound=d * d) if d == 44 else real(d, s),
+        lambda d, s: bounds.GenusBoundResult("halphen", d, d * d, {}) if d == 44 else real(d, s),
     )
     assert verify._r4_check_one(5, R4_CHI[5], 43) is None
     assert verify._r4_check_one(5, R4_CHI[5], 44) == 44
