@@ -24,7 +24,7 @@ import sys
 from types import SimpleNamespace
 
 from . import bounds, scroll, verify
-from .exact import InconsistencyError, dumps, rat_str
+from .exact import InconsistencyError, _horner, dumps, rat_str
 
 FORMATS = ("table", "json", "csv")
 COMMANDS = ("bound", "scroll", "verify")
@@ -164,30 +164,25 @@ def _bound_one(args, d: int, with_profile: bool = False):
     return result, profile
 
 
-def _bound_csv_row(result, floor_flag: bool) -> list:
-    return [
-        result.formula_id,
-        result.d,
-        str(result.floor) if floor_flag else rat_str(result.bound),
-        result.floor,
-        result.is_integer,
-        _params_text(result.params),
-    ]
+def _bound_csv_row(fields: dict, key: str) -> list:
+    """The CSV row of a GenusBoundResult's to_json_dict, whose key field fills the bound column."""
+    return [fields["formula_id"], fields["d"], fields[key], fields["floor"], fields["is_integer"],
+            _params_text(fields["params"])]
 
 
 def _cmd_bound(args) -> int:
+    key = "floor" if args.floor else "bound"  # the to_json_dict field that the bound column prints
     if args.d_to is not None:
         # (d, bound) table over the requested degree range
         if args.d_to < args.d:
             raise ValueError("--d-to must be >= --d")
-        results = [_bound_one(args, d)[0] for d in range(args.d, args.d_to + 1)]
+        rows = [_bound_one(args, d)[0].to_json_dict() for d in range(args.d, args.d_to + 1)]
         if args.format == "json":
-            text = _json_text([r.to_json_dict() for r in results])
+            text = _json_text(rows)
         elif args.format == "csv":
-            text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(r, args.floor) for r in results])
+            text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(r, key) for r in rows])
         else:
-            text = "d  bound\n" + "".join(
-                f"{r.d}  {r.floor if args.floor else rat_str(r.bound)}\n" for r in results)
+            text = "d  bound\n" + "".join(f"{r['d']}  {r[key]}\n" for r in rows)
         _emit(text, args.out)
         return 0
 
@@ -199,13 +194,9 @@ def _cmd_bound(args) -> int:
     if args.format == "json":
         text = _json_text(payload)
     elif args.format == "csv":
-        text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(result, args.floor)])
+        text = _csv_text(BOUNDS_CSV_HEADER, [_bound_csv_row(payload, key)])
     else:
-        pairs = [
-            ("formula", result.formula_id),
-            ("d", result.d),
-            ("bound", str(result.floor) if args.floor else rat_str(result.bound)),
-        ]
+        pairs = [("formula", result.formula_id), ("d", result.d), ("bound", payload[key])]
         if not args.floor:
             pairs.append(("floor", result.floor))
         pairs.append(("integer", "yes" if result.is_integer else "no"))
@@ -265,7 +256,8 @@ def _cmd_scroll(args) -> int:
     # minimize
     res = scroll.minimize_k2(args.d)
     payload = res.to_json_dict()
-    payload["k2_min_closed_form"] = rat_str(scroll.k2_min_closed_form(args.d))
+    form = scroll.k2_min_form(args.d)
+    payload["k2_min_closed_form"] = rat_str(_horner(form.num, args.d), form.den)
     if args.format == "json":
         text = _json_text(payload)
     elif args.format == "csv":

@@ -88,7 +88,6 @@ from .scroll import (
     discriminant,
     extremal_class,
     frame_walk,
-    k2_min_closed_form,
     k2_min_form,
     k2_step,
     minimize_k2,
@@ -931,21 +930,22 @@ def _walked_minima(hi: int) -> Callable[[int], KsqMinimum]:
     return minimum
 
 
-def _step_proof(cubics: list[tuple]) -> tuple[bool, ...]:
-    """Per frame residue eps, whether phi(d + 1, alpha - m' - 1) - phi(d,
-    alpha - m - 1) = k2_step(alpha) at every d = 3m + eps + 1, where
-    cubics[eps] = phi_coefficients(m, eps) for m = Poly.variable(). In m the
-    move has the degree read from phi at eps and eps + 1, in alpha at most 3
-    (phi is cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle
-    it for every alpha: the classes a frame_walk window walks before they are
+def _step_proof(cubics: list[tuple], *_) -> tuple[bool, ...]:
+    """Whether phi(d + 1, alpha - m' - 1) - phi(d, alpha - m - 1) =
+    k2_step(alpha) at every d = 3m + eps + 1: one verdict, on every
+    residue, as a walk crosses residues. In m the move has the
+    degree read from phi at eps and eps + 1, in alpha at most 3 (phi is
+    cubic in a; k2_step's degree is read), so m, alpha in 1..4 settle it for
+    every alpha: the classes a frame_walk window walks before they are
     admissible, alpha > d // 2, as well."""
     def fault(m: int, eps: int) -> int | None:
         m1, e1 = _split3(len(FRAME_RESIDUES) * m + eps + 2)
         here, there = phi_coefficients(m, eps), phi_coefficients(m1, e1)
         return next((alpha for alpha in (1, 2, 3, 4)
                      if _horner(there, alpha - m1 - 1) - _horner(here, alpha - m - 1) != k2_step(alpha)), None)
-    return tuple(k2_step(Poly.variable()).degree <= 3
-                 and _proved(fault, eps, cubics[eps], cubics[(eps + 1) % len(cubics)]) for eps in FRAME_RESIDUES)
+    held = k2_step(Poly.variable()).degree <= 3 and all(
+        _proved(fault, eps, cubics[eps], cubics[(eps + 1) % len(cubics)]) for eps in FRAME_RESIDUES)
+    return (held,) * len(cubics)
 
 
 def _phi_prime_settled(m: int, dphi: tuple) -> tuple[bool, bool]:
@@ -988,8 +988,8 @@ def _minimum_fault(res: KsqMinimum, d: int, a_star: int) -> str | None:
     bound = _int_at(EVEN_MINIMUM, d, "-d(d-6)")
     if res.k2_min < bound:
         return f"minimum {res.k2_min} below -d(d-6) = {bound}"
-    if not k2_min_form(d).has_value(d, res.k2_min):
-        return f"minimum {res.k2_min} != closed form {rat_str(k2_min_closed_form(d))}"
+    if not (form := k2_min_form(d)).has_value(d, res.k2_min):
+        return f"minimum {res.k2_min} != closed form {rat_str(_horner(form.num, d), form.den)}"
     if d % 2 == 0:
         if res.k2_min != bound or res.a_min != a_star or not res.unique:
             return f"even-degree minimum not uniquely at a* = {a_star}"
@@ -998,28 +998,20 @@ def _minimum_fault(res: KsqMinimum, d: int, a_star: int) -> str | None:
     return None
 
 
-def _proved(check: Callable[[int, int], object], eps: int, *coeffs: tuple, degree: int = 0) -> bool:
-    """Whether check(m, eps), which compares values of the given degree in m
-    with sums c_i x^i, x affine in m, over coeffs of ints and Polys in m,
-    finds nothing at any m: the degree is at most 3, and m = 1, 2, 3, 4 pass."""
-    degree = max(degree, *((c.degree if isinstance(c, Poly) else 0) + i for cs in coeffs for i, c in enumerate(cs)))
-    return degree <= 3 and all(check(m, eps) is None for m in (1, 2, 3, 4))
-
-
-def _tabulated_proof(tables: list[tuple], cubics: list[tuple]) -> tuple[bool, ...]:
+def _tabulated_proof(cubics: list[tuple], tables: list[tuple]) -> tuple[bool, ...]:
     """Per frame residue eps, whether :func:`_tabulated_fault` finds nothing
-    at any m, where tables[eps] = appendix_table(m, eps) and cubics[eps] =
-    phi_coefficients(m, eps) for m = Poly.variable(). phi' is read as phi,
-    whose derivative it is, and phi0 and phi1 times their PHI_FACTORS."""
+    at any m, where tables[eps] = appendix_table(m, eps) for m =
+    Poly.variable(). phi' is read as phi, whose derivative it is, and phi0
+    and phi1 times their PHI_FACTORS."""
     return tuple(_proved(_tabulated_fault, eps, cubic, *((entry,) for entry in table),
                          *(tuple(c * table[k] for c in f) for k, f in zip((2, 3), PHI_FACTORS)))
                  for eps, (table, cubic) in enumerate(zip(tables, cubics)))
 
 
 def _appendix_settled(proved: tuple[bool, ...], minimum: Callable[[int], KsqMinimum], d: int) -> bool:
-    """APPENDIX.min's decide at d: proved[eps], the walk's step and the tabulated
-    checks, both phi' ranges settled (:func:`_phi_prime_settled`), two real roots
-    and no _minimum_fault in minimum(d); a fault of the frame walk raises."""
+    """APPENDIX.min's decide at d: its gate proved[eps], both phi' ranges
+    settled (:func:`_phi_prime_settled`), two real roots and no
+    _minimum_fault in minimum(d); a fault of the frame walk raises."""
     m, eps = _split3(d)
     dphi = phi_derivative_coefficients(m, eps)
     return (proved[eps] and all(_phi_prime_settled(m, dphi)) and discriminant(dphi) > 0
@@ -1058,11 +1050,9 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     checked against the closed forms, plus the tabulated phi values and the
     sign pattern of phi' that drive the minimization argument. The sweep
     reads each minimum off a chain of fixed-width frame_walk windows and
-    decides the sign pattern from phi' at its range ends and its curvature;
-    it rejects every degree of a residue where the walk's step or the
-    tabulated checks are not proved, and a fault of the walk raises. Locate
-    runs every check and minimize_k2 and walks both ranges, at the last
-    degree and a rejected one."""
+    decides the sign pattern from phi' at its range ends and its curvature,
+    and a fault of the walk raises. Locate runs every check and minimize_k2
+    and walks both ranges, at the last degree and a rejected one."""
     b = _Builder("APPENDIX.min", (d_from, d_to), ASSERTED_FROM)
     b.note("remainder convention: d - 1 = 3m + eps with 0 <= eps <= 2"
            " (canonical least nonnegative residue)")
@@ -1093,25 +1083,15 @@ def verify_appendix(d_from: int, d_to: int) -> Certificate:
     b.sign(-tables[2][4], 1, "positive", variable="m",
            label="14m - 2 > 0 for m >= 1 (phi'(1) = 2 - 26m + 6me <= 2 - 14m)")
     for eps in FRAME_RESIDUES:
-        b.sign(
-            discriminant(derivative(cubics[eps])),
-            1,
-            "positive",
-            variable="m",
-            label=f"exact discriminant of phi' is positive for m >= 1, eps={eps}",
-        )
-        b.sign(
-            Poly.of(36 * eps * eps + 114 * eps + 110, 216 * eps - 936, 324),
-            3,
-            "positive",
-            variable="m",
-            label=f"tabulated discriminant variant is positive for m >= 3, eps={eps}",
-        )
-    stepped, minimum = all(_step_proof(cubics)), _walked_minima(b.hi)
+        b.sign(discriminant(derivative(cubics[eps])), 1, "positive", variable="m",
+               label=f"exact discriminant of phi' is positive for m >= 1, eps={eps}")
+        b.sign(Poly.of(36 * eps * eps + 114 * eps + 110, 216 * eps - 936, 324), 3, "positive", variable="m",
+               label=f"tabulated discriminant variant is positive for m >= 3, eps={eps}")
+    minimum = _walked_minima(b.hi)
     b.sweep(
         f"brute-force minimization over [-m, a*] matches the closed forms,"
         f" uniqueness and parity for every d in [{b.lo}, {b.hi}]",
-        partial(_appendix_settled, tuple(stepped and t for t in _tabulated_proof(tables, cubics)), minimum),
+        partial(_appendix_settled, _gate(b.claim_id, cubics, tables), minimum),
         partial(_appendix_check_one, minimum),
     )
     return b.done({
@@ -1142,28 +1122,28 @@ def _ring_mismatch(d: int) -> int | None:
     makes them one cubic, and alpha = d // 2 (the frame's a*) is the end
     check of a walk. Then the ring's least K^2 over 1 <= alpha <= d/2 and
     its attainers are those of phi over [-m, a*]. On a frame residue, each
-    seed's comparison is an identity in m, which :func:`_ring_proof` proves
-    from four values of m."""
+    seed's comparison is an identity in m, proved from four values of m."""
     m, eps = _split3(d)
     cubic = phi_coefficients(m, eps)
     return next((alpha for alpha in (1, 2, 3, 4, d // 2)
                  if _k2_raw(DivisorClass(alpha, d - 3 * alpha)) != _horner(cubic, alpha - m - 1)), None)
 
 
-def _ring_proof() -> tuple[bool, ...]:
+def _ring_proof(cubics: list[tuple]) -> tuple[bool, ...]:
     """Per frame residue eps, whether :func:`_ring_mismatch` finds nothing at
     any d = 3m + eps + 1. At a fixed seed alpha the ring's K^2, trilinear in
     a class affine in m, has degree 3 in m at most, and phi's degree is read;
     matched seeds make the end check at d // 2 hold as well."""
-    return tuple(_proved(lambda m, eps: _ring_mismatch(len(FRAME_RESIDUES) * m + eps + 1), eps,
-                         phi_coefficients(Poly.variable(), eps), degree=3) for eps in FRAME_RESIDUES)
+    return tuple(_proved(lambda m, eps: _ring_mismatch(len(FRAME_RESIDUES) * m + eps + 1), eps, cubic, degree=3)
+                 for eps, cubic in enumerate(cubics))
 
 
-def _sharpness_proof() -> bool:
+def _sharpness_proof(cubics: list[tuple]) -> tuple[bool, ...]:
     """Whether the class sH + (u - s)W of degree d = 2s + u has
     K^2 + d(d-6) = u(3s^2 - 8s + 3 + u), the second factor positive for
-    s >= 1 once d >= 36. On alpha = s in [1, d // 2], u >= 0 is 0 only at
-    alpha = d/2 of an even d, so -d(d-6) is attained there alone. K^2,
+    s >= 1 once d >= 36: one verdict, on every residue, as the identity is
+    in s and u, not in eps. On alpha = s in [1, d // 2], u >= 0 is 0 only
+    at alpha = d/2 of an even d, so -d(d-6) is attained there alone. K^2,
     trilinear in a class affine in s and u, has degree at most 3 in each,
     so s = 1..4 at each u = 0..3 settle the identity."""
     quad = (3, -8, 3)
@@ -1171,8 +1151,32 @@ def _sharpness_proof() -> bool:
         k2 = _k2_raw(DivisorClass(s, u - s))
         return None if EVEN_MINIMUM.has_value(2 * s + u, k2 - u * (_horner(quad, s) + u)) else s
     # quad(s) > 0 for s >= 3 (quad(s + 3) has positive coefficients); at s = 1, 2, u = d - 2s >= 32 > -quad(s)
-    return (min(_horner(quad, Poly.of(3, 1)).num) > 0 and min(_horner(quad, 1), _horner(quad, 2)) + 32 > 0
+    held = (min(_horner(quad, Poly.of(3, 1)).num) > 0 and min(_horner(quad, 1), _horner(quad, 2)) + 32 > 0
             and all(_proved(fault, u, quad, degree=3) for u in range(4)))
+    return (held,) * len(cubics)
+
+
+def _proved(check: Callable[[int, int], object], eps: int, *coeffs: tuple, degree: int = 0) -> bool:
+    """Whether check(m, eps), which compares values of the given degree in m
+    with sums c_i x^i, x affine in m, over coeffs of ints and Polys in m,
+    finds nothing at any m: the degree is at most 3, and m = 1, 2, 3, 4 pass."""
+    degree = max(degree, *((c.degree if isinstance(c, Poly) else 0) + i for cs in coeffs for i, c in enumerate(cs)))
+    return degree <= 3 and all(check(m, eps) is None for m in (1, 2, 3, 4))
+
+
+#: The proofs that gate each claim's decide. Each takes the tuples in m that the
+#: claim's builder hands :func:`_gate`, cubics[eps] = phi_coefficients(m, eps)
+#: first, and gives one verdict per frame residue. A failed verdict rejects every
+#: degree of its residue, where locate, which runs every check, names the failure.
+PROOFS = {
+    "APPENDIX.min": (_step_proof, _tabulated_proof),
+    "SHARPNESS": (_sharpness_proof, _ring_proof),
+}
+
+
+def _gate(claim: str, *tuples: list[tuple]) -> tuple[bool, ...]:
+    """Per frame residue, whether every proof of claim in PROOFS holds there."""
+    return tuple(map(all, zip(*(proof(*tuples) for proof in PROOFS[claim]))))
 
 
 def _sharpness_ring_check(d: int) -> str | None:
@@ -1202,9 +1206,8 @@ def _sharpness_ring_check(d: int) -> str | None:
 
 
 def _sharpness_check_one(proved: tuple[bool, ...], d: int) -> bool:
-    """SHARPNESS's decide at d: False on a residue where proved[eps] fails,
-    that is the ring's factorization K^2 + d(d-6) = u(3s^2 - 8s + 3 + u)
-    (:func:`_sharpness_proof`) or its match with phi (:func:`_ring_proof`)."""
+    """SHARPNESS's decide at d: its gate proved[eps], and at an even d the
+    extremal class through both routes."""
     if (passed := proved[_split3(d)[1]]) and d % 2 == 0:
         extremal_class(d)  # re-checks K^2 and genus through both routes
     return passed
@@ -1214,13 +1217,12 @@ def verify_sharpness(d_from: int, d_to: int) -> Certificate:
     """Every admissible class of each degree in range: even degrees attain
     K^2 = -d(d-6) exactly at (d/2, -d/2); odd degrees never reach it.
 
-    Each degree is decided by the ring's factorization, once the ring
-    agrees with phi; the full ring walk locates a failure."""
-    b, factored = _Builder("SHARPNESS", (d_from, d_to), 36), _sharpness_proof()
+    Decide reads the claim's gate; the full ring walk locates a failure."""
+    b, m = _Builder("SHARPNESS", (d_from, d_to), 36), Poly.variable()
     b.sweep(
         f"unique even-degree attainment of -d(d-6) at (d/2, -d/2) and the"
         f" odd-degree gap, for every d in [{b.lo}, {b.hi}]",
-        partial(_sharpness_check_one, tuple(factored and ring for ring in _ring_proof())),
+        partial(_sharpness_check_one, _gate(b.claim_id, [phi_coefficients(m, eps) for eps in FRAME_RESIDUES])),
         _sharpness_ring_check,
     )
     ds = range(b.lo, b.hi + 1)

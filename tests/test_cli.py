@@ -333,13 +333,16 @@ def test_a_plain_verify_argv_is_read_without_argparse(capsys, monkeypatch):
 
 
 def test_verify_run_loads_no_process_pool(tmp_path):
-    # -S: no site module, whose .pth files may import any of these modules
-    # first. Each case of the short workload runs once in each format, and
-    # none loads a process pool or fractions, with its decimal and numbers.
+    # -S: no site module, whose .pth files may import any of these modules first. Each case of
+    # the short workload, and each bound and scroll command that prints a rational, runs once in
+    # each format, and none loads a process pool or fractions, with its decimal and numbers.
     src = str(Path(kbound.__file__).resolve().parents[1])
-    runs = [["verify", case, "--from", "36", "--to", "120", "--format", fmt, "--no-timestamp",
-             "--out", str(tmp_path / f"{case}.{fmt}")]
-            for case in ("all", "r4", "r5", "r6", "appendix", "sharpness") for fmt in ("json", "csv", "table")]
+    commands = [["verify", case, "--from", "36", "--to", "120", "--no-timestamp"]
+                for case in ("all", "r4", "r5", "r6", "appendix", "sharpness")]
+    commands += [c.split() for c in ("bound pi2 --d 2 --d-to 50", "bound pi2 --d 40", "bound halphen --s 4 --d 40",
+                                     "bound propagate --seed 4,9,16 --d 40", "scroll minimize --d 40")]
+    runs = [[*argv, "--format", fmt, "--out", str(tmp_path / f"{i}.{fmt}")]
+            for i, argv in enumerate(commands) for fmt in ("json", "csv", "table")]
     code = (
         "import sys, kbound.cli\n"
         f"assert [kbound.cli.main(argv) for argv in {runs!r}] == [0] * {len(runs)}\n"

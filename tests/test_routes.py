@@ -3,8 +3,9 @@ every degree of a range.
 
 A sweep (``verify._Builder.sweep``) trusts decide at every degree but its
 last, so a decide that passes a failing degree goes unseen in a run; only
-the direct comparison here tells. The routes are taken from the builders,
-so a sweep that a builder adds is compared too. Tier-1 compares up to
+the direct comparison here tells. The routes are taken from the builders
+and the proofs that gate them from ``verify.PROOFS``, so a sweep that a
+builder adds, or a row of the table, is checked too. Tier-1 compares up to
 d = 5000; CI goes on to d = 10000 with
 
     PYTHONPATH=src:tests python -c "import test_routes; print(test_routes.disagreements(10000))"
@@ -48,6 +49,15 @@ def routes() -> list[tuple]:
     return captured
 
 
+def gates() -> dict[str, tuple]:
+    """Each claim's tuples in m, as its builder hands them to verify._gate."""
+    handed, real = {}, verify._gate
+    gate = lambda claim, *tuples: handed.update({claim: tuples}) or real(claim, *tuples)
+    with mock.patch.object(verify, "_gate", gate):
+        verify.verify_theorem(36, 36)
+    return handed
+
+
 def walked_phi_prime_signs(dphi, m, eps):
     """The verdicts of APPENDIX.min's two walks of phi' = dphi(a):
     positive on [-m+2, -1], negative on [1, max(a*, 1) + 1]."""
@@ -58,28 +68,21 @@ def walked_phi_prime_signs(dphi, m, eps):
 
 def disagreements(hi: int) -> list[tuple[str, int | None]]:
     """(name, d) for each check that fails at a degree d <= hi, and
-    (name, None) for each failing proof, in the order found:
+    (name, None) for each row of verify.PROOFS that fails on some residue,
+    in the order found:
 
     - each captured sweep's decide(d) against locate(d) is None, from its
       start in STARTS or its asserted start;
     - from d = 4, the O(1) phi' decision against both phi' walks, and
       minimize_k2 against three passes over the ring's K^2 of the frame;
     - from d = 18, the tabulated identities and the ring's match with phi,
-      which no decide runs: each rests on its four-point proof, and a
-      failed proof rejects every degree of its residue.
+      which no decide runs: each rests on its row of verify.PROOFS.
 
     A fault in a route's own machinery is not listed but raised out of
     here: an InconsistencyError of APPENDIX.min's frame walk raises from its
     decide, as _int_at's does from the R5 decides."""
-    cubics = [scroll.phi_coefficients(Poly.variable(), e) for e in scroll.FRAME_RESIDUES]
-    tables = [verify.appendix_table(Poly.variable(), e) for e in scroll.FRAME_RESIDUES]
-    proofs = {
-        "_tabulated_proof": all(verify._tabulated_proof(tables, cubics)),
-        "_ring_proof": all(verify._ring_proof()),
-        "_step_proof": all(verify._step_proof(cubics)),
-        "_sharpness_proof": verify._sharpness_proof() is True,
-    }
-    bad = [(name, None) for name, holds in proofs.items() if not holds]
+    bad = [(proof.__name__, None) for claim, tuples in gates().items()
+           for proof in verify.PROOFS[claim] if not all(proof(*tuples))]
     pairs = [(claim, STARTS.get(claim, asserted), decide, locate) for claim, asserted, decide, locate in routes()]
     for d in range(min(start for _, start, _, _ in pairs), hi + 1):
         bad += [(claim, d) for claim, start, decide, locate in pairs
@@ -107,6 +110,7 @@ def test_every_decide_agrees_with_its_locate_up_to_5000():
 
 def test_the_routes_are_those_of_the_nine_sweeps():
     assert [claim for claim, *_ in routes()] == SWEEP_CLAIMS
+    assert set(verify.PROOFS) <= set(SWEEP_CLAIMS) and set(gates()) == set(verify.PROOFS)
 
 
 def test_each_decide_rejects_only_below_its_asserted_start():

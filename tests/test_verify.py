@@ -410,6 +410,14 @@ def test_sharpness_scan_matches_naive_ring_scan():
         assert verify._sharpness_scan(d) == k2s, d
 
 
+def spy_proofs(monkeypatch) -> dict[str, tuple]:
+    """Each proof's verdicts by name, on the tuples its builder hands verify._gate in later builds."""
+    verdicts, real = {}, verify._gate
+    monkeypatch.setattr(verify, "_gate", lambda claim, *tuples: verdicts.update(
+        (proof.__name__, proof(*tuples)) for proof in verify.PROOFS[claim]) or real(claim, *tuples))
+    return verdicts
+
+
 def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
     # A K^2 route that is not cubic in alpha derails the ring walk, fails
     # the factorization, and leaves phi at the first of its five classes
@@ -419,10 +427,9 @@ def test_walk_mismatch_is_reported_as_counterexample(monkeypatch):
     with pytest.raises(InconsistencyError, match="^forward-difference walk"):
         verify._sharpness_scan(40)
     failure = "the intersection ring gives K^2 = 1 at alpha=1, phi gives 8"
-    assert verify._sharpness_proof() is False
-    assert verify._ring_proof() == (False,) * 3  # so decide rejects every degree
     assert verify._sharpness_ring_check(40) == f"d=40: {failure}"
-    cert = verify_sharpness(36, 40)
+    proofs, cert = spy_proofs(monkeypatch), verify_sharpness(36, 40)
+    assert proofs == {"_sharpness_proof": (False,) * 3, "_ring_proof": (False,) * 3}  # so decide rejects every degree
     assert cert.status == "counterexample"
     assert cert.witness["failure"] == f"d=36: {failure}"
 
@@ -564,10 +571,9 @@ def test_sharpness_reports_a_second_attainer(monkeypatch, index, attained):
     doctor_scans(monkeypatch, 40, index, -1360, scans=("ring",))
     failure = f"d=40: -d(d-6) attained at alpha in {attained}, not only d/2"
     assert verify._sharpness_ring_check(40) == failure
-    monkeypatch.setattr(verify, "_sharpness_proof", lambda: False)
+    monkeypatch.setitem(verify.PROOFS, "SHARPNESS", (lambda cubics: (False,) * 3,))
     cert = verify_sharpness(40, 40)
-    assert cert.status == "counterexample"
-    assert cert.witness["failure"] == failure
+    assert (cert.status, cert.witness["failure"]) == ("counterexample", failure)
 
 
 def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
@@ -578,10 +584,9 @@ def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
     doctor_scans(monkeypatch, 41, 3, -1436, scans=("ring",))
     failure = "d=41: odd-degree minimum -1436 fails to exceed -1435"
     assert verify._sharpness_ring_check(41) == failure
-    monkeypatch.setattr(verify, "_sharpness_proof", lambda: False)
+    monkeypatch.setitem(verify.PROOFS, "SHARPNESS", (lambda cubics: (False,) * 3,))
     cert = verify_sharpness(41, 41)
-    assert cert.status == "counterexample"
-    assert cert.witness["failure"] == failure
+    assert (cert.status, cert.witness["failure"]) == ("counterexample", failure)
 
 
 @pytest.mark.parametrize("extra", [
@@ -592,8 +597,8 @@ def test_sharpness_reports_an_odd_degree_attainer(monkeypatch):
 def test_sharpness_fails_a_ring_route_that_leaves_phi(monkeypatch, extra):
     real = verify._k2_raw
     monkeypatch.setattr(verify, "_k2_raw", lambda c: real(c) + extra(c.alpha))
-    assert verify._ring_proof() == (False,) * 3  # so decide rejects every degree
-    cert = verify_sharpness(36, 60)
+    proofs, cert = spy_proofs(monkeypatch), verify_sharpness(36, 60)
+    assert proofs["_ring_proof"] == (False,) * 3  # so decide rejects every degree
     assert cert.status == "counterexample"
     alpha = 18 if extra(4) == 0 else 4  # the first class where the routes differ
     ring = -36 * 30 + extra(alpha) if alpha == 18 else real(DivisorClass(4, 24)) + extra(4)
@@ -619,8 +624,8 @@ def test_the_ring_factors_at_every_class():
 ], ids=["H2W + 1", "K_T + W", "K^2 + alpha^4"])
 def test_a_wrong_ring_fails_the_factorization(monkeypatch, module, name, doctor):
     monkeypatch.setattr(module, name, doctor(getattr(module, name)))
-    assert verify._sharpness_proof() is False
-    cert = verify_sharpness(36, 60)
+    proofs, cert = spy_proofs(monkeypatch), verify_sharpness(36, 60)
+    assert proofs["_sharpness_proof"] == (False,) * 3
     assert cert.status == "counterexample"
     assert cert.witness["failure"].startswith("d=36: the intersection ring gives K^2 = ")
 
@@ -739,12 +744,6 @@ def test_the_run_memo_restarts_a_walk_that_raised(monkeypatch):
     assert calls["walks"] == [[40, 56, 1], [41, 57, 1]]
 
 
-def step_proof():
-    """verify._step_proof on the phi tuples in m that verify_appendix hands
-    it, looked up in verify as verify_appendix does."""
-    return verify._step_proof([verify.phi_coefficients(M, e) for e in scroll.FRAME_RESIDUES])
-
-
 def test_a_walk_that_breaks_mid_run_raises_its_own_fault(monkeypatch, capsys):
     # the walk alone takes a wrong step for the class alpha = 20, which is
     # admissible from d = 40 on but walked from the window's first degree
@@ -752,18 +751,19 @@ def test_a_walk_that_breaks_mid_run_raises_its_own_fault(monkeypatch, capsys):
     # d = 37 raises out of decide, and the run exits 1
     real = scroll.k2_step
     monkeypatch.setattr(scroll, "k2_step", lambda alpha: real(alpha) + (alpha == 20))
-    assert step_proof() == (True,) * 3
+    proofs = spy_proofs(monkeypatch)
     message = "frame walk's lanes do not sum to -76167 mod 2^24 - 1 at d=37"
     with pytest.raises(InconsistencyError, match=f"^{re.escape(message)}$"):
         verify_theorem(36, 60, cases=("appendix",))
+    assert proofs["_step_proof"] == (True,) * 3
     assert cli.main(["verify", "appendix", "--from", "36", "--to", "60"]) == 1
     assert capsys.readouterr().err == f"inconsistency: {message}\n"
 
 
 STEP_DOCTORS = {
-    "step off at alpha = 2": (lambda alpha: (alpha == 2), None, (False,) * 3),
-    "step off past alpha = 4": (lambda alpha: (alpha - 1) * (alpha - 2) * (alpha - 3) * (alpha - 4), None, (False,) * 3),
-    "phi + a": (lambda alpha: 0, (0, 1, 0, 0), (True, True, False)),  # breaks only where m moves
+    "step off at alpha = 2": (lambda alpha: (alpha == 2), None),
+    "step off past alpha = 4": (lambda alpha: (alpha - 1) * (alpha - 2) * (alpha - 3) * (alpha - 4), None),
+    "phi + a": (lambda alpha: 0, (0, 1, 0, 0)),  # breaks only where m moves, which a walk crosses
 }
 
 
@@ -773,14 +773,13 @@ def test_a_broken_step_identity_rejects_every_degree(monkeypatch, name):
     # new window's first frame, the one at 60 cut there: a wrong step alone
     # leaves d = 36 passing, and the run raises there; a wrong phi fails
     # both claims there
-    extra, wrong, proof = STEP_DOCTORS[name]
+    extra, wrong = STEP_DOCTORS[name]
     real_step, real_phi = scroll.k2_step, scroll.phi_coefficients
     for module in (scroll, verify):
         monkeypatch.setattr(module, "k2_step", lambda alpha: real_step(alpha) + extra(alpha))
         if wrong:
             monkeypatch.setattr(module, "phi_coefficients", lambda m, e: tuple(map(add, real_phi(m, e), wrong)))
-    assert step_proof() == proof
-    calls = spy_minima(monkeypatch)
+    proofs, calls = spy_proofs(monkeypatch), spy_minima(monkeypatch)
     if not wrong:
         with pytest.raises(InconsistencyError, match="^APPENDIX.min at d=36: decide rejects, locate gives None$"):
             verify_theorem(36, 60, cases=("appendix", "sharpness"))
@@ -789,16 +788,18 @@ def test_a_broken_step_identity_rejects_every_degree(monkeypatch, name):
         assert appendix.witness["failure"] == "d=36: minimum -1074 != closed form -1080"
         assert sharpness.witness["failure"].startswith("d=36: the intersection ring gives K^2 = ")
     assert calls["walks"] == [[36, 52, 1], [60, 60, 1]]
+    assert proofs["_step_proof"] == (False,) * 3
 
 
-@pytest.mark.parametrize("claim, proof, build", [
-    ("SHARPNESS", "_ring_proof", lambda: verify_sharpness(36, 60)),
-    ("APPENDIX.min", "_tabulated_proof", lambda: verify_appendix(36, 60)),
-])
+BUILDS = {"APPENDIX.min": lambda: verify_appendix(36, 60), "SHARPNESS": lambda: verify_sharpness(36, 60)}
+
+
+@pytest.mark.parametrize("claim, proof, build", [(c, p.__name__, BUILDS[c]) for c, row in verify.PROOFS.items() for p in row])
 def test_a_proof_failing_on_one_residue_rejects_its_degrees(monkeypatch, claim, proof, build):
     # residue 1 first holds d = 38 (d - 1 = 3*12 + 1); nothing is wrong
     # there, so locate passes it and the sweep raises
-    monkeypatch.setattr(verify, proof, lambda *args: (True, False, True))
+    row = tuple((lambda *tuples: (True, False, True)) if p.__name__ == proof else p for p in verify.PROOFS[claim])
+    monkeypatch.setitem(verify.PROOFS, claim, row)
     with pytest.raises(InconsistencyError, match=f"^{re.escape(claim)} at d=38: decide rejects, locate gives None$"):
         build()
 
@@ -913,26 +914,18 @@ def test_the_skipped_identities_have_degree_at_most_3_in_m(eps):
         assert m_degree(_k2_raw(DivisorClass(alpha, 3 * M + eps + 1 - 3 * alpha))) <= 3
 
 
-def tabulated_proof():
-    """verify._tabulated_proof on the tables and phi tuples in m that
-    verify_appendix hands it, looked up in verify as verify_appendix does."""
-    residues = scroll.FRAME_RESIDUES
-    return verify._tabulated_proof([verify.appendix_table(M, e) for e in residues],
-                                   [verify.phi_coefficients(M, e) for e in residues])
-
-
-def test_both_proofs_hold_on_every_residue():
-    # the two per-residue proofs, the step's and the factorization, so no
-    # degree of a run is rejected for a failed proof
-    assert tabulated_proof() == verify._ring_proof() == step_proof() == (True,) * 3
-    assert verify._sharpness_proof() is True
+def test_both_proofs_hold_on_every_residue(monkeypatch):
+    # every row of verify.PROOFS, so no degree of a run is rejected for a failed proof
+    proofs = spy_proofs(monkeypatch)
+    verify_theorem(36, 36)
+    assert proofs == {proof.__name__: (True,) * 3 for row in verify.PROOFS.values() for proof in row}
 
 
 def test_the_factorization_is_checked_on_integer_classes(monkeypatch):
     # the 16 classes of s = 1..4 and u = 0..3, none with Poly coordinates
     built, real = [], verify.DivisorClass
     monkeypatch.setattr(verify, "DivisorClass", lambda alpha, beta: built.append((alpha, beta)) or real(alpha, beta))
-    assert verify._sharpness_proof() is True
+    assert verify._sharpness_proof([verify.phi_coefficients(M, e) for e in scroll.FRAME_RESIDUES]) == (True,) * 3
     assert sorted(built) == sorted((s, u - s) for s in range(1, 5) for u in range(4))
     assert {type(x) for pair in built for x in pair} == {int}
 
@@ -977,8 +970,8 @@ def test_a_broken_tabulated_identity_fails_at_its_first_degree(monkeypatch, fail
     name, extra = TABULATED_BREAKS[failure]
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda m, e: tuple(map(add, real(m, e), extra(m))))
-    assert tabulated_proof() == (False,) * 3
-    cert = verify_appendix(18, 60)
+    proofs, cert = spy_proofs(monkeypatch), verify_appendix(18, 60)
+    assert proofs["_tabulated_proof"] == (False,) * 3
     assert cert.witness == {"failed_check": APPENDIX_LABEL, "failure": f"d=18: {failure}"}
 
 
