@@ -25,7 +25,6 @@ from .exact import (
     OutOfDomainError,
     Poly,
     SignCertificate,
-    as_int,
     rat_str,
     sign_certificate,
 )

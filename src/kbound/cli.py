@@ -18,6 +18,8 @@ arguments or out-of-domain inputs, 3 I/O failure.
 
 from __future__ import annotations
 
+import atexit
+import errno
 import io
 import os
 import sys
@@ -67,6 +69,8 @@ def _emit(text: str, out_path: str | None) -> None:
     file beside the target, which then replaces it, so a failed write
     leaves any earlier file whole."""
     if out_path is None:
+        if sys.stdout is None:  # the shell closed it (>&-)
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(text)
         return
     if _passes_through_dev(out_path) or (os.path.exists(out_path) and not os.path.isfile(out_path)):
@@ -394,13 +398,17 @@ def main(argv=None) -> int:
         return 3
 
 
-def run(argv=None) -> int:
-    """The process entry: main, then gc.freeze(), so that the dying interpreter
-    skips collecting kbound's heap. main, the in-process API, never freezes."""
+def run(argv=None):
+    """The process entry: main, the atexit handlers, a flush of stdout and stderr, then os._exit."""
     code = main(argv)
-    import gc  # imported here, so that `import kbound.cli` does not load it
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed by the shell
+            stream.flush()
+    except OSError as exc:  # as main reports a failed write
+        sys.stderr.write(f"i/o error: {exc}\n")
+        code = 3
+    os._exit(code)  # skips teardown: kbound starts no thread, and _emit closes its files
 
 
 if __name__ == "__main__":

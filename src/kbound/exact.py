@@ -84,13 +84,6 @@ def _escape(c: str) -> str:
     return c if " " <= c <= "~" else "".join("\\u" + units[k:k + 4] for k in range(0, len(units), 4))
 
 
-def as_int(x: int | Fraction, what: str = "value") -> int:
-    """Assert integrality of an exact rational and return it as an int."""
-    if x.denominator != 1:
-        raise InconsistencyError(f"{what} is not an integer: {rat_str(x)}")
-    return x.numerator
-
-
 def forward_walk(f: Callable[[int], int], lo: int, hi: int, degree: int) -> list[int]:
     """``[f(lo), f(lo + 1), ..., f(hi)]`` for an integer polynomial f of at
     most the given degree, by exact forward differences.

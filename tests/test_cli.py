@@ -498,38 +498,34 @@ def test_cli_module_entrypoint_runs():
 
 # the process entry --------------------------------------------------------------
 
-def _module_run(*argv, prelude=""):
-    """``python -m kbound ARGV`` through runpy, after the lines of prelude."""
+def _module_run(*argv, prelude="", unbuffered=False, **kwargs):
+    """``python -m kbound ARGV`` through runpy, after the lines of prelude.
+    PYTHONUNBUFFERED is dropped unless unbuffered, so that stdout reaches
+    the OS only through the process entry's flush."""
     src = str(Path(kbound.__file__).resolve().parents[1])
     code = (
         f"import runpy, sys\n{prelude}"
         f"sys.argv = ['kbound', *{list(argv)!r}]\n"
         "runpy.run_module('kbound', run_name='__main__', alter_sys=True)\n"
     )
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ, PYTHONPATH=src)
-    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-c", code], env=env, **kwargs)
 
 
-def test_main_never_freezes_the_heap(capsys):
-    # main is called hundreds of times in one process (tests, the tracer, the
-    # pins): a frozen heap there would never be collected.
-    before = gc.get_freeze_count()
-    assert main(["verify", "r4", "--from", "36", "--to", "60", "--no-timestamp"]) == 0
-    assert main(["verify", "r3", "--from", "50", "--to", "40"]) == 2
-    assert gc.get_freeze_count() == before
-
-
-def test_run_freezes_the_heap_after_main():
+def test_run_ends_the_process_with_mains_code():
+    # Nothing after run executes: the process ends inside it, with main's code.
     src = str(Path(kbound.__file__).resolve().parents[1])
-    code = (
-        "import gc, sys, kbound.cli\n"
-        "code = kbound.cli.run(['bound', 'pi1', '--d', '33'])\n"
-        "sys.stderr.write(f'{code} {gc.get_freeze_count() > 0}\\n')\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stderr == "0 True\n"
+    for argv, exit_code in [(["bound", "pi1", "--d", "33"], 0), (["verify", "r3", "--from", "50", "--to", "40"], 2),
+                            (["verify", "r3", "--out", "/nonexistent/dir/r.json"], 3)]:
+        code = f"import sys, kbound.cli\nkbound.cli.run({argv!r})\nsys.stderr.write('after run\\n')\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == exit_code
+        assert b"after run" not in proc.stderr
 
 
 def test_every_process_entry_calls_run():
@@ -554,10 +550,13 @@ def test_every_process_entry_calls_run():
         (["verify", "r4", "--from", "50", "--to", "40"], 2, "error: empty degree range\n"),
         (["verify", "r4", "--out", "/nonexistent/dir/r.json"], 3,
          "i/o error: [Errno 2] No such file or directory: '/nonexistent/dir/r.json'\n"),
+        # several buffers of output: the json document is 68.7 KB
+        *[(["verify", "all", "--from", "1500", "--to", "1699", "--no-timestamp", "--format", fmt], 0, "")
+          for fmt in ("json", "csv", "table")],
     ],
 )
 def test_a_process_exits_as_main_returns(capsys, argv, exit_code, stderr):
-    # The interpreter's own flush writes stdout, so the bytes equal main's.
+    # The process entry's flush writes stdout, so the bytes equal main's.
     code, out, err = run_cli(capsys, *argv)
     proc = _module_run(*argv)
     assert (proc.returncode, code) == (exit_code, exit_code)
@@ -565,8 +564,16 @@ def test_a_process_exits_as_main_returns(capsys, argv, exit_code, stderr):
     assert proc.stderr.decode() == err == stderr
 
 
+def test_a_process_writes_its_out_file_as_main_writes_stdout(tmp_path, capsys):
+    argv = ["verify", "all", "--from", "36", "--to", "120", "--no-timestamp", "--format", "json"]
+    _, out, _ = run_cli(capsys, *argv)
+    proc = _module_run(*argv, "--out", str(tmp_path / "r.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "r.json").read_bytes() == out.encode()
+
+
 def test_a_process_runs_its_atexit_handlers():
-    # Fails if the process entry ends the interpreter with os._exit.
+    # Fails if the process entry skips the atexit handlers.
     prelude = "import atexit\natexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
     proc = _module_run("verify", "r3", "--from", "36", "--to", "40", "--no-timestamp", prelude=prelude)
     assert proc.returncode == 0
@@ -576,8 +583,9 @@ def test_a_process_runs_its_atexit_handlers():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_out_leaves_no_unclosed_file(tmp_path, capsys, fmt):
-    # A process frozen at exit no longer reports a file that only a reference
-    # cycle holds, so the --out path is checked here, in a process that collects.
+    # A process that ends through os._exit never collects, so it would not
+    # report a file that only a reference cycle holds: the --out path is
+    # checked here, in a process that collects.
     target = tmp_path / "r.out"
     target.write_text("earlier report\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -588,3 +596,37 @@ def test_out_leaves_no_unclosed_file(tmp_path, capsys, fmt):
     assert (code, out) == (0, "")
     assert target.read_text() != "earlier report\n"
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _closed_pipe():
+    """A pipe's write end whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["verify", "r3", "--no-timestamp"], ["bound", "pi1", "--d", "33"]],
+                         ids=["verify", "bound"])
+@pytest.mark.parametrize("target, message", [
+    ("/dev/full", b"i/o error: [Errno 28] No space left on device\n"),
+    (None, b"i/o error: [Errno 32] Broken pipe\n"),
+], ids=["full", "closed-pipe"])
+def test_a_stdout_that_cannot_be_written_exits_3(argv, target, message, unbuffered):
+    # A small output stays in the buffer until the process entry flushes it,
+    # unless PYTHONUNBUFFERED writes it at once; either way one line, exit 3.
+    if target is not None and not os.path.exists(target):
+        pytest.skip(f"no {target}")
+    fd = os.open(target, os.O_WRONLY) if target else _closed_pipe()
+    try:
+        proc = _module_run(*argv, unbuffered=unbuffered, stdout=fd)
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr) == (3, message)
+
+
+def test_a_closed_stdout_exits_3():
+    src = str(Path(kbound.__file__).resolve().parents[1])
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m kbound verify r3 --no-timestamp >&-', sys.executable],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (3, b"i/o error: [Errno 9] Bad file descriptor\n")
