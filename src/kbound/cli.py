@@ -29,7 +29,6 @@ from . import bounds, scroll, verify
 from .exact import InconsistencyError, _horner, dumps, rat_str
 
 FORMATS = ("table", "json", "csv")
-COMMANDS = ("bound", "scroll", "verify")
 
 BOUNDS_CSV_HEADER = ["formula", "d", "bound", "floor", "is_integer", "params"]
 SCAN_CSV_HEADER = [
@@ -99,6 +98,15 @@ def _emit(text: str, out_path: str | None) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _say(text: str) -> None:
+    """Write a line of kbound's own to stderr; one that cannot be written is
+    dropped, so the exit code stays the documented one."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):  # None: closed by the shell (2>&-); or a dead or full fd 2
+        sys.stderr = None  # so that run does not flush it either
 
 
 def _kv_table(pairs: list[tuple[str, object]]) -> str:
@@ -298,10 +306,7 @@ def _cmd_verify(args) -> int:
 
     skipped = [c for c in verdict.certificates if c.status == verify.OUT_OF_RANGE]
     if skipped:
-        sys.stderr.write(
-            f"warning: {len(skipped)} claim(s) outside their asserted range;"
-            " reported, not asserted\n"
-        )
+        _say(f"warning: {len(skipped)} claim(s) outside their asserted range; reported, not asserted\n")
     return 0 if verdict.overall else 1
 
 
@@ -313,9 +318,8 @@ def _add_options(p, options: dict, func) -> None:
     p.set_defaults(func=func)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The kbound parser, listing every command; only the named one, or each
-    when command is None, gets its arguments and sub-commands."""
+def build_parser() -> argparse.ArgumentParser:
+    """The kbound parser: every command, with its arguments and sub-commands."""
     import argparse  # with gettext and locale, a cost that a plain verify run skips
     parser = argparse.ArgumentParser(
         prog="kbound",
@@ -324,39 +328,36 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", help="evaluate one of the genus bounds")
-    if command in (None, "bound"):
-        bsub = b.add_subparsers(dest="kind", required=True)
-        for kind in ("castelnuovo", "halphen", "pi1", "pi2", "propagate"):
-            bp = bsub.add_parser(kind)
-            bp.add_argument("--d", type=int, required=True)
-            bp.add_argument("--d-to", dest="d_to", type=int, default=None,
-                            help="sweep d..d-to and emit a (d, bound) table")
-            if kind == "castelnuovo":
-                bp.add_argument("--r", type=int, required=True)
-            if kind == "halphen":
-                bp.add_argument("--s", type=int, required=True)
-            if kind == "propagate":
-                bp.add_argument("--seed", required=True, help="three values, e.g. 4,9,16")
-            bp.add_argument("--floor", action="store_true", help="print the integer floor")
-            _add_options(bp, COMMON_OPTIONS, _cmd_bound)
+    bsub = sub.add_parser("bound", help="evaluate one of the genus bounds").add_subparsers(
+        dest="kind", required=True)
+    for kind in ("castelnuovo", "halphen", "pi1", "pi2", "propagate"):
+        bp = bsub.add_parser(kind)
+        bp.add_argument("--d", type=int, required=True)
+        bp.add_argument("--d-to", dest="d_to", type=int, default=None,
+                        help="sweep d..d-to and emit a (d, bound) table")
+        if kind == "castelnuovo":
+            bp.add_argument("--r", type=int, required=True)
+        if kind == "halphen":
+            bp.add_argument("--s", type=int, required=True)
+        if kind == "propagate":
+            bp.add_argument("--seed", required=True, help="three values, e.g. 4,9,16")
+        bp.add_argument("--floor", action="store_true", help="print the integer floor")
+        _add_options(bp, COMMON_OPTIONS, _cmd_bound)
 
-    s = sub.add_parser("scroll", help="divisor classes on the degree-3 scroll")
-    if command in (None, "scroll"):
-        ssub = s.add_subparsers(dest="action", required=True)
-        for action in ("scan", "class", "extremal", "minimize"):
-            sp = ssub.add_parser(action)
-            if action == "class":
-                sp.add_argument("--alpha", type=int, required=True)
-                sp.add_argument("--beta", type=int, required=True)
-            else:
-                sp.add_argument("--d", type=int, required=True)
-            _add_options(sp, COMMON_OPTIONS, _cmd_scroll)
+    ssub = sub.add_parser("scroll", help="divisor classes on the degree-3 scroll").add_subparsers(
+        dest="action", required=True)
+    for action in ("scan", "class", "extremal", "minimize"):
+        sp = ssub.add_parser(action)
+        if action == "class":
+            sp.add_argument("--alpha", type=int, required=True)
+            sp.add_argument("--beta", type=int, required=True)
+        else:
+            sp.add_argument("--d", type=int, required=True)
+        _add_options(sp, COMMON_OPTIONS, _cmd_scroll)
 
     v = sub.add_parser("verify", help="produce certificates for the named case")
-    if command in (None, "verify"):
-        v.add_argument("case", choices=("all", *verify.CASES))
-        _add_options(v, VERIFY_OPTIONS, _cmd_verify)
+    v.add_argument("case", choices=("all", *verify.CASES))
+    _add_options(v, VERIFY_OPTIONS, _cmd_verify)
 
     return parser
 
@@ -383,18 +384,17 @@ def _verify_args(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _verify_args(argv) or build_parser(
-        argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _verify_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as exc:
-        sys.stderr.write(f"inconsistency: {exc}\n")
+        _say(f"inconsistency: {exc}\n")
         return 1
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _say(f"error: {exc}\n")
         return 2
     except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
+        _say(f"i/o error: {exc}\n")
         return 3
 
 
@@ -406,7 +406,7 @@ def run(argv=None):
         for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed by the shell
             stream.flush()
     except OSError as exc:  # as main reports a failed write
-        sys.stderr.write(f"i/o error: {exc}\n")
+        _say(f"i/o error: {exc}\n")
         code = 3
     os._exit(code)  # skips teardown: kbound starts no thread, and _emit closes its files
 

@@ -429,8 +429,7 @@ def sign_certificate(
             break
     if counterexample is None:
         lead = p.num[-1]
-        lead_ok = lead > 0 if asserted_sign in ("positive", "nonnegative") else lead < 0
-        if not lead_ok:
+        if fails(lead, 0):  # lead is nonzero: it fails exactly when its sign is the wrong one
             # Beyond the root bound the sign is the leading coefficient's,
             # so the first integer past the scan is a genuine violation.
             witness = scan_to + 1

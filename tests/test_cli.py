@@ -14,17 +14,7 @@ from hypothesis import strategies as st
 import kbound
 from kbound import bounds, cli, verify
 from kbound.cli import VERIFY_OPTIONS, _verify_args, build_parser, main
-
-#: sha256 of ``verify all --from 36 --to 2000 --format json --no-timestamp``,
-#: the behaviour contract that every speed-up and refactor must keep.
-FINGERPRINT_SHA256 = "739feb0f98c158b2edc4dfaed40f7c5576cdd2927f7c1139796ec3e12f4e6c97"
-
-#: sha256 of ``verify all --from 36 --to 120 --no-timestamp`` in the other
-#: two formats, which are part of the same contract.
-FORMAT_SHA256 = {
-    "csv": "90c2a2aba885115b465f83fb0ae0e33e9ab36f795dd7146be9ef20e17f67b006",
-    "table": "9b1cad0ad812ffa8993d2d95ddf3481a0e53f988654be6dc894529cc5686f2f1",
-}
+from test_cli_pins import PINS
 
 
 def run_cli(capsys, *argv):
@@ -210,11 +200,10 @@ def test_verify_csv_renders_no_json_documents(capsys, monkeypatch):
         raise AssertionError("csv output rendered a JSON document")
 
     monkeypatch.setattr(verify.Certificate, "to_json_dict", refuse)
-    code, out, _ = run_cli(capsys, "verify", "all", "--from", "36", "--to", "40", "--format", "csv")
+    argv = "verify all --from 36 --to 40 --format csv"
+    code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "46cca9343c25152ba83f5a4c292aa19cdd3e17cfdc941fff039becdade811821"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == PINS[argv]
 
 
 @pytest.mark.parametrize(
@@ -261,11 +250,20 @@ def parsed(capsys, parser, argv):
 
 
 @pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
-def test_a_parser_built_for_the_command_parses_alike(capsys, argv):
-    # main builds only the command that argv names; the full tree must give
-    # the same namespace, or the same exit code, stdout and stderr
+def test_a_parser_built_for_the_command_parses_alike(capsys, monkeypatch, argv):
+    # main reads argv with _verify_args, or else with the parser it builds:
+    # its command runs with that parser's namespace, or main exits with the
+    # parser's exit code, stdout and stderr
+    ran = []
+    for name in ("_cmd_bound", "_cmd_scroll", "_cmd_verify"):
+        monkeypatch.setattr(cli, name, ran.append)
     full = parsed(capsys, build_parser(), argv)
-    assert parsed(capsys, build_parser(argv[0] if argv else None), argv) == full
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert (exc.code, *capsys.readouterr()) == full
+    else:
+        assert [vars(args) for args in ran] == [vars(full)]
 
 
 def argparse_reads(argv):
@@ -322,7 +320,7 @@ def test_the_verify_reader_agrees_with_argparse(case, options, odd):
 
 
 def test_a_plain_verify_argv_is_read_without_argparse(capsys, monkeypatch):
-    def refuse(command=None):
+    def refuse():
         raise AssertionError("argparse parser built")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
@@ -357,25 +355,21 @@ def test_verify_run_loads_no_process_pool(tmp_path):
 
 
 def test_verify_all_fingerprint():
+    # the behaviour fingerprint, from a process rather than from cli.main
+    argv = "verify all --from 36 --to 2000 --format json --no-timestamp"
     src = str(Path(kbound.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kbound", "verify", "all", "--from", "36", "--to", "2000",
-         "--format", "json", "--no-timestamp"],
-        capture_output=True,
-        env=env,
-        check=True,
-    )
-    assert hashlib.sha256(proc.stdout).hexdigest() == FINGERPRINT_SHA256
+    proc = subprocess.run([sys.executable, "-m", "kbound", *argv.split()],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINS[argv]
 
 
-@pytest.mark.parametrize("fmt", sorted(FORMAT_SHA256))
+@pytest.mark.parametrize("fmt", ["csv", "table"])
 def test_verify_all_format_pin(capsys, fmt):
-    code, out, _ = run_cli(
-        capsys, "verify", "all", "--from", "36", "--to", "120", "--no-timestamp", "--format", fmt
-    )
+    # the fingerprint's range cut to [36, 120], in the other two formats
+    argv = f"verify all --from 36 --to 120 --no-timestamp --format {fmt}"
+    code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == PINS[argv]
 
 
 def test_verify_output_file(tmp_path, capsys):
@@ -498,22 +492,25 @@ def test_cli_module_entrypoint_runs():
 
 # the process entry --------------------------------------------------------------
 
+def _process_env(unbuffered):
+    """The environment of a kbound process. PYTHONUNBUFFERED is dropped unless
+    unbuffered, so that stdout reaches the OS only through the process entry's flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(kbound.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def _module_run(*argv, prelude="", unbuffered=False, **kwargs):
-    """``python -m kbound ARGV`` through runpy, after the lines of prelude.
-    PYTHONUNBUFFERED is dropped unless unbuffered, so that stdout reaches
-    the OS only through the process entry's flush."""
-    src = str(Path(kbound.__file__).resolve().parents[1])
+    """``python -m kbound ARGV`` through runpy, after the lines of prelude."""
     code = (
         f"import runpy, sys\n{prelude}"
         f"sys.argv = ['kbound', *{list(argv)!r}]\n"
         "runpy.run_module('kbound', run_name='__main__', alter_sys=True)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = src
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
-    return subprocess.run([sys.executable, "-c", code], env=env, **kwargs)
+    return subprocess.run([sys.executable, "-c", code], env=_process_env(unbuffered), **kwargs)
 
 
 def test_run_ends_the_process_with_mains_code():
@@ -630,3 +627,20 @@ def test_a_closed_stdout_exits_3():
     proc = subprocess.run(["sh", "-c", 'exec "$0" -m kbound verify r3 --no-timestamp >&-', sys.executable],
                           capture_output=True, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (3, b"i/o error: [Errno 9] Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, exit_code", [
+    ("verify r4 --from 50 --to 40", 2),  # the error line
+    ("verify r5 --from 10 --to 20 --no-timestamp", 0),  # the out-of-range warning
+    ("verify r3 --no-timestamp >/dev/full", 3),  # the failed write's line, from main or from run's flush
+], ids=["error", "warning", "full-stdout"])
+@pytest.mark.parametrize("stderr", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(argv, exit_code, stderr, unbuffered):
+    # kbound's own stderr lines are dropped, not raised, when stderr is closed
+    # (sys.stderr is None) or refuses the write
+    if "/dev/full" in argv + stderr and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    proc = subprocess.run(["sh", "-c", f'exec "$0" -m kbound {argv} {stderr}', sys.executable],
+                          capture_output=True, env=_process_env(unbuffered))
+    assert (proc.returncode, proc.stderr) == (exit_code, b"")

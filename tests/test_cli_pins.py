@@ -1,13 +1,15 @@
-"""Byte pins for the ``bound`` and ``scroll`` subcommands, and for every
-operation of the benchmark.
+"""Every byte pin of kbound's output, in one table: the sha256 of what
+``kbound ARGV`` prints, by argv.
 
-Each invocation runs in all three formats and its stdout must hash to the
-sha256 recorded before the closed forms were given one definition each, so
-a refactor of ``bounds``/``scroll`` cannot change a printed byte unnoticed.
-``verify`` output is pinned separately by ``test_verify_all_fingerprint``,
-and each benchmark operation by ``perfbench/pins.json``.
+The ``bound`` and ``scroll`` rows run each invocation in all three formats,
+and the ``--d-to 3000`` rows reach far past them. The ``verify`` rows hold
+the behaviour fingerprint over [36, 2000], which ``perfbench/pin.py``
+copies, the CSV and table formats, two cases on their own, and three long or
+far ranges. A refactor cannot change a printed byte unnoticed. Each
+benchmark operation is pinned by ``perfbench/pins.json``.
 """
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from kbound.cli import main
+from kbound.cli import _verify_args, main
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PINS = {
     "bound castelnuovo --r 5 --d 18 --format table": "393b5e395246b16c0bfd73e6d40a83090a1eb18c686f44948b8a176d5bf5fb87",
@@ -84,6 +88,35 @@ PINS = {
     "scroll minimize --d 19 --format table": "c3796ddfa817cd25d7498efffbe09fe390dc32e095e2b5bd81bee5af52f2b951",
     "scroll minimize --d 19 --format json": "bf9d663ace174dc1181e209d54956ea7285a2f38e8020cc31766213d5f969b14",
     "scroll minimize --d 19 --format csv": "033638e2dd91bb54a0f32ffcf198399044613716ca3123d25874feba7c4d7529",
+    # Profile propagation and the closed-form bounds far past the rows above.
+    "bound propagate --seed 4,9,16 --d 20 --d-to 3000 --format json": "7829df3d9e1ec3e30f3812419c95200013fed90eecbe1fe0ffc647d7bca024eb",
+    "bound propagate --seed 4,10,19 --d 20 --d-to 3000 --format json": "88764c6cf788b8207278fd145f45ca44599bc5c56feea7bbab19b4e02a2ed237",
+    "bound castelnuovo --r 5 --d 5 --d-to 3000 --format json": "e9424c826a8b57f633ba1b33129ff99c072e0b203102ecd024a5e84fa30a41be",
+    "bound castelnuovo --r 8 --d 8 --d-to 3000 --format json": "4572af0443996ef465cae0f01991fe7e7d1dc0ae36f48a8a9312557bcbdc0dc3",
+    "bound halphen --s 4 --d 13 --d-to 3000 --format json": "ab88a670bee8f3115783cf9bd1991936361cbc18765036621d5f64ba2b8bf0d6",
+    "bound halphen --s 5 --d 21 --d-to 3000 --format json": "6d7235928c493edb2cdb0133ed6d82e41bdbffa7a5d3729fb40d5b8d30f8caf9",
+    "bound pi1 --d 2 --d-to 3000 --format json": "35fa2fb97946ee61a4ba9077c9a28329d26aa7c1b9fe2fd60d3480cda89b1d31",
+    "bound pi2 --d 2 --d-to 3000 --format json": "872a6af12b846c6295ebe2d83b8f6dabcf0b83b083bcf9eba044fa97b93a9c44",
+    # The behaviour fingerprint, which perfbench/pin.py copies.
+    "verify all --from 36 --to 2000 --format json --no-timestamp": "739feb0f98c158b2edc4dfaed40f7c5576cdd2927f7c1139796ec3e12f4e6c97",
+    # The other two formats, and the short csv range that
+    # test_cli.py::test_verify_csv_renders_no_json_documents reads.
+    "verify all --from 36 --to 120 --no-timestamp --format csv": "90c2a2aba885115b465f83fb0ae0e33e9ab36f795dd7146be9ef20e17f67b006",
+    "verify all --from 36 --to 120 --no-timestamp --format table": "9b1cad0ad812ffa8993d2d95ddf3481a0e53f988654be6dc894529cc5686f2f1",
+    "verify all --from 36 --to 40 --format csv": "46cca9343c25152ba83f5a4c292aa19cdd3e17cfdc941fff039becdade811821",
+    # APPENDIX.min reads each degree's minimum off its own chain of frame
+    # walk windows, and SHARPNESS, decided by the ring's factorization,
+    # reads none; each case on its own must give the bytes it gives within
+    # a full run.
+    "verify appendix --from 36 --to 2000 --format json --no-timestamp": "9dd158872c484f30284c635f739bd1f53d9da22d0c7a07497b0ad81c2dfbea80",
+    "verify sharpness --from 36 --to 2000 --format json --no-timestamp": "27253401ed336362661f2292f2b97b19ecff7a78564b82a81d8da45e2bfb0a21",
+    # A long range, where the integer per-degree checks run far past every
+    # sign certificate's scan; one as long as a run goes, where APPENDIX.min
+    # chains 28 frame walk windows, whose lanes are 24 to 48 bits wide; and
+    # a window walk seeded far from d = 36, in 56-bit lanes.
+    "verify all --from 36 --to 5000 --format json --no-timestamp": "72e9eabcb55425d636c0adde16ada12dfebd6932f5cf6e70f11ab59bca94d01b",
+    "verify all --from 36 --to 20000 --format json --no-timestamp": "3851e8745820c621f488bdabc0f6d8300f8f59b174f7cc0176d94865927f6c0b",
+    "verify all --from 90000 --to 90199 --format json --no-timestamp": "bdfc3df58159aaf1b5ef40c4d34c9976fa0ccb7dceef38bc3d9f500e826542d0",
 }
 
 
@@ -95,15 +128,36 @@ def test_cli_output_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINS[command]
 
 
+def _workloads():
+    """perfbench/workloads.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_benchmark_operations_give_their_pinned_bytes(tmp_path):
     # every operation of perfbench/workloads.py's catalogue, run in this
     # process, against the sha256 of its output in perfbench/pins.json
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    spec = importlib.util.spec_from_file_location("workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    pins, out = json.loads((bench / "pins.json").read_text())["sha256"], tmp_path / "out"
+    workloads = _workloads()
+    pins, out = json.loads((BENCH / "pins.json").read_text())["sha256"], tmp_path / "out"
     differ = [workloads.op_key(argv) for argv in workloads.catalogue()
               if main([*argv, "--out", str(out)]) != 0
               or hashlib.sha256(out.read_bytes()).hexdigest() != pins.get(workloads.op_key(argv))]
     assert differ == []
+
+
+def test_every_benchmark_operation_is_read_without_argparse():
+    # the benchmark times only argv that cli._verify_args reads, so no
+    # operation builds an argparse parser
+    assert [argv for argv in _workloads().catalogue() if _verify_args(list(argv)) is None] == []
+
+
+def test_the_benchmarks_fingerprint_is_a_row():
+    # perfbench/pin.py refuses to pin unless the fingerprint holds; its copy
+    # must be this table's row, read from its source without importing it
+    values = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse((BENCH / "pin.py").read_text()).body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in ("FINGERPRINT_ARGV", "FINGERPRINT")}
+    assert PINS[" ".join(values["FINGERPRINT_ARGV"])] == values["FINGERPRINT"]
